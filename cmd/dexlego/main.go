@@ -155,7 +155,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		opts.Incremental = true
 		opts.MethodCache = mc
 	}
 	if memBudgetBytes > 0 && !*serve {

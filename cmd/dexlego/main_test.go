@@ -238,7 +238,7 @@ func TestRunBatchWithTrace(t *testing.T) {
 		t.Fatalf("trace apps = %d, want 2", len(apps))
 	}
 	for _, a := range apps {
-		if a.MethodsCollected == 0 || a.StageNS["collection"] <= 0 {
+		if a.Count(obs.EventMethodCollected) == 0 || a.StageNS["collection"] <= 0 {
 			t.Errorf("app %s trace incomplete: %+v", a.App, a)
 		}
 	}

@@ -79,16 +79,13 @@ type Options struct {
 	// RevealBatch defaults it to the job name.
 	TraceLabel string
 
-	// Incremental enables the per-method collection cache: methods whose
-	// body fingerprint (MethodFingerprints) resolves to a cached tree in
-	// MethodCache are skipped during execution and their trees spliced into
-	// the result, producing byte-identical output to the full path. Both
-	// fields are excluded from Options.Fingerprint: the incremental path is
-	// an execution strategy, not an output parameter. Incremental without a
-	// MethodCache is ignored.
-	Incremental bool
-	// MethodCache is the method-tree keyspace consulted and filled by the
-	// incremental path; safe to share across concurrent Reveal calls.
+	// MethodCache, when set, enables the incremental path: methods whose
+	// body fingerprint (MethodFingerprints) resolves to a cached tree here
+	// are skipped during execution and their trees spliced into the result,
+	// producing byte-identical output to the full path; fresh records are
+	// stored back after verify. It is excluded from Options.Fingerprint:
+	// the incremental path is an execution strategy, not an output
+	// parameter. Safe to share across concurrent Reveal calls.
 	MethodCache *store.MethodCache
 
 	// SpillCache, when set, enables the memory-budgeted output path: after
@@ -97,7 +94,7 @@ type Options struct {
 	// time during reassembly, and the DEX image is emitted through the
 	// section-streaming writer. Output stays byte-identical to the
 	// all-resident path (pinned by TestWhaleSpillByteIdentity). Like the
-	// incremental fields this is an execution strategy, not an output
+	// method cache this is an execution strategy, not an output
 	// parameter, so it is excluded from Options.Fingerprint. Safe to share
 	// across concurrent Reveal calls.
 	SpillCache *store.MethodCache
@@ -283,6 +280,7 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 				len(v), v[0])
 			col = collector.New()
 			inc = nil
+			res.Sinks = nil
 			if err := runExecution(); err != nil {
 				return nil, err
 			}

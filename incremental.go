@@ -35,11 +35,11 @@ type incPlan struct {
 
 // planIncremental fingerprints the APK's methods and resolves each against
 // the method cache, emitting method_cache_hit/miss per lookup. It returns
-// nil — full path, no skip list — when the incremental feature is off or
-// the primary dex does not parse (the plain pipeline tolerates that; the
+// nil — full path, no skip list — when no method cache is set or the
+// primary dex does not parse (the plain pipeline tolerates that; the
 // planner must not turn it into a failure).
 func planIncremental(pkg *apk.APK, opts Options, span *obs.Span) *incPlan {
-	if !opts.Incremental || opts.MethodCache == nil {
+	if opts.MethodCache == nil {
 		return nil
 	}
 	f, err := pkg.DexFile()

@@ -3,11 +3,13 @@ package dexlego_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	root "dexlego"
 	"dexlego/internal/apk"
+	"dexlego/internal/art"
 	"dexlego/internal/droidbench"
 	"dexlego/internal/hotbench"
 	"dexlego/internal/obs"
@@ -72,7 +74,6 @@ func TestIncrementalGoldenCorpusSelfChain(t *testing.T) {
 				}
 				full := root.Options{ForceExecution: true, Workers: 1, Natives: s.Natives()}
 				incr := full
-				incr.Incremental = true
 				incr.MethodCache = mc
 
 				ref, _ := revealTraced(t, pkg, full)
@@ -117,7 +118,6 @@ func TestIncrementalVersionChain(t *testing.T) {
 				for i, app := range apps {
 					full := root.Options{ForceExecution: force, Workers: 2}
 					incr := full
-					incr.Incremental = true
 					incr.MethodCache = mc
 
 					ref, _ := revealTraced(t, app.APK, full)
@@ -175,7 +175,6 @@ func TestIncrementalSelfModifyingNeverCached(t *testing.T) {
 			}
 			full := root.Options{ForceExecution: true, Workers: 1, Natives: s.Natives()}
 			incr := full
-			incr.Incremental = true
 			incr.MethodCache = mc
 
 			ref, _ := revealTraced(t, pkg, full)
@@ -214,5 +213,52 @@ func TestIncrementalSelfModifyingNeverCached(t *testing.T) {
 				t.Errorf("no untampered method entered the cache")
 			}
 		})
+	}
+}
+
+// TestIncrementalFallbackMatchesFull drives the skip-violation fallback
+// through Reveal. The cache is seeded by a reveal of SelfModifying1 whose
+// natives keep their keys but do nothing, so advancedLeak runs untampered
+// and enters the cache. A reveal with the real natives then skip-lists it,
+// observes the runtime write into it, voids the plan and reruns in full: its
+// bytes and sink events must equal the full reveal's, with nothing kept from
+// the discarded run.
+func TestIncrementalFallbackMatchesFull(t *testing.T) {
+	s := droidbench.ByName("SelfModifying1")
+	if s == nil {
+		t.Fatal("sample SelfModifying1 missing")
+	}
+	pkg, err := s.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	inert := make(map[string]art.NativeFunc, len(s.Natives()))
+	for key := range s.Natives() {
+		inert[key] = func(*art.Env, *art.Object, []art.Value) (art.Value, error) {
+			return art.Value{}, nil
+		}
+	}
+	mc, err := store.OpenMethodCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	revealTraced(t, pkg, root.Options{Workers: 1, Natives: inert, MethodCache: mc})
+	if mc.Len() == 0 {
+		t.Fatal("inert reveal cached no methods")
+	}
+
+	full := root.Options{Workers: 1, Natives: s.Natives()}
+	ref, refRes := revealTraced(t, pkg, full)
+	incr := full
+	incr.MethodCache = mc
+	got, res := revealTraced(t, pkg, incr)
+	if !bytes.Equal(ref, got) {
+		t.Errorf("fallback reveal differs from full (%d vs %d bytes)", len(ref), len(got))
+	}
+	if !reflect.DeepEqual(res.Sinks, refRes.Sinks) {
+		t.Errorf("fallback reveal sinks differ from full:\n got %+v\nwant %+v", res.Sinks, refRes.Sinks)
+	}
+	if res.Metrics.MethodsCached != 0 {
+		t.Errorf("fallback reveal spliced %d methods from a voided plan", res.Metrics.MethodsCached)
 	}
 }

@@ -236,24 +236,21 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 			in = &local
 		}
 
-		fast := len(rt.hooks) == 0
-		var injected error
-		if !fast {
-			for _, h := range rt.hooks {
-				if h.Instruction != nil {
-					h.Instruction(m, f.pc, m.Insns, in)
-				}
+		for _, h := range rt.hooks {
+			if h.Instruction != nil {
+				h.Instruction(m, f.pc, m.Insns, in)
 			}
-			// Forced exception edges: a hook may demand that this
-			// instruction throws instead of executing.
-			for _, h := range rt.hooks {
-				if h.InjectException == nil {
-					continue
-				}
-				if desc := h.InjectException(m, f.pc); desc != "" {
-					injected = rt.Throw(desc, "forced exception edge")
-					break
-				}
+		}
+		// Forced exception edges: a hook may demand that this instruction
+		// throws instead of executing.
+		var injected error
+		for _, h := range rt.hooks {
+			if h.InjectException == nil {
+				continue
+			}
+			if desc := h.InjectException(m, f.pc); desc != "" {
+				injected = rt.Throw(desc, "forced exception edge")
+				break
 			}
 		}
 
@@ -311,50 +308,6 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 		}
 		if done {
 			return v, nil
-		}
-
-		// Fused fast paths: with no hooks installed, the follow-up half of a
-		// hot pair executes inline — same per-instruction budget accounting,
-		// without another trip through the loop head. Only predecoded
-		// successors qualify, and never after a callee modified live code.
-		if fast && f.prog != nil {
-			switch {
-			case in.Op.IsInvoke():
-				if f.bindStale() {
-					continue // callee tampered the caller's code: rebind first
-				}
-				if nd, _ := f.prog.Lookup(f.pc); nd != nil &&
-					(nd.Op == bytecode.OpMoveResult || nd.Op == bytecode.OpMoveResultObj) &&
-					int(nd.MaxReg) < len(f.regs) {
-					st.steps++
-					if st.steps > st.budget {
-						return Value{}, ErrStepBudget
-					}
-					f.regs[nd.A] = f.result
-					f.hasRes = false
-					f.pc += nd.Width
-				}
-			case in.Op >= bytecode.OpConst4 && in.Op <= bytecode.OpConstHigh16:
-				if nd, _ := f.prog.Lookup(f.pc); nd != nil &&
-					(nd.Op == bytecode.OpMove || nd.Op == bytecode.OpMoveFrom16 ||
-						nd.Op == bytecode.OpMoveObject || nd.Op == bytecode.OpMoveObject16) &&
-					int(nd.MaxReg) < len(f.regs) {
-					st.steps++
-					if st.steps > st.budget {
-						return Value{}, ErrStepBudget
-					}
-					f.regs[nd.A] = f.regs[nd.B]
-					f.pc += nd.Width
-				}
-			case in.Op.IsBranch():
-				if nd, _ := f.prog.Lookup(f.pc); nd != nil && nd.Op.IsGoto() {
-					st.steps++
-					if st.steps > st.budget {
-						return Value{}, ErrStepBudget
-					}
-					f.pc += int(nd.Off)
-				}
-			}
 		}
 	}
 }

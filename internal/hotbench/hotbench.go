@@ -220,7 +220,6 @@ func chainBench(workers int) (*apk.APK, *store.MethodCache, error) {
 	if _, err := root.Reveal(chain[0].APK, root.Options{
 		ForceExecution: true,
 		Workers:        workers,
-		Incremental:    true,
 		MethodCache:    mc,
 	}); err != nil {
 		return nil, nil, err
@@ -395,7 +394,6 @@ func Run(cfg Config) (*Report, error) {
 			_, err := root.Reveal(chainV2, root.Options{
 				ForceExecution: true,
 				Workers:        cfg.Workers,
-				Incremental:    true,
 				MethodCache:    chainCache,
 			})
 			return err

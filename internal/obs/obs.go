@@ -18,202 +18,14 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// EventType enumerates the trace event vocabulary: the two span lifecycle
-// events plus the typed domain events of the reveal pipeline.
-type EventType uint8
-
-// The event vocabulary. Domain events map onto the paper's mechanisms:
-// tree_fork/tree_converge are Algorithm 1's divergence and convergence
-// cases, ucb_flip is a force-execution branch override (Section IV-E),
-// merge_variant/stub_emitted/reflection_rewrite are reassembly decisions
-// (Sections IV-B, IV-C), verify_defect is a structural defect in the
-// revealed DEX, and concurrent_entry records a collector ownership
-// violation just before the guard panics. The service events cover the
-// reveal-as-a-service layer (internal/server, internal/store): cache
-// hit/miss against the content-addressed artifact store, the time a job
-// spent queued for a worker, and the job admission/completion lifecycle.
-// The parallel-collection events cover sharded force execution
-// (internal/forceexec): worker_merge is one collection shard folded into
-// the campaign result at an iteration barrier, and worker_clamp records
-// the service capping a job's worker budget to keep jobs x workers within
-// GOMAXPROCS. The interpreter events cover the predecoded handler-table
-// path (internal/art): predecode_hit is a method bound to a predecoded
-// program already in the shared content-keyed cache, and
-// predecode_invalidate is a write into a method's live unit array dropping
-// its predecoded stream — the observation points where self-modification
-// becomes visible to the collector. The telemetry events cover the
-// production telemetry plane: resource_sample attributes heap allocation
-// and live-heap growth to one pipeline stage, slo_violation records a job
-// exceeding its configured latency objective, and flight_dump records the
-// per-job flight recorder persisting its ring of recent events after a
-// failure or SLO violation. The fleet events cover the multi-node reveal
-// fleet (internal/fleet): peer_fetch is one node pulling an artifact from a
-// peer's store instead of recomputing it, fleet_forward is a submission
-// routed to another node (the key's ring owner, a replica absorbing an
-// owner shed, or a takeover after the owner died), fleet_hop stamps the
-// nodes a forwarded submission traversed into the executing job's trace,
-// and ring_rebuild records membership changing the consistent-hash ring.
-// The incremental-reveal events cover the per-method collection cache:
-// method_cache_hit and method_cache_miss record one method's fingerprint
-// lookup against the method-tree keyspace, and tree_splice records a cached
-// collection tree grafted into the result in place of re-execution. The
-// memory-budget events cover the budgeted output path: mem_spill records
-// one completed method record displaced from the in-memory result to the
-// spill tier mid-reveal, and mem_admit_wait records a job blocked in the
-// memory-budget admission gate before its reveal ran.
-const (
-	EventSpanStart EventType = iota
-	EventSpanEnd
-	EventMethodCollected
-	EventTreeFork
-	EventTreeConverge
-	EventUCBFlip
-	EventExceptionTolerated
-	EventReflectionRewrite
-	EventMergeVariant
-	EventStubEmitted
-	EventVerifyDefect
-	EventConcurrentEntry
-	EventCacheHit
-	EventCacheMiss
-	EventQueueWait
-	EventJobEnqueued
-	EventJobDone
-	EventWorkerMerge
-	EventWorkerClamp
-	EventPredecodeHit
-	EventPredecodeInvalidate
-	EventResourceSample
-	EventSLOViolation
-	EventFlightDump
-	EventPeerFetch
-	EventFleetForward
-	EventFleetHop
-	EventRingRebuild
-	EventMethodCacheHit
-	EventMethodCacheMiss
-	EventTreeSplice
-	EventMemSpill
-	EventMemAdmitWait
-	numEventTypes // sentinel, keep last
-)
-
-var eventNames = [numEventTypes]string{
-	EventSpanStart:           "span_start",
-	EventSpanEnd:             "span_end",
-	EventMethodCollected:     "method_collected",
-	EventTreeFork:            "tree_fork",
-	EventTreeConverge:        "tree_converge",
-	EventUCBFlip:             "ucb_flip",
-	EventExceptionTolerated:  "exception_tolerated",
-	EventReflectionRewrite:   "reflection_rewrite",
-	EventMergeVariant:        "merge_variant",
-	EventStubEmitted:         "stub_emitted",
-	EventVerifyDefect:        "verify_defect",
-	EventConcurrentEntry:     "concurrent_entry",
-	EventCacheHit:            "cache_hit",
-	EventCacheMiss:           "cache_miss",
-	EventQueueWait:           "queue_wait",
-	EventJobEnqueued:         "job_enqueued",
-	EventJobDone:             "job_done",
-	EventWorkerMerge:         "worker_merge",
-	EventWorkerClamp:         "worker_clamp",
-	EventPredecodeHit:        "predecode_hit",
-	EventPredecodeInvalidate: "predecode_invalidate",
-	EventResourceSample:      "resource_sample",
-	EventSLOViolation:        "slo_violation",
-	EventFlightDump:          "flight_dump",
-	EventPeerFetch:           "peer_fetch",
-	EventFleetForward:        "fleet_forward",
-	EventFleetHop:            "fleet_hop",
-	EventRingRebuild:         "ring_rebuild",
-	EventMethodCacheHit:      "method_cache_hit",
-	EventMethodCacheMiss:     "method_cache_miss",
-	EventTreeSplice:          "tree_splice",
-	EventMemSpill:            "mem_spill",
-	EventMemAdmitWait:        "mem_admit_wait",
-}
-
-// EventTypes returns every known event type, in declaration order.
-func EventTypes() []EventType {
-	out := make([]EventType, numEventTypes)
-	for i := range out {
-		out[i] = EventType(i)
-	}
-	return out
-}
-
-func (t EventType) String() string {
-	if int(t) < len(eventNames) {
-		return eventNames[t]
-	}
-	return fmt.Sprintf("event(%d)", uint8(t))
-}
-
-// MarshalText encodes the symbolic event name; unknown values are an error
-// so a corrupt trace can never be written silently.
-func (t EventType) MarshalText() ([]byte, error) {
-	if int(t) >= len(eventNames) {
-		return nil, fmt.Errorf("obs: unknown event type %d", uint8(t))
-	}
-	return []byte(eventNames[t]), nil
-}
-
-// UnmarshalText rejects event names outside the vocabulary, which is what
-// makes trace decoding a schema validation.
-func (t *EventType) UnmarshalText(b []byte) error {
-	for i, name := range eventNames {
-		if name == string(b) {
-			*t = EventType(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown event type %q", b)
-}
-
-// Branch outcome labels of a ucb_flip event.
-const (
-	BranchTaken       = "taken"
-	BranchFallthrough = "fallthrough"
-)
-
-// Outcome labels of a job_done event.
-const (
-	JobOK     = "ok"
-	JobFailed = "failed"
-)
-
-// Reason labels of a flight_dump event: the job failed (which includes a
-// panic isolated by the pipeline) or it finished but blew its latency SLO.
-const (
-	FlightReasonFailed = "failed"
-	FlightReasonSLO    = "slo"
-)
-
-// Outcome labels of a peer_fetch event.
-const (
-	PeerHit  = "hit"
-	PeerMiss = "miss"
-)
-
-// Role labels of a fleet_forward event: the target is the key's ring
-// owner, a replica absorbing an owner shed, or the forwarding node itself
-// taking the key over after its owner died.
-const (
-	ForwardOwner    = "owner"
-	ForwardReplica  = "replica"
-	ForwardTakeover = "takeover"
-)
-
 // Event is one JSONL trace line. The struct is the union of all event
-// payloads; Validate (report.go) checks the per-type required fields.
+// payloads; Validate checks it against its type's spec (events.go).
 // Timestamps are nanoseconds on a process-wide monotonic clock, so events
 // from tracers sharing a sink order consistently.
 type Event struct {
@@ -361,7 +173,7 @@ func (t *Tracer) emit(ev *Event) {
 		return
 	}
 	ev.TS = int64(time.Since(epoch))
-	line, err := json.Marshal(ev)
+	line, err := json.Marshal(*ev) // the copy, not ev, escapes
 	if err != nil {
 		t.dropped.Add(1)
 		return
@@ -421,7 +233,7 @@ func (s *Span) Start(name string) *Span {
 		return nil
 	}
 	c := &Span{t: s.t, id: spanIDs.Add(1), name: name, trace: s.trace, start: time.Since(epoch)}
-	s.emit(&Event{Type: EventSpanStart, Span: c.id, Parent: s.id, Name: name, Trace: c.trace})
+	s.t.emit(&Event{Type: EventSpanStart, Span: c.id, Parent: s.id, Name: name, Trace: c.trace})
 	return c
 }
 
@@ -433,12 +245,6 @@ func (s *Span) Trace() string {
 	return s.trace
 }
 
-// emit stamps the span's trace identity and forwards to the tracer.
-func (s *Span) emit(ev *Event) {
-	ev.Trace = s.trace
-	s.t.emit(ev)
-}
-
 // End closes the span, observing its duration into the tracer's per-name
 // histogram. End is idempotent, so a deferred End composes with an explicit
 // one on the success path.
@@ -448,7 +254,20 @@ func (s *Span) End() {
 	}
 	d := time.Since(epoch) - s.start
 	s.t.spanHist(s.name).Observe(int64(d))
-	s.emit(&Event{Type: EventSpanEnd, Span: s.id, Name: s.name, DurNS: int64(d)})
+	s.t.emit(&Event{Type: EventSpanEnd, Span: s.id, Name: s.name, DurNS: int64(d), Trace: s.trace})
+}
+
+// event records one domain event on the span: the single enabled check
+// behind every typed emitter below. The event is built by a callback only
+// past that check, so a nil or disabled span neither builds the (large)
+// Event nor allocates, and since the tracer encodes a copy, a metrics-only
+// tracer allocates nothing either.
+func (s *Span) event(build func() Event) {
+	if s.Enabled() {
+		e := build()
+		e.Span, e.Trace = s.id, s.trace
+		s.t.emit(&e)
+	}
 }
 
 // --- typed domain emitters --------------------------------------------------
@@ -456,116 +275,80 @@ func (s *Span) End() {
 // MethodCollected records one unique collection tree retained for a method:
 // its layer depth (1 = no self-modification) and unique instruction count.
 func (s *Span) MethodCollected(method string, depth, insns int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMethodCollected, Span: s.id, Method: method, Depth: depth, Count: insns})
+	s.event(func() Event { return Event{Type: EventMethodCollected, Method: method, Depth: depth, Count: insns} })
 }
 
 // TreeFork records a collection-tree divergence: a different instruction at
 // a recorded dex_pc opened self-modification layer `depth`.
 func (s *Span) TreeFork(method string, pc, depth int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventTreeFork, Span: s.id, Method: method, PC: pc, Depth: depth})
+	s.event(func() Event { return Event{Type: EventTreeFork, Method: method, PC: pc, Depth: depth} })
 }
 
 // TreeConverge records the end of self-modification layer `depth` at pc.
 func (s *Span) TreeConverge(method string, pc, depth int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventTreeConverge, Span: s.id, Method: method, PC: pc, Depth: depth})
+	s.event(func() Event { return Event{Type: EventTreeConverge, Method: method, PC: pc, Depth: depth} })
 }
 
 // PredecodeHit records a method binding to a predecoded program that was
 // already present in the shared program cache.
 func (s *Span) PredecodeHit(method string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventPredecodeHit, Span: s.id, Method: method})
+	s.event(func() Event { return Event{Type: EventPredecodeHit, Method: method} })
 }
 
 // PredecodeInvalidate records a write into a method's live unit array
 // dropping its predecoded stream. pc is the dex_pc where the modification
 // was observed (-1 outside bytecode is recorded as pc 0 omitted).
 func (s *Span) PredecodeInvalidate(method string, pc int) {
-	if !s.Enabled() {
-		return
-	}
 	if pc < 0 {
 		pc = 0
 	}
-	s.emit(&Event{Type: EventPredecodeInvalidate, Span: s.id, Method: method, PC: pc})
+	s.event(func() Event { return Event{Type: EventPredecodeInvalidate, Method: method, PC: pc} })
 }
 
 // UCBFlip records a force-execution branch override in iteration iter.
 func (s *Span) UCBFlip(method string, pc int, taken bool, iter int) {
-	if !s.Enabled() {
-		return
-	}
 	branch := BranchFallthrough
 	if taken {
 		branch = BranchTaken
 	}
-	s.emit(&Event{Type: EventUCBFlip, Span: s.id, Method: method, PC: pc, Branch: branch, Iter: iter})
+	s.event(func() Event { return Event{Type: EventUCBFlip, Method: method, PC: pc, Branch: branch, Iter: iter} })
 }
 
 // ExceptionTolerated records an unhandled exception cleared by the
 // force-execution tolerance hook.
 func (s *Span) ExceptionTolerated(method string, pc int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventExceptionTolerated, Span: s.id, Method: method, PC: pc})
+	s.event(func() Event { return Event{Type: EventExceptionTolerated, Method: method, PC: pc} })
 }
 
 // ReflectionRewrite records a Method.invoke call site rewritten to the
 // direct-call bridge `target`.
 func (s *Span) ReflectionRewrite(method string, pc int, target string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventReflectionRewrite, Span: s.id, Method: method, PC: pc, Target: target})
+	s.event(func() Event { return Event{Type: EventReflectionRewrite, Method: method, PC: pc, Target: target} })
 }
 
 // MergeVariant records a reassembler merge decision: `from` raw collection
 // trees collapsed into `to` instruction arrays (to > 1 means variant bodies
 // were emitted behind a dispatcher).
 func (s *Span) MergeVariant(method string, from, to int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMergeVariant, Span: s.id, Method: method, From: from, Count: to})
+	s.event(func() Event { return Event{Type: EventMergeVariant, Method: method, From: from, Count: to} })
 }
 
 // StubEmitted records a declared-but-never-executed method emitted as a
 // default-return stub.
 func (s *Span) StubEmitted(method string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventStubEmitted, Span: s.id, Method: method})
+	s.event(func() Event { return Event{Type: EventStubEmitted, Method: method} })
 }
 
 // VerifyDefect records one structural defect found in the revealed DEX.
 func (s *Span) VerifyDefect(detail string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventVerifyDefect, Span: s.id, Detail: detail})
+	s.event(func() Event { return Event{Type: EventVerifyDefect, Detail: detail} })
 }
 
 // ConcurrentEntry records a collector ownership violation observed by the
 // atomic guard, so the trace captures the context the subsequent panic
 // destroys.
 func (s *Span) ConcurrentEntry(detail string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventConcurrentEntry, Span: s.id, Detail: detail})
+	s.event(func() Event { return Event{Type: EventConcurrentEntry, Detail: detail} })
 }
 
 // WorkerMerge records one collection shard folded into the campaign result
@@ -573,20 +356,16 @@ func (s *Span) ConcurrentEntry(detail string) {
 // offered `offered` collection trees of which `kept` were new (the rest
 // were fingerprint-dedup hits against trees already on record).
 func (s *Span) WorkerMerge(worker, iter, offered, kept int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventWorkerMerge, Span: s.id, Worker: worker, Iter: iter, From: offered, Count: kept})
+	s.event(func() Event {
+		return Event{Type: EventWorkerMerge, Worker: worker, Iter: iter, From: offered, Count: kept}
+	})
 }
 
 // WorkerClamp records the admission layer capping a job's reveal-internal
 // worker budget from `requested` to `granted` so concurrent jobs cannot
 // oversubscribe the machine; detail names the constraint that bound.
 func (s *Span) WorkerClamp(requested, granted int, detail string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventWorkerClamp, Span: s.id, From: requested, Count: granted, Detail: detail})
+	s.event(func() Event { return Event{Type: EventWorkerClamp, From: requested, Count: granted, Detail: detail} })
 }
 
 // --- service emitters (internal/server, internal/store) ---------------------
@@ -594,47 +373,32 @@ func (s *Span) WorkerClamp(requested, granted int, detail string) {
 // CacheHit records a reveal served from the content-addressed artifact
 // store under cache key `key` — no Reveal ran for this request.
 func (s *Span) CacheHit(key string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventCacheHit, Span: s.id, Detail: key})
+	s.event(func() Event { return Event{Type: EventCacheHit, Detail: key} })
 }
 
 // CacheMiss records a reveal the store could not serve: the request's
 // cache key had no artifact, so a Reveal ran to produce one.
 func (s *Span) CacheMiss(key string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventCacheMiss, Span: s.id, Detail: key})
+	s.event(func() Event { return Event{Type: EventCacheMiss, Detail: key} })
 }
 
 // MethodCacheHit records one method served from the incremental per-method
 // collection cache: its fingerprint resolved to a stored tree, so force
 // execution skips it and the tree is spliced later.
 func (s *Span) MethodCacheHit(method string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMethodCacheHit, Span: s.id, Method: method})
+	s.event(func() Event { return Event{Type: EventMethodCacheHit, Method: method} })
 }
 
 // MethodCacheMiss records one method the incremental cache could not serve
 // (changed body, changed callee, uncacheable record): it executes in full.
 func (s *Span) MethodCacheMiss(method string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMethodCacheMiss, Span: s.id, Method: method})
+	s.event(func() Event { return Event{Type: EventMethodCacheMiss, Method: method} })
 }
 
 // TreeSplice records `trees` cached collection trees grafted into the
 // result for `method` in place of re-execution.
 func (s *Span) TreeSplice(method string, trees int) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventTreeSplice, Span: s.id, Method: method, Count: trees})
+	s.event(func() Event { return Event{Type: EventTreeSplice, Method: method, Count: trees} })
 }
 
 // MemSpill records one completed method record displaced from the
@@ -642,50 +406,35 @@ func (s *Span) TreeSplice(method string, trees int) {
 // serialized trees stored under content address `key`, to be fetched back
 // one class at a time during reassembly.
 func (s *Span) MemSpill(method string, bytes int64, key string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMemSpill, Span: s.id, Method: method, Bytes: bytes, Detail: key})
+	s.event(func() Event { return Event{Type: EventMemSpill, Method: method, Bytes: bytes, Detail: key} })
 }
 
 // MemAdmitWait records job `id` blocked in the memory-budget admission
 // gate for `wait` before its reveal ran, having requested an estimated
 // footprint of `bytes`.
 func (s *Span) MemAdmitWait(id string, wait time.Duration, bytes int64) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventMemAdmitWait, Span: s.id, Detail: id, DurNS: int64(wait), Bytes: bytes})
+	s.event(func() Event { return Event{Type: EventMemAdmitWait, Detail: id, DurNS: int64(wait), Bytes: bytes} })
 }
 
 // QueueWait records how long job `id` waited in the admission queue before
 // a worker dequeued it.
 func (s *Span) QueueWait(id string, wait time.Duration) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventQueueWait, Span: s.id, Detail: id, DurNS: int64(wait)})
+	s.event(func() Event { return Event{Type: EventQueueWait, Detail: id, DurNS: int64(wait)} })
 }
 
 // JobEnqueued records job `id` passing admission control into the queue.
 func (s *Span) JobEnqueued(id string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventJobEnqueued, Span: s.id, Detail: id})
+	s.event(func() Event { return Event{Type: EventJobEnqueued, Detail: id} })
 }
 
 // JobDone records job `id` finishing after total latency `total`
 // (admission to completion); ok selects the JobOK/JobFailed outcome label.
 func (s *Span) JobDone(id string, total time.Duration, ok bool) {
-	if !s.Enabled() {
-		return
-	}
 	outcome := JobFailed
 	if ok {
 		outcome = JobOK
 	}
-	s.emit(&Event{Type: EventJobDone, Span: s.id, Detail: id, Name: outcome, DurNS: int64(total)})
+	s.event(func() Event { return Event{Type: EventJobDone, Detail: id, Name: outcome, DurNS: int64(total)} })
 }
 
 // --- telemetry-plane emitters ------------------------------------------------
@@ -696,31 +445,24 @@ func (s *Span) JobDone(id string, total time.Duration, ok bool) {
 // boundary (both process-wide runtime/metrics deltas — exact for a serial
 // process, an attribution upper bound under concurrent jobs).
 func (s *Span) ResourceSample(stage string, alloc, heapDelta int64) {
-	if !s.Enabled() {
-		return
-	}
 	if alloc < 0 {
 		alloc = 0
 	}
-	s.emit(&Event{Type: EventResourceSample, Span: s.id, Name: stage, Bytes: alloc, Heap: heapDelta})
+	s.event(func() Event { return Event{Type: EventResourceSample, Name: stage, Bytes: alloc, Heap: heapDelta} })
 }
 
 // SLOViolation records job `id` completing after `total`, past its
 // configured latency objective `limit`.
 func (s *Span) SLOViolation(id string, total, limit time.Duration) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventSLOViolation, Span: s.id, Detail: id, DurNS: int64(total), SLONS: int64(limit)})
+	s.event(func() Event {
+		return Event{Type: EventSLOViolation, Detail: id, DurNS: int64(total), SLONS: int64(limit)}
+	})
 }
 
 // FlightDump records the flight recorder of job `id` persisting `events`
 // ring entries; reason is FlightReasonFailed or FlightReasonSLO.
 func (s *Span) FlightDump(id string, events int, reason string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventFlightDump, Span: s.id, Detail: id, Count: events, Name: reason})
+	s.event(func() Event { return Event{Type: EventFlightDump, Detail: id, Count: events, Name: reason} })
 }
 
 // --- fleet emitters (internal/fleet) -----------------------------------------
@@ -729,23 +471,17 @@ func (s *Span) FlightDump(id string, events int, reason string) {
 // from peer node `peer` instead of recomputing it; hit selects the
 // PeerHit/PeerMiss outcome label.
 func (s *Span) PeerFetch(key, peer string, hit bool) {
-	if !s.Enabled() {
-		return
-	}
 	outcome := PeerMiss
 	if hit {
 		outcome = PeerHit
 	}
-	s.emit(&Event{Type: EventPeerFetch, Span: s.id, Detail: key, Target: peer, Name: outcome})
+	s.event(func() Event { return Event{Type: EventPeerFetch, Detail: key, Target: peer, Name: outcome} })
 }
 
 // FleetForward records the submission for cache key `key` being routed to
 // node `target`; role is ForwardOwner, ForwardReplica or ForwardTakeover.
 func (s *Span) FleetForward(key, target, role string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventFleetForward, Span: s.id, Detail: key, Target: target, Name: role})
+	s.event(func() Event { return Event{Type: EventFleetForward, Detail: key, Target: target, Name: role} })
 }
 
 // FleetHop records that job `id`, now executing locally, previously
@@ -753,18 +489,12 @@ func (s *Span) FleetForward(key, target, role string) {
 // submission's path reconstructible from the executing job's flight
 // recording.
 func (s *Span) FleetHop(id, node string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventFleetHop, Span: s.id, Detail: id, Target: node})
+	s.event(func() Event { return Event{Type: EventFleetHop, Detail: id, Target: node} })
 }
 
 // RingRebuild records the consistent-hash ring being rebuilt after node
 // `changed` joined or left: `alive` of `total` configured members remain
 // routable.
 func (s *Span) RingRebuild(alive, total int, changed string) {
-	if !s.Enabled() {
-		return
-	}
-	s.emit(&Event{Type: EventRingRebuild, Span: s.id, Count: alive, From: total, Target: changed})
+	s.event(func() Event { return Event{Type: EventRingRebuild, Count: alive, From: total, Target: changed} })
 }

@@ -11,155 +11,6 @@ import (
 	"time"
 )
 
-// Validate checks the per-type required fields of a trace event. ReadTrace
-// applies it to every line, which makes reading a trace file a schema
-// validation (the CI trace job relies on this).
-func (e *Event) Validate() error {
-	if int(e.Type) >= int(numEventTypes) {
-		return fmt.Errorf("obs: unknown event type %d", uint8(e.Type))
-	}
-	if e.TS < 0 {
-		return fmt.Errorf("obs: %s: negative timestamp %d", e.Type, e.TS)
-	}
-	if e.PC < 0 {
-		return fmt.Errorf("obs: %s: negative pc %d", e.Type, e.PC)
-	}
-	need := func(ok bool, what string) error {
-		if ok {
-			return nil
-		}
-		return fmt.Errorf("obs: %s: missing %s", e.Type, what)
-	}
-	switch e.Type {
-	case EventSpanStart:
-		return need(e.Span != 0 && e.Name != "", "span id or name")
-	case EventSpanEnd:
-		if e.DurNS < 0 {
-			return fmt.Errorf("obs: span_end: negative duration %d", e.DurNS)
-		}
-		return need(e.Span != 0 && e.Name != "", "span id or name")
-	case EventMethodCollected:
-		if err := need(e.Method != "", "method"); err != nil {
-			return err
-		}
-		return need(e.Depth >= 1 && e.Count >= 1, "tree depth/size")
-	case EventTreeFork, EventTreeConverge:
-		if err := need(e.Method != "", "method"); err != nil {
-			return err
-		}
-		return need(e.Depth >= 1, "layer depth")
-	case EventUCBFlip:
-		if e.Branch != BranchTaken && e.Branch != BranchFallthrough {
-			return fmt.Errorf("obs: ucb_flip: bad branch %q", e.Branch)
-		}
-		return need(e.Method != "", "method")
-	case EventExceptionTolerated:
-		return need(e.Method != "", "method")
-	case EventReflectionRewrite:
-		return need(e.Method != "" && e.Target != "", "method or target")
-	case EventMergeVariant:
-		if err := need(e.Method != "", "method"); err != nil {
-			return err
-		}
-		if e.From < e.Count || e.Count < 1 {
-			return fmt.Errorf("obs: merge_variant: %d trees into %d arrays", e.From, e.Count)
-		}
-		return nil
-	case EventStubEmitted:
-		return need(e.Method != "", "method")
-	case EventVerifyDefect, EventConcurrentEntry:
-		return need(e.Detail != "", "detail")
-	case EventCacheHit, EventCacheMiss:
-		return need(e.Detail != "", "cache key")
-	case EventJobEnqueued:
-		return need(e.Detail != "", "job id")
-	case EventQueueWait:
-		if e.DurNS < 0 {
-			return fmt.Errorf("obs: queue_wait: negative duration %d", e.DurNS)
-		}
-		return need(e.Detail != "", "job id")
-	case EventJobDone:
-		if e.DurNS < 0 {
-			return fmt.Errorf("obs: job_done: negative duration %d", e.DurNS)
-		}
-		if e.Name != JobOK && e.Name != JobFailed {
-			return fmt.Errorf("obs: job_done: bad outcome %q", e.Name)
-		}
-		return need(e.Detail != "", "job id")
-	case EventWorkerMerge:
-		if e.Worker < 0 {
-			return fmt.Errorf("obs: worker_merge: negative shard index %d", e.Worker)
-		}
-		if e.Count < 0 || e.From < e.Count {
-			return fmt.Errorf("obs: worker_merge: kept %d of %d offered trees", e.Count, e.From)
-		}
-		return nil
-	case EventWorkerClamp:
-		if e.Count < 1 || e.From < e.Count {
-			return fmt.Errorf("obs: worker_clamp: %d workers clamped to %d", e.From, e.Count)
-		}
-		return nil
-	case EventPredecodeHit, EventPredecodeInvalidate:
-		return need(e.Method != "", "method")
-	case EventResourceSample:
-		if e.Bytes < 0 {
-			return fmt.Errorf("obs: resource_sample: negative alloc bytes %d", e.Bytes)
-		}
-		return need(e.Name != "", "stage")
-	case EventSLOViolation:
-		if e.SLONS <= 0 || e.DurNS < e.SLONS {
-			return fmt.Errorf("obs: slo_violation: latency %d within objective %d", e.DurNS, e.SLONS)
-		}
-		return need(e.Detail != "", "job id")
-	case EventFlightDump:
-		if e.Name != FlightReasonFailed && e.Name != FlightReasonSLO {
-			return fmt.Errorf("obs: flight_dump: bad reason %q", e.Name)
-		}
-		if e.Count < 0 {
-			return fmt.Errorf("obs: flight_dump: negative event count %d", e.Count)
-		}
-		return need(e.Detail != "", "job id")
-	case EventPeerFetch:
-		if e.Name != PeerHit && e.Name != PeerMiss {
-			return fmt.Errorf("obs: peer_fetch: bad outcome %q", e.Name)
-		}
-		return need(e.Detail != "" && e.Target != "", "cache key or peer")
-	case EventFleetForward:
-		if e.Name != ForwardOwner && e.Name != ForwardReplica && e.Name != ForwardTakeover {
-			return fmt.Errorf("obs: fleet_forward: bad role %q", e.Name)
-		}
-		return need(e.Detail != "" && e.Target != "", "cache key or target node")
-	case EventFleetHop:
-		return need(e.Detail != "" && e.Target != "", "job id or node")
-	case EventRingRebuild:
-		if e.Count < 1 || e.From < e.Count {
-			return fmt.Errorf("obs: ring_rebuild: %d of %d members alive", e.Count, e.From)
-		}
-		return nil
-	case EventMethodCacheHit, EventMethodCacheMiss:
-		return need(e.Method != "", "method")
-	case EventTreeSplice:
-		if e.Count < 1 {
-			return fmt.Errorf("obs: tree_splice: spliced %d trees", e.Count)
-		}
-		return need(e.Method != "", "method")
-	case EventMemSpill:
-		if e.Bytes < 1 {
-			return fmt.Errorf("obs: mem_spill: spilled %d bytes", e.Bytes)
-		}
-		return need(e.Method != "" && e.Detail != "", "method or store key")
-	case EventMemAdmitWait:
-		if e.DurNS < 0 {
-			return fmt.Errorf("obs: mem_admit_wait: negative wait %d", e.DurNS)
-		}
-		if e.Bytes < 1 {
-			return fmt.Errorf("obs: mem_admit_wait: requested %d bytes", e.Bytes)
-		}
-		return need(e.Detail != "", "job id")
-	}
-	return nil
-}
-
 // ParseEvent decodes and validates one JSONL trace line. Unknown JSON
 // fields are rejected, so the schema cannot drift silently.
 func ParseEvent(line []byte) (*Event, error) {
@@ -242,42 +93,38 @@ type MergeDecision struct {
 // AppTrace aggregates one application's events — the per-app table a
 // paper-style evaluation would cite: stage wall times, the collection-tree
 // depth histogram, fork counts by method, UCB flips per force-execution
-// iteration, and the reassembler's merge decisions.
+// iteration, and the reassembler's merge decisions. Plain event tallies
+// (stubs, converges, cache hits, SLO violations, ...) are read with Count.
 type AppTrace struct {
 	App      string
 	RootSpan uint64
 	WallNS   int64 // root span duration (0 if the span never ended)
 
-	StageNS          map[string]int64 // stage name -> summed wall NS
-	MethodsCollected int
-	CollectedInsns   int
-	TreeDepthHist    map[int]int // collection-tree depth -> trees
-	ForksByMethod    map[string]int
-	Converges        int
-	FlipsByIter      map[int]int
-	ExceptionsTol    int
-	ShardMerges      int // worker_merge events (collection shards folded in)
-	ShardTreesKept   int // trees adopted from shards
-	ShardDedupHits   int // shard trees discarded as fingerprint duplicates
-	Merges           []MergeDecision
-	Stubs            int
-	ReflRewrites     int
-	Defects          []string
-	ConcurrentUses   []string
-	PredecodeHits    int
-	PredecodeInvals  int
-	MethodCacheHits  int
-	MethodCacheMiss  int
-	TreesSpliced     int   // trees adopted from the incremental method cache
-	MemSpills        int   // method records displaced to the spill tier
-	SpilledBytes     int64 // serialized volume of the spilled records
-	AdmitWaits       int   // jobs blocked in the memory-budget admission gate
-	AdmitWaitNS      int64 // summed admission-gate blocking time
-	ResourceSamples  int
-	AllocBytes       int64 // summed resource_sample allocation
-	PeakHeapDelta    int64 // max live-heap growth observed at a stage boundary
-	SLOViolations    int
-	FlightDumps      int
+	StageNS        map[string]int64 // stage name -> summed wall NS
+	CollectedInsns int
+	TreeDepthHist  map[int]int // collection-tree depth -> trees
+	ForksByMethod  map[string]int
+	FlipsByIter    map[int]int
+	ShardTreesKept int // trees adopted from shards
+	ShardDedupHits int // shard trees discarded as fingerprint duplicates
+	Merges         []MergeDecision
+	Defects        []string
+	ConcurrentUses []string
+	TreesSpliced   int   // trees adopted from the incremental method cache
+	SpilledBytes   int64 // serialized volume of the spilled records
+	AdmitWaitNS    int64 // summed admission-gate blocking time
+	AllocBytes     int64 // summed resource_sample allocation
+	PeakHeapDelta  int64 // max live-heap growth observed at a stage boundary
+
+	counts [numEventTypes]int
+}
+
+// Count returns how many events of type ty the application recorded.
+func (a *AppTrace) Count(ty EventType) int {
+	if ty >= numEventTypes {
+		return 0
+	}
+	return a.counts[ty]
 }
 
 const unattributed = "(unattributed)"
@@ -344,67 +191,13 @@ func (t *Trace) Apps() []*AppTrace {
 	}
 
 	for _, ev := range t.Events {
+		if ev.Type >= numEventTypes {
+			continue
+		}
 		a := appFor(ev.Span)
-		switch ev.Type {
-		case EventSpanEnd:
-			switch {
-			case ev.Span == a.RootSpan:
-				a.WallNS += ev.DurNS
-			case strings.HasPrefix(ev.Name, "stage."):
-				a.StageNS[strings.TrimPrefix(ev.Name, "stage.")] += ev.DurNS
-			}
-		case EventMethodCollected:
-			a.MethodsCollected++
-			a.CollectedInsns += ev.Count
-			a.TreeDepthHist[ev.Depth]++
-		case EventTreeFork:
-			a.ForksByMethod[ev.Method]++
-		case EventTreeConverge:
-			a.Converges++
-		case EventUCBFlip:
-			a.FlipsByIter[ev.Iter]++
-		case EventExceptionTolerated:
-			a.ExceptionsTol++
-		case EventWorkerMerge:
-			a.ShardMerges++
-			a.ShardTreesKept += ev.Count
-			a.ShardDedupHits += ev.From - ev.Count
-		case EventMergeVariant:
-			a.Merges = append(a.Merges, MergeDecision{Method: ev.Method, From: ev.From, To: ev.Count})
-		case EventStubEmitted:
-			a.Stubs++
-		case EventReflectionRewrite:
-			a.ReflRewrites++
-		case EventVerifyDefect:
-			a.Defects = append(a.Defects, ev.Detail)
-		case EventConcurrentEntry:
-			a.ConcurrentUses = append(a.ConcurrentUses, ev.Detail)
-		case EventPredecodeHit:
-			a.PredecodeHits++
-		case EventPredecodeInvalidate:
-			a.PredecodeInvals++
-		case EventMethodCacheHit:
-			a.MethodCacheHits++
-		case EventMethodCacheMiss:
-			a.MethodCacheMiss++
-		case EventTreeSplice:
-			a.TreesSpliced += ev.Count
-		case EventMemSpill:
-			a.MemSpills++
-			a.SpilledBytes += ev.Bytes
-		case EventMemAdmitWait:
-			a.AdmitWaits++
-			a.AdmitWaitNS += ev.DurNS
-		case EventResourceSample:
-			a.ResourceSamples++
-			a.AllocBytes += ev.Bytes
-			if ev.Heap > a.PeakHeapDelta {
-				a.PeakHeapDelta = ev.Heap
-			}
-		case EventSLOViolation:
-			a.SLOViolations++
-		case EventFlightDump:
-			a.FlightDumps++
+		a.counts[ev.Type]++
+		if fold := eventSpecs[ev.Type].fold; fold != nil {
+			fold(a, ev)
 		}
 	}
 	out := make([]*AppTrace, 0, len(apps))
@@ -435,6 +228,7 @@ func (t *Trace) ReportString() string {
 	apps := t.Apps()
 	fmt.Fprintf(&sb, "trace: %d events, %d app(s)\n", len(t.Events), len(apps))
 	for _, a := range apps {
+		n := &a.counts
 		fmt.Fprintf(&sb, "\napp %s (span %d, wall %v)\n",
 			a.App, a.RootSpan, time.Duration(a.WallNS).Round(time.Microsecond))
 		for _, stage := range sortedKeys(a.StageNS) {
@@ -442,7 +236,7 @@ func (t *Trace) ReportString() string {
 				stage, time.Duration(a.StageNS[stage]).Round(time.Microsecond))
 		}
 		fmt.Fprintf(&sb, "  methods collected: %d (%d unique insns), converges: %d\n",
-			a.MethodsCollected, a.CollectedInsns, a.Converges)
+			n[EventMethodCollected], a.CollectedInsns, n[EventTreeConverge])
 		if len(a.TreeDepthHist) > 0 {
 			sb.WriteString("  tree depth histogram:")
 			for _, d := range sortedKeys(a.TreeDepthHist) {
@@ -461,11 +255,11 @@ func (t *Trace) ReportString() string {
 			for _, it := range sortedKeys(a.FlipsByIter) {
 				fmt.Fprintf(&sb, " iter%d:%d", it, a.FlipsByIter[it])
 			}
-			fmt.Fprintf(&sb, " (exceptions tolerated: %d)\n", a.ExceptionsTol)
+			fmt.Fprintf(&sb, " (exceptions tolerated: %d)\n", n[EventExceptionTolerated])
 		}
-		if a.ShardMerges > 0 {
+		if n[EventWorkerMerge] > 0 {
 			fmt.Fprintf(&sb, "  collection shards merged: %d (%d trees kept, %d dedup hits)\n",
-				a.ShardMerges, a.ShardTreesKept, a.ShardDedupHits)
+				n[EventWorkerMerge], a.ShardTreesKept, a.ShardDedupHits)
 		}
 		if len(a.Merges) > 0 {
 			sb.WriteString("  merge decisions:\n")
@@ -473,25 +267,25 @@ func (t *Trace) ReportString() string {
 				fmt.Fprintf(&sb, "    %-60s %d tree(s) -> %d array(s)\n", m.Method, m.From, m.To)
 			}
 		}
-		if a.MethodCacheHits > 0 || a.MethodCacheMiss > 0 {
+		if n[EventMethodCacheHit] > 0 || n[EventMethodCacheMiss] > 0 {
 			fmt.Fprintf(&sb, "  method cache: %d hits, %d misses, %d trees spliced\n",
-				a.MethodCacheHits, a.MethodCacheMiss, a.TreesSpliced)
+				n[EventMethodCacheHit], n[EventMethodCacheMiss], a.TreesSpliced)
 		}
-		if a.ResourceSamples > 0 {
+		if n[EventResourceSample] > 0 {
 			fmt.Fprintf(&sb, "  resources: %d samples, %d bytes allocated, peak heap delta %d bytes\n",
-				a.ResourceSamples, a.AllocBytes, a.PeakHeapDelta)
+				n[EventResourceSample], a.AllocBytes, a.PeakHeapDelta)
 		}
-		if a.MemSpills > 0 || a.AdmitWaits > 0 {
+		if n[EventMemSpill] > 0 || n[EventMemAdmitWait] > 0 {
 			fmt.Fprintf(&sb, "  memory budget: %d records spilled (%d bytes), %d admission waits (%v)\n",
-				a.MemSpills, a.SpilledBytes, a.AdmitWaits,
+				n[EventMemSpill], a.SpilledBytes, n[EventMemAdmitWait],
 				time.Duration(a.AdmitWaitNS).Round(time.Microsecond))
 		}
-		if a.SLOViolations > 0 || a.FlightDumps > 0 {
+		if n[EventSLOViolation] > 0 || n[EventFlightDump] > 0 {
 			fmt.Fprintf(&sb, "  SLO violations: %d, flight dumps: %d\n",
-				a.SLOViolations, a.FlightDumps)
+				n[EventSLOViolation], n[EventFlightDump])
 		}
 		fmt.Fprintf(&sb, "  stubs: %d, reflection rewrites: %d, verify defects: %d\n",
-			a.Stubs, a.ReflRewrites, len(a.Defects))
+			n[EventStubEmitted], n[EventReflectionRewrite], len(a.Defects))
 		for _, d := range a.Defects {
 			fmt.Fprintf(&sb, "    defect: %s\n", d)
 		}

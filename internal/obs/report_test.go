@@ -117,23 +117,23 @@ func TestTraceAppsAttribution(t *testing.T) {
 	if a.App != "app-a" || b.App != "app-b" {
 		t.Fatalf("apps sorted wrong: %q, %q", a.App, b.App)
 	}
-	if a.ForksByMethod["La;->m()V"] != 2 || a.Converges != 1 {
-		t.Errorf("app-a forks/converges wrong: %+v, %d", a.ForksByMethod, a.Converges)
+	if a.ForksByMethod["La;->m()V"] != 2 || a.Count(EventTreeConverge) != 1 {
+		t.Errorf("app-a forks/converges wrong: %+v, %d", a.ForksByMethod, a.Count(EventTreeConverge))
 	}
-	if a.MethodsCollected != 2 || a.CollectedInsns != 47 {
-		t.Errorf("app-a methods/insns = %d/%d, want 2/47", a.MethodsCollected, a.CollectedInsns)
+	if a.Count(EventMethodCollected) != 2 || a.CollectedInsns != 47 {
+		t.Errorf("app-a methods/insns = %d/%d, want 2/47", a.Count(EventMethodCollected), a.CollectedInsns)
 	}
 	if a.TreeDepthHist[3] != 1 || a.TreeDepthHist[1] != 1 {
 		t.Errorf("app-a depth hist wrong: %+v", a.TreeDepthHist)
 	}
-	if a.FlipsByIter[0] != 1 || a.FlipsByIter[1] != 1 || a.ExceptionsTol != 1 {
+	if a.FlipsByIter[0] != 1 || a.FlipsByIter[1] != 1 || a.Count(EventExceptionTolerated) != 1 {
 		t.Errorf("app-a flips wrong: %+v", a.FlipsByIter)
 	}
 	if len(a.Merges) != 1 || a.Merges[0] != (MergeDecision{"La;->m()V", 3, 2}) {
 		t.Errorf("app-a merges wrong: %+v", a.Merges)
 	}
-	if a.Stubs != 1 || a.ReflRewrites != 1 {
-		t.Errorf("app-a stubs/refl = %d/%d", a.Stubs, a.ReflRewrites)
+	if a.Count(EventStubEmitted) != 1 || a.Count(EventReflectionRewrite) != 1 {
+		t.Errorf("app-a stubs/refl = %d/%d", a.Count(EventStubEmitted), a.Count(EventReflectionRewrite))
 	}
 	if len(a.StageNS) != 3 || a.StageNS["collection"] <= 0 {
 		t.Errorf("app-a stages wrong: %+v", a.StageNS)
@@ -141,7 +141,7 @@ func TestTraceAppsAttribution(t *testing.T) {
 	if a.WallNS <= 0 {
 		t.Errorf("app-a wall = %d, want > 0", a.WallNS)
 	}
-	if b.MethodsCollected != 1 || len(b.ForksByMethod) != 0 {
+	if b.Count(EventMethodCollected) != 1 || len(b.ForksByMethod) != 0 {
 		t.Errorf("app-b contaminated by app-a events: %+v", b)
 	}
 }
@@ -169,14 +169,14 @@ func TestTelemetryEventsAggregation(t *testing.T) {
 		t.Fatalf("got %d apps, want 1", len(apps))
 	}
 	a := apps[0]
-	if a.ResourceSamples != 3 || a.AllocBytes != 1700 {
-		t.Errorf("samples/alloc = %d/%d, want 3/1700", a.ResourceSamples, a.AllocBytes)
+	if a.Count(EventResourceSample) != 3 || a.AllocBytes != 1700 {
+		t.Errorf("samples/alloc = %d/%d, want 3/1700", a.Count(EventResourceSample), a.AllocBytes)
 	}
 	if a.PeakHeapDelta != 900 {
 		t.Errorf("peak heap delta = %d, want 900", a.PeakHeapDelta)
 	}
-	if a.SLOViolations != 1 || a.FlightDumps != 1 {
-		t.Errorf("slo/flight = %d/%d, want 1/1", a.SLOViolations, a.FlightDumps)
+	if a.Count(EventSLOViolation) != 1 || a.Count(EventFlightDump) != 1 {
+		t.Errorf("slo/flight = %d/%d, want 1/1", a.Count(EventSLOViolation), a.Count(EventFlightDump))
 	}
 	rep := trace.ReportString()
 	for _, want := range []string{"resources:", "SLO violations: 1"} {
@@ -213,7 +213,7 @@ func TestTraceUnattributedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	apps := tr.Apps()
-	if len(apps) != 1 || apps[0].App != "(unattributed)" || apps[0].Stubs != 1 {
+	if len(apps) != 1 || apps[0].App != "(unattributed)" || apps[0].Count(EventStubEmitted) != 1 {
 		t.Errorf("unattributed bucket wrong: %+v", apps)
 	}
 }

@@ -682,10 +682,7 @@ func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego
 		o.Workers = s.revealWorkers
 		// Same reasoning for the incremental method cache: an execution
 		// strategy, byte-identical output, outside the fingerprint.
-		if s.cfg.MethodCache != nil {
-			o.Incremental = true
-			o.MethodCache = s.cfg.MethodCache
-		}
+		o.MethodCache = s.cfg.MethodCache
 		// The spill tier is likewise an execution strategy with
 		// byte-identical output, outside the fingerprint.
 		o.SpillCache = s.cfg.SpillCache

@@ -52,7 +52,7 @@ func TestRevealTracesSelfModifyingSample(t *testing.T) {
 	if forks < 1 {
 		t.Error("self-modifying sample produced no tree_fork event")
 	}
-	if app.MethodsCollected == 0 || app.CollectedInsns == 0 {
+	if app.Count(obs.EventMethodCollected) == 0 || app.CollectedInsns == 0 {
 		t.Errorf("no method_collected events: %+v", app)
 	}
 

@@ -109,7 +109,7 @@ func TestWhaleSpillWithIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := root.Options{Workers: 1, Incremental: true, MethodCache: mc, SpillCache: sc}
+	opts := root.Options{Workers: 1, MethodCache: mc, SpillCache: sc}
 	warm, warmRes := revealTraced(t, app.APK, opts)
 	if !bytes.Equal(ref, warm) {
 		t.Errorf("cache-warming spilled reveal differs from full (%d vs %d bytes)",
