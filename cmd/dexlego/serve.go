@@ -86,8 +86,11 @@ func runServe(sc serveConfig) error {
 	if sc.memBudget > 0 {
 		memBudget = pipeline.NewMemoryBudget(sc.memBudget)
 		// The spill tier persists beside the artifact store when one is on
-		// disk; its in-memory LRU gets a quarter of the budget so spilled
-		// bytes cannot themselves defeat the cap.
+		// disk; its in-memory LRU gets a quarter of the budget. That cap
+		// does not bound a reveal's memory: every spilled record also keeps
+		// its serialized bytes as the fetch fallback. On disk each spilled
+		// record costs a SHA-256 and a file under <store-dir>/spill that
+		// nothing deletes.
 		dir := ""
 		if sc.storeDir != "" {
 			dir = filepath.Join(sc.storeDir, "spill")

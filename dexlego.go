@@ -107,7 +107,8 @@ type Result struct {
 	Revealed *apk.APK
 	// RevealedDex is the parsed reassembled DEX.
 	RevealedDex *dex.File
-	// Collection is the raw collection result.
+	// Collection is the raw collection result. With Options.SpillCache set,
+	// the records spilled during reassembly are absent from it.
 	Collection *collector.Result
 	// Stats summarizes the reassembly.
 	Stats *reassembler.Stats
@@ -150,7 +151,6 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	if driver == nil {
 		driver = DefaultDriver
 	}
-	col := collector.New()
 	res := &Result{Metrics: &pipeline.AppMetrics{}}
 	root := opts.Tracer.Start("reveal", opts.TraceLabel)
 	defer root.End()
@@ -171,6 +171,12 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 		sp.End()
 		return err
 	}
+
+	// The plan is computed before any execution: with a method cache it
+	// fingerprints every method, looks each up, and builds the skip list
+	// the collector — and through it the force engine — honors.
+	p := newPlan(pkg, opts, root)
+	col := p.newCollector()
 
 	setup := func(rt *art.Runtime) {
 		for key, fn := range opts.Natives {
@@ -193,20 +199,11 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 		return nil
 	}
 
-	// The incremental path is planned before any execution: fingerprint
-	// every method, look each up in the method cache, and build the skip
-	// set the collector and force engine honor. A nil plan (incremental
-	// off, cache empty, unparsable dex) leaves the full path untouched.
-	inc := planIncremental(pkg, opts, root)
-	if inc != nil {
-		col.SetSkip(inc.skip)
-	}
-
 	// runExecution runs the collection, fuzz and force-execution stages
-	// against the current collector. It exists as a closure so a skip
-	// violation (a cached method whose code was written at runtime) can
-	// discard the collector, drop the plan, and run it all again in full —
-	// AddStage merges the re-entered stage timings.
+	// against the current collector. It exists as a closure so a voided
+	// plan (a cached method whose code was written at runtime) can discard
+	// the collector and run it all again in full — AddStage merges the
+	// re-entered stage timings.
 	runExecution := func() error {
 		if err := stage(pipeline.StageCollection, func(sp *obs.Span) error {
 			col.SetSpan(sp)
@@ -251,9 +248,6 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 				// canonicalized — byte-identical output at any worker count.
 				eng.Collector = col
 				eng.Span = sp
-				if inc != nil {
-					eng.Skip = inc.skip
-				}
 				stats, err := eng.Run(tracker)
 				if err != nil {
 					return fmt.Errorf("force execution: %w", err)
@@ -271,54 +265,38 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	if err := runExecution(); err != nil {
 		return nil, err
 	}
-	if inc != nil {
-		if v := col.SkipViolations(); len(v) > 0 {
-			// A skip-listed method's live code was written at runtime: its
-			// cached tree describes a body that no longer exists, so the
-			// plan is void. Discard the partial collection and run in full.
-			obs.Warnf("incremental: %d skip violation(s) (first %s); falling back to full reveal",
-				len(v), v[0])
-			col = collector.New()
-			inc = nil
-			res.Sinks = nil
-			if err := runExecution(); err != nil {
-				return nil, err
-			}
-		} else {
-			inc.splice(col, res.Metrics, root)
-			if opts.ForceExecution {
-				// Spliced trees entered after the engine canonicalized;
-				// re-impose the history-independent order. Idempotent for
-				// everything already sorted.
-				col.Result().Canonicalize()
-			}
+	if p.voided(col) {
+		// Discard the partial collection, sinks included, and run in full.
+		col = p.newCollector()
+		res.Sinks = nil
+		if err := runExecution(); err != nil {
+			return nil, err
 		}
 	}
+	p.splice(col, res.Metrics, root)
 
 	var revealed *apk.APK
 	var stats *reassembler.Stats
-	var spill *spillSet
 	if err := stage(pipeline.StageReassembly, func(sp *obs.Span) error {
 		if opts.CollectDir != "" {
 			// The collection files need the full result; write them before
-			// any record is displaced.
+			// any record is spilled.
 			if err := col.Result().WriteFiles(opts.CollectDir); err != nil {
 				return err
 			}
 		}
-		if opts.SpillCache != nil {
-			spill = spillResult(col.Result(), opts.SpillCache, sp)
-		}
-		var err error
-		revealed, stats, err = reassembler.ReassembleAPKCfg(pkg, col.Result(), sp,
-			reassembler.Config{
-				Workers: opts.Workers,
-				Fetch:   spill.fetch,
-				Stream:  opts.SpillCache != nil,
-			})
+		p.spill(col.Result(), sp)
+		f, st, err := reassembler.ReassembleCfg(col.Result(), sp,
+			reassembler.Config{Workers: opts.Workers, Fetch: p.fetch})
 		if err != nil {
 			return fmt.Errorf("dexlego: reassemble: %w", err)
 		}
+		data, err := p.encode(f)
+		if err != nil {
+			return fmt.Errorf("dexlego: reassemble: %w", err)
+		}
+		revealed, stats = pkg.Clone(), st
+		revealed.SetDex(data)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -348,29 +326,18 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if inc != nil {
-		// Store back only after verify: a record enters the cache only from
-		// a reveal whose output round-tripped, in its final (canonical on
-		// the force path, execution-order on the plain path) tree order.
-		// Spilled records left the result before reassembly, so the spill
-		// set stores them back from its retained bytes under the same rules.
-		inc.storeBack(col.Result(), opts.MethodCache)
-		spill.storeBack(inc, opts.MethodCache)
-	}
+	// Store back only after verify: a record enters the cache only from a
+	// reveal whose output round-tripped, in its final (canonical on the
+	// force path, execution-order on the plain path) tree order.
+	p.storeBack(col.Result())
 	res.Revealed = revealed
 	res.RevealedDex = parsed
 	res.Collection = col.Result()
 	res.Stats = stats
 	m := res.Metrics
 	m.WallNS = int64(time.Since(start))
-	// Spilled records are no longer in the result map; their instruction
-	// counts were banked at spill time.
 	m.ExecutedInsns = res.Collection.ExecutedInstructionCount()
-	if spill != nil {
-		m.ExecutedInsns += spill.insns
-		m.MethodsSpilled = spill.count()
-		m.SpilledBytes = spill.bytes
-	}
+	p.addMetrics(m)
 	m.Methods = stats.Methods
 	m.ExecutedMethods = stats.ExecutedMethods
 	m.Stubs = stats.Stubs

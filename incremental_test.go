@@ -221,8 +221,10 @@ func TestIncrementalSelfModifyingNeverCached(t *testing.T) {
 // natives keep their keys but do nothing, so advancedLeak runs untampered
 // and enters the cache. A reveal with the real natives then skip-lists it,
 // observes the runtime write into it, voids the plan and reruns in full: its
-// bytes and sink events must equal the full reveal's, with nothing kept from
-// the discarded run.
+// bytes, sink events and coverage report must equal the full reveal's, with
+// nothing kept from the discarded run. The forced rows run the campaign at
+// every DEXLEGO_GOLDEN_WORKERS count, so the skip list reaches the engine's
+// per-run collector shards and their merges back.
 func TestIncrementalFallbackMatchesFull(t *testing.T) {
 	s := droidbench.ByName("SelfModifying1")
 	if s == nil {
@@ -232,33 +234,112 @@ func TestIncrementalFallbackMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	f, err := pkg.DexFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := root.MethodFingerprints(f)
 	inert := make(map[string]art.NativeFunc, len(s.Natives()))
 	for key := range s.Natives() {
 		inert[key] = func(*art.Env, *art.Object, []art.Value) (art.Value, error) {
 			return art.Value{}, nil
 		}
 	}
-	mc, err := store.OpenMethodCache("", 0)
+	rows := []root.Options{{Workers: 1}}
+	for _, workers := range goldenWorkers(t) {
+		rows = append(rows, root.Options{ForceExecution: true, Workers: workers})
+	}
+	for _, row := range rows {
+		t.Run(fmt.Sprintf("force-%t/workers-%d", row.ForceExecution, row.Workers), func(t *testing.T) {
+			mc, err := store.OpenMethodCache("", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := row
+			seed.Natives, seed.MethodCache = inert, mc
+			revealTraced(t, pkg, seed)
+			cachedTampered := false
+			for key, fp := range fps {
+				if _, ok := mc.Get(store.MethodKeyFor(seed.Fingerprint(), fp)); ok && strings.Contains(key, "->advancedLeak(") {
+					cachedTampered = true
+				}
+			}
+			if !cachedTampered {
+				t.Fatal("inert reveal did not cache advancedLeak; the fallback is not exercised")
+			}
+
+			full := row
+			full.Natives = s.Natives()
+			ref, refRes := revealTraced(t, pkg, full)
+			incr := full
+			incr.MethodCache = mc
+			got, res := revealTraced(t, pkg, incr)
+			if !bytes.Equal(ref, got) {
+				t.Errorf("fallback reveal differs from full (%d vs %d bytes)", len(ref), len(got))
+			}
+			if !reflect.DeepEqual(res.Sinks, refRes.Sinks) {
+				t.Errorf("fallback reveal sinks differ from full:\n got %+v\nwant %+v", res.Sinks, refRes.Sinks)
+			}
+			if !reflect.DeepEqual(res.Coverage, refRes.Coverage) {
+				t.Errorf("fallback reveal coverage differs from full:\n got %+v\nwant %+v", res.Coverage, refRes.Coverage)
+			}
+			if res.Metrics.MethodsCached != 0 {
+				t.Errorf("fallback reveal spliced %d methods from a voided plan", res.Metrics.MethodsCached)
+			}
+		})
+	}
+}
+
+// TestIncrementalStoreBackDeterministic pins the store-back order. With a
+// byte-capped method cache, which records survive LRU eviction depends on
+// the order they were put; that order must come from the method keys, not
+// from map iteration, so every reveal into a fresh cache leaves the same
+// records resident — with and without the spill tier holding some of them.
+func TestIncrementalStoreBackDeterministic(t *testing.T) {
+	app := testWhale(t)
+	f, err := app.APK.DexFile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	revealTraced(t, pkg, root.Options{Workers: 1, Natives: inert, MethodCache: mc})
-	if mc.Len() == 0 {
-		t.Fatal("inert reveal cached no methods")
-	}
-
-	full := root.Options{Workers: 1, Natives: s.Natives()}
-	ref, refRes := revealTraced(t, pkg, full)
-	incr := full
-	incr.MethodCache = mc
-	got, res := revealTraced(t, pkg, incr)
-	if !bytes.Equal(ref, got) {
-		t.Errorf("fallback reveal differs from full (%d vs %d bytes)", len(ref), len(got))
-	}
-	if !reflect.DeepEqual(res.Sinks, refRes.Sinks) {
-		t.Errorf("fallback reveal sinks differ from full:\n got %+v\nwant %+v", res.Sinks, refRes.Sinks)
-	}
-	if res.Metrics.MethodsCached != 0 {
-		t.Errorf("fallback reveal spliced %d methods from a voided plan", res.Metrics.MethodsCached)
+	fps := root.MethodFingerprints(f)
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill-%t", spill), func(t *testing.T) {
+			// resident reveals into a fresh cache capped at capBytes and
+			// returns the cached method keys still in memory.
+			resident := func(capBytes int64) (map[string]bool, int64) {
+				mc, err := store.OpenMethodCache("", capBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := root.Options{Workers: 1, MethodCache: mc}
+				if spill {
+					if opts.SpillCache, err = store.OpenMethodCache("", 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				revealTraced(t, app.APK, opts)
+				optsFP := opts.Fingerprint()
+				keys := make(map[string]bool)
+				for key, fp := range fps {
+					if _, ok := mc.Get(store.MethodKeyFor(optsFP, fp)); ok {
+						keys[key] = true
+					}
+				}
+				return keys, mc.Bytes()
+			}
+			all, total := resident(0)
+			if len(all) < 8 {
+				t.Fatalf("uncapped reveal cached only %d methods", len(all))
+			}
+			want, _ := resident(total / 2)
+			if len(want) == 0 || len(want) == len(all) {
+				t.Fatalf("cap %d kept %d of %d records; eviction not exercised", total/2, len(want), len(all))
+			}
+			for run := 1; run < 20; run++ {
+				if got, _ := resident(total / 2); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d: %d records resident, differing from run 0's %d", run, len(got), len(want))
+				}
+			}
+		})
 	}
 }

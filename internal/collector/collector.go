@@ -459,7 +459,9 @@ func (c *Collector) leave() { c.busy.Store(0) }
 // New returns an empty collector.
 func New() *Collector {
 	c := &Collector{
-		res: &Result{Methods: make(map[string]*MethodRecord)},
+		res:      &Result{Methods: make(map[string]*MethodRecord)},
+		touched:  make(map[string]bool),
+		violated: make(map[string]bool),
 	}
 	c.hooks = &art.Hooks{
 		MethodEntered:       c.methodEntered,
@@ -476,12 +478,14 @@ func New() *Collector {
 
 // SetSkip installs the set of method keys to serve from the incremental
 // method cache. Skipped methods record touch-only: no frame, no trees.
-// Must be set before the collector's runtime executes.
-func (c *Collector) SetSkip(skip map[string]bool) {
-	c.skip = skip
-	c.touched = make(map[string]bool)
-	c.violated = make(map[string]bool)
-}
+// Must be set before the collector's runtime executes; nil (the default)
+// skips nothing.
+func (c *Collector) SetSkip(skip map[string]bool) { c.skip = skip }
+
+// Skipped reports whether key is on the skip list (false on a nil
+// collector). The force-execution engine schedules no runs for skipped
+// methods: their cached trees already hold the forced coverage.
+func (c *Collector) Skipped(key string) bool { return c != nil && c.skip[key] }
 
 // SkipTouched returns the skip-listed method keys that were actually
 // entered during execution — the methods whose cached trees must be
@@ -501,25 +505,26 @@ func (c *Collector) SkipViolations() []string {
 	return keys
 }
 
-// AbsorbSkipState unions another collector's touched and violated sets into
-// c. The force-execution engine calls it when merging worker-shard results,
-// so touches observed only under forced branches still splice.
-func (c *Collector) AbsorbSkipState(other *Collector) {
-	if other == nil {
-		return
-	}
-	for k := range other.touched {
-		if c.touched == nil {
-			c.touched = make(map[string]bool)
-		}
+// Shard returns an empty collector with c's skip list, for one concurrent
+// run whose result Merge later folds back into c.
+func (c *Collector) Shard() *Collector {
+	s := New()
+	s.SetSkip(c.skip)
+	return s
+}
+
+// Merge folds a shard back into c: the results merge as in Result.Merge,
+// and the shard's touched and violated skip sets union into c's, so a
+// skipped method entered (or written) only under forced branches still
+// splices (or still voids the plan). The shard is consumed.
+func (c *Collector) Merge(shard *Collector) MergeStats {
+	for k := range shard.touched {
 		c.touched[k] = true
 	}
-	for k := range other.violated {
-		if c.violated == nil {
-			c.violated = make(map[string]bool)
-		}
+	for k := range shard.violated {
 		c.violated[k] = true
 	}
+	return c.res.Merge(shard.res)
 }
 
 // Hooks returns the instrumentation to attach via Runtime.AddHooks.

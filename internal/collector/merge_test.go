@@ -7,6 +7,7 @@ import (
 	"dexlego/internal/apk"
 	"dexlego/internal/art"
 	"dexlego/internal/collector"
+	"dexlego/internal/dexgen"
 	"dexlego/internal/droidbench"
 	"dexlego/internal/fuzzer"
 )
@@ -180,5 +181,51 @@ func TestMergeSelfAndNil(t *testing.T) {
 	}
 	if second.Classes != 0 {
 		t.Errorf("identical run re-merge adopted %d classes, want 0", second.Classes)
+	}
+}
+
+// TestShardInheritsSkipAndMergesIt pins the skip list's trip through the
+// force engine's shards: a shard skips what its parent skips, and merging
+// it back carries the skipped methods it saw run into the parent's touched
+// set, so their cached trees still splice.
+func TestShardInheritsSkipAndMergesIt(t *testing.T) {
+	p := dexgen.New()
+	cls := p.Class("Lc/S;", "")
+	cls.Static("leaf", "V", nil, func(a *dexgen.Asm) { a.ReturnVoid() })
+	cls.Static("top", "V", nil, func(a *dexgen.Asm) {
+		a.InvokeStatic("Lc/S;", "leaf", "()V")
+		a.ReturnVoid()
+	})
+	data, err := p.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := apk.New("shard", "1", "")
+	pkg.SetDex(data)
+
+	const leaf, top = "Lc/S;->leaf()V", "Lc/S;->top()V"
+	col := collector.New()
+	col.SetSkip(map[string]bool{leaf: true})
+	shard := col.Shard()
+	if !shard.Skipped(leaf) || shard.Skipped(top) {
+		t.Fatalf("shard skip list: leaf %t, top %t; want true, false", shard.Skipped(leaf), shard.Skipped(top))
+	}
+	rt := art.NewRuntime(art.DefaultPhone())
+	rt.AddHooks(shard.Hooks())
+	if err := rt.LoadAPK(pkg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Call("Lc/S;", "top", "()V", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rec := shard.Result().Methods[leaf]; rec != nil && rec.Executed() {
+		t.Errorf("shard collected trees for skipped %s", leaf)
+	}
+	col.Merge(shard)
+	if !col.SkipTouched()[leaf] {
+		t.Errorf("merged parent lost the shard's touch of %s", leaf)
+	}
+	if rec := col.Result().Methods[top]; rec == nil || !rec.Executed() {
+		t.Errorf("merged parent lacks the shard's trees for %s", top)
 	}
 }

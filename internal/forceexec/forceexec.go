@@ -84,22 +84,20 @@ type Engine struct {
 	// serial execution. The merged result is byte-identical at any count.
 	Workers int
 	// Collector, when set, observes the baseline run directly and every
-	// forced run through a per-run shard that the iteration barrier merges
-	// back (deduplicating trees by fingerprint). The engine canonicalizes
-	// the result when the campaign ends, so the collection is independent
-	// of worker count and run interleaving.
+	// forced run through a per-run shard (Collector.Shard) that the
+	// iteration barrier merges back (deduplicating trees by fingerprint).
+	// The engine canonicalizes the result when the campaign ends, so the
+	// collection is independent of worker count and run interleaving.
+	// Methods on the collector's skip list are served from the incremental
+	// method cache: their uncovered branches and handler edges are never
+	// scheduled. Cross-method effects are unaffected — forced runs
+	// targeting other methods still execute skipped methods normally, and
+	// code writes into them are detected as skip violations.
 	Collector *collector.Collector
 	// Span attributes the engine's trace events (iteration spans, UCB
 	// flips, tolerated exceptions, shard merges) to a reveal stage; nil
 	// disables them.
 	Span *obs.Span
-	// Skip lists method keys served from the incremental method cache:
-	// their uncovered branches and handler edges are never scheduled (the
-	// cached tree already holds their forced coverage), and every collector
-	// shard skips them. Cross-method effects are unaffected — forced runs
-	// targeting other methods still execute skipped methods normally, and
-	// divergence forks they trigger are detected as skip violations.
-	Skip map[string]bool
 
 	// codeIdx indexes method bodies by key (built once in New); cfgs
 	// memoizes the per-method BFS over the static CFG. Both are touched
@@ -189,12 +187,7 @@ type task struct {
 func (e *Engine) newTask(tracker *coverage.Tracker, path PathFile, site *coverage.HandlerSite) *task {
 	t := &task{path: path, site: site, tracker: tracker.Shard()}
 	if e.Collector != nil {
-		t.col = collector.New()
-		if e.Skip != nil {
-			// Shards honor the same skip list as the main collector, so the
-			// cached/fresh tree partition survives the iteration barrier.
-			t.col.SetSkip(e.Skip)
-		}
+		t.col = e.Collector.Shard()
 	}
 	return t
 }
@@ -227,7 +220,7 @@ func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
 		// on pool timing.
 		var tasks []*task
 		for _, ucb := range ucbs {
-			if e.Skip[ucb.Method] {
+			if e.Collector.Skipped(ucb.Method) {
 				continue // served from the method cache; no run needed
 			}
 			if attempted[ucb] || len(tasks) >= e.MaxRunsPerIter {
@@ -284,7 +277,7 @@ func (e *Engine) forceHandlers(tracker *coverage.Tracker, active map[string]map[
 	defer span.End()
 	var tasks []*task
 	for _, site := range tracker.UncoveredHandlers() {
-		if e.Skip[site.Method] {
+		if e.Collector.Skipped(site.Method) {
 			continue // served from the method cache; no injection needed
 		}
 		if len(tasks) >= e.MaxRunsPerIter {
@@ -370,8 +363,7 @@ func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*
 		}
 		tracker.Merge(t.tracker)
 		if t.col != nil {
-			st := e.Collector.Result().Merge(t.col.Result())
-			e.Collector.AbsorbSkipState(t.col)
+			st := e.Collector.Merge(t.col)
 			if span.Enabled() {
 				span.WorkerMerge(ti, iter, st.TreesOffered, st.TreesKept)
 			}

@@ -16,7 +16,6 @@
 package reassembler
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -50,13 +49,7 @@ type Stats struct {
 
 // Reassemble builds a DEX file from a collection result.
 func Reassemble(res *collector.Result) (*dex.File, *Stats, error) {
-	return ReassembleWith(res, nil)
-}
-
-// ReassembleWith is Reassemble with trace events (stub emissions, variant
-// merges, reflection rewrites) attributed to span; nil disables them.
-func ReassembleWith(res *collector.Result, span *obs.Span) (*dex.File, *Stats, error) {
-	return ReassembleCfg(res, span, Config{})
+	return ReassembleCfg(res, nil, Config{})
 }
 
 // Config parameterizes a reassembly run.
@@ -73,16 +66,11 @@ type Config struct {
 	// the all-resident behavior exactly. Classes are emitted serially, so
 	// Fetch need not be safe for concurrent use.
 	Fetch func(key string) (*collector.MethodRecord, bool)
-
-	// Stream selects the windowed section-streaming DEX writer
-	// (dex.File.WriteStream) over the buffered one. Output is
-	// byte-identical either way (pinned by TestWriteStreamIdentity); the
-	// streaming path trades a second encode pass for never holding the
-	// whole image plus its sections in memory at once.
-	Stream bool
 }
 
-// ReassembleCfg is ReassembleWith with explicit parallelism configuration.
+// ReassembleCfg is Reassemble with trace events (stub emissions, variant
+// merges, reflection rewrites) attributed to span — nil disables them —
+// and an explicit configuration.
 func ReassembleCfg(res *collector.Result, span *obs.Span, cfg Config) (*dex.File, *Stats, error) {
 	p := dexgen.New()
 	p.SetWorkers(cfg.Workers)
@@ -106,33 +94,13 @@ func ReassembleCfg(res *collector.Result, span *obs.Span, cfg Config) (*dex.File
 // ReassembleAPK rebuilds the APK with the revealed classes.dex, mirroring
 // the paper's use of AAPT to swap the DEX inside the original package.
 func ReassembleAPK(orig *apk.APK, res *collector.Result) (*apk.APK, *Stats, error) {
-	return ReassembleAPKWith(orig, res, nil)
-}
-
-// ReassembleAPKWith is ReassembleAPK with trace events attributed to span.
-func ReassembleAPKWith(orig *apk.APK, res *collector.Result, span *obs.Span) (*apk.APK, *Stats, error) {
-	return ReassembleAPKCfg(orig, res, span, Config{})
-}
-
-// ReassembleAPKCfg is ReassembleAPKWith with explicit parallelism
-// configuration.
-func ReassembleAPKCfg(orig *apk.APK, res *collector.Result, span *obs.Span, cfg Config) (*apk.APK, *Stats, error) {
-	f, stats, err := ReassembleCfg(res, span, cfg)
+	f, stats, err := Reassemble(res)
 	if err != nil {
 		return nil, nil, err
 	}
-	var data []byte
-	if cfg.Stream {
-		var buf bytes.Buffer
-		if _, err := f.WriteStream(&buf); err != nil {
-			return nil, nil, err
-		}
-		data = buf.Bytes()
-	} else {
-		data, err = f.Write()
-		if err != nil {
-			return nil, nil, err
-		}
+	data, err := f.Write()
+	if err != nil {
+		return nil, nil, err
 	}
 	out := orig.Clone()
 	out.SetDex(data)
