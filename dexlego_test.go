@@ -149,3 +149,83 @@ func TestRevealErrors(t *testing.T) {
 		t.Error("force execution on unparsable dex must fail")
 	}
 }
+
+// TestRevealKeepsSwitchPayloadVariants rewrites a packed-switch payload
+// between two calls that take the same case. The two executions differ
+// only in the untaken case's target, which Inst.Equal sees, so the
+// revealed record must hold both trees instead of dropping the second as a
+// fingerprint duplicate.
+func TestRevealKeepsSwitchPayloadVariants(t *testing.T) {
+	const cls, key = "Lsw/S;", "Lsw/S;->pick(I)I"
+	p := dexgen.New()
+	c := p.Class(cls, "")
+	c.Native("retarget", "V")
+	c.Static("pick", "I", []string{"I"}, func(a *dexgen.Asm) {
+		a.PackedSwitch(a.P(0), 0, []string{"c0", "c1"})
+		a.Const(0, -1)
+		a.Return(0)
+		a.Label("c0")
+		a.Const(0, 10)
+		a.Return(0)
+		a.Label("c1")
+		a.Const(0, 11)
+		a.Return(0)
+	})
+	data, err := p.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := apk.New("sw", "1", "")
+	pkg.SetDex(data)
+
+	natives := map[string]art.NativeFunc{
+		cls + "->retarget()V": func(env *art.Env, recv *art.Object, args []art.Value) (art.Value, error) {
+			return art.Value{}, env.TamperMethod(cls, "pick", func(insns []uint16) []uint16 {
+				in, _, err := bytecode.Decode(insns, 0)
+				if err != nil || in.Op != bytecode.OpPackedSwitch {
+					t.Fatalf("pc 0 is %v (%v), want packed-switch", in.Op, err)
+				}
+				in.Targets[1] = in.Targets[0] // case 1 now jumps where case 0 does
+				units, err := bytecode.EncodePayload(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(insns[in.Off:], units)
+				return nil
+			})
+		},
+	}
+	pick := func(rt *art.Runtime) error {
+		r, err := rt.Call(cls, "pick", "(I)I", nil, []art.Value{art.IntVal(0)})
+		if err == nil && r.Int != 10 {
+			t.Errorf("pick(0) = %d, want 10", r.Int)
+		}
+		return err
+	}
+	res, err := root.Reveal(pkg, root.Options{
+		Natives: natives,
+		Driver: func(rt *art.Runtime) error {
+			if err := pick(rt); err != nil {
+				return err
+			}
+			if _, err := rt.Call(cls, "retarget", "()V", nil, nil); err != nil {
+				return err
+			}
+			return pick(rt)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.Collection.Methods[key]
+	if rec == nil {
+		t.Fatalf("%s was not collected", key)
+	}
+	if len(rec.Trees) != 2 {
+		t.Fatalf("%s holds %d trees, want 2 (one per switch payload)", key, len(rec.Trees))
+	}
+	a, b := &rec.Trees[0].IL[0].Inst, &rec.Trees[1].IL[0].Inst
+	if a.Equal(b) {
+		t.Errorf("both trees carry the same switch: %v", a.Targets)
+	}
+}

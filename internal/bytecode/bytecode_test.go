@@ -185,7 +185,7 @@ func TestEncodeDecodeRoundTripAllOpcodes(t *testing.T) {
 			if w != in.Width() {
 				t.Fatalf("%s: decoded width %d want %d", op, w, in.Width())
 			}
-			if !got.Equal(in) {
+			if !got.Equal(&in) {
 				t.Fatalf("%s: round trip mismatch\n in: %+v\nout: %+v", op, in, got)
 			}
 		}
@@ -206,7 +206,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			return false
 		}
 		got, _, err := Decode(units, 0)
-		return err == nil && got.Equal(in)
+		return err == nil && got.Equal(&in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -474,7 +474,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if in.Args[0] == 99 || in.Keys[0] == 99 || in.Targets[0] == 99 {
 		t.Error("Clone shares backing arrays")
 	}
-	if !in.Equal(in.Clone()) {
+	if cl := in.Clone(); !in.Equal(&cl) {
 		t.Error("clone not Equal to original")
 	}
 }
@@ -616,7 +616,7 @@ func TestMapRegisters(t *testing.T) {
 	}
 	for _, tt := range tests {
 		got := MapRegisters(tt.in, shift)
-		if !got.Equal(tt.want) {
+		if !got.Equal(&tt.want) {
 			t.Errorf("MapRegisters(%v) = %v, want %v", tt.in, got, tt.want)
 		}
 	}

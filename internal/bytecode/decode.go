@@ -10,7 +10,7 @@ func Decode(insns []uint16, pc int) (Inst, int, error) {
 	unit := insns[pc]
 	op := Opcode(unit & 0xff)
 	hi := int32(unit >> 8)
-	info, ok := opcodeTable[op]
+	info, ok := op.info()
 	if !ok {
 		return Inst{}, 0, &DecodeError{PC: pc, Reason: "unknown opcode " + op.String()}
 	}

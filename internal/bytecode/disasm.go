@@ -10,7 +10,7 @@ import (
 type Resolver func(kind IndexKind, idx uint32) string
 
 func disasmInst(in Inst, r Resolver) string {
-	info, ok := opcodeTable[in.Op]
+	info, ok := in.Op.info()
 	if !ok {
 		return fmt.Sprintf(".unknown 0x%02x", uint8(in.Op))
 	}

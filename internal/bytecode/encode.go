@@ -25,7 +25,7 @@ func fitsS(v int64, bits int) bool {
 // must already be resolved in units relative to the instruction address.
 // Switch payloads are not emitted here; see EncodePayload.
 func Encode(in Inst) ([]uint16, error) {
-	info, ok := opcodeTable[in.Op]
+	info, ok := in.Op.info()
 	if !ok {
 		return nil, encErr(in.Op, "unknown opcode")
 	}

@@ -85,7 +85,7 @@ func FuzzDecode(f *testing.F) {
 		if w2 != width {
 			t.Fatalf("re-decode width %d != %d for %v", w2, width, in)
 		}
-		if !back.Equal(in) {
+		if !back.Equal(&in) {
 			t.Fatalf("round trip mismatch:\n  decoded   %v\n  re-decoded %v", in, back)
 		}
 	})

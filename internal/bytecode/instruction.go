@@ -55,7 +55,9 @@ func (in Inst) PayloadWidth() int {
 
 // Equal reports whether two instructions are identical, including operands
 // and switch tables. It is the SameIns predicate of the paper's Algorithm 1.
-func (in Inst) Equal(other Inst) bool {
+// Both sides are pointers: the collector calls it on every executed
+// instruction, and an Inst is too large to copy there.
+func (in *Inst) Equal(other *Inst) bool {
 	if in.Op != other.Op || in.A != other.A || in.B != other.B ||
 		in.C != other.C || in.Index != other.Index || in.Lit != other.Lit ||
 		in.Off != other.Off {

@@ -173,7 +173,10 @@ type opcodeInfo struct {
 	index  IndexKind
 }
 
-var opcodeTable = map[Opcode]opcodeInfo{
+// opcodeTable is indexed by the opcode byte, so every Opcode accessor is an
+// array load instead of a map hash. Unsupported opcodes keep the zero
+// opcodeInfo, whose empty name marks the slot invalid.
+var opcodeTable = [256]opcodeInfo{
 	OpNop:             {"nop", Fmt10x, IndexNone},
 	OpMove:            {"move", Fmt12x, IndexNone},
 	OpMoveFrom16:      {"move/from16", Fmt22x, IndexNone},
@@ -266,15 +269,20 @@ var opcodeTable = map[Opcode]opcodeInfo{
 	OpShrIntLit8:      {"shr-int/lit8", Fmt22b, IndexNone},
 }
 
+// info returns the table entry of op and whether op is supported.
+func (op Opcode) info() (opcodeInfo, bool) {
+	info := opcodeTable[op]
+	return info, info.name != ""
+}
+
 // Valid reports whether op is a supported opcode.
 func (op Opcode) Valid() bool {
-	_, ok := opcodeTable[op]
-	return ok
+	return opcodeTable[op].name != ""
 }
 
 // String returns the smali mnemonic of the opcode.
 func (op Opcode) String() string {
-	if info, ok := opcodeTable[op]; ok {
+	if info, ok := op.info(); ok {
 		return info.name
 	}
 	return fmt.Sprintf("op-0x%02x", uint8(op))
@@ -324,13 +332,10 @@ func (op Opcode) IsTerminator() bool {
 
 // Opcodes returns all supported opcodes in ascending numeric order.
 func Opcodes() []Opcode {
-	ops := make([]Opcode, 0, len(opcodeTable))
-	for op := range opcodeTable {
-		ops = append(ops, op)
-	}
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j-1] > ops[j]; j-- {
-			ops[j-1], ops[j] = ops[j], ops[j-1]
+	var ops []Opcode
+	for i := range opcodeTable {
+		if op := Opcode(i); op.Valid() {
+			ops = append(ops, op)
 		}
 	}
 	return ops

@@ -78,7 +78,7 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		if d.Width != width {
 			t.Fatalf("pc %d: predecoded width %d, want %d", pc, d.Width, width)
 		}
-		if !d.Inst.Equal(in) {
+		if !d.Inst.Equal(&in) {
 			t.Fatalf("pc %d: predecoded %+v, want %+v", pc, d.Inst, in)
 		}
 		var want int32 = -1

@@ -59,7 +59,9 @@ type TreeNode struct {
 	Parent   *TreeNode   `json:"-"`
 
 	// pcIdx[pc] is the IL index of the entry collected at dex_pc pc, or -1.
-	// Collection-time only; published trees carry the IIM map instead.
+	// Set during collection and kept on published trees, which later
+	// executions follow through it (see followed); JSON carries the IIM map
+	// instead.
 	pcIdx []int32
 }
 
@@ -176,6 +178,38 @@ func (n *TreeNode) fingerprint(buf []byte) []byte {
 	}
 	for _, c := range kids {
 		buf = c.fingerprint(buf)
+	}
+	return appendPayloads(buf, n.IL)
+}
+
+// appendPayloads trails a node's fingerprint with the case tables of its
+// switch instructions, which the per-entry encoding above leaves out.
+// Without it, two executions that differ only in a rewritten switch payload
+// share a fingerprint and the second is dropped, although Inst.Equal — the
+// collection-time SameIns — tells them apart. A node without switches
+// appends nothing, so every other fingerprint, and the Canonicalize order
+// built on them, is unchanged. The IL encoding already says which entries
+// are switches, and the 'K' tag is not the 'N' that opens a child, so the
+// trailer stays unambiguous.
+func appendPayloads(buf []byte, il []Entry) []byte {
+	tagged := false
+	for i := range il {
+		in := &il[i].Inst
+		if !in.Op.IsSwitch() {
+			continue
+		}
+		if !tagged {
+			buf = append(buf, 'K')
+			tagged = true
+		}
+		buf = appendVarint(buf, int64(len(in.Keys)))
+		for _, k := range in.Keys {
+			buf = appendVarint(buf, int64(k))
+		}
+		buf = appendVarint(buf, int64(len(in.Targets)))
+		for _, t := range in.Targets {
+			buf = appendVarint(buf, int64(t))
+		}
 	}
 	return buf
 }
@@ -365,11 +399,98 @@ func (r *Result) ExecutedInstructionCount() int {
 	return total
 }
 
-// methodExec is one in-flight execution of one method.
+// methodExec is one in-flight execution of one method. A frame either
+// builds its own tree (root, cur) or follows a known one: in follow mode
+// the execution so far equals follow.IL[:fi], root and cur are nil, and
+// known lists the method's known trees a divergence may switch to.
 type methodExec struct {
 	method *art.Method
 	root   *TreeNode
 	cur    *TreeNode
+
+	known  []*TreeNode
+	follow *TreeNode
+	fi     int
+}
+
+// followable reports whether an execution may follow t instead of building
+// a tree: t has no divergence children (self-modifying executions always
+// build, and fork exactly as Algorithm 1 says) and carries the dense
+// collection-time IIM, which trees decoded from files or the method cache
+// lack.
+func followable(t *TreeNode) bool {
+	return len(t.Children) == 0 && len(t.IL) > 0 && t.pcIdx != nil
+}
+
+// followed applies Algorithm 1 to the execution's tree, which in follow
+// mode is the prefix follow.IL[:fi] of a known tree, and reports whether
+// the instruction kept it a prefix of some known tree. A false return means
+// the execution has left every known tree; the caller materializes the
+// prefix and carries on building.
+func (ex *methodExec) followed(m *art.Method, pc int, in *bytecode.Inst) bool {
+	cand, fi := ex.follow, ex.fi
+	if j, ok := cand.ilIndex(pc); ok && j < fi {
+		// A recorded dex_pc: an equal instruction is the usual dedup; a
+		// different one forks, which no followable tree holds.
+		return cand.IL[j].Inst.Equal(in)
+	}
+	if fi < len(cand.IL) && sameEntry(&cand.IL[fi], m, pc, in) {
+		ex.fi++
+		return true
+	}
+	for _, t := range ex.known {
+		if t != cand && followable(t) && fi < len(t.IL) &&
+			sameEntry(&t.IL[fi], m, pc, in) && samePrefix(t, cand, fi) {
+			ex.follow, ex.fi = t, fi+1
+			return true
+		}
+	}
+	return false
+}
+
+// sameEntry reports whether e is the entry collection would push for in at
+// pc: the same dex_pc, an Equal instruction and the same resolved symbol.
+// The test is at least as strict as the fingerprint, so following never
+// drops an execution Merge would have kept.
+func sameEntry(e *Entry, m *art.Method, pc int, in *bytecode.Inst) bool {
+	return e.DexPC == pc && e.Inst.Equal(in) && sameSym(e.Sym, m, in)
+}
+
+// sameSym reports whether resolveSym(m, in) would equal s. It reads the
+// method's DEX file directly, so the comparison allocates nothing.
+func sameSym(s *Symbol, m *art.Method, in *bytecode.Inst) bool {
+	kind := in.Op.Index()
+	if kind == bytecode.IndexNone {
+		return s == nil
+	}
+	if s == nil || s.Kind != kind {
+		return false
+	}
+	f := m.Class.File
+	switch kind {
+	case bytecode.IndexString:
+		return s.Str == f.String(in.Index)
+	case bytecode.IndexType:
+		return s.Type == f.TypeName(in.Index)
+	case bytecode.IndexField:
+		return s.Field == f.FieldAt(in.Index)
+	default:
+		return s.Method == f.MethodAt(in.Index)
+	}
+}
+
+// samePrefix reports whether a and b agree on their first n entries.
+func samePrefix(a, b *TreeNode, n int) bool {
+	for i := 0; i < n; i++ {
+		x, y := &a.IL[i], &b.IL[i]
+		if x.DexPC != y.DexPC || !x.Inst.Equal(&y.Inst) {
+			return false
+		}
+		if (x.Sym == nil) != (y.Sym == nil) || (x.Sym != nil && *x.Sym != *y.Sym) {
+			return false
+		}
+	}
+	return true
 }
 
 // Collector performs JIT collection over an instrumented runtime.
@@ -384,6 +505,7 @@ type methodExec struct {
 // therefore construct one Collector per job.
 type Collector struct {
 	res   *Result
+	known *Result // trees executions follow; see Shard
 	stack []*methodExec
 	hooks *art.Hooks
 	busy  atomic.Int32
@@ -403,6 +525,10 @@ type Collector struct {
 	fpBuf     []byte        // fingerprint scratch (methodExited)
 	freeNodes []*TreeNode   // recycled nodes of discarded duplicate trees
 	freeExecs []*methodExec // recycled execution frames
+
+	// matched holds the parent's trees a shard's executions followed to the
+	// end. They are recorded nowhere else; Merge counts them as offered.
+	matched map[*TreeNode]bool
 }
 
 // newNode returns a fresh or recycled tree node.
@@ -438,6 +564,19 @@ func (c *Collector) recycleTree(n *TreeNode) {
 	c.freeNodes = append(c.freeNodes, n)
 }
 
+// materialize turns a follow-mode frame into a building one: the followed
+// prefix is copied into a fresh node, which then grows on the usual path.
+// The entries share their symbols and operand slices with the known tree;
+// published trees are never mutated, so the sharing is safe.
+func (c *Collector) materialize(ex *methodExec) {
+	root := c.newNode(nil, -1)
+	for i := range ex.follow.IL[:ex.fi] {
+		root.push(ex.follow.IL[i])
+	}
+	ex.root, ex.cur = root, root
+	ex.known, ex.follow, ex.fi = nil, nil, 0
+}
+
 // SetSpan attributes the collector's trace events (tree forks, convergences,
 // recorded methods, guard violations) to s — typically the per-app reveal
 // span. A nil span (the default) keeps the hot path at a pointer check.
@@ -463,6 +602,7 @@ func New() *Collector {
 		touched:  make(map[string]bool),
 		violated: make(map[string]bool),
 	}
+	c.known = c.res
 	c.hooks = &art.Hooks{
 		MethodEntered:       c.methodEntered,
 		MethodExited:        c.methodExited,
@@ -507,16 +647,28 @@ func (c *Collector) SkipViolations() []string {
 
 // Shard returns an empty collector with c's skip list, for one concurrent
 // run whose result Merge later folds back into c.
+//
+// The shard's executions follow c's trees instead of rebuilding them: an
+// execution equal to one of c's childless trees records nothing, and only
+// one that leaves them builds a tree (see methodEntered). The shard reads
+// c's result without locks, so c's result must not change while the shard
+// runs. The force-execution engine guarantees this: it merges shards into
+// c only at its iteration barrier, after every run of the iteration has
+// finished.
 func (c *Collector) Shard() *Collector {
 	s := New()
 	s.SetSkip(c.skip)
+	s.known = c.res
+	s.matched = make(map[*TreeNode]bool)
 	return s
 }
 
 // Merge folds a shard back into c: the results merge as in Result.Merge,
 // and the shard's touched and violated skip sets union into c's, so a
 // skipped method entered (or written) only under forced branches still
-// splices (or still voids the plan). The shard is consumed.
+// splices (or still voids the plan). The known trees the shard followed
+// count as offered and not kept, so TreesOffered still counts the unique
+// trees the run executed. The shard is consumed.
 func (c *Collector) Merge(shard *Collector) MergeStats {
 	for k := range shard.touched {
 		c.touched[k] = true
@@ -524,7 +676,9 @@ func (c *Collector) Merge(shard *Collector) MergeStats {
 	for k := range shard.violated {
 		c.violated[k] = true
 	}
-	return c.res.Merge(shard.res)
+	st := c.res.Merge(shard.res)
+	st.TreesOffered += len(shard.matched)
+	return st
 }
 
 // Hooks returns the instrumentation to attach via Runtime.AddHooks.
@@ -548,14 +702,28 @@ func (c *Collector) methodEntered(m *art.Method) {
 		c.touched[m.Key()] = true
 		return
 	}
-	root := c.newNode(nil, -1)
 	var ex *methodExec
 	if n := len(c.freeExecs); n > 0 {
 		ex = c.freeExecs[n-1]
 		c.freeExecs = c.freeExecs[:n-1]
-		*ex = methodExec{method: m, root: root, cur: root}
+		*ex = methodExec{method: m}
 	} else {
-		ex = &methodExec{method: m, root: root, cur: root}
+		ex = &methodExec{method: m}
+	}
+	// Follow the first known childless tree; the tree is built only once
+	// the execution leaves every known tree (Algorithm 1 keeps one tree per
+	// distinct execution, so a repeat costs comparisons, not a tree).
+	if known := c.known.Methods[m.Key()]; known != nil {
+		for _, t := range known.Trees {
+			if followable(t) {
+				ex.known, ex.follow = known.Trees, t
+				break
+			}
+		}
+	}
+	if ex.follow == nil {
+		ex.root = c.newNode(nil, -1)
+		ex.cur = ex.root
 	}
 	c.stack = append(c.stack, ex)
 	// Record shape on first sight; a method may be entered before its class
@@ -592,9 +760,19 @@ func (c *Collector) methodExited(m *art.Method) {
 		return // unbalanced (native transitions); keep the stack sane
 	}
 	c.stack = c.stack[:len(c.stack)-1]
-	root := top.root
+	if top.follow != nil && top.fi < len(top.follow.IL) {
+		c.materialize(top) // the execution ended inside a known tree
+	}
+	root, matched := top.root, top.follow
 	*top = methodExec{}
 	c.freeExecs = append(c.freeExecs, top)
+	if matched != nil {
+		// The execution equals a known tree: nothing to record.
+		if c.matched != nil {
+			c.matched[matched] = true
+		}
+		return
+	}
 	if len(root.IL) == 0 {
 		c.recycleTree(root)
 		return
@@ -626,7 +804,7 @@ func layerDepth(n *TreeNode) int {
 }
 
 // instruction implements Algorithm 1 (BytecodeCollection).
-func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *bytecode.Inst) {
+func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytecode.Inst) {
 	c.enter()
 	defer c.leave()
 	if !appMethod(m) || len(c.stack) == 0 {
@@ -636,24 +814,28 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *byte
 	if top.method != m {
 		return
 	}
-	if inp == nil {
+	if in == nil {
 		return // malformed live code; the interpreter will surface it
 	}
-	in := *inp
+	if top.follow != nil {
+		if top.followed(m, pc, in) {
+			return
+		}
+		c.materialize(top)
+	}
 	// Symbol resolution is deferred past the dedup check below: the steady
 	// state (loop bodies, repeated calls) re-executes recorded instructions,
 	// which must not allocate.
 	cur := top.cur
 	if ilIdx, ok := cur.ilIndex(pc); ok {
-		old := cur.IL[ilIdx]
-		if old.Inst.Equal(in) {
+		if cur.IL[ilIdx].Inst.Equal(in) {
 			return // same instruction at same dex_pc: deduplicate
 		}
 		// Divergence: a runtime modification happened here.
 		child := c.newNode(cur, pc)
 		cur.Children = append(cur.Children, child)
 		top.cur = child
-		child.push(Entry{DexPC: pc, Inst: in, Sym: resolveSym(m, in)})
+		child.push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
 		if c.span.Enabled() {
 			c.span.TreeFork(m.Key(), pc, layerDepth(child))
 		}
@@ -670,7 +852,7 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *byte
 			return
 		}
 	}
-	cur.push(Entry{DexPC: pc, Inst: in, Sym: resolveSym(m, in)})
+	cur.push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
 }
 
 // predecodeHit traces a method binding to a cached predecoded program.
@@ -714,7 +896,7 @@ func (c *Collector) codeWritten(m *art.Method, pc int) {
 	c.res.method(m).Written = true
 }
 
-func resolveSym(m *art.Method, in bytecode.Inst) *Symbol {
+func resolveSym(m *art.Method, in *bytecode.Inst) *Symbol {
 	kind := in.Op.Index()
 	if kind == bytecode.IndexNone || m.Class.File == nil {
 		return nil

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 )
 
@@ -44,7 +45,12 @@ func (r *Result) Merge(other *Result) MergeStats {
 		// states (forced branches change <clinit> effects). Keeping the
 		// record with the smaller canonical encoding is arbitrary but
 		// commutative and associative, so the survivor is independent of
-		// shard count and merge order.
+		// shard count and merge order. Equal records encode equally, so
+		// the usual case — every shard saw the same class — skips the
+		// encoding.
+		if classEqual(oc, ec) {
+			continue
+		}
 		if oe, ee := classEncoding(oc), classEncoding(ec); oe < ee {
 			*ec = *oc
 			st.Classes++
@@ -106,6 +112,26 @@ func (r *Result) Merge(other *Result) MergeStats {
 		}
 	}
 	return st
+}
+
+// classEqual reports whether two class records are field-for-field equal,
+// which implies equal encodings.
+func classEqual(a, b *ClassRecord) bool {
+	return a.Descriptor == b.Descriptor && a.Superclass == b.Superclass &&
+		a.SourceFile == b.SourceFile && a.AccessFlags == b.AccessFlags &&
+		slices.Equal(a.Interfaces, b.Interfaces) && slices.Equal(a.Methods, b.Methods) &&
+		slices.EqualFunc(a.StaticFields, b.StaticFields, fieldEqual) &&
+		slices.EqualFunc(a.InstanceFields, b.InstanceFields, fieldEqual)
+}
+
+func fieldEqual(a, b FieldRecord) bool {
+	if a.Name != b.Name || a.Type != b.Type || a.AccessFlags != b.AccessFlags {
+		return false
+	}
+	if a.Value == nil || b.Value == nil {
+		return a.Value == b.Value
+	}
+	return *a.Value == *b.Value
 }
 
 func classEncoding(c *ClassRecord) string {

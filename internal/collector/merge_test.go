@@ -151,6 +151,46 @@ func TestMergeShardedEqualsSerial(t *testing.T) {
 			}
 		})
 	}
+
+	// Class records that conflict across runs resolve to the same survivor
+	// in either merge order; equal records (distinct pointers, equal
+	// values) never count as adopted.
+	t.Run("class-conflict", func(t *testing.T) {
+		class := func(v *collector.ValueRecord) *collector.Result {
+			return &collector.Result{
+				Classes: []collector.ClassRecord{{
+					Descriptor: "Lc/K;",
+					Superclass: "Ljava/lang/Object;",
+					StaticFields: []collector.FieldRecord{
+						{Name: "MODE", Type: "I", Value: v},
+					},
+				}},
+				Methods: map[string]*collector.MethodRecord{},
+			}
+		}
+		small := func() *collector.ValueRecord { return &collector.ValueRecord{Kind: "int", Int: 1} }
+		large := func() *collector.ValueRecord { return &collector.ValueRecord{Kind: "int", Int: 20} }
+		for _, pair := range [][2]func() *collector.ValueRecord{{small, large}, {large, small}} {
+			dst := class(pair[0]())
+			st := dst.Merge(class(pair[1]()))
+			if got := dst.Classes[0].StaticFields[0].Value.Int; got != 1 {
+				t.Errorf("merge order %d<-%d kept MODE=%d, want 1 (smaller encoding)",
+					pair[0]().Int, pair[1]().Int, got)
+			}
+			if wantAdopted := pair[1]().Int == 1; (st.Classes == 1) != wantAdopted {
+				t.Errorf("merge order %d<-%d adopted %d classes", pair[0]().Int, pair[1]().Int, st.Classes)
+			}
+		}
+		if st := class(small()).Merge(class(small())); st.Classes != 0 {
+			t.Errorf("equal class records adopted %d classes, want 0", st.Classes)
+		}
+		withNil, withValue := class(nil), class(small())
+		withNil.Merge(class(small()))
+		withValue.Merge(class(nil))
+		if canonicalJSON(t, withNil) != canonicalJSON(t, withValue) {
+			t.Error("a value/no-value conflict resolves differently in the two merge orders")
+		}
+	})
 }
 
 // TestMergeSelfAndNil pins the degenerate cases: merging nil is a no-op and

@@ -63,7 +63,7 @@ func compatible(a, b *collector.TreeNode) bool {
 	}
 	for pc, bi := range b.IIM {
 		if ai, ok := a.IIM[pc]; ok {
-			if !a.IL[ai].Inst.Equal(b.IL[bi].Inst) {
+			if !a.IL[ai].Inst.Equal(&b.IL[bi].Inst) {
 				return false
 			}
 		}
