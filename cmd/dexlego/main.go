@@ -8,7 +8,6 @@
 //	dexlego -sample SelfModifying1 -out revealed.apk [-trace-out trace.jsonl]
 //	dexlego -batch -out dir [-jobs n] [-metrics-out report.json] a.apk b.apk ...
 //	dexlego -serve [-addr host:port] [-store-dir dir] [-queue-depth n] [-jobs n]
-//	dexlego -serve -fleet-peers http://n2:8080,http://n3:8080 [-fleet-self url] [-fleet-replication r]
 //	dexlego -trace-report trace.jsonl ...
 //
 // In -batch mode every argument is an input APK; the corpus is revealed
@@ -24,14 +23,6 @@
 // artifact store under -store-dir without re-running the reveal. -jobs
 // sets the worker pool, -queue-depth the admission bound (full queue =
 // HTTP 429). See the README "Service mode" section for curl examples.
-//
-// -fleet-peers turns the service into one node of a reveal fleet
-// (internal/fleet): submissions are placed on a consistent-hash ring over
-// all nodes, artifacts are shared over a peer protocol, and each unique
-// reveal runs exactly once fleet-wide. Every node lists the others in
-// -fleet-peers; -fleet-self overrides the node's own advertised URL when
-// it differs from http://<-addr> (e.g. behind 0.0.0.0 binds). See the
-// README "Fleet mode" section for a 3-node loopback quickstart.
 //
 // Observability: -trace-out streams the run's spans and domain events as
 // JSONL (schema: internal/obs); -trace-report renders trace files back
@@ -107,13 +98,10 @@ func run(args []string) error {
 	slo := fs.Duration("slo", 0, "per-reveal latency objective; runs exceeding it dump their flight recording (0 = failures only)")
 	logLevel := fs.String("log-level", "info", "stderr log threshold: debug, info, warn, error, off")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	fleetPeers := fs.String("fleet-peers", "", "comma-separated base URLs of the other fleet nodes (enables fleet mode; requires -serve)")
-	fleetSelf := fs.String("fleet-self", "", "this node's base URL as its peers address it (default http://<-addr>)")
-	fleetReplication := fs.Int("fleet-replication", 2, "fleet replica-set size: hot artifacts replicate to this many nodes and 429s escalate within the set")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *serve, *jobs, *workers, *queueDepth, *slo, *fleetReplication); err != nil {
+	if err := validateFlags(fs, *serve, *jobs, *workers, *queueDepth, *slo); err != nil {
 		return err
 	}
 	memBudgetBytes, err := parseByteSize(*memBudget)
@@ -183,19 +171,16 @@ func run(args []string) error {
 		// explicit -incremental=false opts out.
 		serveIncremental := *incremental || !flagWasSet(fs, "incremental")
 		return runServe(serveConfig{
-			addr:             *addr,
-			storeDir:         *storeDir,
-			incremental:      serveIncremental,
-			memBudget:        memBudgetBytes,
-			queueDepth:       *queueDepth,
-			jobs:             *jobs,
-			revealWorkers:    *workers,
-			sink:             sink,
-			flightDir:        *flightDir,
-			slo:              *slo,
-			fleetPeers:       splitPeers(*fleetPeers),
-			fleetSelf:        *fleetSelf,
-			fleetReplication: *fleetReplication,
+			addr:          *addr,
+			storeDir:      *storeDir,
+			incremental:   serveIncremental,
+			memBudget:     memBudgetBytes,
+			queueDepth:    *queueDepth,
+			jobs:          *jobs,
+			revealWorkers: *workers,
+			sink:          sink,
+			flightDir:     *flightDir,
+			slo:           *slo,
 		})
 	}
 	if *batch {
@@ -518,20 +503,9 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 // below 1 is a typo'd pool size, not a request for the default. -serve is
 // a long-running mode, so combining it with any one-shot input or output
 // flag silently ignoring one of them would be worse than an error.
-func validateFlags(fs *flag.FlagSet, serve bool, jobs, workers, queueDepth int, slo time.Duration, fleetReplication int) error {
+func validateFlags(fs *flag.FlagSet, serve bool, jobs, workers, queueDepth int, slo time.Duration) error {
 	explicit := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	for _, name := range []string{"fleet-peers", "fleet-self", "fleet-replication"} {
-		if explicit[name] && !serve {
-			return fmt.Errorf("-%s configures fleet mode and requires -serve", name)
-		}
-	}
-	if (explicit["fleet-self"] || explicit["fleet-replication"]) && !explicit["fleet-peers"] {
-		return fmt.Errorf("fleet flags do nothing without -fleet-peers")
-	}
-	if explicit["fleet-replication"] && fleetReplication < 1 {
-		return fmt.Errorf("-fleet-replication must be at least 1 (got %d)", fleetReplication)
-	}
 	if explicit["jobs"] && jobs < 1 {
 		return fmt.Errorf("-jobs must be at least 1 (got %d); omit it for GOMAXPROCS", jobs)
 	}
@@ -591,21 +565,6 @@ func parseByteSize(s string) (int64, error) {
 		return 0, fmt.Errorf("byte size %q overflows", s)
 	}
 	return n << shift, nil
-}
-
-// splitPeers parses the -fleet-peers list, dropping empty segments so a
-// trailing comma is harmless.
-func splitPeers(raw string) []string {
-	if raw == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(raw, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }
 
 func readAPK(path string) (*apk.APK, error) {

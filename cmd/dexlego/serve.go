@@ -8,11 +8,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"dexlego/internal/fleet"
 	"dexlego/internal/obs"
 	"dexlego/internal/pipeline"
 	"dexlego/internal/server"
@@ -44,17 +42,11 @@ type serveConfig struct {
 	sink          *obs.JSONLSink
 	flightDir     string
 	slo           time.Duration
-	// fleetPeers enables fleet mode (non-empty): this node joins a
-	// consistent-hash reveal fleet with the listed peers.
-	fleetPeers       []string
-	fleetSelf        string
-	fleetReplication int
 }
 
-// runServe runs the reveal service — standalone or as one fleet node —
-// until SIGTERM/SIGINT, then drains: admission stops (POST 503, readiness
-// flips), in-flight HTTP requests and every admitted job complete, and
-// only then does the process exit.
+// runServe runs the reveal service until SIGTERM/SIGINT, then drains:
+// admission stops (POST 503, readiness flips), in-flight HTTP requests and
+// every admitted job complete, and only then does the process exit.
 func runServe(sc serveConfig) error {
 	st, err := store.Open(sc.storeDir, 0)
 	if err != nil {
@@ -99,7 +91,7 @@ func runServe(sc serveConfig) error {
 			return err
 		}
 	}
-	scfg := server.Config{
+	srv, err := server.New(server.Config{
 		Store:         st,
 		MethodCache:   mcache,
 		MemBudget:     memBudget,
@@ -110,49 +102,21 @@ func runServe(sc serveConfig) error {
 		Sink:          obsSink,
 		FlightDir:     sc.flightDir,
 		SLO:           sc.slo,
-	}
-
-	// Fleet mode wraps the server in a placement router; standalone mode
-	// serves the server directly. Both expose the same job API, so the
-	// drain path below is identical.
-	var (
-		handler http.Handler
-		srv     *server.Server
-		closeFn func()
-	)
-	if len(sc.fleetPeers) > 0 {
-		self := sc.fleetSelf
-		if self == "" {
-			self = "http://" + sc.addr
-		}
-		node, err := fleet.New(fleet.Config{
-			Server:      scfg,
-			Self:        self,
-			Peers:       sc.fleetPeers,
-			Replication: sc.fleetReplication,
-		})
-		if err != nil {
-			return err
-		}
-		handler, srv, closeFn = node.Handler(), node.Server(), node.Close
-	} else {
-		s, err := server.New(scfg)
-		if err != nil {
-			return err
-		}
-		handler, srv, closeFn = s.Handler(), s, s.Close
+	})
+	if err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", sc.addr)
 	if err != nil {
-		closeFn()
+		srv.Close()
 		return fmt.Errorf("-addr: %w", err)
 	}
 	if serveHooks.listener != nil {
 		serveHooks.listener(ln)
 	}
 	hs := &http.Server{
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -163,15 +127,10 @@ func runServe(sc serveConfig) error {
 	if storeDir == "" {
 		storeDir = "(memory only)"
 	}
-	if len(sc.fleetPeers) > 0 {
-		fmt.Printf("dexlego fleet node on http://%s (peers %s, store %s, queue %d)\n",
-			ln.Addr(), strings.Join(sc.fleetPeers, " "), storeDir, sc.queueDepth)
-	} else {
-		fmt.Printf("dexlego service on http://%s (store %s, queue %d)\n", ln.Addr(), storeDir, sc.queueDepth)
-	}
+	fmt.Printf("dexlego service on http://%s (store %s, queue %d)\n", ln.Addr(), storeDir, sc.queueDepth)
 	select {
 	case err := <-errc:
-		closeFn()
+		srv.Close()
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	case <-serveHooks.stop:
@@ -183,7 +142,7 @@ func runServe(sc serveConfig) error {
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		obs.Warnf("drain: http shutdown: %v", err)
 	}
-	closeFn()
+	srv.Close()
 	fmt.Println("dexlego service drained")
 	return nil
 }

@@ -32,10 +32,6 @@ func TestValidateFlagRejections(t *testing.T) {
 		{"serve+trace-job+report", []string{"-serve", "-trace-report", "-trace-job", "abc123"}, "cannot be combined with"},
 		{"serve queue zero", []string{"-serve", "-queue-depth", "0"}, "-queue-depth must be at least 1"},
 		{"negative slo", []string{"-slo", "-5s", "-sample", "SelfModifying1", "-out", "x.apk"}, "-slo must be non-negative"},
-		{"fleet without serve", []string{"-fleet-peers", "http://n2:8080", "-sample", "SelfModifying1", "-out", "x.apk"}, "requires -serve"},
-		{"fleet-self alone", []string{"-serve", "-fleet-self", "http://me:8080"}, "do nothing without -fleet-peers"},
-		{"fleet-replication alone", []string{"-serve", "-fleet-replication", "3"}, "do nothing without -fleet-peers"},
-		{"fleet-replication zero", []string{"-serve", "-fleet-peers", "http://n2:8080", "-fleet-replication", "0"}, "-fleet-replication must be at least 1"},
 		{"trace-job alone", []string{"-trace-job", "abc123", "-sample", "SelfModifying1", "-out", "x.apk"}, "does nothing without"},
 	}
 	for _, tc := range cases {
@@ -124,71 +120,6 @@ func TestRunServeEndToEnd(t *testing.T) {
 		}
 	case <-time.After(45 * time.Second):
 		t.Fatal("serve did not drain")
-	}
-}
-
-// TestRunServeFleetNode boots one fleet node through run() whose only
-// peer is unreachable: a reveal owned by the dead peer must be taken over
-// locally (forward fails, the peer is marked down, the ring rebuilds) and
-// the node's exposition must carry the dexlego_fleet_* families.
-func TestRunServeFleetNode(t *testing.T) {
-	lnc := make(chan net.Listener, 1)
-	stop := make(chan struct{})
-	serveHooks.listener = func(ln net.Listener) { lnc <- ln }
-	serveHooks.stop = stop
-	defer func() {
-		serveHooks.listener = nil
-		serveHooks.stop = nil
-	}()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-serve", "-addr", "127.0.0.1:0",
-			"-store-dir", t.TempDir(), "-jobs", "2",
-			"-fleet-peers", "http://127.0.0.1:1", "-log-level", "off"})
-	}()
-	var base string
-	select {
-	case ln := <-lnc:
-		base = "http://" + ln.Addr().String()
-	case err := <-errc:
-		t.Fatalf("fleet serve exited before binding: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("fleet serve never bound a listener")
-	}
-	resp, err := http.Post(base+"/v1/reveal?sample=SelfModifying1&wait=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var js server.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || js.State != server.StateDone {
-		t.Fatalf("fleet reveal = %d/%s (err=%s), want 200/done", resp.StatusCode, js.State, js.Err)
-	}
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range []string{"dexlego_fleet_forwards", "dexlego_fleet_nodes_alive", "dexlego_fleet_ring_rebuilds"} {
-		if !strings.Contains(string(body), fam) {
-			t.Errorf("exposition missing fleet family %s", fam)
-		}
-	}
-	close(stop)
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Errorf("fleet serve returned %v after drain, want nil", err)
-		}
-	case <-time.After(45 * time.Second):
-		t.Fatal("fleet serve did not drain")
 	}
 }
 

@@ -1,24 +1,19 @@
-// Command omlint lints OpenMetrics text exposition: it parses stdin, each
-// file argument, or a live scrape of each URL argument with the same
-// strict parser the test suite uses and exits non-zero naming the first
-// failing source. CI runs it against every fleet node's GET /metrics so a
-// malformed exposition on any node fails the build instead of silently
-// breaking scrapers.
+// Command omlint lints OpenMetrics text exposition: it parses stdin or
+// each file argument with the same strict parser the test suite uses and
+// exits non-zero naming the first failing source. CI pipes the service's
+// GET /metrics into it so a malformed exposition fails the build instead
+// of silently breaking scrapers.
 //
 // Usage:
 //
 //	curl -fsS http://localhost:8080/metrics | omlint
 //	omlint scrape1.txt scrape2.txt
-//	omlint http://node1:8080/metrics http://node2:8080/metrics
 package main
 
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
-	"time"
 
 	"dexlego/internal/obs"
 )
@@ -29,10 +24,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// scrapeClient bounds each URL fetch so a hung node fails the lint rather
-// than the pipeline's timeout.
-var scrapeClient = &http.Client{Timeout: 10 * time.Second}
 
 func run(args []string) error {
 	if len(args) == 0 {
@@ -46,21 +37,9 @@ func run(args []string) error {
 	return nil
 }
 
-// lintSource resolves one argument — URL or file path — and lints it. The
-// error names the source, so a multi-node invocation points at the first
-// failing node.
+// lintSource lints one file argument. The error names the file, so a
+// multi-file invocation points at the first failing one.
 func lintSource(arg string) error {
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		resp, err := scrapeClient.Get(arg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", arg, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: scrape returned %s", arg, resp.Status)
-		}
-		return lint(arg, resp.Body)
-	}
 	f, err := os.Open(arg)
 	if err != nil {
 		return err

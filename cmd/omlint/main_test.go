@@ -1,9 +1,6 @@
 package main
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,40 +36,11 @@ func TestLintRejectsBrokenExposition(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := run([]string{path}); err == nil {
+		err := run([]string{path})
+		if err == nil {
 			t.Errorf("%s: lint passed, want error", name)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the failing file", name, err)
 		}
-	}
-}
-
-// TestLintScrapesURLs: URL arguments are fetched live, all of them lint in
-// one invocation, and a failure names the offending node.
-func TestLintScrapesURLs(t *testing.T) {
-	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, goodExposition)
-	}))
-	defer good.Close()
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "# TYPE a counter\na_total 1\n") // no # EOF terminator
-	}))
-	defer bad.Close()
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-	}))
-	defer down.Close()
-
-	if err := run([]string{good.URL, good.URL}); err != nil {
-		t.Errorf("two healthy nodes rejected: %v", err)
-	}
-	err := run([]string{good.URL, bad.URL})
-	if err == nil {
-		t.Fatal("malformed node passed the lint")
-	}
-	if !strings.Contains(err.Error(), bad.URL) {
-		t.Errorf("error %q does not name the failing node %s", err, bad.URL)
-	}
-	err = run([]string{down.URL})
-	if err == nil || !strings.Contains(err.Error(), down.URL) {
-		t.Errorf("unscrapable node error %v must name %s", err, down.URL)
 	}
 }

@@ -10,6 +10,8 @@ package cfbench
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -152,8 +154,8 @@ func Run(cfg Config) (Comparison, error) {
 // LaunchSample is a mean/std launch-time measurement. Mean is an
 // upper-trimmed mean: the slowest quarter of runs is dropped before
 // averaging. Launch times have a hard floor (the interpreter's work) but no
-// ceiling — a run that loses the CPU to the scheduler or a GC cycle only
-// ever reads high — so high outliers are host artifacts, not interpreter
+// ceiling — a run that loses the CPU to another process only ever reads
+// high — so high outliers are host artifacts, not interpreter
 // cost, and a plain mean lets a single preempted run skew the
 // instrumented/original ratio by several x. Std still covers all runs, as a
 // dispersion report.
@@ -162,35 +164,82 @@ type LaunchSample struct {
 	Std  time.Duration
 }
 
-// MeasureLaunch times LaunchActivity over the given number of runs, with
-// and without DexLego collection, on a fresh runtime per run (cold start).
-func MeasureLaunch(pkg *apk.APK, runs int, withCollector bool) (LaunchSample, error) {
+// LaunchPair is one application's paired launch-time measurement.
+type LaunchPair struct {
+	Orig    LaunchSample
+	DexLego LaunchSample
+	// Slowdown is the median of the per-run DexLego/original ratios. Each
+	// ratio compares two launches timed back to back, so a burst of host
+	// load inflates both sides of it rather than one side of a ratio of
+	// means.
+	Slowdown float64
+}
+
+// MeasureLaunchPair times LaunchActivity over the given number of runs on a
+// fresh runtime per launch (cold start), interleaving the original and the
+// DexLego-instrumented configuration run by run.
+func MeasureLaunchPair(pkg *apk.APK, runs int) (LaunchPair, error) {
 	if runs < 1 {
-		return LaunchSample{}, fmt.Errorf("cfbench: runs must be positive")
+		return LaunchPair{}, fmt.Errorf("cfbench: runs must be positive")
 	}
-	durations := make([]float64, 0, runs)
-	// One untimed warmup launch: the framework template and the shared
+	var orig, lego, ratios []float64
+	// One untimed warm-up pair: the framework template and the shared
 	// predecoded-program cache are process-global, so whichever
 	// configuration runs first would otherwise absorb their build cost and
 	// skew the instrumented/original ratio (it can even drop below 1x).
 	for i := -1; i < runs; i++ {
-		rt := art.NewRuntime(art.DefaultPhone())
-		rt.MaxSteps = 1 << 62
-		if withCollector {
-			col := collector.New()
-			rt.AddHooks(col.Hooks())
-		}
-		start := time.Now()
-		if err := rt.LoadAPK(pkg); err != nil {
-			return LaunchSample{}, err
-		}
-		if _, err := rt.LaunchActivity(); err != nil {
-			return LaunchSample{}, err
+		var d [2]float64 // original, instrumented
+		for k := 0; k < 2; k++ {
+			// Alternate which configuration launches first.
+			c := (i + k) & 1
+			t, err := launch(pkg, c == 1)
+			if err != nil {
+				return LaunchPair{}, err
+			}
+			d[c] = float64(t)
 		}
 		if i >= 0 {
-			durations = append(durations, float64(time.Since(start).Nanoseconds()))
+			orig = append(orig, d[0])
+			lego = append(lego, d[1])
+			ratios = append(ratios, d[1]/d[0])
 		}
 	}
+	sort.Float64s(ratios)
+	n := len(ratios)
+	return LaunchPair{
+		Orig:     summarize(orig),
+		DexLego:  summarize(lego),
+		Slowdown: (ratios[(n-1)/2] + ratios[n/2]) / 2,
+	}, nil
+}
+
+// launch times one cold LoadAPK + LaunchActivity. The launch starts on a
+// collected heap and runs with the Go collector paused: a sub-millisecond
+// launch otherwise times whichever GC cycles the heap left by earlier
+// launches happens to trigger, and an instrumented launch leaves several
+// times the garbage of an original one. That is host pacing, not launch
+// work, and it swung paired ratios from under 2x to over 12x under load.
+func launch(pkg *apk.APK, withCollector bool) (time.Duration, error) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rt := art.NewRuntime(art.DefaultPhone())
+	rt.MaxSteps = 1 << 62
+	if withCollector {
+		col := collector.New()
+		rt.AddHooks(col.Hooks())
+	}
+	start := time.Now()
+	if err := rt.LoadAPK(pkg); err != nil {
+		return 0, err
+	}
+	if _, err := rt.LaunchActivity(); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
+}
+
+// summarize reduces launch durations (ns) to a LaunchSample; it sorts them.
+func summarize(durations []float64) LaunchSample {
 	var sum float64
 	for _, d := range durations {
 		sum += d
@@ -210,5 +259,5 @@ func MeasureLaunch(pkg *apk.APK, runs int, withCollector bool) (LaunchSample, er
 	return LaunchSample{
 		Mean: time.Duration(sum / float64(len(kept))),
 		Std:  time.Duration(std),
-	}, nil
+	}
 }

@@ -34,21 +34,20 @@ func TestMeasureLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cfbench.MeasureLaunch(apps[2].APK, 3, false) // WhatsApp: smallest
+	p, err := cfbench.MeasureLaunchPair(apps[2].APK, 3) // WhatsApp: smallest
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mean <= 0 {
-		t.Errorf("mean = %v", s.Mean)
+	if p.Orig.Mean <= 0 {
+		t.Errorf("mean = %v", p.Orig.Mean)
 	}
-	withCol, err := cfbench.MeasureLaunch(apps[2].APK, 3, true)
-	if err != nil {
-		t.Fatal(err)
+	if p.DexLego.Mean <= p.Orig.Mean {
+		t.Errorf("collection launch %v not slower than baseline %v", p.DexLego.Mean, p.Orig.Mean)
 	}
-	if withCol.Mean <= s.Mean {
-		t.Errorf("collection launch %v not slower than baseline %v", withCol.Mean, s.Mean)
+	if p.Slowdown <= 1 {
+		t.Errorf("median paired slowdown = %.2f, want > 1", p.Slowdown)
 	}
-	if _, err := cfbench.MeasureLaunch(apps[2].APK, 0, false); err == nil {
+	if _, err := cfbench.MeasureLaunchPair(apps[2].APK, 0); err == nil {
 		t.Error("zero runs must fail")
 	}
 }

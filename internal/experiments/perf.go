@@ -44,19 +44,17 @@ type Table8Row struct {
 	Version string
 	Orig    cfbench.LaunchSample
 	DexLego cfbench.LaunchSample
+	// slowdown is the median paired per-run ratio (cfbench.LaunchPair).
+	slowdown float64
 }
 
-// Slowdown returns the launch-time ratio.
-func (r Table8Row) Slowdown() float64 {
-	if r.Orig.Mean == 0 {
-		return 0
-	}
-	return float64(r.DexLego.Mean) / float64(r.Orig.Mean)
-}
+// Slowdown returns the launch-time ratio: the median of the per-run
+// DexLego/original ratios, not the ratio of the displayed means.
+func (r Table8Row) Slowdown() float64 { return r.slowdown }
 
 // RunTable8 measures the launch time of the three popular applications
 // with and without DexLego over the given number of runs (the paper uses
-// 30).
+// 30). The two configurations are interleaved run by run.
 func RunTable8(runs int) ([]Table8Row, error) {
 	apps, err := workload.PopularApps()
 	if err != nil {
@@ -64,16 +62,13 @@ func RunTable8(runs int) ([]Table8Row, error) {
 	}
 	var rows []Table8Row
 	for _, app := range apps {
-		orig, err := cfbench.MeasureLaunch(app.APK, runs, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.Name, err)
-		}
-		lego, err := cfbench.MeasureLaunch(app.APK, runs, true)
+		p, err := cfbench.MeasureLaunchPair(app.APK, runs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", app.Name, err)
 		}
 		rows = append(rows, Table8Row{
-			App: app.Name, Version: app.Version, Orig: orig, DexLego: lego,
+			App: app.Name, Version: app.Version,
+			Orig: p.Orig, DexLego: p.DexLego, slowdown: p.Slowdown,
 		})
 	}
 	return rows, nil

@@ -35,17 +35,11 @@ type EventType uint8
 // and live-heap growth to one pipeline stage, slo_violation records a job
 // exceeding its configured latency objective, and flight_dump records the
 // per-job flight recorder persisting its ring of recent events after a
-// failure or SLO violation. The fleet events cover the multi-node reveal
-// fleet (internal/fleet): peer_fetch is one node pulling an artifact from a
-// peer's store instead of recomputing it, fleet_forward is a submission
-// routed to another node (the key's ring owner, a replica absorbing an
-// owner shed, or a takeover after the owner died), fleet_hop stamps the
-// nodes a forwarded submission traversed into the executing job's trace,
-// and ring_rebuild records membership changing the consistent-hash ring.
-// The incremental-reveal events cover the per-method collection cache:
-// method_cache_hit and method_cache_miss record one method's fingerprint
-// lookup against the method-tree keyspace, and tree_splice records a cached
-// collection tree grafted into the result in place of re-execution. The
+// failure or SLO violation. The incremental-reveal events cover the
+// per-method collection cache: method_cache_hit and method_cache_miss
+// record one method's fingerprint lookup against the method-tree keyspace,
+// and tree_splice records a cached collection tree grafted into the result
+// in place of re-execution. The
 // memory-budget events cover the budgeted output path: mem_spill records
 // one completed method record displaced from the in-memory result to the
 // spill tier mid-reveal, and mem_admit_wait records a job blocked in the
@@ -75,10 +69,6 @@ const (
 	EventResourceSample
 	EventSLOViolation
 	EventFlightDump
-	EventPeerFetch
-	EventFleetForward
-	EventFleetHop
-	EventRingRebuild
 	EventMethodCacheHit
 	EventMethodCacheMiss
 	EventTreeSplice
@@ -104,21 +94,6 @@ const (
 const (
 	FlightReasonFailed = "failed"
 	FlightReasonSLO    = "slo"
-)
-
-// Outcome labels of a peer_fetch event.
-const (
-	PeerHit  = "hit"
-	PeerMiss = "miss"
-)
-
-// Role labels of a fleet_forward event: the target is the key's ring
-// owner, a replica absorbing an owner shed, or the forwarding node itself
-// taking the key over after its owner died.
-const (
-	ForwardOwner    = "owner"
-	ForwardReplica  = "replica"
-	ForwardTakeover = "takeover"
 )
 
 // fields is a set of Event payload fields an event type requires.
@@ -222,12 +197,7 @@ var eventSpecs = [numEventTypes]eventSpec{
 		}
 		return nil
 	}},
-	EventFlightDump: {name: "flight_dump", need: fDetail, labels: []string{FlightReasonFailed, FlightReasonSLO}},
-	EventPeerFetch:  {name: "peer_fetch", need: fDetail | fTarget, labels: []string{PeerHit, PeerMiss}},
-	EventFleetForward: {name: "fleet_forward", need: fDetail | fTarget,
-		labels: []string{ForwardOwner, ForwardReplica, ForwardTakeover}},
-	EventFleetHop:        {name: "fleet_hop", need: fDetail | fTarget},
-	EventRingRebuild:     {name: "ring_rebuild", need: fCount, check: countWithinFrom},
+	EventFlightDump:      {name: "flight_dump", need: fDetail, labels: []string{FlightReasonFailed, FlightReasonSLO}},
 	EventMethodCacheHit:  {name: "method_cache_hit", need: fMethod},
 	EventMethodCacheMiss: {name: "method_cache_miss", need: fMethod},
 	EventTreeSplice: {name: "tree_splice", need: fMethod | fCount,

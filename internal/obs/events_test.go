@@ -33,10 +33,6 @@ var minimalEvents = map[EventType]struct{ line, label string }{
 	EventResourceSample:      {`{"ev":"resource_sample","tsNS":1,"name":"collection"}`, ""},
 	EventSLOViolation:        {`{"ev":"slo_violation","tsNS":1,"durNS":5,"detail":"job-1","sloNS":5}`, ""},
 	EventFlightDump:          {`{"ev":"flight_dump","tsNS":1,"name":"slo","detail":"job-1"}`, "name"},
-	EventPeerFetch:           {`{"ev":"peer_fetch","tsNS":1,"name":"hit","target":"n1","detail":"k"}`, "name"},
-	EventFleetForward:        {`{"ev":"fleet_forward","tsNS":1,"name":"owner","target":"n1","detail":"k"}`, "name"},
-	EventFleetHop:            {`{"ev":"fleet_hop","tsNS":1,"target":"n1","detail":"job-1"}`, ""},
-	EventRingRebuild:         {`{"ev":"ring_rebuild","tsNS":1,"from":3,"count":1}`, ""},
 	EventMethodCacheHit:      {`{"ev":"method_cache_hit","tsNS":1,"method":"m"}`, ""},
 	EventMethodCacheMiss:     {`{"ev":"method_cache_miss","tsNS":1,"method":"m"}`, ""},
 	EventTreeSplice:          {`{"ev":"tree_splice","tsNS":1,"method":"m","count":1}`, ""},

@@ -464,37 +464,3 @@ func (s *Span) SLOViolation(id string, total, limit time.Duration) {
 func (s *Span) FlightDump(id string, events int, reason string) {
 	s.event(func() Event { return Event{Type: EventFlightDump, Detail: id, Count: events, Name: reason} })
 }
-
-// --- fleet emitters (internal/fleet) -----------------------------------------
-
-// PeerFetch records an attempt to pull the artifact under cache key `key`
-// from peer node `peer` instead of recomputing it; hit selects the
-// PeerHit/PeerMiss outcome label.
-func (s *Span) PeerFetch(key, peer string, hit bool) {
-	outcome := PeerMiss
-	if hit {
-		outcome = PeerHit
-	}
-	s.event(func() Event { return Event{Type: EventPeerFetch, Detail: key, Target: peer, Name: outcome} })
-}
-
-// FleetForward records the submission for cache key `key` being routed to
-// node `target`; role is ForwardOwner, ForwardReplica or ForwardTakeover.
-func (s *Span) FleetForward(key, target, role string) {
-	s.event(func() Event { return Event{Type: EventFleetForward, Detail: key, Target: target, Name: role} })
-}
-
-// FleetHop records that job `id`, now executing locally, previously
-// traversed fleet node `node` — the per-hop stamp that makes a forwarded
-// submission's path reconstructible from the executing job's flight
-// recording.
-func (s *Span) FleetHop(id, node string) {
-	s.event(func() Event { return Event{Type: EventFleetHop, Detail: id, Target: node} })
-}
-
-// RingRebuild records the consistent-hash ring being rebuilt after node
-// `changed` joined or left: `alive` of `total` configured members remain
-// routable.
-func (s *Span) RingRebuild(alive, total int, changed string) {
-	s.event(func() Event { return Event{Type: EventRingRebuild, Count: alive, From: total, Target: changed} })
-}

@@ -33,13 +33,10 @@ func TestReadTraceRejectsBadLines(t *testing.T) {
 		{"flight dump bad reason", `{"ev":"flight_dump","tsNS":1,"detail":"job-1","name":"sunny","count":3}`},
 		{"flight dump without job id", `{"ev":"flight_dump","tsNS":1,"name":"failed","count":3}`},
 		{"flight dump negative count", `{"ev":"flight_dump","tsNS":1,"detail":"job-1","name":"failed","count":-3}`},
-		{"peer fetch bad outcome", `{"ev":"peer_fetch","tsNS":1,"detail":"k","target":"n1","name":"sideways"}`},
-		{"peer fetch without peer", `{"ev":"peer_fetch","tsNS":1,"detail":"k","name":"hit"}`},
-		{"forward bad role", `{"ev":"fleet_forward","tsNS":1,"detail":"k","target":"n1","name":"bystander"}`},
-		{"forward without key", `{"ev":"fleet_forward","tsNS":1,"target":"n1","name":"owner"}`},
-		{"hop without node", `{"ev":"fleet_hop","tsNS":1,"detail":"job-1"}`},
-		{"ring rebuild empty", `{"ev":"ring_rebuild","tsNS":1,"from":3}`},
-		{"ring rebuild overfull", `{"ev":"ring_rebuild","tsNS":1,"count":4,"from":3}`},
+		{"job done sideways", `{"ev":"job_done","tsNS":1,"detail":"job-1","name":"sideways"}`},
+		{"rewrite without target", `{"ev":"reflection_rewrite","tsNS":1,"method":"m"}`},
+		{"worker clamp empty", `{"ev":"worker_clamp","tsNS":1,"from":3}`},
+		{"worker clamp overfull", `{"ev":"worker_clamp","tsNS":1,"count":4,"from":3}`},
 		{"not json", `hello`},
 	}
 	for _, c := range cases {

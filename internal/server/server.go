@@ -25,8 +25,7 @@
 //	                             plane, for Prometheus-style scrapers
 //	GET  /healthz                liveness: 200 while the process serves
 //	GET  /readyz                 readiness: 200 accepting work, 503 while
-//	                             draining or before the node joined its
-//	                             fleet
+//	                             draining
 package server
 
 import (
@@ -39,7 +38,6 @@ import (
 	"net/url"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,9 +134,6 @@ type job struct {
 	// trace is the job's stable trace identity: a prefix of its content
 	// address, stamped on every event of the job's span tree.
 	trace string
-	// hops are the fleet nodes the submission traversed before landing
-	// here (FleetHopsHeader); each is stamped into the job's flight trace.
-	hops []string
 
 	// Guarded by Server.mu.
 	state        State
@@ -169,13 +164,10 @@ type JobStatus struct {
 	Err      string `json:"err,omitempty"`
 	// Trace is the job's stable trace identity (a content-address prefix);
 	// filter a shared JSONL trace on it to extract this job's span tree.
-	Trace string `json:"trace,omitempty"`
-	// Hops are the fleet nodes the submission traversed before the node
-	// that answered it (empty outside fleet mode).
-	Hops    []string `json:"hops,omitempty"`
-	QueueNS int64    `json:"queueNS,omitempty"`
-	RunNS   int64    `json:"runNS,omitempty"`
-	TotalNS int64    `json:"totalNS,omitempty"`
+	Trace   string `json:"trace,omitempty"`
+	QueueNS int64  `json:"queueNS,omitempty"`
+	RunNS   int64  `json:"runNS,omitempty"`
+	TotalNS int64  `json:"totalNS,omitempty"`
 	// Resources is the job's resource bill as the server observed it:
 	// latency split always, CPU/heap figures when the job actually ran.
 	Resources *pipeline.ResourceUsage `json:"resources,omitempty"`
@@ -239,9 +231,6 @@ type Server struct {
 	// of burning a queue slot on a duplicate.
 	active   map[string]*job
 	draining atomic.Bool
-	// notReady inverts the readiness default so the zero value is ready:
-	// only a fleet layer that has not finished joining flips it.
-	notReady atomic.Bool
 
 	submitted atomic.Int64
 	rejected  atomic.Int64
@@ -331,34 +320,9 @@ func (s *Server) Handler() http.Handler {
 // liveness stays 200 throughout).
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// SetReady flips the node's readiness as served by /readyz. A standalone
-// server is ready from construction; a fleet node starts not-ready and
-// flips true once it has joined its ring, so peers never route to a node
-// that cannot yet place keys.
-func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
-
-// Ready reports whether the node accepts routed work (and is not draining).
-func (s *Server) Ready() bool { return !s.notReady.Load() && !s.draining.Load() }
-
-// Load reports the node's admitted-but-unfinished job count (queued plus
-// running) — the signal the fleet's least-loaded-replica escalation and
-// peer heartbeats read.
-func (s *Server) Load() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[StateQueued] + s.counts[StateRunning]
-}
-
-// Registry exposes the server's typed metric registry so layers wrapping
-// the server (the fleet router) can register their own series into the
-// same /metrics exposition.
-func (s *Server) Registry() *obs.Registry { return s.tel.reg }
-
-// Store exposes the content-addressed artifact store backing this server.
-func (s *Server) Store() *store.Store { return s.cfg.Store }
+// Ready reports whether the server accepts new work: true until
+// BeginDrain or Close.
+func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // Close drains the queue (every admitted job still completes), stops the
 // workers, and ends the server span. Call after BeginDrain and the HTTP
@@ -379,9 +343,7 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*apk.APK,
 }
 
 // ParseSubmission builds the (APK, Options, name) of one reveal submission
-// from its query parameters and raw body, the shared request vocabulary of
-// this server and the fleet router in front of it (which must derive the
-// cache key before deciding which node handles the request).
+// from its query parameters and raw body.
 func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, string, error) {
 	opts := dexlego.Options{
 		InstallNatives: installAllPackers,
@@ -418,33 +380,12 @@ func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, stri
 	return pkg, opts, fmt.Sprintf("apk-%x", h[:6]), nil
 }
 
-// RetryAfterJitter returns a randomized Retry-After value — whole seconds
-// in [1,3] — for 429 responses. Synchronized clients (and fleet-internal
-// forwards, which all observe an overloaded node at the same instant)
-// would otherwise retry in lockstep and re-create the very queue spike
-// that shed them; the jitter de-correlates the retry wave.
-func RetryAfterJitter() string { return strconv.Itoa(1 + rand.IntN(3)) }
-
-// FleetHopsHeader carries the comma-separated node IDs a fleet-forwarded
-// submission traversed before reaching the node that executes it. The
-// fleet router appends itself when forwarding; the executing server stamps
-// each hop into the job's flight-recorder trace.
-const FleetHopsHeader = "X-Dexlego-Fleet-Hops"
-
-// fleetHops parses FleetHopsHeader ("" outside fleet mode).
-func fleetHops(h http.Header) []string {
-	raw := h.Get(FleetHopsHeader)
-	if raw == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(raw, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
+// retryAfterJitter returns a randomized Retry-After value — whole seconds
+// in [1,3] — for 429 responses. Synchronized clients, which all observe an
+// overloaded server at the same instant, would otherwise retry in lockstep
+// and re-create the very queue spike that shed them; the jitter
+// de-correlates the retry wave.
+func retryAfterJitter() string { return strconv.Itoa(1 + rand.IntN(3)) }
 
 // installAllPackers is the server-wide native setup: the shell libraries
 // of every supported packer, so packed submissions unpack transparently
@@ -469,12 +410,10 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 	key := store.KeyFor(pkg.ContentHash(), opts.Fingerprint())
 	s.submitted.Add(1)
 
-	hops := fleetHops(r.Header)
-
 	// Fast path: the artifact already exists — answer without a job queue
 	// round trip. The job record still exists so the id is pollable.
 	if art, ok := s.cfg.Store.Get(key); ok {
-		j := s.newJob(key, name, hops)
+		j := s.newJob(key, name)
 		total := time.Since(j.submitted)
 		s.tel.observeJob(0, 0, total, nil, false)
 		s.mu.Lock()
@@ -488,10 +427,9 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admission lease: a queued/running job for the same key absorbs this
-	// submission — no second queue slot, no second reveal. The fleet router
-	// concentrates every duplicate of a key on its ring owner, so this
-	// coalescing is what bounds a fleet-wide duplicate storm to exactly one
-	// reveal instead of shedding duplicates with 429s.
+	// submission — no second queue slot, no second reveal. The lease bounds
+	// a duplicate storm on this server to exactly one reveal instead of
+	// shedding the duplicates with 429s.
 	s.mu.Lock()
 	leader := s.active[key]
 	s.mu.Unlock()
@@ -501,7 +439,7 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.newJob(key, name, hops)
+	j := s.newJob(key, name)
 	s.mu.Lock()
 	if cur := s.active[key]; cur != nil {
 		// Lost the publication race: another request just became leader.
@@ -524,7 +462,7 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		s.dropJob(j)
-		w.Header().Set("Retry-After", RetryAfterJitter())
+		w.Header().Set("Retry-After", retryAfterJitter())
 		httpError(w, http.StatusTooManyRequests, "queue full, retry later")
 		return
 	}
@@ -551,13 +489,12 @@ func (s *Server) respondAdmitted(w http.ResponseWriter, r *http.Request, j *job)
 }
 
 // newJob registers a queued job record, trimming finished history.
-func (s *Server) newJob(key, name string, hops []string) *job {
+func (s *Server) newJob(key, name string) *job {
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.ids.Add(1)),
 		key:       key,
 		name:      name,
 		trace:     traceIDFor(key),
-		hops:      hops,
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -641,11 +578,6 @@ func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego
 	jobTracer.SetTraceID(j.trace)
 	span := jobTracer.Start("job", j.name)
 	span.QueueWait(j.id, wait)
-	// Stamp the submission's fleet path into the flight ring: an incident
-	// dump then shows which nodes the request traversed before it ran here.
-	for _, hop := range j.hops {
-		span.FleetHop(j.id, hop)
-	}
 
 	s.mu.Lock()
 	s.counts[j.state]--
@@ -794,7 +726,6 @@ func (j *job) statusLocked() *JobStatus {
 		CacheHit:     j.cacheHit,
 		Err:          j.err,
 		Trace:        j.trace,
-		Hops:         j.hops,
 		QueueNS:      j.queueNS,
 		RunNS:        j.runNS,
 		TotalNS:      j.totalNS,
@@ -887,19 +818,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is readiness: whether this node should receive new work. A
-// draining node or one that has not yet joined its fleet (SetReady(false))
-// answers 503, so routers and fleet peers exclude it while liveness stays
-// green.
+// draining node answers 503, so load balancers exclude it while liveness
+// stays green.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case s.draining.Load():
+	if !s.Ready() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
-	case !s.Ready():
-		httpError(w, http.StatusServiceUnavailable, "not ready")
-	default:
-		w.WriteHeader(http.StatusOK)
-		_, _ = io.WriteString(w, "ready\n")
+		return
 	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, "ready\n")
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

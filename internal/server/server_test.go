@@ -355,39 +355,15 @@ func TestDrainRefusesNewWorkAndReadinessFlips(t *testing.T) {
 	}
 }
 
-// TestReadinessGate covers the fleet join handshake: a node marked not
-// ready reports 503 on /readyz while staying live on /healthz, and flips
-// back to 200 once SetReady(true) is called.
-func TestReadinessGate(t *testing.T) {
-	srv, hs := newTestServer(t, nil)
-	srv.SetReady(false)
-	if code := getStatus(t, hs.URL+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("not-ready readyz = %d, want 503", code)
-	}
-	if code := getStatus(t, hs.URL+"/healthz"); code != http.StatusOK {
-		t.Errorf("not-ready healthz = %d, want 200", code)
-	}
-	if srv.Ready() {
-		t.Error("Ready() = true after SetReady(false)")
-	}
-	srv.SetReady(true)
-	if code := getStatus(t, hs.URL+"/readyz"); code != http.StatusOK {
-		t.Errorf("re-readied readyz = %d, want 200", code)
-	}
-	if !srv.Ready() {
-		t.Error("Ready() = false after SetReady(true)")
-	}
-}
-
 // TestRetryAfterJitter checks the 429 backoff hint stays in its documented
 // 1–3 s window and actually varies, so a synchronized client herd spreads
 // its retries instead of stampeding in lockstep.
 func TestRetryAfterJitter(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		v := RetryAfterJitter()
+		v := retryAfterJitter()
 		if v != "1" && v != "2" && v != "3" {
-			t.Fatalf("RetryAfterJitter() = %q, want 1..3", v)
+			t.Fatalf("retryAfterJitter() = %q, want 1..3", v)
 		}
 		seen[v] = true
 	}
@@ -396,59 +372,9 @@ func TestRetryAfterJitter(t *testing.T) {
 	}
 }
 
-// TestFleetHopsStamped checks a forwarded submission's hop chain (the
-// X-Dexlego-Fleet-Hops header) surfaces in the job status and lands in the
-// job's trace as fleet_hop events.
-func TestFleetHopsStamped(t *testing.T) {
-	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
-	_, hs := newTestServer(t, func(c *Config) {
-		c.Sink = sink
-		c.Reveal = func(pkg *apk.APK, _ dexlego.Options) (*dexlego.Result, error) {
-			return stubResult(pkg.Manifest.Package), nil
-		}
-	})
-	req, err := http.NewRequest("POST", hs.URL+"/v1/reveal?wait=1", bytes.NewReader(buildBodyAPK(t, "hopped")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(FleetHopsHeader, "http://node-a:1 , http://node-b:2,")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || st.State != StateDone {
-		t.Fatalf("forwarded job = %d %+v", resp.StatusCode, st)
-	}
-	want := []string{"http://node-a:1", "http://node-b:2"}
-	if len(st.Hops) != len(want) || st.Hops[0] != want[0] || st.Hops[1] != want[1] {
-		t.Fatalf("hops = %v, want %v", st.Hops, want)
-	}
-	trace := buf.String()
-	for _, node := range want {
-		if !strings.Contains(trace, `"ev":"fleet_hop"`) || !strings.Contains(trace, node) {
-			t.Errorf("trace missing fleet_hop for %s:\n%s", node, trace)
-		}
-	}
-
-	// A direct submission carries no hops.
-	resp2, st2 := postReveal(t, hs.URL, "?wait=1", buildBodyAPK(t, "direct"))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("direct POST = %d", resp2.StatusCode)
-	}
-	if len(st2.Hops) != 0 {
-		t.Errorf("direct submission hops = %v, want none", st2.Hops)
-	}
-}
-
 // TestSameKeyAdmissionCoalesces: concurrent submissions of one key share
 // a single job (the key's reveal lease) instead of burning queue slots on
-// duplicates — the property the fleet's exactly-once guarantee rests on.
+// duplicates, so a duplicate storm on one server costs exactly one reveal.
 func TestSameKeyAdmissionCoalesces(t *testing.T) {
 	gate := make(chan struct{})
 	var reveals atomic.Int64

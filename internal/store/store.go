@@ -149,9 +149,10 @@ func (s *Store) Get(key string) (*Artifact, bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
+		art := el.Value.(*Artifact) // read under mu: insertLocked rewrites Value
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return el.Value.(*Artifact), true
+		return art, true
 	}
 	s.mu.Unlock()
 	art, err := s.loadDisk(key)
@@ -177,9 +178,10 @@ func (s *Store) GetOrReveal(key string, reveal func() (*Artifact, error)) (*Arti
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
+		art := el.Value.(*Artifact) // read under mu: insertLocked rewrites Value
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return el.Value.(*Artifact), true, nil
+		return art, true, nil
 	}
 	if c, ok := s.flight[key]; ok {
 		s.mu.Unlock()
@@ -213,27 +215,6 @@ func (s *Store) GetOrReveal(key string, reveal func() (*Artifact, error)) (*Arti
 		s.misses.Add(1)
 	}
 	return art, hit, nil
-}
-
-// Put inserts an externally produced artifact — a peer fetch or a fleet
-// replication push — under art.Key, persisting it exactly like a locally
-// revealed one. Put counts neither a hit nor a miss: those series measure
-// this node's reveal work, and the fleet layer accounts for peer traffic
-// separately.
-func (s *Store) Put(art *Artifact) error {
-	if art == nil || !ValidKey(art.Key) {
-		return ErrBadKey
-	}
-	if len(art.Revealed) == 0 {
-		return errors.New("store: refusing to cache an empty artifact")
-	}
-	if err := s.persist(art); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.insertLocked(art.Key, art)
-	s.mu.Unlock()
-	return nil
 }
 
 // fill resolves a singleflight leader's miss: disk first, then the reveal

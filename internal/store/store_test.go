@@ -265,12 +265,12 @@ func TestLRUEvictionNeverCorruptsReaders(t *testing.T) {
 	}
 }
 
-// TestGetRacingEvictionOfSameKey drives the peer-fetch read path (Get, no
-// reveal callback) against concurrent Put-driven evictions of the very key
-// being read. The fleet makes this path hot: every peer fetch is a bare Get
-// while replication pushes churn the LRU. The reader must win (a complete,
-// byte-identical artifact — possibly re-promoted from disk) or take a clean
-// miss; a torn artifact is the one unacceptable outcome.
+// TestGetRacingEvictionOfSameKey drives the server's fast-path read (Get,
+// no reveal callback) against concurrent GetOrReveal-driven evictions of
+// the very key being read: a served hit races the LRU churn that fresh
+// reveals cause. The reader must win (a complete, byte-identical artifact,
+// possibly re-promoted from disk) or take a clean miss; a torn artifact is
+// the one unacceptable outcome.
 func TestGetRacingEvictionOfSameKey(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		name := "memory-only"
@@ -284,10 +284,16 @@ func TestGetRacingEvictionOfSameKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hot := testKey(0)
-			if err := s.Put(artifactFor2(hot)); err != nil {
-				t.Fatal(err)
+			reveal := func(key string) {
+				t.Helper()
+				if _, _, err := s.GetOrReveal(key, func() (*Artifact, error) {
+					return artifactFor(key), nil
+				}); err != nil {
+					t.Error(err)
+				}
 			}
+			hot := testKey(0)
+			reveal(hot)
 			done := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -299,11 +305,7 @@ func TestGetRacingEvictionOfSameKey(t *testing.T) {
 						return
 					default:
 					}
-					key := testKey(i % 8)
-					if err := s.Put(artifactFor2(key)); err != nil {
-						t.Error(err)
-						return
-					}
+					reveal(testKey(i % 8))
 				}
 			}()
 			const readers = 4
@@ -323,7 +325,7 @@ func TestGetRacingEvictionOfSameKey(t *testing.T) {
 							t.Errorf("torn artifact: %d bytes", len(art.Revealed))
 							return
 						}
-						if art.Metrics == nil || art.Metrics.WallNS != 42 {
+						if art.Key != hot || art.Metrics == nil || art.Metrics.WallNS != 42 {
 							t.Error("torn artifact metadata")
 							return
 						}
@@ -332,9 +334,7 @@ func TestGetRacingEvictionOfSameKey(t *testing.T) {
 			}
 			// Re-seed the hot key while readers run so both outcomes occur.
 			for i := 0; i < 50; i++ {
-				if err := s.Put(artifactFor2(hot)); err != nil {
-					t.Fatal(err)
-				}
+				reveal(hot)
 				time.Sleep(time.Millisecond)
 			}
 			close(done)
@@ -348,106 +348,5 @@ func TestGetRacingEvictionOfSameKey(t *testing.T) {
 				t.Error("test never exercised eviction")
 			}
 		})
-	}
-}
-
-// artifactFor2 is artifactFor with the key stamped on, as Put requires.
-func artifactFor2(key string) *Artifact {
-	art := artifactFor(key)
-	art.Key = key
-	return art
-}
-
-func TestPutValidatesAndPersists(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(nil); err == nil {
-		t.Error("Put(nil) must fail")
-	}
-	if err := s.Put(&Artifact{Key: "nope", Revealed: []byte("x")}); err == nil {
-		t.Error("Put with an invalid key must fail")
-	}
-	if err := s.Put(&Artifact{Key: testKey(1)}); err == nil {
-		t.Error("Put with no revealed bytes must fail")
-	}
-	key := testKey(2)
-	if err := s.Put(artifactFor2(key)); err != nil {
-		t.Fatal(err)
-	}
-	// Resident in memory, and a hit does not count as a miss.
-	art, ok := s.Get(key)
-	if !ok || string(art.Revealed) != string(payloadFor(key)) {
-		t.Fatalf("Get after Put = %v, %t", art, ok)
-	}
-	if s.Misses() != 0 {
-		t.Errorf("Put counted %d misses", s.Misses())
-	}
-	// Persisted: a fresh store over the same directory serves it from disk.
-	s2, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art2, ok := s2.Get(key)
-	if !ok || string(art2.Revealed) != string(payloadFor(key)) {
-		t.Fatalf("reopened Get after Put = %v, %t", art2, ok)
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	key := testKey(3)
-	art := artifactFor2(key)
-	frame, err := WireEncode(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := WireDecode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Key != key || back.Name != art.Name {
-		t.Errorf("metadata round trip: %+v", back)
-	}
-	if string(back.Revealed) != string(art.Revealed) {
-		t.Error("revealed bytes did not round trip")
-	}
-	if back.Metrics == nil || back.Metrics.WallNS != art.Metrics.WallNS {
-		t.Errorf("metrics did not round trip: %+v", back.Metrics)
-	}
-	// The decoded artifact must not alias the frame.
-	frame[len(frame)-1] ^= 0xff
-	if string(back.Revealed) != string(art.Revealed) {
-		t.Error("decoded artifact aliases the transport buffer")
-	}
-}
-
-func TestWireDecodeRejectsCorruptFrames(t *testing.T) {
-	key := testKey(4)
-	good, err := WireEncode(artifactFor2(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		frame []byte
-	}{
-		{"empty", nil},
-		{"short prefix", good[:4]},
-		{"length past end", append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, good[8:]...)},
-		{"no revealed bytes", good[:len(good)-len(payloadFor(key))]},
-		{"garbage metadata", append([]byte{0, 0, 0, 0, 0, 0, 0, 4, 'j', 'u', 'n', 'k'}, "dex"...)},
-	}
-	for _, c := range cases {
-		if _, err := WireDecode(c.frame); err == nil {
-			t.Errorf("%s: WireDecode accepted a corrupt frame", c.name)
-		}
-	}
-	if _, err := WireEncode(&Artifact{Key: "bad", Revealed: []byte("x")}); err == nil {
-		t.Error("WireEncode accepted an invalid key")
-	}
-	if _, err := WireEncode(&Artifact{Key: key}); err == nil {
-		t.Error("WireEncode accepted an empty artifact")
 	}
 }
