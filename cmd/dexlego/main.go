@@ -14,15 +14,18 @@
 // over a bounded worker pool (-jobs, default GOMAXPROCS), each job is
 // panic-isolated, and -out names a directory receiving one
 // <name>.revealed.apk per input. -metrics-out writes the per-stage batch
-// metrics report as JSON (also honored in single-APK mode).
+// metrics report as JSON. A one-shot reveal (-apk or -sample) runs as a
+// batch of one job, so tracing, flight dumps, -slo and -metrics-out
+// behave the same in both modes.
 //
 // In -serve mode the process runs the reveal-as-a-service HTTP job API
 // (internal/server) until SIGTERM: POST /v1/reveal submits an APK (or
-// ?sample=Name), GET /v1/jobs/{id} polls, GET /v1/metrics snapshots the
-// service, and identical submissions are served from the content-addressed
-// artifact store under -store-dir without re-running the reveal. -jobs
-// sets the worker pool, -queue-depth the admission bound (full queue =
-// HTTP 429). See the README "Service mode" section for curl examples.
+// ?sample=Name), GET /v1/jobs/{id} polls, GET /v1/metrics returns the job
+// and store counters, and identical submissions are served from the
+// content-addressed artifact store under -store-dir without re-running the
+// reveal. -jobs sets the worker pool, -queue-depth the admission bound
+// (full queue = HTTP 429). See the README "Service mode" section for curl
+// examples.
 //
 // Observability: -trace-out streams the run's spans and domain events as
 // JSONL (schema: internal/obs); -trace-report renders trace files back
@@ -46,6 +49,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -61,9 +65,18 @@ import (
 	"dexlego/internal/droidbench"
 	"dexlego/internal/obs"
 	"dexlego/internal/packer"
-	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
 )
+
+// logLevels maps the -log-level values to slog levels; off sits above
+// error, so nothing is logged.
+var logLevels = map[string]slog.Level{
+	"debug": slog.LevelDebug,
+	"info":  slog.LevelInfo,
+	"warn":  slog.LevelWarn,
+	"error": slog.LevelError,
+	"off":   slog.LevelError + 4,
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -108,18 +121,18 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-mem-budget: %w", err)
 	}
-	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	lvl, ok := logLevels[strings.ToLower(*logLevel)]
+	if !ok {
+		return fmt.Errorf("unknown -log-level %q (want debug|info|warn|error|off)", *logLevel)
 	}
-	obs.SetLogLevel(lvl)
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
 			return fmt.Errorf("-pprof: %w", err)
 		}
 		defer ln.Close()
-		obs.Infof("pprof listening on http://%s/debug/pprof/", ln.Addr())
+		slog.Info("pprof listening", "url", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr()))
 		go func() { _ = http.Serve(ln, nil) }()
 	}
 	if *traceReport {
@@ -183,8 +196,9 @@ func run(args []string) error {
 			slo:           *slo,
 		})
 	}
+	o := observed{sink: sink, flightDir: *flightDir, slo: *slo}
 	if *batch {
-		return runBatch(fs.Args(), *outPath, *jobs, *metricsOut, sink, *flightDir, *slo, opts)
+		return runBatch(fs.Args(), *outPath, *jobs, *metricsOut, o, opts)
 	}
 	var pkg *apk.APK
 	label := *apkPath
@@ -200,7 +214,7 @@ func run(args []string) error {
 		}
 		opts.Natives = s.Natives()
 		label = *samplePath
-		obs.Debugf("built sample %s in memory", *samplePath)
+		slog.Debug("built sample in memory", "sample", label)
 	case *apkPath != "":
 		pkg, err = readAPK(*apkPath)
 		if err != nil {
@@ -214,35 +228,13 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("-apk (or -sample) and -out are required")
 	}
-	// The flight recorder arms even without -trace-out: its ring is the
-	// only place the trace survives for a post-mortem dump in that case.
-	var rec *obs.FlightRecorder
-	if *flightDir != "" {
-		rec = obs.NewFlightRecorder(teeSink(sink), 0)
-		opts.Tracer = obs.New(rec)
-	} else if sink != nil {
-		opts.Tracer = obs.New(sink)
-	}
-	if opts.Tracer != nil {
-		opts.TraceLabel = label
-		opts.Tracer.SetTraceID(traceIDForAPK(pkg))
-	}
+	// A one-shot reveal is a batch of one job.
 	opts.CollectDir = *collectDir
-	runStart := time.Now()
-	res, err := root.Reveal(pkg, opts)
+	one := []root.BatchJob{{Name: label, APK: pkg, Options: opts}}
+	done := o.revealAll(one, 1)
+	res, err := done.Items[0].Result, done.Items[0].Err
 	if err != nil {
-		if ferr := dumpFlight(rec, *flightDir, label, obs.FlightReasonFailed, opts.Tracer); ferr != nil {
-			obs.Warnf("flight dump: %v", ferr)
-		}
 		return err
-	}
-	if dur := time.Since(runStart); *slo > 0 && dur > *slo {
-		sp := opts.Tracer.Start("slo-check", label)
-		sp.SLOViolation(label, dur, *slo)
-		sp.End()
-		if ferr := dumpFlight(rec, *flightDir, label, obs.FlightReasonSLO, opts.Tracer); ferr != nil {
-			obs.Warnf("flight dump: %v", ferr)
-		}
 	}
 	out, err := res.Revealed.Bytes()
 	if err != nil {
@@ -265,32 +257,7 @@ func run(args []string) error {
 			fmt.Printf("  runtime leak: %s via %s at %s\n", ev.Taint, ev.Sink, ev.Caller)
 		}
 	}
-	if err := checkSink(sink, opts.Tracer, *traceOut); err != nil {
-		return err
-	}
-	if *metricsOut != "" {
-		return writeMetrics(*metricsOut, label, res)
-	}
-	return nil
-}
-
-// checkSink surfaces trace loss after the run: a trace file missing events
-// is worse than a failed run that says so, and a non-zero dropped count
-// means the written file is silently incomplete even when no write error
-// latched.
-func checkSink(sink *obs.JSONLSink, tr *obs.Tracer, path string) error {
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			return fmt.Errorf("trace %s lost %d events: %w", path, tr.Dropped(), err)
-		}
-	}
-	if n := tr.Dropped(); n > 0 {
-		return fmt.Errorf("trace %s is incomplete: %d events dropped", path, n)
-	}
-	if sink != nil {
-		obs.Debugf("trace written to %s", path)
-	}
-	return nil
+	return o.finish(one, done, *metricsOut)
 }
 
 // teeSink converts the optional JSONL sink into a Sink without producing
@@ -333,7 +300,7 @@ func dumpFlight(rec *obs.FlightRecorder, dir, label, reason string, tr *obs.Trac
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	obs.Warnf("flight recording (%s, %d events) written to %s", reason, n, path)
+	slog.Warn("flight recording written", "reason", reason, "events", n, "path", path)
 	return nil
 }
 
@@ -370,11 +337,84 @@ func runTraceReport(paths []string, job string) error {
 	return nil
 }
 
+// observed is the observability setup that one-shot and batch runs share:
+// the optional -trace-out sink, the -flight-dir ring directory and the
+// -slo objective.
+type observed struct {
+	sink      *obs.JSONLSink
+	flightDir string
+	slo       time.Duration
+}
+
+// revealAll reveals jobs over the worker pool. Each job gets its own
+// tracer (per-app snapshots) on the shared sink (interleaved JSONL lines
+// segment by root span on read); with -flight-dir each tracer writes
+// through its own flight ring, which tees into the sink. A job that
+// fails or exceeds -slo dumps its ring.
+func (o observed) revealAll(jobs []root.BatchJob, workers int) *root.BatchResult {
+	recs := make([]*obs.FlightRecorder, len(jobs))
+	for i := range jobs {
+		// The flight recorder arms even without -trace-out: its ring is
+		// the only place the trace survives for a post-mortem dump then.
+		if o.flightDir != "" {
+			recs[i] = obs.NewFlightRecorder(teeSink(o.sink), 0)
+			jobs[i].Options.Tracer = obs.New(recs[i])
+		} else if o.sink != nil {
+			jobs[i].Options.Tracer = obs.New(o.sink)
+		}
+		jobs[i].Options.Tracer.SetTraceID(traceIDForAPK(jobs[i].APK))
+	}
+	batch := root.RevealBatch(jobs, workers)
+	for i, item := range batch.Items {
+		tr := jobs[i].Options.Tracer
+		reason := obs.FlightReasonFailed
+		if item.Err == nil {
+			wall := item.Result.Metrics.Wall()
+			if o.slo <= 0 || wall <= o.slo {
+				continue
+			}
+			sp := tr.Start("slo-check", item.Name)
+			sp.SLOViolation(item.Name, wall, o.slo)
+			sp.End()
+			reason = obs.FlightReasonSLO
+		}
+		if err := dumpFlight(recs[i], o.flightDir, item.Name, reason, tr); err != nil {
+			slog.Warn("flight dump failed", "job", item.Name, "err", err)
+		}
+	}
+	return batch
+}
+
+// finish surfaces trace loss after the run, then writes the metrics
+// report. A trace file missing events is worse than a failed run that
+// says so, and a non-zero dropped count means the written file is
+// silently incomplete even when no write error latched.
+func (o observed) finish(jobs []root.BatchJob, batch *root.BatchResult, metricsOut string) error {
+	if o.sink != nil {
+		if err := o.sink.Err(); err != nil {
+			return fmt.Errorf("trace lost events: %w", err)
+		}
+	}
+	var dropped int64
+	for _, j := range jobs {
+		dropped += j.Options.Tracer.Dropped()
+	}
+	if dropped > 0 {
+		return fmt.Errorf("trace is incomplete: %d events dropped across jobs", dropped)
+	}
+	if metricsOut == "" {
+		return nil
+	}
+	data, err := batch.Report.JSON()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(metricsOut, data, 0o644)
+}
+
 // runBatch reveals every path over the worker pool and writes one
-// <name>.revealed.apk per input into outDir. With -flight-dir every job
-// carries a flight-recorder ring; failed or SLO-violating jobs dump it.
-func runBatch(paths []string, outDir string, workers int, metricsOut string,
-	sink *obs.JSONLSink, flightDir string, slo time.Duration, opts root.Options) error {
+// <name>.revealed.apk per input into outDir.
+func runBatch(paths []string, outDir string, workers int, metricsOut string, o observed, opts root.Options) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("-batch needs at least one APK argument")
 	}
@@ -385,8 +425,6 @@ func runBatch(paths []string, outDir string, workers int, metricsOut string,
 		return err
 	}
 	jobs := make([]root.BatchJob, 0, len(paths))
-	recs := make([]*obs.FlightRecorder, 0, len(paths))
-	tracers := make([]*obs.Tracer, 0, len(paths))
 	outNames := make(map[string]string, len(paths))
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), ".apk") + ".revealed.apk"
@@ -399,40 +437,15 @@ func runBatch(paths []string, outDir string, workers int, metricsOut string,
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		jobOpts := opts
-		var rec *obs.FlightRecorder
-		if flightDir != "" {
-			// One ring per job, all teeing into the shared sink.
-			rec = obs.NewFlightRecorder(teeSink(sink), 0)
-			jobOpts.Tracer = obs.New(rec)
-		} else if sink != nil {
-			// One tracer per job (per-app snapshots), one shared sink
-			// (interleaved JSONL lines segment by root span on read).
-			jobOpts.Tracer = obs.New(sink)
-		}
-		jobOpts.Tracer.SetTraceID(traceIDForAPK(pkg))
-		recs = append(recs, rec)
-		tracers = append(tracers, jobOpts.Tracer)
-		jobs = append(jobs, root.BatchJob{Name: path, APK: pkg, Options: jobOpts})
+		jobs = append(jobs, root.BatchJob{Name: path, APK: pkg, Options: opts})
 	}
-	batch := root.RevealBatch(jobs, workers)
+	batch := o.revealAll(jobs, workers)
 	failed := 0
-	for i, item := range batch.Items {
+	for _, item := range batch.Items {
 		if item.Err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "dexlego: %s: %v\n", item.Name, item.Err)
-			if err := dumpFlight(recs[i], flightDir, item.Name, obs.FlightReasonFailed, tracers[i]); err != nil {
-				obs.Warnf("flight dump: %v", err)
-			}
 			continue
-		}
-		if slo > 0 && item.Result.Metrics != nil && item.Result.Metrics.Wall() > slo {
-			sp := tracers[i].Start("slo-check", item.Name)
-			sp.SLOViolation(item.Name, item.Result.Metrics.Wall(), slo)
-			sp.End()
-			if err := dumpFlight(recs[i], flightDir, item.Name, obs.FlightReasonSLO, tracers[i]); err != nil {
-				obs.Warnf("flight dump: %v", err)
-			}
 		}
 		data, err := item.Result.Revealed.Bytes()
 		if err != nil {
@@ -444,46 +457,13 @@ func runBatch(paths []string, outDir string, workers int, metricsOut string,
 		}
 	}
 	fmt.Print(batch.Report.String())
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			return fmt.Errorf("trace lost events: %w", err)
-		}
-	}
-	var dropped int64
-	for _, tr := range tracers {
-		dropped += tr.Dropped()
-	}
-	if dropped > 0 {
-		return fmt.Errorf("trace is incomplete: %d events dropped across jobs", dropped)
-	}
-	if metricsOut != "" {
-		data, err := batch.Report.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(metricsOut, data, 0o644); err != nil {
-			return err
-		}
+	if err := o.finish(jobs, batch, metricsOut); err != nil {
+		return err
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d jobs failed", failed, len(jobs))
 	}
 	return nil
-}
-
-// writeMetrics writes a one-app report for single mode, reusing the batch
-// schema so tooling can parse both.
-func writeMetrics(path, apkPath string, res *root.Result) error {
-	m := *res.Metrics
-	if m.Name == "" {
-		m.Name = apkPath
-	}
-	report := pipeline.BuildReport(1, m.Wall(), []pipeline.AppMetrics{m})
-	data, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // flagWasSet reports whether the named flag appeared explicitly on the

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -52,10 +53,6 @@ func runServe(sc serveConfig) error {
 	if err != nil {
 		return err
 	}
-	var obsSink obs.Sink
-	if sc.sink != nil {
-		obsSink = sc.sink
-	}
 	if sc.flightDir != "" {
 		if err := os.MkdirAll(sc.flightDir, 0o755); err != nil {
 			return fmt.Errorf("-flight-dir: %w", err)
@@ -99,7 +96,7 @@ func runServe(sc serveConfig) error {
 		Workers:       sc.jobs,
 		RevealWorkers: sc.revealWorkers,
 		QueueDepth:    sc.queueDepth,
-		Sink:          obsSink,
+		Sink:          teeSink(sc.sink),
 		FlightDir:     sc.flightDir,
 		SLO:           sc.slo,
 	})
@@ -135,12 +132,12 @@ func runServe(sc serveConfig) error {
 	case <-ctx.Done():
 	case <-serveHooks.stop:
 	}
-	obs.Infof("drain: stopping admission, finishing in-flight jobs")
+	slog.Info("drain: stopping admission, finishing in-flight jobs")
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil {
-		obs.Warnf("drain: http shutdown: %v", err)
+		slog.Warn("drain: http shutdown failed", "err", err)
 	}
 	srv.Close()
 	fmt.Println("dexlego service drained")

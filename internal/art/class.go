@@ -46,9 +46,6 @@ type Field struct {
 	Init        *dex.Value // declared initial value (static fields only)
 }
 
-// Key returns the canonical Lcls;->name:type form.
-func (f *Field) Key() string { return f.Class.Descriptor + "->" + f.Name + ":" + f.Type }
-
 // Method is a runtime method. Insns is the live, mutable instruction array:
 // self-modifying native code rewrites it in place, exactly like patching the
 // DEX in memory on a real device.
@@ -101,12 +98,6 @@ func (m *Method) String() string { return m.Key() }
 // IsStatic reports whether the method is static.
 func (m *Method) IsStatic() bool { return m.AccessFlags&dex.AccStatic != 0 }
 
-// IsNative reports whether the method is implemented natively.
-func (m *Method) IsNative() bool { return m.Native != nil }
-
-// NumParams returns the number of declared parameters (receiver excluded).
-func (m *Method) NumParams() int { return len(m.ParamTypes) }
-
 // findDeclared returns the method declared directly on c, or nil. An empty
 // signature matches any overload.
 func (c *Class) findDeclared(name, signature string) *Method {
@@ -136,23 +127,6 @@ func (c *Class) FindMethod(name, signature string) *Method {
 	return nil
 }
 
-// FindField resolves a field by walking the superclass chain.
-func (c *Class) FindField(name string) *Field {
-	for k := c; k != nil; k = k.Super {
-		for _, f := range k.StaticMeta {
-			if f.Name == name {
-				return f
-			}
-		}
-		for _, f := range k.InstanceMeta {
-			if f.Name == name {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
 // IsSubclassOf reports whether c is other or derives from it (classes and
 // interfaces).
 func (c *Class) IsSubclassOf(other *Class) bool {
@@ -176,11 +150,6 @@ func (c *Class) IsSubclassOf(other *Class) bool {
 }
 
 func (c *Class) String() string { return c.Descriptor }
-
-// AllMethods returns the declared methods (not inherited ones).
-func (c *Class) AllMethods() []*Method {
-	return append([]*Method(nil), c.Methods...)
-}
 
 // StaticValue reads a static field declared on this class.
 func (c *Class) StaticValue(name string) (Value, error) {

@@ -12,9 +12,8 @@ import (
 // native code: mutating live bytecode, defining DEX files at runtime,
 // calling back into the interpreter, and reading package assets.
 type Env struct {
-	rt      *Runtime
-	st      *execState
-	current *Method
+	rt *Runtime
+	st *execState
 }
 
 // Runtime returns the owning runtime.
@@ -22,9 +21,6 @@ func (e *Env) Runtime() *Runtime { return e.rt }
 
 // Device returns the device environment.
 func (e *Env) Device() Device { return e.rt.Device }
-
-// Method returns the native method being executed.
-func (e *Env) Method() *Method { return e.current }
 
 // FindClass resolves a loaded class.
 func (e *Env) FindClass(descriptor string) (*Class, error) {

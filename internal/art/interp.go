@@ -94,7 +94,7 @@ func (rt *Runtime) invoke(st *execState, m *Method, recv *Object, args []Value) 
 	}()
 
 	if native := rt.nativeFor(m); native != nil {
-		env := &Env{rt: rt, st: st, current: m}
+		env := &Env{rt: rt, st: st}
 		return native(env, recv, args)
 	}
 	if m.Insns == nil {

@@ -30,10 +30,6 @@ func predecodeEnvDefault() bool {
 // runtime, overriding the DEXLEGO_PREDECODE environment default.
 func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
 
-// PredecodeEnabled reports whether this runtime interprets through
-// predecoded programs.
-func (rt *Runtime) PredecodeEnabled() bool { return rt.predecode }
-
 // SetProgramCache installs the predecoded-program cache this runtime
 // resolves through (nil predecodes privately per method). The force-execution
 // engine hands all worker-shard runtimes of one campaign the same cache.

@@ -3,8 +3,6 @@ package art
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 
 	"dexlego/internal/apk"
 	"dexlego/internal/bytecode"
@@ -59,7 +57,6 @@ type Runtime struct {
 	intentExtras map[string]string
 	extFiles     map[string]*Object // external storage: path -> string object
 	classObjects map[*Class]*Object
-	logWriter    io.Writer
 	launchTarget string
 	methodArena  []Method // bulk allocation backing for newMethod
 
@@ -113,9 +110,6 @@ func NewRuntime(device Device) *Runtime {
 	return rt
 }
 
-// SetLogWriter directs Log.* sink output to w (nil silences it).
-func (rt *Runtime) SetLogWriter(w io.Writer) { rt.logWriter = w }
-
 // AddHooks attaches an instrumentation hook set.
 func (rt *Runtime) AddHooks(h *Hooks) { rt.hooks = append(rt.hooks, h) }
 
@@ -148,9 +142,6 @@ func (rt *Runtime) RegisterMethodHooks(enter, exit func(*Method)) {
 	}
 }
 
-// APK returns the loaded application package, or nil.
-func (rt *Runtime) APK() *apk.APK { return rt.apk }
-
 // LoadedDexes returns every DEX file the class linker has processed, in
 // load order. Dump-based unpackers read this.
 func (rt *Runtime) LoadedDexes() []*dex.File {
@@ -159,9 +150,6 @@ func (rt *Runtime) LoadedDexes() []*dex.File {
 
 // Sinks returns all recorded sink events.
 func (rt *Runtime) Sinks() []SinkEvent { return append([]SinkEvent(nil), rt.sinks...) }
-
-// ResetSinks clears recorded sink events.
-func (rt *Runtime) ResetSinks() { rt.sinks = nil }
 
 // SetIntentExtras provides the string extras the launch intent carries
 // (the fuzzer's text-input channel).
@@ -340,19 +328,6 @@ func (rt *Runtime) FindClass(descriptor string) (*Class, error) {
 	return nil, fmt.Errorf("art: class %s not found", descriptor)
 }
 
-// Classes returns all loaded class descriptors in sorted order.
-func (rt *Runtime) Classes() []string {
-	out := make([]string, 0, len(rt.classes)+len(rt.fwLookup))
-	for d := range rt.classes {
-		out = append(out, d)
-	}
-	for d := range rt.fwLookup {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EnsureInitialized runs static initialization for c if needed.
 func (rt *Runtime) EnsureInitialized(c *Class) error {
 	return rt.ensureInitialized(rt.newExecState(), c)
@@ -492,15 +467,6 @@ func (rt *Runtime) Call(descriptor, name, signature string, recv *Object, args [
 	return rt.invoke(st, m, recv, args)
 }
 
-// CallMethod invokes an already-resolved method.
-func (rt *Runtime) CallMethod(m *Method, recv *Object, args []Value) (Value, error) {
-	st := rt.newExecState()
-	if err := rt.ensureInitialized(st, m.Class); err != nil {
-		return Value{}, err
-	}
-	return rt.invoke(st, m, recv, args)
-}
-
 // LaunchActivity instantiates the manifest main activity and drives the
 // launch lifecycle (onCreate, onStart, onResume), returning the activity.
 // When the launched activity redirects the launch (packer shells do, after
@@ -615,8 +581,5 @@ func (rt *Runtime) recordSink(ev SinkEvent) {
 		if h.SinkCall != nil {
 			h.SinkCall(ev)
 		}
-	}
-	if rt.logWriter != nil {
-		fmt.Fprintf(rt.logWriter, "[sink:%s] %v taint=%s\n", ev.Sink, ev.Args, ev.Taint)
 	}
 }

@@ -24,12 +24,6 @@ type Taint uint32
 // Has reports whether all bits of k are set.
 func (t Taint) Has(k apimodel.TaintKind) bool { return uint32(t)&uint32(k) == uint32(k) }
 
-// With returns the union of t and k.
-func (t Taint) With(k apimodel.TaintKind) Taint { return t | Taint(k) }
-
-// Union returns the union of both taints.
-func (t Taint) Union(o Taint) Taint { return t | o }
-
 func (t Taint) String() string {
 	if t == 0 {
 		return "untainted"

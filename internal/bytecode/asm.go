@@ -217,11 +217,6 @@ func (a *Assembler) ConstString(dst int32, idx uint32) *Assembler {
 	return a.Raw(Inst{Op: OpConstString, A: dst, Index: idx})
 }
 
-// ConstClass emits const-class vAA, type@idx.
-func (a *Assembler) ConstClass(dst int32, idx uint32) *Assembler {
-	return a.Raw(Inst{Op: OpConstClass, A: dst, Index: idx})
-}
-
 // CheckCast emits check-cast vAA, type@idx.
 func (a *Assembler) CheckCast(v int32, idx uint32) *Assembler {
 	return a.Raw(Inst{Op: OpCheckCast, A: v, Index: idx})

@@ -164,9 +164,6 @@ type Class struct {
 	desc string
 }
 
-// Descriptor returns the class type descriptor.
-func (c *Class) Descriptor() string { return c.desc }
-
 // Source sets the source file name.
 func (c *Class) Source(name string) *Class {
 	c.cb.SourceFile(name)
@@ -374,12 +371,6 @@ func (a *Asm) Const(reg int32, v int64) *Asm {
 	return a
 }
 
-// ConstClass loads a class object.
-func (a *Asm) ConstClass(reg int32, desc string) *Asm {
-	a.asm.ConstClass(reg, a.p.b.Type(desc))
-	return a
-}
-
 // NewInstance allocates an instance.
 func (a *Asm) NewInstance(reg int32, desc string) *Asm {
 	a.asm.NewInstance(reg, a.p.b.Type(desc))
@@ -551,10 +542,6 @@ func (a *Asm) SGetBool(reg int32, cls, name string) *Asm {
 	a.asm.SGet(bytecode.OpSGetBoolean, reg, a.fieldIdx(cls, name, "Z"))
 	return a
 }
-func (a *Asm) SPutBool(reg int32, cls, name string) *Asm {
-	a.asm.SPut(bytecode.OpSPutBoolean, reg, a.fieldIdx(cls, name, "Z"))
-	return a
-}
 func (a *Asm) IGetObject(dst, obj int32, cls, name, typ string) *Asm {
 	a.asm.IGet(bytecode.OpIGetObject, dst, obj, a.fieldIdx(cls, name, typ))
 	return a
@@ -565,10 +552,6 @@ func (a *Asm) IPutObject(src, obj int32, cls, name, typ string) *Asm {
 }
 func (a *Asm) IGetInt(dst, obj int32, cls, name string) *Asm {
 	a.asm.IGet(bytecode.OpIGet, dst, obj, a.fieldIdx(cls, name, "I"))
-	return a
-}
-func (a *Asm) IPutInt(src, obj int32, cls, name string) *Asm {
-	a.asm.IPut(bytecode.OpIPut, src, obj, a.fieldIdx(cls, name, "I"))
 	return a
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dexlego/internal/apimodel"
 	"dexlego/internal/apk"
 	"dexlego/internal/art"
 	"dexlego/internal/dexgen"
@@ -89,24 +88,6 @@ func Counts() (total, malware int) {
 var sourceKinds = []string{"imei", "sim", "location", "ssid", "contacts"}
 
 var sinkKinds = []string{"log", "sms", "http", "file"}
-
-// sourceTaint maps a source kind name to its taint label.
-func sourceTaint(kind string) apimodel.TaintKind {
-	switch kind {
-	case "imei":
-		return apimodel.TaintIMEI
-	case "sim":
-		return apimodel.TaintSIM
-	case "location":
-		return apimodel.TaintLocation
-	case "ssid":
-		return apimodel.TaintSSID
-	case "contacts":
-		return apimodel.TaintContacts
-	default:
-		return 0
-	}
-}
 
 // emitSource loads sensitive data of the given kind into dst. It clobbers
 // scratch and scratch+1 and requires `this` to be an Activity.

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dexlego/internal/apk"
@@ -325,20 +324,4 @@ func Table4String(rows []Table4Row) string {
 			row.Sample, row.Leaks, row.TaintDroid, row.TaintART, row.DexLegoHD)
 	}
 	return sb.String()
-}
-
-// MismatchedSamples lists samples whose per-tool verdicts differ between
-// two maps (debugging aid for suite calibration).
-func (r *DroidBenchResult) MismatchedSamples(tool string, wantOrig, wantRev func(s SampleVerdicts) bool) []string {
-	var out []string
-	for _, sv := range r.PerSample {
-		if wantOrig != nil && sv.Original[tool] != wantOrig(sv) {
-			out = append(out, sv.Name+"(orig)")
-		}
-		if wantRev != nil && sv.DexLego[tool] != wantRev(sv) {
-			out = append(out, sv.Name+"(rev)")
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -47,8 +47,8 @@ type Report struct {
 	BenchTimeNS int64        `json:"benchTimeNS"`
 	Stages      []StageBench `json:"stages"`
 
-	// Obs carries the span histograms of the measured stages when the run
-	// was traced; nil otherwise.
+	// Obs carries the traced run's event counts; nil when the run was not
+	// traced. The stage spans' durations are span_end events of the trace.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 

@@ -304,9 +304,6 @@ type ExpoSample struct {
 	Value  float64
 }
 
-// Label returns a label value ("" when absent).
-func (s *ExpoSample) Label(key string) string { return s.Labels[key] }
-
 // ExpoFamily is one parsed metric family with its samples in file order.
 type ExpoFamily struct {
 	Name    string

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -64,8 +63,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistryHistogramFunc covers the lazy histogram path the server uses
-// for span-duration histograms.
+// TestRegistryHistogramFunc covers the lazy histogram path.
 func TestRegistryHistogramFunc(t *testing.T) {
 	var h Histogram
 	h.Observe(50)
@@ -161,81 +159,5 @@ func TestParseExpositionRejects(t *testing.T) {
 		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: linter accepted invalid exposition:\n%s", name, text)
 		}
-	}
-}
-
-// --- quantile estimation -----------------------------------------------------
-
-func TestQuantileEmptyHistogram(t *testing.T) {
-	var s *HistSnapshot
-	if _, ok := s.Quantile(0.5); ok {
-		t.Error("nil snapshot must report no quantile")
-	}
-	empty := &HistSnapshot{}
-	if _, ok := empty.Quantile(0.5); ok {
-		t.Error("empty snapshot must report no quantile")
-	}
-}
-
-func TestQuantileSingleBucket(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Observe(100) // all land in the [64, 127] bucket
-	}
-	s := h.Snapshot()
-	lo, ok := s.Quantile(0)
-	if !ok || lo < 64 || lo > 127 {
-		t.Errorf("q0 = %v,%t want within [64,127]", lo, ok)
-	}
-	hi, ok := s.Quantile(1)
-	if !ok || hi < lo || hi > 127 {
-		t.Errorf("q1 = %v,%t want within [%v,127]", hi, ok, lo)
-	}
-	mid, ok := s.Quantile(0.5)
-	if !ok || mid < lo || mid > hi {
-		t.Errorf("q0.5 = %v,%t not inside [%v,%v]", mid, ok, lo, hi)
-	}
-	// Quantiles are monotone in q.
-	if !(lo <= mid && mid <= hi) {
-		t.Errorf("quantiles not monotone: %v %v %v", lo, mid, hi)
-	}
-}
-
-func TestQuantileOverflowBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(math.MaxInt64) // top bucket, le = MaxInt64
-	s := h.Snapshot()
-	v, ok := s.Quantile(0.99)
-	if !ok {
-		t.Fatal("overflow-bucket histogram reported no quantile")
-	}
-	want := float64(int64(1) << 62)
-	if v != want {
-		t.Errorf("overflow quantile = %v, want pinned lower bound %v", v, want)
-	}
-}
-
-func TestQuantileAcrossBuckets(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 90; i++ {
-		h.Observe(10)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000)
-	}
-	s := h.Snapshot()
-	p50, _ := s.Quantile(0.5)
-	p99, _ := s.Quantile(0.99)
-	if p50 > 15 {
-		t.Errorf("p50 = %v, want near 10", p50)
-	}
-	if p99 < 512 || p99 > 1023 {
-		t.Errorf("p99 = %v, want inside the 1000s bucket [512,1023]", p99)
-	}
-	if q, _ := s.Quantile(-1); q > 15 {
-		t.Errorf("q<0 must clamp to q0, got %v", q)
-	}
-	if q, _ := s.Quantile(2); q < 512 {
-		t.Errorf("q>1 must clamp to q1, got %v", q)
 	}
 }

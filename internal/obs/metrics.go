@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 )
@@ -120,91 +119,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// bucketLower returns the smallest value a bucket with upper bound ub can
-// hold: bucket i covers [2^(i-1), 2^i - 1] (bucket 0 holds only 0), so the
-// lower bound is recoverable from the upper bound alone. The overflow
-// bucket (ub = MaxInt64) starts at 2^62.
-func bucketLower(ub int64) float64 {
-	switch {
-	case ub <= 0:
-		return 0
-	case ub == math.MaxInt64:
-		return float64(int64(1) << 62)
-	default:
-		return float64((ub + 1) / 2)
-	}
-}
-
-// Quantile estimates the q-quantile of the observed distribution by linear
-// interpolation inside the log2 bucket holding the target rank; q is
-// clamped into [0, 1]. The second return is false for an empty histogram
-// (there is no distribution to estimate). For the overflow bucket the
-// upper bound is unbounded, so the estimate is pinned to the bucket's
-// lower bound — a deliberate underestimate rather than a fabricated tail.
-func (s *HistSnapshot) Quantile(q float64) (float64, bool) {
-	if s == nil || s.Count <= 0 {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for _, b := range s.Buckets {
-		if float64(cum+b.Count) >= rank {
-			lower := bucketLower(b.LeNS)
-			if b.LeNS == math.MaxInt64 {
-				return lower, true
-			}
-			if b.Count == 0 {
-				return float64(b.LeNS), true
-			}
-			frac := (rank - float64(cum)) / float64(b.Count)
-			return lower + frac*(float64(b.LeNS)-lower), true
-		}
-		cum += b.Count
-	}
-	// Rank past every bucket (a torn snapshot): report the largest bound.
-	if n := len(s.Buckets); n > 0 {
-		le := s.Buckets[n-1].LeNS
-		if le == math.MaxInt64 {
-			return bucketLower(le), true
-		}
-		return float64(le), true
-	}
-	return 0, false
-}
-
-// merge adds o into s, combining buckets by upper bound.
-func (s *HistSnapshot) merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-	byLe := make(map[int64]int64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		byLe[b.LeNS] += b.Count
-	}
-	for _, b := range o.Buckets {
-		byLe[b.LeNS] += b.Count
-	}
-	s.Buckets = s.Buckets[:0]
-	for le, n := range byLe {
-		s.Buckets = append(s.Buckets, HistBucket{LeNS: le, Count: n})
-	}
-	sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].LeNS < s.Buckets[j].LeNS })
-}
-
 // Snapshot is the serializable aggregate of a tracer's metrics: event
-// counts by type, the deepest collection tree seen, dropped-line count, and
-// per-span-name duration histograms. It rides inside pipeline.AppMetrics
-// ("obs") and merges across apps into the batch report.
+// counts by type, the deepest collection tree seen, and dropped-line
+// count. It rides inside pipeline.AppMetrics ("obs") and merges across
+// apps into the batch report. Span durations are not repeated here: they
+// are the span_end events of the trace and the AppMetrics stage timings.
 type Snapshot struct {
-	Events       map[string]int64        `json:"events,omitempty"`
-	MaxTreeDepth int64                   `json:"maxTreeDepth,omitempty"`
-	Dropped      int64                   `json:"dropped,omitempty"`
-	Spans        map[string]HistSnapshot `json:"spans,omitempty"`
+	Events       map[string]int64 `json:"events,omitempty"`
+	MaxTreeDepth int64            `json:"maxTreeDepth,omitempty"`
+	Dropped      int64            `json:"dropped,omitempty"`
 }
 
 // Snapshot captures the tracer's metrics; nil on a nil tracer.
@@ -224,13 +147,6 @@ func (t *Tracer) Snapshot() *Snapshot {
 			snap.Events[EventType(i).String()] = v
 		}
 	}
-	t.spans.Range(func(k, v any) bool {
-		if snap.Spans == nil {
-			snap.Spans = make(map[string]HistSnapshot)
-		}
-		snap.Spans[k.(string)] = v.(*Histogram).Snapshot()
-		return true
-	})
 	return snap
 }
 
@@ -261,13 +177,5 @@ func MergeSnapshots(dst, src *Snapshot) *Snapshot {
 		dst.MaxTreeDepth = src.MaxTreeDepth
 	}
 	dst.Dropped += src.Dropped
-	for name, hs := range src.Spans {
-		if dst.Spans == nil {
-			dst.Spans = make(map[string]HistSnapshot, len(src.Spans))
-		}
-		cur := dst.Spans[name]
-		cur.merge(hs)
-		dst.Spans[name] = cur
-	}
 	return dst
 }

@@ -104,7 +104,6 @@ type Tracer struct {
 	counters [numEventTypes]Counter
 	maxDepth Gauge
 	dropped  atomic.Int64
-	spans    sync.Map // span name -> *Histogram of durations
 }
 
 // New returns an enabled tracer writing to sink. A nil sink keeps metrics
@@ -137,23 +136,6 @@ func (t *Tracer) SetTraceID(id string) {
 	}
 }
 
-// TraceID returns the stable trace identity ("" when unset or nil).
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.traceID
-}
-
-// EventCount returns the live count of one event type recorded by this
-// tracer (0 on nil).
-func (t *Tracer) EventCount(ty EventType) int64 {
-	if t == nil || int(ty) >= int(numEventTypes) {
-		return 0
-	}
-	return t.counters[ty].Load()
-}
-
 // Dropped counts events lost to sink or encoding errors.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
@@ -181,14 +163,6 @@ func (t *Tracer) emit(ev *Event) {
 	if err := t.sink.Emit(append(line, '\n')); err != nil {
 		t.dropped.Add(1)
 	}
-}
-
-func (t *Tracer) spanHist(name string) *Histogram {
-	if h, ok := t.spans.Load(name); ok {
-		return h.(*Histogram)
-	}
-	h, _ := t.spans.LoadOrStore(name, &Histogram{})
-	return h.(*Histogram)
 }
 
 // Start opens a root span. app labels the application the span covers (it
@@ -219,14 +193,6 @@ type Span struct {
 // walks) should guard on it.
 func (s *Span) Enabled() bool { return s != nil && s.t.enabled.Load() }
 
-// ID returns the span identifier (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Start opens a child span inheriting the parent's trace identity.
 func (s *Span) Start(name string) *Span {
 	if !s.Enabled() {
@@ -237,23 +203,14 @@ func (s *Span) Start(name string) *Span {
 	return c
 }
 
-// Trace returns the span's inherited trace identity ("" on nil).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
-// End closes the span, observing its duration into the tracer's per-name
-// histogram. End is idempotent, so a deferred End composes with an explicit
-// one on the success path.
+// End closes the span, emitting its duration as a span_end event. End is
+// idempotent, so a deferred End composes with an explicit one on the
+// success path.
 func (s *Span) End() {
 	if !s.Enabled() || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
 	d := time.Since(epoch) - s.start
-	s.t.spanHist(s.name).Observe(int64(d))
 	s.t.emit(&Event{Type: EventSpanEnd, Span: s.id, Name: s.name, DurNS: int64(d), Trace: s.trace})
 }
 

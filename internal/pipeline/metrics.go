@@ -124,7 +124,7 @@ type AppMetrics struct {
 	SpilledBytes   int64 `json:"spilledBytes,omitempty"`
 
 	// Obs carries the run's observability snapshot (event counts, tree
-	// depth, span histograms); nil when tracing was off.
+	// depth, dropped lines); nil when tracing was off.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
 	// Resources is the job's resource bill: CPU, heap churn and peak
@@ -278,19 +278,19 @@ type Report struct {
 	StageTotals []StageTiming `json:"stageTotals,omitempty"`
 
 	// Batch-wide counter totals over successful jobs.
-	TotalExecutedInsns   int `json:"totalExecutedInsns"`
-	TotalMethods         int `json:"totalMethods"`
-	TotalExecutedMethods int `json:"totalExecutedMethods"`
-	TotalStubs           int `json:"totalStubs"`
-	TotalVariants        int `json:"totalVariants"`
-	TotalDivergences     int `json:"totalDivergences"`
+	TotalExecutedInsns   int   `json:"totalExecutedInsns"`
+	TotalMethods         int   `json:"totalMethods"`
+	TotalExecutedMethods int   `json:"totalExecutedMethods"`
+	TotalStubs           int   `json:"totalStubs"`
+	TotalVariants        int   `json:"totalVariants"`
+	TotalDivergences     int   `json:"totalDivergences"`
 	TotalMethodsCached   int   `json:"totalMethodsCached,omitempty"`
 	TotalMethodsExecuted int   `json:"totalMethodsExecuted,omitempty"`
 	TotalMethodsSpilled  int   `json:"totalMethodsSpilled,omitempty"`
 	TotalSpilledBytes    int64 `json:"totalSpilledBytes,omitempty"`
 
-	// Obs merges the per-app observability snapshots (event counts add,
-	// tree depth maxes, span histograms combine); nil when tracing was off.
+	// Obs merges the per-app observability snapshots (event counts and
+	// drops add, tree depth maxes); nil when tracing was off.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
 	// Resources aggregates the per-app resource bills over successful jobs:

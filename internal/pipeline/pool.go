@@ -58,10 +58,6 @@ func (p *Pool) TrySubmit(fn func()) bool {
 	}
 }
 
-// QueueDepth returns the queue capacity; QueueLen the jobs waiting in it.
-func (p *Pool) QueueDepth() int { return cap(p.jobs) }
-func (p *Pool) QueueLen() int   { return len(p.jobs) }
-
 // Close stops admission, drains every queued job, and waits for the
 // workers to exit. Close is idempotent and safe to race with TrySubmit.
 func (p *Pool) Close() {

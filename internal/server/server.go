@@ -20,9 +20,11 @@
 //	GET  /v1/jobs/{id}/artifact  revealed APK bytes (zip)
 //	GET  /v1/jobs/{id}/flight    JSONL flight recording (failed or
 //	                             SLO-violating jobs only)
-//	GET  /v1/metrics             job/store counters + merged obs snapshot
-//	GET  /metrics                OpenMetrics text exposition of the same
-//	                             plane, for Prometheus-style scrapers
+//	GET  /v1/metrics             job/store counters and dropped trace
+//	                             events as JSON
+//	GET  /metrics                OpenMetrics text exposition: the same
+//	                             counters plus latency histograms, for
+//	                             Prometheus-style scrapers
 //	GET  /healthz                liveness: 200 while the process serves
 //	GET  /readyz                 readiness: 200 accepting work, 503 while
 //	                             draining
@@ -86,14 +88,9 @@ type Config struct {
 	QueueDepth int
 	// RequestTimeout bounds ?wait=1 blocking (<= 0 selects 30s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds the uploaded APK size (<= 0 selects 64 MiB).
-	MaxBodyBytes int64
 	// Sink, when set, receives the JSONL trace of the server span and of
 	// every reveal; nil keeps metrics without trace lines.
 	Sink obs.Sink
-	// FlightEvents bounds each job's flight-recorder ring — the most recent
-	// trace events retained for incident dumps (<= 0 selects 256).
-	FlightEvents int
 	// FlightDir, when set, receives one <jobid>.jsonl flight recording per
 	// failed or SLO-violating job. The directory must exist.
 	FlightDir string
@@ -120,6 +117,9 @@ type Config struct {
 	// is emitted through the streaming writer.
 	SpillCache *store.MethodCache
 }
+
+// maxBodyBytes bounds the uploaded APK size.
+const maxBodyBytes = 64 << 20
 
 // maxFinishedJobs bounds the completed-job history the server retains for
 // GET /v1/jobs/{id}; the oldest finished jobs are dropped past it.
@@ -202,10 +202,6 @@ type Metrics struct {
 	// server tracer plus completed per-job tracers); non-zero means the
 	// trace is incomplete and the sink needs attention.
 	DroppedEvents int64 `json:"droppedEvents"`
-	// Obs merges the server lifecycle snapshot (cache_hit/cache_miss,
-	// queue_wait, job_enqueued/job_done) with every completed reveal's
-	// per-app snapshot.
-	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // Server is the reveal job service. Create with New, expose via Handler,
@@ -224,7 +220,6 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*job
 	order  []string // submission order, for history trimming
-	agg    *obs.Snapshot
 	counts map[State]int
 	// active indexes the queued/running job per artifact key: later
 	// submissions of the same key join it (the key's reveal lease) instead
@@ -236,6 +231,9 @@ type Server struct {
 	rejected  atomic.Int64
 	coalesced atomic.Int64
 	ids       atomic.Uint64
+	// jobDropped totals the trace events finished jobs' tracers lost; the
+	// live server tracer keeps its own count.
+	jobDropped atomic.Int64
 }
 
 // New returns a serving (not yet listening) server; wire its Handler into
@@ -249,9 +247,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
 	}
 	reveal := cfg.Reveal
 	if reveal == nil {
@@ -335,7 +330,7 @@ func (s *Server) Close() {
 
 // parseRequest builds the (APK, Options, name) of one submission.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*apk.APK, dexlego.Options, string, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, dexlego.Options{}, "", fmt.Errorf("read body: %v", err)
 	}
@@ -573,7 +568,7 @@ func estimateFootprint(pkg *apk.APK) int64 {
 // path pays only one ring store per event.
 func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego.Options) {
 	wait := time.Since(submitTime)
-	rec := obs.NewFlightRecorder(s.cfg.Sink, s.cfg.FlightEvents)
+	rec := obs.NewFlightRecorder(s.cfg.Sink, 0)
 	jobTracer := obs.New(rec)
 	jobTracer.SetTraceID(j.trace)
 	span := jobTracer.Start("job", j.name)
@@ -678,23 +673,16 @@ func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego
 	}
 	s.tel.observeJob(wait, run, total, m, fresh)
 
+	s.jobDropped.Add(jobTracer.Dropped() + revealTracer.Dropped())
+
 	s.mu.Lock()
 	j.totalNS = int64(total)
 	j.resources = ru
 	s.finishLocked(j, art, hit, err, run)
-	// Fold the job's lifecycle tracer into the aggregate. The reveal
-	// tracer's snapshot rides in the artifact for successes (finishLocked
-	// merges it); on failure no artifact exists to carry it, so merge the
-	// reveal tracer directly — its drop count must not vanish.
-	s.agg = obs.MergeSnapshots(s.agg, jobTracer.Snapshot())
-	if err != nil {
-		s.agg = obs.MergeSnapshots(s.agg, revealTracer.Snapshot())
-	}
 	s.mu.Unlock()
 }
 
-// finishLocked records a job's completion and publishes its obs snapshot
-// into the server aggregate. Callers hold s.mu.
+// finishLocked records a job's completion. Callers hold s.mu.
 func (s *Server) finishLocked(j *job, art *store.Artifact, hit bool, err error, run time.Duration) {
 	if s.active[j.key] == j {
 		delete(s.active, j.key)
@@ -708,9 +696,6 @@ func (s *Server) finishLocked(j *job, art *store.Artifact, hit bool, err error, 
 	} else {
 		j.state = StateDone
 		j.artifact = art
-		if art.Metrics != nil && art.Metrics.Obs != nil {
-			s.agg = obs.MergeSnapshots(s.agg, art.Metrics.Obs)
-		}
 	}
 	s.counts[j.state]++
 	close(j.done)
@@ -798,14 +783,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Jobs.Running = s.counts[StateRunning]
 	m.Jobs.Done = s.counts[StateDone]
 	m.Jobs.Failed = s.counts[StateFailed]
-	// Merge into a fresh snapshot: MergeSnapshots mutates its dst, and the
-	// aggregate must keep accumulating independently of this response.
-	snap := obs.MergeSnapshots(nil, s.agg)
 	s.mu.Unlock()
-	m.Obs = obs.MergeSnapshots(snap, s.tracer.Snapshot())
-	if m.Obs != nil {
-		m.DroppedEvents = m.Obs.Dropped
-	}
+	m.DroppedEvents = s.droppedEvents()
 	writeJSON(w, http.StatusOK, &m)
 }
 

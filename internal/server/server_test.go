@@ -79,9 +79,11 @@ func getMetrics(t *testing.T, base string) *Metrics {
 // TestRevealSampleEndToEnd exercises the acceptance path: a sample
 // submission runs the real Reveal, a second identical submission is a
 // cache hit served without re-running, the artifact downloads as a valid
-// APK, and /v1/metrics reports the cache_hit/cache_miss/queue_wait events.
+// APK, the job's metrics carry the reveal's events, and the service trace
+// records the cache_hit/cache_miss/queue_wait/job_done events.
 func TestRevealSampleEndToEnd(t *testing.T) {
-	srv, hs := newTestServer(t, nil)
+	sink := &lockedBuffer{}
+	srv, hs := newTestServer(t, func(c *Config) { c.Sink = sink })
 	resp, first := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first POST = %d", resp.StatusCode)
@@ -89,8 +91,8 @@ func TestRevealSampleEndToEnd(t *testing.T) {
 	if first.State != StateDone || first.CacheHit || first.RevealedBytes == 0 {
 		t.Fatalf("first job = %+v, want done miss with artifact", first)
 	}
-	if first.Metrics == nil || first.Metrics.Obs == nil {
-		t.Errorf("artifact metrics missing obs snapshot: %+v", first.Metrics)
+	if first.Metrics == nil || first.Metrics.Obs.EventCount(obs.EventMethodCollected) < 1 {
+		t.Errorf("job metrics missing the reveal's events: %+v", first.Metrics)
 	}
 
 	resp2, second := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
@@ -143,14 +145,18 @@ func TestRevealSampleEndToEnd(t *testing.T) {
 	if m.Jobs.Done != 2 || m.Store.Misses != 1 || m.Store.Hits < 1 {
 		t.Errorf("metrics = %+v", m)
 	}
-	for _, ev := range []obs.EventType{obs.EventCacheHit, obs.EventCacheMiss, obs.EventQueueWait, obs.EventJobDone} {
-		if m.Obs.EventCount(ev) < 1 {
-			t.Errorf("metrics obs snapshot missing %s: %+v", ev, m.Obs.Events)
-		}
+	trace, err := obs.ReadTrace(bytes.NewReader(sink.bytes()))
+	if err != nil {
+		t.Fatalf("service trace invalid: %v", err)
 	}
-	// The merged snapshot also carries the reveal's own pipeline events.
-	if m.Obs.EventCount(obs.EventMethodCollected) < 1 {
-		t.Errorf("reveal snapshot not merged into service metrics: %+v", m.Obs.Events)
+	seen := map[obs.EventType]int{}
+	for _, ev := range trace.Events {
+		seen[ev.Type]++
+	}
+	for _, ev := range []obs.EventType{obs.EventCacheHit, obs.EventCacheMiss, obs.EventQueueWait, obs.EventJobDone} {
+		if seen[ev] < 1 {
+			t.Errorf("service trace missing %s: %v", ev, seen)
+		}
 	}
 }
 

@@ -171,16 +171,9 @@ func (t *telemetry) observeJob(queue, run, total time.Duration, m *pipeline.AppM
 }
 
 // droppedEvents totals trace events lost anywhere in the plane: the live
-// server tracer plus everything already folded into the aggregate snapshot
-// (per-job tracers are merged there at completion).
+// server tracer plus every finished job's tracers.
 func (s *Server) droppedEvents() int64 {
-	n := s.tracer.Dropped()
-	s.mu.Lock()
-	if s.agg != nil {
-		n += s.agg.Dropped
-	}
-	s.mu.Unlock()
-	return n
+	return s.tracer.Dropped() + s.jobDropped.Load()
 }
 
 // handleOpenMetrics serves GET /metrics in OpenMetrics text format.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,5 +426,41 @@ func pollJob(t *testing.T, base, id string, timeout time.Duration) *JobStatus {
 			t.Fatalf("job %s still %s after %v", id, st.State, timeout)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// failingSink is an obs.Sink whose every write fails; it counts the lines
+// it was offered, which is exactly the number of events lost.
+type failingSink struct{ lines atomic.Int64 }
+
+func (s *failingSink) Emit([]byte) error {
+	s.lines.Add(1)
+	return errors.New("sink down")
+}
+
+// TestDroppedEventsCountedOnce: every line a failing sink refuses is one
+// dropped event, counted once on both metric surfaces. One miss and three
+// cache hits of SelfModifying1 lose 32 lines; a cache hit must not count
+// the cached artifact's reveal events again.
+func TestDroppedEventsCountedOnce(t *testing.T) {
+	sink := &failingSink{}
+	_, hs := newTestServer(t, func(c *Config) { c.Sink = sink })
+	for i := 0; i < 4; i++ {
+		resp, st := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
+		if resp.StatusCode != http.StatusOK || st.State != StateDone || st.CacheHit != (i > 0) {
+			t.Fatalf("post %d = %d %+v, want done (hit after the first)", i, resp.StatusCode, st)
+		}
+	}
+	lost := sink.lines.Load()
+	if got := getMetrics(t, hs.URL).DroppedEvents; got != lost {
+		t.Errorf("/v1/metrics droppedEvents = %d, want the %d lines lost", got, lost)
+	}
+	_, body := getBody(t, hs.URL+"/metrics")
+	e, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := e.Value("dexlego_trace_dropped_events_total"); !ok || int64(v) != lost {
+		t.Errorf("trace_dropped_events_total = %v,%t want %d", v, ok, lost)
 	}
 }

@@ -29,11 +29,6 @@ type objID struct {
 
 func taintedFact(k apimodel.TaintKind) fact { return fact{Taint: uint32(k)} }
 
-func (f fact) withTaint(t uint32) fact {
-	f.Taint |= t
-	return f
-}
-
 // join merges two abstract values at a control-flow merge point.
 func join(a, b fact) fact {
 	out := fact{Taint: a.Taint | b.Taint}

@@ -31,9 +31,6 @@ func DexHunter() *Unpacker { return &Unpacker{name: "DexHunter"} }
 // AppSpear returns the AppSpear baseline (RAID'15).
 func AppSpear() *Unpacker { return &Unpacker{name: "AppSpear"} }
 
-// Name returns the system name.
-func (u *Unpacker) Name() string { return u.name }
-
 // Unpack executes the packed application and dumps the loaded DEX files.
 // installNatives registers the packer shell's native code (may be nil for
 // unpacked apps); drive runs the app (nil launches the main activity).

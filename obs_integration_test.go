@@ -70,9 +70,6 @@ func TestRevealTracesSelfModifyingSample(t *testing.T) {
 	if snap.Dropped != 0 {
 		t.Errorf("dropped %d events on an in-memory sink", snap.Dropped)
 	}
-	if hs := snap.Spans["reveal"]; hs.Count != 1 {
-		t.Errorf("reveal span histogram count = %d, want 1", hs.Count)
-	}
 	if res.Metrics.Validate() != nil {
 		t.Errorf("metrics invariant broken: %v", res.Metrics.Validate())
 	}

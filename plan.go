@@ -2,6 +2,7 @@ package dexlego
 
 import (
 	"bytes"
+	"log/slog"
 	"sort"
 
 	"dexlego/internal/apk"
@@ -151,8 +152,8 @@ func (p *plan) voided(col *collector.Collector) bool {
 	if len(v) == 0 {
 		return false
 	}
-	obs.Warnf("incremental: %d skip violation(s) (first %s); falling back to full reveal",
-		len(v), v[0])
+	slog.Warn("incremental: skip violations; falling back to full reveal",
+		"count", len(v), "first", v[0])
 	p.mc, p.fps, p.cached, p.skip = nil, nil, nil, nil
 	return true
 }
