@@ -74,17 +74,12 @@ func runServe(sc serveConfig) error {
 	var spillCache *store.MethodCache
 	if sc.memBudget > 0 {
 		memBudget = pipeline.NewMemoryBudget(sc.memBudget)
-		// The spill tier persists beside the artifact store when one is on
-		// disk; its in-memory LRU gets a quarter of the budget. That cap
-		// does not bound a reveal's memory: every spilled record also keeps
-		// its serialized bytes as the fetch fallback. On disk each spilled
-		// record costs a SHA-256 and a file under <store-dir>/spill that
-		// nothing deletes.
-		dir := ""
-		if sc.storeDir != "" {
-			dir = filepath.Join(sc.storeDir, "spill")
-		}
-		if spillCache, err = store.OpenMethodCache(dir, sc.memBudget/4); err != nil {
+		// The spill tier is memory-only, its LRU capped at a quarter of the
+		// budget. That cap does not bound a reveal's memory: every spilled
+		// record also keeps its serialized bytes as the fetch fallback, so a
+		// disk tier would only add a SHA-256 and a file per record that
+		// nothing reads back.
+		if spillCache, err = store.OpenMethodCache("", sc.memBudget/4); err != nil {
 			return err
 		}
 	}

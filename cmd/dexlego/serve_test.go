@@ -2,9 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -132,8 +136,9 @@ func TestRunServeRejectsBadAddr(t *testing.T) {
 }
 
 // TestRunServeWithMemBudget boots the service with -mem-budget through
-// run(): a reveal completes normally, the spill directory appears beside
-// the artifact store, and the exposition carries the dexlego_mem_* family.
+// run(): a reveal completes normally, the spill tier stays in memory (no
+// <store-dir>/spill directory appears beside the artifact store), and the
+// exposition carries the dexlego_mem_* family.
 func TestRunServeWithMemBudget(t *testing.T) {
 	storeDir := t.TempDir()
 	lnc := make(chan net.Listener, 1)
@@ -187,6 +192,9 @@ func TestRunServeWithMemBudget(t *testing.T) {
 		if !strings.Contains(string(scrape), series) {
 			t.Errorf("exposition lacks %s", series)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "spill")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("stat <store-dir>/spill = %v, want the spill tier kept in memory", err)
 	}
 	close(stop)
 	select {

@@ -27,8 +27,8 @@ func (e *Env) FindClass(descriptor string) (*Class, error) {
 	return e.rt.FindClass(descriptor)
 }
 
-// DefineDex parses raw DEX bytes and links the contained classes,
-// firing the DynamicDex hook (dynamic code loading).
+// DefineDex parses raw DEX bytes and links the contained classes (dynamic
+// code loading).
 func (e *Env) DefineDex(data []byte) ([]*Class, error) {
 	f, err := dex.Read(data)
 	if err != nil {
@@ -39,16 +39,7 @@ func (e *Env) DefineDex(data []byte) ([]*Class, error) {
 
 // DefineDexFile links an already-parsed DEX file.
 func (e *Env) DefineDexFile(f *dex.File) ([]*Class, error) {
-	classes, err := e.rt.LoadDex(f)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range e.rt.hooks {
-		if h.DynamicDex != nil {
-			h.DynamicDex(f, classes)
-		}
-	}
-	return classes, nil
+	return e.rt.LoadDex(f)
 }
 
 // TamperMethod mutates the live instruction array of a loaded method — the
@@ -155,7 +146,7 @@ func (e *Env) RecordSink(kind apimodel.SinkKind, methodKey string, dataArgs []Va
 	for _, a := range allArgs {
 		ev.Args = append(ev.Args, Pretty(a))
 	}
-	e.rt.recordSink(ev)
+	e.rt.sinks = append(e.rt.sinks, ev)
 }
 
 // RedirectLaunch makes the in-progress activity launch continue with the

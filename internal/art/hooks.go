@@ -3,22 +3,18 @@ package art
 import (
 	"dexlego/internal/apimodel"
 	"dexlego/internal/bytecode"
-	"dexlego/internal/dex"
 )
 
 // Hooks is the instrumentation surface of the runtime. Each field is
-// optional; nil hooks cost nothing. DexLego's collector, the coverage
-// tracker, the force-execution engine and the dynamic taint analyses are all
-// implemented as Hooks instances, mirroring the paper's modifications to
-// ART's class linker and interpretation functions.
+// optional, but a nil field is cheap rather than free: every installed hook
+// set is still visited, and the field checked, at each event. DexLego's
+// collector, the coverage tracker, the force-execution engine and the
+// dynamic taint analyses are all implemented as Hooks instances, mirroring
+// the paper's modifications to ART's class linker and interpretation
+// functions.
 type Hooks struct {
-	// ClassLoaded fires when the class linker defines a class.
-	ClassLoaded func(c *Class)
 	// ClassInitialized fires after <clinit> and static value initialization.
 	ClassInitialized func(c *Class)
-	// StaticFieldInit fires for every declared static value during class
-	// initialization, before <clinit> runs.
-	StaticFieldInit func(c *Class, f *Field, v Value)
 	// MethodEntered fires when a bytecode method's frame is set up.
 	MethodEntered func(m *Method)
 	// MethodExited fires when a bytecode method returns, throws out, or is
@@ -38,9 +34,6 @@ type Hooks struct {
 	// ReflectiveCall fires when Method.invoke resolves its target, exposing
 	// the reflection target the paper rewrites into a direct call.
 	ReflectiveCall func(caller *Method, callerPC int, target *Method)
-	// DynamicDex fires when a DEX file is defined at runtime (packers,
-	// DexClassLoader).
-	DynamicDex func(f *dex.File, classes []*Class)
 	// Unhandled fires when an exception is about to propagate out of a
 	// method with no matching handler; returning true clears the exception
 	// and resumes after the faulting instruction (force-execution
@@ -52,22 +45,13 @@ type Hooks struct {
 	// treat try/catch edges as forceable branches (the paper's future work
 	// for its third coverage-loss category).
 	InjectException func(m *Method, pc int) string
-	// SinkCall fires when a framework sink API executes.
-	SinkCall func(ev SinkEvent)
-	// PredecodeHit fires when the interpreter binds a method to a predecoded
-	// program that was already in the shared program cache (content match).
-	PredecodeHit func(m *Method)
-	// PredecodeInvalidate fires when a write into a method's live unit array
-	// drops its predecoded stream — the self-modification points where
-	// collection-tree forks originate. pc is the dex_pc at which the change
-	// was observed (the tampering call site, or the executing pc when a
-	// running frame detects a silent code swap); -1 when outside bytecode.
-	PredecodeInvalidate func(m *Method, pc int)
 	// CodeWritten fires whenever a write into a method's live unit array is
-	// observed, in both predecode modes — unlike PredecodeInvalidate, which
-	// only fires when a predecoded stream existed to drop. The incremental
-	// reveal path uses it to mark self-modified methods uncacheable. pc is
-	// the dex_pc of the observation site; -1 when outside bytecode.
+	// observed, in both predecode modes: a TamperMethod call, or a running
+	// frame detecting a silent code swap. These are the self-modification
+	// points where collection-tree forks originate; the incremental reveal
+	// path uses it to mark self-modified methods uncacheable. pc is the
+	// dex_pc of the observation site (the tampering call site or the
+	// executing pc); -1 when outside bytecode.
 	CodeWritten func(m *Method, pc int)
 }
 

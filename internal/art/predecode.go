@@ -8,11 +8,11 @@ import (
 	"dexlego/internal/dex"
 )
 
-// defaultProgramCache is the process-wide predecoded-program cache. Every
-// runtime shares it unless SetProgramCache installs a private one, so the
-// predecode cost of a method body is paid once per distinct content across
-// all runtimes of the process (repeated reveals, worker shards, benchmarks).
-var defaultProgramCache = bytecode.NewProgramCache()
+// programCache is the process-wide predecoded-program cache. Every runtime
+// resolves through it, so the predecode cost of a method body is paid once
+// per distinct content across all runtimes of the process (repeated reveals,
+// forced runs, worker shards, benchmarks).
+var programCache = bytecode.NewProgramCache()
 
 // predecodeEnvDefault reads the DEXLEGO_PREDECODE toggle: predecode is on
 // unless the variable is explicitly "off", "false", "no" or "0". The off
@@ -29,11 +29,6 @@ func predecodeEnvDefault() bool {
 // SetPredecode switches the predecoded interpreter path on or off for this
 // runtime, overriding the DEXLEGO_PREDECODE environment default.
 func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
-
-// SetProgramCache installs the predecoded-program cache this runtime
-// resolves through (nil predecodes privately per method). The force-execution
-// engine hands all worker-shard runtimes of one campaign the same cache.
-func (rt *Runtime) SetProgramCache(c *bytecode.ProgramCache) { rt.progCache = c }
 
 // icSite is the inline cache of one call- or field-site: the resolved
 // constant-pool reference plus the resolution the runtime would otherwise
@@ -80,7 +75,7 @@ func (f *frame) icAt(ci int) *icSite {
 // current program was lowered from. This is both the entry bind and the
 // paper-faithful invalidation point: a stale program here means something
 // wrote into live code (self-modification, packer slice swap), so the old
-// stream is dropped and PredecodeInvalidate fires before the rebuild.
+// stream is dropped and CodeWritten fires before the rebuild.
 func (rt *Runtime) bindProgram(f *frame) {
 	m := f.method
 	if !rt.predecode || len(m.Insns) == 0 {
@@ -95,31 +90,16 @@ func (rt *Runtime) bindProgram(f *frame) {
 			m.prog = nil
 			m.sites = nil
 			for _, h := range rt.hooks {
-				if h.PredecodeInvalidate != nil {
-					h.PredecodeInvalidate(m, f.pc)
-				}
 				if h.CodeWritten != nil {
 					h.CodeWritten(m, f.pc)
 				}
 			}
 		}
-		var hit bool
-		if rt.progCache != nil {
-			m.prog, hit = rt.progCache.Get(m.Insns)
-		} else {
-			m.prog = bytecode.Predecode(m.Insns)
-		}
+		m.prog = programCache.Get(m.Insns)
 		m.progGen = m.codeGen
 		m.progLen = len(m.Insns)
 		m.progPtr = &m.Insns[0]
 		m.sites = nil
-		if hit {
-			for _, h := range rt.hooks {
-				if h.PredecodeHit != nil {
-					h.PredecodeHit(m)
-				}
-			}
-		}
 	}
 	f.prog = m.prog
 	f.bindGen = m.codeGen
@@ -143,22 +123,14 @@ func (f *frame) bindStale() bool {
 // tampering call site (-1 when tampered from outside bytecode).
 func (m *Method) invalidateCode(rt *Runtime, pc int) {
 	m.codeGen++
-	// CodeWritten fires before the predecode-state check: a tamper with
-	// predecode off (or before the first bind) is still a code write, and
-	// the incremental reveal cache must learn about it in every mode.
+	// CodeWritten fires in both predecode modes: a tamper with predecode
+	// off (or before the first bind) is still a code write, and the
+	// incremental reveal cache must learn about it in every mode.
 	for _, h := range rt.hooks {
 		if h.CodeWritten != nil {
 			h.CodeWritten(m, pc)
 		}
 	}
-	if m.prog == nil {
-		return
-	}
 	m.prog = nil
 	m.sites = nil
-	for _, h := range rt.hooks {
-		if h.PredecodeInvalidate != nil {
-			h.PredecodeInvalidate(m, pc)
-		}
-	}
 }

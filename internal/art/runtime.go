@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dexlego/internal/apk"
-	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
 )
 
@@ -62,7 +61,6 @@ type Runtime struct {
 
 	// Interpreter acceleration state (see predecode.go, interp.go).
 	predecode  bool
-	progCache  *bytecode.ProgramCache
 	freeFrames []*frame // bounded frame pool for the invoke hot path
 
 	// Hot framework singletons, resolved once at clone time so the
@@ -104,7 +102,6 @@ func NewRuntime(device Device) *Runtime {
 		extFiles:     make(map[string]*Object),
 		classObjects: make(map[*Class]*Object),
 		predecode:    predecodeEnvDefault(),
-		progCache:    defaultProgramCache,
 	}
 	rt.cloneFramework()
 	return rt
@@ -112,16 +109,6 @@ func NewRuntime(device Device) *Runtime {
 
 // AddHooks attaches an instrumentation hook set.
 func (rt *Runtime) AddHooks(h *Hooks) { rt.hooks = append(rt.hooks, h) }
-
-// RemoveHooks detaches a previously added hook set.
-func (rt *Runtime) RemoveHooks(h *Hooks) {
-	for i, x := range rt.hooks {
-		if x == h {
-			rt.hooks = append(rt.hooks[:i], rt.hooks[i+1:]...)
-			return
-		}
-	}
-}
 
 // RegisterNative binds a native implementation to a method key
 // (Lcls;->name(sig)). Application classes declared native resolve their
@@ -282,11 +269,6 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 				c.Methods = append(c.Methods, m)
 			}
 		}
-		for _, h := range rt.hooks {
-			if h.ClassLoaded != nil {
-				h.ClassLoaded(c)
-			}
-		}
 	}
 	rt.loadedDexes = append(rt.loadedDexes, f)
 	return created, nil
@@ -349,11 +331,6 @@ func (rt *Runtime) ensureInitialized(st *execState, c *Class) error {
 			v = rt.fromEncodedValue(c, *f.Init)
 		}
 		c.Statics[f.Name] = v
-		for _, h := range rt.hooks {
-			if h.StaticFieldInit != nil {
-				h.StaticFieldInit(c, f, v)
-			}
-		}
 	}
 	if clinit := c.findDeclared("<clinit>", "()V"); clinit != nil {
 		if _, err := rt.invoke(st, clinit, nil, nil); err != nil {
@@ -573,13 +550,4 @@ func (rt *Runtime) viewByID(id int64) *Object {
 	rt.views[id] = v
 	rt.viewOrder = append(rt.viewOrder, id)
 	return v
-}
-
-func (rt *Runtime) recordSink(ev SinkEvent) {
-	rt.sinks = append(rt.sinks, ev)
-	for _, h := range rt.hooks {
-		if h.SinkCall != nil {
-			h.SinkCall(ev)
-		}
-	}
 }

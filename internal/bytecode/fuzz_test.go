@@ -19,15 +19,15 @@ func unitsOf(data []byte) []uint16 {
 // re-emits collected instructions into the revealed DEX.
 func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{
-		{0x12, 0x01},                                     // const/4 v1, 1
-		{0x13, 0x00, 0x2a, 0x00},                         // const/16 v0, 42
-		{0x0e, 0x00},                                     // return-void
-		{0x90, 0x02, 0x00, 0x01},                         // add-int v2, v0, v1
-		{0x28, 0xff},                                     // goto -1
-		{0x38, 0x00, 0x03, 0x00},                         // if-eqz v0, +3
-		{0x1a, 0x00, 0x07, 0x00},                         // const-string v0, @7
-		{0x6e, 0x20, 0x05, 0x00, 0x10, 0x00},             // invoke-virtual {v0, v1}
-		{0x2b, 0x00, 0x03, 0x00, 0x00, 0x00,              // packed-switch v0, +3
+		{0x12, 0x01},                         // const/4 v1, 1
+		{0x13, 0x00, 0x2a, 0x00},             // const/16 v0, 42
+		{0x0e, 0x00},                         // return-void
+		{0x90, 0x02, 0x00, 0x01},             // add-int v2, v0, v1
+		{0x28, 0xff},                         // goto -1
+		{0x38, 0x00, 0x03, 0x00},             // if-eqz v0, +3
+		{0x1a, 0x00, 0x07, 0x00},             // const-string v0, @7
+		{0x6e, 0x20, 0x05, 0x00, 0x10, 0x00}, // invoke-virtual {v0, v1}
+		{0x2b, 0x00, 0x03, 0x00, 0x00, 0x00, // packed-switch v0, +3
 			0x00, 0x01, 0x01, 0x00, 0x05, 0x00, 0x00, 0x00, // payload: 1 case
 			0x0a, 0x00, 0x00, 0x00},
 		{0x00, 0x00}, // nop

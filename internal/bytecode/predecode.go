@@ -157,9 +157,9 @@ const programCacheLimit = 4096
 // ProgramCache is a content-addressed, thread-safe cache of predecoded
 // programs. Keys are the full unit content (hash plus exact compare), never
 // the slice identity, so self-modified code can never alias a stale entry:
-// any content change simply hashes to a different program. Worker shards of
-// a force-execution campaign share one cache, as do all runtimes of a
-// process through the package default.
+// any content change simply hashes to a different program. The runtime
+// keeps one cache per process, shared by every reveal, forced run and
+// worker shard.
 type ProgramCache struct {
 	mu      sync.RWMutex
 	entries map[uint64][]*Program
@@ -188,25 +188,24 @@ func hashUnits(insns []uint16) uint64 {
 }
 
 // Get returns the predecoded program for the exact content of insns,
-// building and caching it on a miss. hit reports whether the program was
-// already cached.
-func (c *ProgramCache) Get(insns []uint16) (p *Program, hit bool) {
+// building and caching it on a miss.
+func (c *ProgramCache) Get(insns []uint16) *Program {
 	h := hashUnits(insns)
 	c.mu.RLock()
 	for _, cand := range c.entries[h] {
 		if cand.Matches(insns) {
 			c.mu.RUnlock()
-			return cand, true
+			return cand
 		}
 	}
 	c.mu.RUnlock()
 
-	p = Predecode(insns)
+	p := Predecode(insns)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cand := range c.entries[h] {
 		if cand.Matches(insns) {
-			return cand, true // raced with another builder
+			return cand // raced with another builder
 		}
 	}
 	if c.size >= programCacheLimit {
@@ -215,7 +214,7 @@ func (c *ProgramCache) Get(insns []uint16) (p *Program, hit bool) {
 	}
 	c.entries[h] = append(c.entries[h], p)
 	c.size++
-	return p, false
+	return p
 }
 
 // Size returns the number of cached programs.

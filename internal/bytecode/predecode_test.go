@@ -152,24 +152,23 @@ func unitsToBytes(insns []uint16) []byte {
 }
 
 // TestProgramCacheContentKeyed checks that the cache keys by content, not
-// slice identity: equal content hits regardless of backing array, and an
-// in-place mutation misses instead of aliasing the stale program.
+// slice identity: equal content returns the same program regardless of
+// backing array, and an in-place mutation builds a fresh program instead of
+// aliasing the stale one.
 func TestProgramCacheContentKeyed(t *testing.T) {
 	c := NewProgramCache()
 	a := []uint16{0x0012, 0x000e} // const/4 v0,0; return-void
-	p1, hit := c.Get(a)
-	if hit {
-		t.Fatal("first Get reported a hit")
+	p1 := c.Get(a)
+	if c.Size() != 1 {
+		t.Fatalf("cache size %d after first Get, want 1", c.Size())
 	}
 	b := append([]uint16(nil), a...)
-	p2, hit := c.Get(b)
-	if !hit || p2 != p1 {
-		t.Fatalf("equal-content Get: hit=%v same=%v, want hit on the same program", hit, p2 == p1)
+	if p2 := c.Get(b); p2 != p1 || c.Size() != 1 {
+		t.Fatalf("equal-content Get: same=%v size=%d, want the cached program and size 1", p2 == p1, c.Size())
 	}
 	a[0] = 0x1012 // const/4 v0,1 — self-modification of the live array
-	p3, hit := c.Get(a)
-	if hit || p3 == p1 {
-		t.Fatalf("mutated-content Get: hit=%v same=%v, want a fresh program", hit, p3 == p1)
+	if p3 := c.Get(a); p3 == p1 {
+		t.Fatal("mutated-content Get returned the stale program")
 	}
 	if p1.Matches(a) {
 		t.Fatal("stale program claims to match mutated units")

@@ -604,14 +604,12 @@ func New() *Collector {
 	}
 	c.known = c.res
 	c.hooks = &art.Hooks{
-		MethodEntered:       c.methodEntered,
-		MethodExited:        c.methodExited,
-		Instruction:         c.instruction,
-		ClassInitialized:    c.classInitialized,
-		ReflectiveCall:      c.reflectiveCall,
-		PredecodeHit:        c.predecodeHit,
-		PredecodeInvalidate: c.predecodeInvalidate,
-		CodeWritten:         c.codeWritten,
+		MethodEntered:    c.methodEntered,
+		MethodExited:     c.methodExited,
+		Instruction:      c.instruction,
+		ClassInitialized: c.classInitialized,
+		ReflectiveCall:   c.reflectiveCall,
+		CodeWritten:      c.codeWritten,
 	}
 	return c
 }
@@ -853,31 +851,6 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 		}
 	}
 	cur.push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
-}
-
-// predecodeHit traces a method binding to a cached predecoded program.
-// Interpreter acceleration events ride the same reveal span as the
-// collection-tree events so per-app traces show cache behaviour alongside
-// the self-modification activity that invalidates it.
-func (c *Collector) predecodeHit(m *art.Method) {
-	c.enter()
-	defer c.leave()
-	if !appMethod(m) || !c.span.Enabled() {
-		return
-	}
-	c.span.PredecodeHit(m.Key())
-}
-
-// predecodeInvalidate traces a live-code write dropping a method's
-// predecoded stream — the same modification events that fork collection
-// trees, observed at the interpreter layer.
-func (c *Collector) predecodeInvalidate(m *art.Method, pc int) {
-	c.enter()
-	defer c.leave()
-	if !appMethod(m) || !c.span.Enabled() {
-		return
-	}
-	c.span.PredecodeInvalidate(m.Key(), pc)
 }
 
 // codeWritten marks a method whose live unit array was written: its record

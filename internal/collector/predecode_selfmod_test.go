@@ -61,27 +61,24 @@ func selfModProgram() (*dexgen.Program, map[string]art.NativeFunc) {
 }
 
 // collectSelfMod runs the self-modifying workload on a fresh runtime with
-// the given predecode mode and optional shared program cache, returning the
-// collected trees of the mutated method (canonical JSON) and the number of
-// predecode invalidations the runtime reported.
+// the given predecode mode, returning the collected trees of the mutated
+// method (canonical JSON) and the number of code writes into it the runtime
+// reported.
 func collectSelfMod(t *testing.T, pkg *apk.APK, natives map[string]art.NativeFunc,
-	predecode bool, cache *bytecode.ProgramCache) ([]byte, int) {
+	predecode bool) ([]byte, int) {
 	t.Helper()
 	rt := art.NewRuntime(art.DefaultPhone())
 	rt.SetPredecode(predecode)
-	if cache != nil {
-		rt.SetProgramCache(cache)
-	}
 	for k, fn := range natives {
 		rt.RegisterNative(k, fn)
 	}
 	col := collector.New()
 	rt.AddHooks(col.Hooks())
-	invalidations := 0
+	writes := 0
 	rt.AddHooks(&art.Hooks{
-		PredecodeInvalidate: func(m *art.Method, pc int) {
+		CodeWritten: func(m *art.Method, pc int) {
 			if m.Key() == "Lsm/P;->h()I" {
-				invalidations++
+				writes++
 			}
 		},
 	})
@@ -103,14 +100,15 @@ func collectSelfMod(t *testing.T, pkg *apk.APK, natives map[string]art.NativeFun
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trees, invalidations
+	return trees, writes
 }
 
 // TestSelfModificationInvalidatesAndMatchesReference is the differential
 // self-modification test of the predecoded interpreter: a method that
-// overwrites its own units mid-execution must (1) drop its predecoded
-// stream — observable as predecode_invalidate — and (2) fork the exact same
-// collection tree the reference decode-per-step interpreter produces.
+// overwrites its own units mid-execution must (1) report the same code
+// writes in both modes — each one drops the predecoded stream — and (2) fork
+// the exact same collection tree the reference decode-per-step interpreter
+// produces.
 func TestSelfModificationInvalidatesAndMatchesReference(t *testing.T) {
 	p, natives := selfModProgram()
 	data, err := p.Bytes()
@@ -120,13 +118,10 @@ func TestSelfModificationInvalidatesAndMatchesReference(t *testing.T) {
 	pkg := apk.New("sm", "1", "")
 	pkg.SetDex(data)
 
-	ref, refInval := collectSelfMod(t, pkg, natives, false, nil)
-	if refInval != 0 {
-		t.Fatalf("reference interpreter reported %d invalidations", refInval)
-	}
-	fast, inval := collectSelfMod(t, pkg, natives, true, nil)
-	if inval == 0 {
-		t.Error("self-modification never invalidated the predecoded stream")
+	ref, refWrites := collectSelfMod(t, pkg, natives, false)
+	fast, writes := collectSelfMod(t, pkg, natives, true)
+	if refWrites == 0 || writes != refWrites {
+		t.Errorf("code writes: reference %d, predecoded %d; want equal and non-zero", refWrites, writes)
 	}
 	if string(ref) != string(fast) {
 		t.Errorf("collection trees diverge between interpreters:\n ref:  %s\n fast: %s", ref, fast)
@@ -134,11 +129,11 @@ func TestSelfModificationInvalidatesAndMatchesReference(t *testing.T) {
 }
 
 // TestSelfModificationSharedCacheParallel runs the same self-modifying
-// workload on several runtimes concurrently, all resolving through ONE
-// shared program cache — the worker-shard configuration of force execution
-// (Options.Workers > 1). Every shard must observe its own invalidations and
-// collect the reference tree; run under -race this also proves the cache
-// sharing is sound while methods are being tampered.
+// workload on several runtimes concurrently, all resolving through the
+// runtime's process-wide program cache — the worker-shard configuration of
+// force execution (Options.Workers > 1). Every shard must observe its own
+// code writes and collect the reference tree; run under -race this also
+// proves the cache sharing is sound while methods are being tampered.
 func TestSelfModificationSharedCacheParallel(t *testing.T) {
 	p, natives := selfModProgram()
 	data, err := p.Bytes()
@@ -147,24 +142,23 @@ func TestSelfModificationSharedCacheParallel(t *testing.T) {
 	}
 	pkg := apk.New("sm", "1", "")
 	pkg.SetDex(data)
-	ref, _ := collectSelfMod(t, pkg, natives, false, nil)
+	ref, refWrites := collectSelfMod(t, pkg, natives, false)
 
 	const shards = 4
-	cache := bytecode.NewProgramCache()
 	results := make([][]byte, shards)
-	invals := make([]int, shards)
+	writes := make([]int, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], invals[i] = collectSelfMod(t, pkg, natives, true, cache)
+			results[i], writes[i] = collectSelfMod(t, pkg, natives, true)
 		}(i)
 	}
 	wg.Wait()
 	for i := 0; i < shards; i++ {
-		if invals[i] == 0 {
-			t.Errorf("shard %d saw no predecode invalidation", i)
+		if writes[i] == 0 || writes[i] != refWrites {
+			t.Errorf("shard %d saw %d code writes, want %d", i, writes[i], refWrites)
 		}
 		if string(results[i]) != string(ref) {
 			t.Errorf("shard %d trees diverge from the reference interpreter", i)

@@ -44,10 +44,10 @@ func seedDex(f *testing.F) []byte {
 func FuzzDexRead(f *testing.F) {
 	seed := seedDex(f)
 	f.Add(seed)
-	f.Add(seed[:len(seed)/2])       // truncated file
-	f.Add(seed[len(seed)/4:])       // missing header
-	f.Add([]byte{})                 // empty
-	f.Add([]byte("dex\n035\x00"))   // bare magic
+	f.Add(seed[:len(seed)/2])     // truncated file
+	f.Add(seed[len(seed)/4:])     // missing header
+	f.Add([]byte{})               // empty
+	f.Add([]byte("dex\n035\x00")) // bare magic
 	f.Add([]byte("dex\n039\x00" + "\x00\x00\x00\x00"))
 	corrupt := append([]byte(nil), seed...)
 	for i := 0x20; i < 0x40 && i < len(corrupt); i++ {

@@ -14,7 +14,7 @@ func FuzzLEB128(f *testing.F) {
 	f.Add(uint32(1), int32(-1), []byte{0x80})
 	f.Add(uint32(127), int32(64), []byte{0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add(uint32(128), int32(-128), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x00})
-	f.Add(^uint32(0), int32(-1 << 31), []byte{0xe5, 0x8e, 0x26})
+	f.Add(^uint32(0), int32(-1<<31), []byte{0xe5, 0x8e, 0x26})
 	f.Fuzz(func(t *testing.T, u uint32, s int32, raw []byte) {
 		// Unsigned round-trip.
 		enc := appendULEB128(nil, u)

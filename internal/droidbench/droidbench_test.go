@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dexlego/internal/art"
-	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
 	"dexlego/internal/droidbench"
 	"dexlego/internal/taint"
@@ -227,28 +226,5 @@ func TestForceExecutionFalsePositiveTradeoff(t *testing.T) {
 		if !rForced.Leaky() {
 			t.Errorf("%s: force-executed reveal should reintroduce the FP (the paper's coverage/precision trade-off)", tool.Name)
 		}
-	}
-}
-
-// TestRemoveHooksDetaches verifies instrumentation can be detached.
-func TestRemoveHooksDetaches(t *testing.T) {
-	s := droidbench.ByName("DirectLeak1")
-	pkg, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := art.NewRuntime(art.DefaultPhone())
-	count := 0
-	h := &art.Hooks{Instruction: func(m *art.Method, pc int, insns []uint16, in *bytecode.Inst) { count++ }}
-	rt.AddHooks(h)
-	rt.RemoveHooks(h)
-	if err := rt.LoadAPK(pkg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.LaunchActivity(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Errorf("detached hook fired %d times", count)
 	}
 }

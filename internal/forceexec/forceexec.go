@@ -12,7 +12,9 @@
 // runtime, a coverage shard, and (when a Collector is attached) a collector
 // shard; a barrier at the end of the iteration folds the shards back in
 // task order and recomputes the UCB worklist, preserving the paper's
-// iteration semantics exactly.
+// iteration semantics exactly. Every runtime resolves predecoded method
+// bodies through the runtime's process-wide program cache, so forced runs
+// reuse what the collection stage (or an earlier reveal) already lowered.
 package forceexec
 
 import (
@@ -70,10 +72,6 @@ type Engine struct {
 
 	MaxIterations  int
 	MaxRunsPerIter int
-	// ExtraHooks are attached to every runtime. With Workers > 1 the hooks
-	// must be safe for concurrent use across runtimes; attach a stateful
-	// collector through Collector instead, which shards it per run.
-	ExtraHooks []*art.Hooks
 	// ForceExceptionEdges additionally treats try/catch edges as forceable
 	// branches: for each uncovered handler, the matching exception is
 	// injected inside the try range. This implements the extension the
@@ -104,11 +102,6 @@ type Engine struct {
 	// only from the serial scheduling phase.
 	codeIdx map[string]*dex.Code
 	cfgs    map[string]*methodPaths
-
-	// progCache is the campaign-wide predecoded-program cache every worker
-	// shard's runtime resolves through, so each distinct method body is
-	// lowered once per campaign instead of once per forced run.
-	progCache *bytecode.ProgramCache
 }
 
 // New returns an engine with the defaults used in the experiments.
@@ -120,7 +113,6 @@ func New(pkg *apk.APK, files []*dex.File) *Engine {
 		MaxRunsPerIter: 500,
 		codeIdx:        buildCodeIndex(files),
 		cfgs:           make(map[string]*methodPaths),
-		progCache:      bytecode.NewProgramCache(),
 	}
 }
 
@@ -144,9 +136,6 @@ func (e *Engine) workers() int {
 
 func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector, extra ...*art.Hooks) (*art.Runtime, error) {
 	rt := art.NewRuntime(art.DefaultPhone())
-	if e.progCache != nil {
-		rt.SetProgramCache(e.progCache)
-	}
 	if e.InstallNatives != nil {
 		e.InstallNatives(rt)
 	}
@@ -158,9 +147,6 @@ func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector,
 	}
 	if col != nil {
 		rt.AddHooks(col.Hooks())
-	}
-	for _, h := range e.ExtraHooks {
-		rt.AddHooks(h)
 	}
 	rt.AddHooks(tracker.Hooks())
 	if err := rt.LoadAPK(e.Pkg); err != nil {

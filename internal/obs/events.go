@@ -20,17 +20,12 @@ type EventType uint8
 // violation just before the guard panics. The service events cover the
 // reveal-as-a-service layer (internal/server, internal/store): cache
 // hit/miss against the content-addressed artifact store, the time a job
-// spent queued for a worker, and the job admission/completion lifecycle.
-// The parallel-collection events cover sharded force execution
-// (internal/forceexec): worker_merge is one collection shard folded into
-// the campaign result at an iteration barrier, and worker_clamp records
-// the service capping a job's worker budget to keep jobs x workers within
-// GOMAXPROCS. The interpreter events cover the predecoded handler-table
-// path (internal/art): predecode_hit is a method bound to a predecoded
-// program already in the shared content-keyed cache, and
-// predecode_invalidate is a write into a method's live unit array dropping
-// its predecoded stream — the observation points where self-modification
-// becomes visible to the collector. The telemetry events cover the
+// spent queued for a worker (one event per admitted job, when it starts),
+// and the job's completion. The parallel-collection events cover sharded
+// force execution (internal/forceexec): worker_merge is one collection
+// shard folded into the campaign result at an iteration barrier, and
+// worker_clamp records the service capping a job's worker budget to keep
+// jobs x workers within GOMAXPROCS. The telemetry events cover the
 // production telemetry plane: resource_sample attributes heap allocation
 // and live-heap growth to one pipeline stage, slo_violation records a job
 // exceeding its configured latency objective, and flight_dump records the
@@ -60,12 +55,9 @@ const (
 	EventCacheHit
 	EventCacheMiss
 	EventQueueWait
-	EventJobEnqueued
 	EventJobDone
 	EventWorkerMerge
 	EventWorkerClamp
-	EventPredecodeHit
-	EventPredecodeInvalidate
 	EventResourceSample
 	EventSLOViolation
 	EventFlightDump
@@ -175,18 +167,15 @@ var eventSpecs = [numEventTypes]eventSpec{
 		fold: func(a *AppTrace, e *Event) { a.Defects = append(a.Defects, e.Detail) }},
 	EventConcurrentEntry: {name: "concurrent_entry", need: fDetail,
 		fold: func(a *AppTrace, e *Event) { a.ConcurrentUses = append(a.ConcurrentUses, e.Detail) }},
-	EventCacheHit:    {name: "cache_hit", need: fDetail},
-	EventCacheMiss:   {name: "cache_miss", need: fDetail},
-	EventQueueWait:   {name: "queue_wait", need: fDetail},
-	EventJobEnqueued: {name: "job_enqueued", need: fDetail},
-	EventJobDone:     {name: "job_done", need: fDetail, labels: []string{JobOK, JobFailed}},
+	EventCacheHit:  {name: "cache_hit", need: fDetail},
+	EventCacheMiss: {name: "cache_miss", need: fDetail},
+	EventQueueWait: {name: "queue_wait", need: fDetail},
+	EventJobDone:   {name: "job_done", need: fDetail, labels: []string{JobOK, JobFailed}},
 	EventWorkerMerge: {name: "worker_merge", check: countWithinFrom, fold: func(a *AppTrace, e *Event) {
 		a.ShardTreesKept += e.Count
 		a.ShardDedupHits += e.From - e.Count
 	}},
-	EventWorkerClamp:         {name: "worker_clamp", need: fCount, check: countWithinFrom},
-	EventPredecodeHit:        {name: "predecode_hit", need: fMethod},
-	EventPredecodeInvalidate: {name: "predecode_invalidate", need: fMethod},
+	EventWorkerClamp: {name: "worker_clamp", need: fCount, check: countWithinFrom},
 	EventResourceSample: {name: "resource_sample", need: fName, fold: func(a *AppTrace, e *Event) {
 		a.AllocBytes += e.Bytes
 		a.PeakHeapDelta = max(a.PeakHeapDelta, e.Heap)

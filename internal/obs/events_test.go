@@ -9,35 +9,32 @@ import (
 // accepts — every payload key in it is load-bearing — and the key of its
 // enum label, if it has one.
 var minimalEvents = map[EventType]struct{ line, label string }{
-	EventSpanStart:           {`{"ev":"span_start","tsNS":1,"span":1,"name":"reveal"}`, ""},
-	EventSpanEnd:             {`{"ev":"span_end","tsNS":1,"span":1,"name":"reveal"}`, ""},
-	EventMethodCollected:     {`{"ev":"method_collected","tsNS":1,"method":"m","depth":1,"count":3}`, ""},
-	EventTreeFork:            {`{"ev":"tree_fork","tsNS":1,"method":"m","depth":1}`, ""},
-	EventTreeConverge:        {`{"ev":"tree_converge","tsNS":1,"method":"m","depth":1}`, ""},
-	EventUCBFlip:             {`{"ev":"ucb_flip","tsNS":1,"method":"m","branch":"taken"}`, "branch"},
-	EventExceptionTolerated:  {`{"ev":"exception_tolerated","tsNS":1,"method":"m"}`, ""},
-	EventReflectionRewrite:   {`{"ev":"reflection_rewrite","tsNS":1,"method":"m","target":"call_0"}`, ""},
-	EventMergeVariant:        {`{"ev":"merge_variant","tsNS":1,"method":"m","from":2,"count":1}`, ""},
-	EventStubEmitted:         {`{"ev":"stub_emitted","tsNS":1,"method":"m"}`, ""},
-	EventVerifyDefect:        {`{"ev":"verify_defect","tsNS":1,"detail":"bad"}`, ""},
-	EventConcurrentEntry:     {`{"ev":"concurrent_entry","tsNS":1,"detail":"owner"}`, ""},
-	EventCacheHit:            {`{"ev":"cache_hit","tsNS":1,"detail":"k"}`, ""},
-	EventCacheMiss:           {`{"ev":"cache_miss","tsNS":1,"detail":"k"}`, ""},
-	EventQueueWait:           {`{"ev":"queue_wait","tsNS":1,"detail":"job-1"}`, ""},
-	EventJobEnqueued:         {`{"ev":"job_enqueued","tsNS":1,"detail":"job-1"}`, ""},
-	EventJobDone:             {`{"ev":"job_done","tsNS":1,"name":"ok","detail":"job-1"}`, "name"},
-	EventWorkerMerge:         {`{"ev":"worker_merge","tsNS":1}`, ""},
-	EventWorkerClamp:         {`{"ev":"worker_clamp","tsNS":1,"from":4,"count":2}`, ""},
-	EventPredecodeHit:        {`{"ev":"predecode_hit","tsNS":1,"method":"m"}`, ""},
-	EventPredecodeInvalidate: {`{"ev":"predecode_invalidate","tsNS":1,"method":"m"}`, ""},
-	EventResourceSample:      {`{"ev":"resource_sample","tsNS":1,"name":"collection"}`, ""},
-	EventSLOViolation:        {`{"ev":"slo_violation","tsNS":1,"durNS":5,"detail":"job-1","sloNS":5}`, ""},
-	EventFlightDump:          {`{"ev":"flight_dump","tsNS":1,"name":"slo","detail":"job-1"}`, "name"},
-	EventMethodCacheHit:      {`{"ev":"method_cache_hit","tsNS":1,"method":"m"}`, ""},
-	EventMethodCacheMiss:     {`{"ev":"method_cache_miss","tsNS":1,"method":"m"}`, ""},
-	EventTreeSplice:          {`{"ev":"tree_splice","tsNS":1,"method":"m","count":1}`, ""},
-	EventMemSpill:            {`{"ev":"mem_spill","tsNS":1,"method":"m","detail":"spill/v1|k","bytes":64}`, ""},
-	EventMemAdmitWait:        {`{"ev":"mem_admit_wait","tsNS":1,"detail":"job-1","bytes":64}`, ""},
+	EventSpanStart:          {`{"ev":"span_start","tsNS":1,"span":1,"name":"reveal"}`, ""},
+	EventSpanEnd:            {`{"ev":"span_end","tsNS":1,"span":1,"name":"reveal"}`, ""},
+	EventMethodCollected:    {`{"ev":"method_collected","tsNS":1,"method":"m","depth":1,"count":3}`, ""},
+	EventTreeFork:           {`{"ev":"tree_fork","tsNS":1,"method":"m","depth":1}`, ""},
+	EventTreeConverge:       {`{"ev":"tree_converge","tsNS":1,"method":"m","depth":1}`, ""},
+	EventUCBFlip:            {`{"ev":"ucb_flip","tsNS":1,"method":"m","branch":"taken"}`, "branch"},
+	EventExceptionTolerated: {`{"ev":"exception_tolerated","tsNS":1,"method":"m"}`, ""},
+	EventReflectionRewrite:  {`{"ev":"reflection_rewrite","tsNS":1,"method":"m","target":"call_0"}`, ""},
+	EventMergeVariant:       {`{"ev":"merge_variant","tsNS":1,"method":"m","from":2,"count":1}`, ""},
+	EventStubEmitted:        {`{"ev":"stub_emitted","tsNS":1,"method":"m"}`, ""},
+	EventVerifyDefect:       {`{"ev":"verify_defect","tsNS":1,"detail":"bad"}`, ""},
+	EventConcurrentEntry:    {`{"ev":"concurrent_entry","tsNS":1,"detail":"owner"}`, ""},
+	EventCacheHit:           {`{"ev":"cache_hit","tsNS":1,"detail":"k"}`, ""},
+	EventCacheMiss:          {`{"ev":"cache_miss","tsNS":1,"detail":"k"}`, ""},
+	EventQueueWait:          {`{"ev":"queue_wait","tsNS":1,"detail":"job-1"}`, ""},
+	EventJobDone:            {`{"ev":"job_done","tsNS":1,"name":"ok","detail":"job-1"}`, "name"},
+	EventWorkerMerge:        {`{"ev":"worker_merge","tsNS":1}`, ""},
+	EventWorkerClamp:        {`{"ev":"worker_clamp","tsNS":1,"from":4,"count":2}`, ""},
+	EventResourceSample:     {`{"ev":"resource_sample","tsNS":1,"name":"collection"}`, ""},
+	EventSLOViolation:       {`{"ev":"slo_violation","tsNS":1,"durNS":5,"detail":"job-1","sloNS":5}`, ""},
+	EventFlightDump:         {`{"ev":"flight_dump","tsNS":1,"name":"slo","detail":"job-1"}`, "name"},
+	EventMethodCacheHit:     {`{"ev":"method_cache_hit","tsNS":1,"method":"m"}`, ""},
+	EventMethodCacheMiss:    {`{"ev":"method_cache_miss","tsNS":1,"method":"m"}`, ""},
+	EventTreeSplice:         {`{"ev":"tree_splice","tsNS":1,"method":"m","count":1}`, ""},
+	EventMemSpill:           {`{"ev":"mem_spill","tsNS":1,"method":"m","detail":"spill/v1|k","bytes":64}`, ""},
+	EventMemAdmitWait:       {`{"ev":"mem_admit_wait","tsNS":1,"detail":"job-1","bytes":64}`, ""},
 }
 
 // TestEventSpecTable checks the vocabulary table over every type: each has

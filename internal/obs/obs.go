@@ -246,22 +246,6 @@ func (s *Span) TreeConverge(method string, pc, depth int) {
 	s.event(func() Event { return Event{Type: EventTreeConverge, Method: method, PC: pc, Depth: depth} })
 }
 
-// PredecodeHit records a method binding to a predecoded program that was
-// already present in the shared program cache.
-func (s *Span) PredecodeHit(method string) {
-	s.event(func() Event { return Event{Type: EventPredecodeHit, Method: method} })
-}
-
-// PredecodeInvalidate records a write into a method's live unit array
-// dropping its predecoded stream. pc is the dex_pc where the modification
-// was observed (-1 outside bytecode is recorded as pc 0 omitted).
-func (s *Span) PredecodeInvalidate(method string, pc int) {
-	if pc < 0 {
-		pc = 0
-	}
-	s.event(func() Event { return Event{Type: EventPredecodeInvalidate, Method: method, PC: pc} })
-}
-
 // UCBFlip records a force-execution branch override in iteration iter.
 func (s *Span) UCBFlip(method string, pc int, taken bool, iter int) {
 	branch := BranchFallthrough
@@ -377,11 +361,6 @@ func (s *Span) MemAdmitWait(id string, wait time.Duration, bytes int64) {
 // a worker dequeued it.
 func (s *Span) QueueWait(id string, wait time.Duration) {
 	s.event(func() Event { return Event{Type: EventQueueWait, Detail: id, DurNS: int64(wait)} })
-}
-
-// JobEnqueued records job `id` passing admission control into the queue.
-func (s *Span) JobEnqueued(id string) {
-	s.event(func() Event { return Event{Type: EventJobEnqueued, Detail: id} })
 }
 
 // JobDone records job `id` finishing after total latency `total`

@@ -62,7 +62,6 @@ func TestServiceEventEmitters(t *testing.T) {
 	tr := New(NewJSONLSink(&buf))
 	root := tr.Start("server", "dexlego-serve")
 	job := root.Start("job")
-	job.JobEnqueued("job-1")
 	job.QueueWait("job-1", 1500)
 	job.CacheMiss("aa11")
 	job.JobDone("job-1", 9000, true)
@@ -74,8 +73,8 @@ func TestServiceEventEmitters(t *testing.T) {
 	evs := parseAll(t, &buf)
 	snap := tr.Snapshot()
 	for ty, want := range map[EventType]int64{
-		EventJobEnqueued: 1, EventQueueWait: 1, EventCacheMiss: 1,
-		EventCacheHit: 1, EventJobDone: 2,
+		EventQueueWait: 1, EventCacheMiss: 1, EventCacheHit: 1,
+		EventJobDone: 2,
 	} {
 		if got := snap.EventCount(ty); got != want {
 			t.Errorf("%s count = %d, want %d", ty, got, want)

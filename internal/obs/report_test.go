@@ -20,7 +20,7 @@ func TestReadTraceRejectsBadLines(t *testing.T) {
 		{"defect without detail", `{"ev":"verify_defect","tsNS":1}`},
 		{"cache hit without key", `{"ev":"cache_hit","tsNS":1}`},
 		{"cache miss without key", `{"ev":"cache_miss","tsNS":1}`},
-		{"enqueue without job id", `{"ev":"job_enqueued","tsNS":1}`},
+		{"retired type job_enqueued", `{"ev":"job_enqueued","tsNS":1,"detail":"job-1"}`},
 		{"queue wait without job id", `{"ev":"queue_wait","tsNS":1,"durNS":5}`},
 		{"queue wait negative", `{"ev":"queue_wait","tsNS":1,"detail":"job-1","durNS":-5}`},
 		{"job done bad outcome", `{"ev":"job_done","tsNS":1,"detail":"job-1","name":"maybe"}`},

@@ -466,7 +466,7 @@ type flattener struct {
 	grow      bool
 	oldLocals int32
 	scratch   int32
-	rootBase  bytecode.LabelID                       // label block of the root node
+	rootBase  bytecode.LabelID                         // label block of the root node
 	nodeBase  map[*collector.TreeNode]bytecode.LabelID // non-root blocks; nil until a child exists
 	unexec    bool
 	unexecID  bytecode.LabelID // -1 until the first unexecuted target

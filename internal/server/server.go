@@ -461,7 +461,6 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, "queue full, retry later")
 		return
 	}
-	s.root.JobEnqueued(j.id)
 	s.respondAdmitted(w, r, j)
 }
 

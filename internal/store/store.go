@@ -10,9 +10,9 @@
 // The store is two tiers: a bounded in-memory LRU of decoded artifacts in
 // front of an unbounded on-disk layout (two-level fan-out directories,
 // atomic write-then-rename persistence of the revealed APK and its
-// pipeline.AppMetrics/obs snapshot). Concurrent requests for the same key
-// are deduplicated by singleflight: exactly one caller runs the reveal,
-// everyone else waits for its artifact.
+// pipeline.AppMetrics/obs snapshot). The store does not deduplicate
+// concurrent reveals of one key: the server's admission lease already keeps
+// each key to one queued or running job.
 package store
 
 import (
@@ -83,13 +83,6 @@ type Artifact struct {
 	Metrics *pipeline.AppMetrics `json:"metrics"`
 }
 
-// flightCall is one in-flight reveal other callers of the same key wait on.
-type flightCall struct {
-	done chan struct{}
-	art  *Artifact
-	err  error
-}
-
 // Store is a two-tier content-addressed artifact cache. All methods are
 // safe for concurrent use.
 type Store struct {
@@ -99,7 +92,6 @@ type Store struct {
 	mu      sync.Mutex
 	byKey   map[string]*list.Element // -> *Artifact inside lru
 	lru     *list.List               // front = most recently used
-	flight  map[string]*flightCall
 	hits    atomic.Int64
 	misses  atomic.Int64
 	evicted atomic.Int64
@@ -118,17 +110,16 @@ func Open(dir string, capEntries int) (*Store, error) {
 		}
 	}
 	return &Store{
-		dir:    dir,
-		cap:    capEntries,
-		byKey:  make(map[string]*list.Element),
-		lru:    list.New(),
-		flight: make(map[string]*flightCall),
+		dir:   dir,
+		cap:   capEntries,
+		byKey: make(map[string]*list.Element),
+		lru:   list.New(),
 	}, nil
 }
 
-// Hits counts lookups served without running a reveal (memory, disk, or
-// singleflight followers); Misses counts reveals actually run; Evicted
-// counts LRU evictions (the disk tier keeps evicted artifacts).
+// Hits counts lookups served without running a reveal (memory or disk);
+// Misses counts reveals actually run; Evicted counts LRU evictions (the
+// disk tier keeps evicted artifacts).
 func (s *Store) Hits() int64    { return s.hits.Load() }
 func (s *Store) Misses() int64  { return s.misses.Load() }
 func (s *Store) Evicted() int64 { return s.evicted.Load() }
@@ -166,61 +157,18 @@ func (s *Store) Get(key string) (*Artifact, bool) {
 	return art, true
 }
 
-// GetOrReveal returns the artifact for key, running reveal at most once
-// across all concurrent callers of the same key. The bool reports whether
-// the caller was served from the store (memory, disk, or another caller's
-// in-flight reveal) rather than by running reveal itself. A failed reveal
-// caches nothing: the next request retries.
+// GetOrReveal returns the artifact for key: from memory, then disk, and
+// only then by running reveal, persisting the fresh artifact before
+// publishing it. The bool reports whether the caller was served from the
+// store rather than by running reveal. A failed reveal caches nothing: the
+// next request retries. GetOrReveal does not deduplicate concurrent callers
+// of one key; the server's admission lease keeps each key to one queued or
+// running job.
 func (s *Store) GetOrReveal(key string, reveal func() (*Artifact, error)) (*Artifact, bool, error) {
 	if !ValidKey(key) {
 		return nil, false, ErrBadKey
 	}
-	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		art := el.Value.(*Artifact) // read under mu: insertLocked rewrites Value
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return art, true, nil
-	}
-	if c, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return nil, false, c.err
-		}
-		s.hits.Add(1)
-		return c.art, true, nil
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
-	s.mu.Unlock()
-
-	art, hit, err := s.fill(key, reveal)
-	c.art, c.err = art, err
-
-	s.mu.Lock()
-	delete(s.flight, key)
-	if err == nil {
-		s.insertLocked(key, art)
-	}
-	s.mu.Unlock()
-	close(c.done)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return art, hit, nil
-}
-
-// fill resolves a singleflight leader's miss: disk first, then the reveal
-// callback, persisting a fresh artifact before publishing it.
-func (s *Store) fill(key string, reveal func() (*Artifact, error)) (*Artifact, bool, error) {
-	if art, err := s.loadDisk(key); err == nil && art != nil {
+	if art, ok := s.Get(key); ok {
 		return art, true, nil
 	}
 	art, err := reveal()
@@ -234,6 +182,10 @@ func (s *Store) fill(key string, reveal func() (*Artifact, error)) (*Artifact, b
 	if err := s.persist(art); err != nil {
 		return nil, false, err
 	}
+	s.mu.Lock()
+	s.insertLocked(key, art)
+	s.mu.Unlock()
+	s.misses.Add(1)
 	return art, false, nil
 }
 

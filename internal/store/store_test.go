@@ -58,52 +58,6 @@ func TestKeyForShapeAndSensitivity(t *testing.T) {
 	}
 }
 
-func TestGetOrRevealSingleflight(t *testing.T) {
-	s, err := Open(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(0)
-	var reveals atomic.Int64
-	var served atomic.Int64 // callers that did NOT run the reveal
-	const callers = 32
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			art, hit, err := s.GetOrReveal(key, func() (*Artifact, error) {
-				reveals.Add(1)
-				time.Sleep(10 * time.Millisecond) // widen the in-flight window
-				return artifactFor(key), nil
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if hit {
-				served.Add(1)
-			}
-			if string(art.Revealed) != string(payloadFor(key)) {
-				t.Errorf("caller got wrong payload %q", art.Revealed)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := reveals.Load(); got != 1 {
-		t.Errorf("reveal ran %d times for one key, want exactly 1", got)
-	}
-	if got := served.Load(); got != callers-1 {
-		t.Errorf("served-from-store callers = %d, want %d", got, callers-1)
-	}
-	if s.Misses() != 1 || s.Hits() != callers-1 {
-		t.Errorf("hits/misses = %d/%d, want %d/1", s.Hits(), s.Misses(), callers-1)
-	}
-}
-
 func TestPersistAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, 4)

@@ -15,12 +15,11 @@ import (
 )
 
 // projectEvents canonicalizes a JSONL trace for differential comparison:
-// wall-clock fields (timestamps, durations) and process-global span ids are
-// zeroed, and the predecode_* events are dropped — they exist only on the
-// predecoded path, and their absence on the reference path is the one
-// intended difference between the two interpreters. Everything else — the
-// collection-tree forks, reassembly decisions, forced-run lifecycle — must
-// match event for event.
+// wall-clock fields (timestamps, durations), heap readings and
+// process-global span ids are zeroed. No event type is dropped: the two
+// interpreters emit the same vocabulary, so every event — collection-tree
+// forks, reassembly decisions, forced-run lifecycle — must match event for
+// event.
 func projectEvents(t *testing.T, trace []byte) []string {
 	t.Helper()
 	var out []string
@@ -30,9 +29,6 @@ func projectEvents(t *testing.T, trace []byte) []string {
 		var ev obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("trace line %q: %v", sc.Bytes(), err)
-		}
-		if ev.Type == obs.EventPredecodeHit || ev.Type == obs.EventPredecodeInvalidate {
-			continue
 		}
 		ev.TS = 0
 		ev.Span = 0
