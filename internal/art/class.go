@@ -70,16 +70,16 @@ type Method struct {
 
 	key string // Key() cache; class, name and signature are fixed after link
 
-	// Interpreter acceleration state (see predecode.go). A method belongs to
-	// exactly one runtime and is only touched from its goroutine, so none of
-	// this needs locking; the cross-shard sharing happens one level down in
-	// the content-keyed bytecode.ProgramCache.
+	// Live-code binding state (see predecode.go), kept in both interpreter
+	// modes. A method belongs to exactly one runtime and is only touched
+	// from its goroutine, so none of this needs locking; the cross-shard
+	// sharing happens one level down in the content-keyed
+	// bytecode.ProgramCache.
 	codeGen uint64            // bumped on every write into the live unit array
-	prog    *bytecode.Program // predecoded stream for (progPtr, progLen, progGen)
-	progGen uint64            // codeGen the stream was built against
-	progLen int               // len(Insns) at predecode time
-	progPtr *uint16           // &Insns[0] at predecode time
-	sites   []icSite          // call-site inline caches, one per predecoded instruction
+	prog    *bytecode.Program // predecoded stream for (progPtr, progLen, progGen); nil with predecode off
+	progGen uint64            // codeGen at the last bind
+	progLen int               // len(Insns) at the last bind
+	progPtr *uint16           // &Insns[0] at the last bind; nil before the first
 }
 
 // NativeFunc is the Go signature of a native (JNI stand-in) method.

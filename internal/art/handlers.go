@@ -6,10 +6,9 @@ import (
 
 // handler executes one decoded instruction. in points into the predecoded
 // program (shared, immutable — never written through) or a loop-local
-// fallback decode; ci is the predecoded instruction index for inline-cache
-// addressing, -1 on the fallback path. Handlers advance f.pc themselves and
-// return done=true with the method result for returns.
-type handler func(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error)
+// fallback decode. Handlers advance f.pc themselves and return done=true
+// with the method result for returns.
+type handler func(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error)
 
 // handlers is the dispatch table of the interpreter: one entry per opcode
 // byte, replacing the monolithic switch. A nil entry is an opcode the
@@ -69,25 +68,25 @@ func init() {
 	set(hRsubLit8, bytecode.OpRsubIntLit8)
 }
 
-func hNop(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hNop(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hMove(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hMove(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = f.regs[in.B]
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hMoveResult(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hMoveResult(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = f.result
 	f.hasRes = false
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hMoveException(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hMoveException(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	if f.pending == nil {
 		f.regs[in.A] = NullVal()
 	} else {
@@ -98,27 +97,27 @@ func hMoveException(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, wid
 	return Value{}, false, nil
 }
 
-func hReturnVoid(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hReturnVoid(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	return Value{Kind: KindInt}, true, nil
 }
 
-func hReturn(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hReturn(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	return f.regs[in.A], true, nil
 }
 
-func hConst(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hConst(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = IntVal(in.Lit)
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hConstString(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hConstString(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = RefVal(rt.NewString(f.method.Class.File.String(in.Index)))
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hConstClass(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hConstClass(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	desc := f.method.Class.File.TypeName(in.Index)
 	cls, err := rt.FindClass(desc)
 	if err != nil {
@@ -129,7 +128,7 @@ func hConstClass(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width,
 	return Value{}, false, nil
 }
 
-func hCheckCast(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hCheckCast(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	if err := rt.checkCast(f.regs[in.A], f.method.Class.File.TypeName(in.Index)); err != nil {
 		return Value{}, false, err
 	}
@@ -137,13 +136,13 @@ func hCheckCast(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, 
 	return Value{}, false, nil
 }
 
-func hInstanceOf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hInstanceOf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = BoolVal(rt.instanceOf(f.regs[in.B], f.method.Class.File.TypeName(in.Index)))
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hArrayLength(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hArrayLength(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	arr := f.regs[in.B]
 	if arr.IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;", "array-length on null")
@@ -153,7 +152,7 @@ func hArrayLength(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width
 	return Value{}, false, nil
 }
 
-func hNewInstance(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hNewInstance(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	desc := f.method.Class.File.TypeName(in.Index)
 	cls, err := rt.FindClass(desc)
 	if err != nil {
@@ -167,7 +166,7 @@ func hNewInstance(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width
 	return Value{}, false, nil
 }
 
-func hNewArray(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hNewArray(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	n := f.regs[in.B].Int
 	if n < 0 {
 		return Value{}, false, rt.Throw("Ljava/lang/RuntimeException;", "negative array size")
@@ -181,19 +180,19 @@ func hNewArray(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, c
 	return Value{}, false, nil
 }
 
-func hThrow(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hThrow(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	if f.regs[in.A].IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;", "throw null")
 	}
 	return Value{}, false, &ThrownError{Obj: f.regs[in.A].Ref}
 }
 
-func hGoto(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hGoto(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.pc += int(in.Off)
 	return Value{}, false, nil
 }
 
-func hSwitch(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hSwitch(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	key := int32(f.regs[in.A].Int)
 	target := width // fall through past the 31t instruction
 	for i, k := range in.Keys {
@@ -206,7 +205,7 @@ func hSwitch(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci 
 	return Value{}, false, nil
 }
 
-func hIf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hIf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	taken := evalBranch(in.Op, f.regs[in.A], f.regs[in.B])
 	taken = rt.branchHook(f.method, f.pc, *in, taken)
 	if taken {
@@ -217,7 +216,7 @@ func hIf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int)
 	return Value{}, false, nil
 }
 
-func hIfZ(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hIfZ(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	// The z-form opcodes mirror the two-register forms shifted by 6.
 	taken := evalBranch(in.Op-6, f.regs[in.A], IntVal(0))
 	taken = rt.branchHook(f.method, f.pc, *in, taken)
@@ -229,7 +228,7 @@ func hIfZ(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int
 	return Value{}, false, nil
 }
 
-func hAGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hAGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	v, err := rt.arrayGet(f.regs[in.B], f.regs[in.C])
 	if err != nil {
 		return Value{}, false, err
@@ -239,7 +238,7 @@ func hAGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci in
 	return Value{}, false, nil
 }
 
-func hAPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hAPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	if err := rt.arrayPut(f.regs[in.B], f.regs[in.C], f.regs[in.A]); err != nil {
 		return Value{}, false, err
 	}
@@ -247,44 +246,30 @@ func hAPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci in
 	return Value{}, false, nil
 }
 
-// fieldName resolves the instance-field name of a 22c field instruction
-// through the site's inline cache.
-func fieldName(f *frame, in *bytecode.Inst, ci int) string {
-	if site := f.icAt(ci); site != nil {
-		if site.valid && site.index == in.Index && site.fref.Name != "" {
-			return site.fref.Name
-		}
-		ref := f.method.Class.File.FieldAt(in.Index)
-		*site = icSite{valid: true, index: in.Index, fref: ref}
-		return ref.Name
-	}
-	return f.method.Class.File.FieldAt(in.Index).Name
-}
-
-func hIGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hIGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	obj := f.regs[in.B]
 	if obj.IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;",
 			"iget on null in "+f.method.Key())
 	}
-	f.regs[in.A] = obj.Ref.Field(fieldName(f, in, ci))
+	f.regs[in.A] = obj.Ref.Field(f.method.Class.File.FieldAt(in.Index).Name)
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hIPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hIPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	obj := f.regs[in.B]
 	if obj.IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;",
 			"iput on null in "+f.method.Key())
 	}
-	obj.Ref.SetField(fieldName(f, in, ci), f.regs[in.A])
+	obj.Ref.SetField(f.method.Class.File.FieldAt(in.Index).Name, f.regs[in.A])
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hSGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
-	v, err := rt.staticGet(st, f.method, in, f.icAt(ci))
+func hSGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
+	v, err := rt.staticGet(st, f.method, in)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -293,35 +278,35 @@ func hSGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci in
 	return Value{}, false, nil
 }
 
-func hSPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
-	if err := rt.staticPut(st, f.method, in, f.icAt(ci), f.regs[in.A]); err != nil {
+func hSPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
+	if err := rt.staticPut(st, f.method, in, f.regs[in.A]); err != nil {
 		return Value{}, false, err
 	}
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hInvoke(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
-	if err := rt.doInvoke(st, f, in, ci); err != nil {
+func hInvoke(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
+	if err := rt.doInvoke(st, f, in); err != nil {
 		return Value{}, false, err
 	}
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hNegInt(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hNegInt(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = IntVal(int64(-int32(f.regs[in.B].Int))).WithTaint(f.regs[in.B].Taint)
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hNotInt(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hNotInt(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	f.regs[in.A] = IntVal(int64(^int32(f.regs[in.B].Int))).WithTaint(f.regs[in.B].Taint)
 	f.pc += width
 	return Value{}, false, nil
 }
 
-func hBinop(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hBinop(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	r, err := rt.binop(in.Op, f.regs[in.B], f.regs[in.C])
 	if err != nil {
 		return Value{}, false, err
@@ -331,7 +316,7 @@ func hBinop(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci i
 	return Value{}, false, nil
 }
 
-func hAddLit16(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hAddLit16(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	r, err := rt.binop(bytecode.OpAddInt, f.regs[in.B], IntVal(in.Lit))
 	if err != nil {
 		return Value{}, false, err
@@ -341,7 +326,7 @@ func hAddLit16(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, c
 	return Value{}, false, nil
 }
 
-func hLit8(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hLit8(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	r, err := rt.binop(lit8Base(in.Op), f.regs[in.B], IntVal(in.Lit))
 	if err != nil {
 		return Value{}, false, err
@@ -351,7 +336,7 @@ func hLit8(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci in
 	return Value{}, false, nil
 }
 
-func hRsubLit8(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width, ci int) (Value, bool, error) {
+func hRsubLit8(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	r, err := rt.binop(bytecode.OpSubInt, IntVal(in.Lit), f.regs[in.B])
 	if err != nil {
 		return Value{}, false, err

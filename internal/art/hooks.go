@@ -46,12 +46,14 @@ type Hooks struct {
 	// for its third coverage-loss category).
 	InjectException func(m *Method, pc int) string
 	// CodeWritten fires whenever a write into a method's live unit array is
-	// observed, in both predecode modes: a TamperMethod call, or a running
-	// frame detecting a silent code swap. These are the self-modification
-	// points where collection-tree forks originate; the incremental reveal
-	// path uses it to mark self-modified methods uncacheable. pc is the
-	// dex_pc of the observation site (the tampering call site or the
-	// executing pc); -1 when outside bytecode.
+	// observed, in both predecode modes: a TamperMethod call, or a frame
+	// finding the method's unit slice replaced since its last bind (a
+	// silent code swap; one made before the method's first bind is not
+	// observed). These are the self-modification points where
+	// collection-tree forks originate; the incremental reveal path uses it
+	// to mark self-modified methods uncacheable. pc is the dex_pc of the
+	// observation site (the tampering call site or the executing pc); -1
+	// when outside bytecode.
 	CodeWritten func(m *Method, pc int)
 }
 

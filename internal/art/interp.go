@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dexlego/internal/bytecode"
-	"dexlego/internal/dex"
 )
 
 // execState carries the per-top-level-call interpreter state: the frame
@@ -25,10 +24,11 @@ type frame struct {
 	hasRes  bool
 	pending *Object // caught exception awaiting move-exception
 
-	// Predecode binding (see predecode.go): the program this frame executes
-	// from, plus the live-code identity it was bound against. Any mismatch
-	// between these and the method's current state means the code was
-	// modified and the frame must rebind before the next step.
+	// Live-code binding (see predecode.go): the predecoded program this
+	// frame executes from (nil with predecode off), plus the live-code
+	// identity it was bound against. Any mismatch between these and the
+	// method's current state means the code was modified and the frame must
+	// rebind before the next step.
 	prog    *bytecode.Program
 	bindGen uint64
 	bindLen int
@@ -206,7 +206,7 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 		if f.pc < 0 || f.pc >= len(m.Insns) {
 			return Value{}, fmt.Errorf("art: %s: pc %d out of bounds", m.Key(), f.pc)
 		}
-		if f.prog != nil && f.bindStale() {
+		if f.bindStale() {
 			rt.bindProgram(f) // live code changed under us: drop and rebuild
 		}
 
@@ -215,10 +215,9 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 			d     *bytecode.DecodedInst
 			in    *bytecode.Inst
 			width int
-			ci    = -1
 		)
 		if f.prog != nil {
-			d, ci = f.prog.Lookup(f.pc)
+			d = f.prog.Lookup(f.pc)
 		}
 		if d != nil {
 			in, width = &d.Inst, d.Width
@@ -274,7 +273,7 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 					m.Key(), maxReg, f.pc)
 			}
 			if h := handlers[in.Op]; h != nil {
-				v, done, err = h(rt, st, f, in, width, ci)
+				v, done, err = h(rt, st, f, in, width)
 			} else {
 				err = fmt.Errorf("art: %s: unimplemented opcode %s", m.Key(), in.Op)
 			}
@@ -465,21 +464,11 @@ func (rt *Runtime) arrayPut(arr, idx, val Value) error {
 	return nil
 }
 
-func (rt *Runtime) staticGet(st *execState, m *Method, in *bytecode.Inst, site *icSite) (Value, error) {
-	var ref dex.FieldRef
-	var c *Class
-	if site != nil && site.valid && site.index == in.Index && site.cls != nil {
-		ref, c = site.fref, site.cls
-	} else {
-		ref = m.Class.File.FieldAt(in.Index)
-		cc, err := rt.FindClass(ref.Class)
-		if err != nil {
-			return Value{}, rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
-		}
-		c = cc
-		if site != nil {
-			*site = icSite{valid: true, index: in.Index, fref: ref, cls: c}
-		}
+func (rt *Runtime) staticGet(st *execState, m *Method, in *bytecode.Inst) (Value, error) {
+	ref := m.Class.File.FieldAt(in.Index)
+	c, err := rt.FindClass(ref.Class)
+	if err != nil {
+		return Value{}, rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
 	}
 	if err := rt.ensureInitialized(st, c); err != nil {
 		return Value{}, err
@@ -492,21 +481,11 @@ func (rt *Runtime) staticGet(st *execState, m *Method, in *bytecode.Inst, site *
 	return Value{}, rt.Throw("Ljava/lang/RuntimeException;", "no such static field "+ref.Key())
 }
 
-func (rt *Runtime) staticPut(st *execState, m *Method, in *bytecode.Inst, site *icSite, v Value) error {
-	var ref dex.FieldRef
-	var c *Class
-	if site != nil && site.valid && site.index == in.Index && site.cls != nil {
-		ref, c = site.fref, site.cls
-	} else {
-		ref = m.Class.File.FieldAt(in.Index)
-		cc, err := rt.FindClass(ref.Class)
-		if err != nil {
-			return rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
-		}
-		c = cc
-		if site != nil {
-			*site = icSite{valid: true, index: in.Index, fref: ref, cls: c}
-		}
+func (rt *Runtime) staticPut(st *execState, m *Method, in *bytecode.Inst, v Value) error {
+	ref := m.Class.File.FieldAt(in.Index)
+	c, err := rt.FindClass(ref.Class)
+	if err != nil {
+		return rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
 	}
 	if err := rt.ensureInitialized(st, c); err != nil {
 		return err
@@ -550,18 +529,9 @@ func (rt *Runtime) instanceOf(v Value, desc string) bool {
 	return v.Ref.Class.IsSubclassOf(target)
 }
 
-func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst, ci int) error {
+func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst) error {
 	m := f.method
-	site := f.icAt(ci)
-	var ref dex.MethodRef
-	if site != nil && site.valid && site.index == in.Index {
-		ref = site.mref
-	} else {
-		ref = m.Class.File.MethodAt(in.Index)
-		if site != nil {
-			*site = icSite{valid: true, index: in.Index, mref: ref}
-		}
-	}
+	ref := m.Class.File.MethodAt(in.Index)
 	instance := in.Op != bytecode.OpInvokeStatic && in.Op != bytecode.OpInvokeStaticR
 
 	var recv *Object
@@ -590,51 +560,20 @@ func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst, ci int) 
 	switch in.Op {
 	case bytecode.OpInvokeVirtual, bytecode.OpInvokeInterface,
 		bytecode.OpInvokeVirtualR, bytecode.OpInvokeInterR:
-		// Monomorphic inline cache: sites overwhelmingly see one receiver
-		// class, so the superclass/interface walk happens once per class.
-		if site != nil && site.recvTgt != nil && site.recvCls == recv.Class {
-			target = site.recvTgt
-		} else {
-			target = recv.Class.FindMethod(ref.Name, ref.Signature)
-			if site != nil && target != nil {
-				site.recvCls, site.recvTgt = recv.Class, target
-			}
-		}
+		target = recv.Class.FindMethod(ref.Name, ref.Signature)
 	case bytecode.OpInvokeSuper, bytecode.OpInvokeSuperR:
-		if site != nil && site.target != nil {
-			target = site.target
-		} else if m.Class.Super != nil {
+		if m.Class.Super != nil {
 			target = m.Class.Super.FindMethod(ref.Name, ref.Signature)
-			if site != nil {
-				site.target = target
-			}
 		}
 	default: // direct, static
-		var c *Class
-		if site != nil {
-			c = site.cls
-		}
-		if c == nil {
-			cc, err := rt.FindClass(ref.Class)
-			if err != nil {
-				return rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
-			}
-			c = cc
-			if site != nil {
-				site.cls = c
-			}
+		c, err := rt.FindClass(ref.Class)
+		if err != nil {
+			return rt.Throw("Ljava/lang/ClassNotFoundException;", ref.Class)
 		}
 		if err := rt.ensureInitialized(st, c); err != nil {
 			return err
 		}
-		if site != nil && site.target != nil {
-			target = site.target
-		} else {
-			target = c.FindMethod(ref.Name, ref.Signature)
-			if site != nil {
-				site.target = target
-			}
-		}
+		target = c.FindMethod(ref.Name, ref.Signature)
 	}
 	if target == nil {
 		return rt.Throw("Ljava/lang/NoSuchMethodException;", ref.Key())

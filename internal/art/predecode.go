@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dexlego/internal/bytecode"
-	"dexlego/internal/dex"
 )
 
 // programCache is the process-wide predecoded-program cache. Every runtime
@@ -30,78 +29,39 @@ func predecodeEnvDefault() bool {
 // runtime, overriding the DEXLEGO_PREDECODE environment default.
 func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
 
-// icSite is the inline cache of one call- or field-site: the resolved
-// constant-pool reference plus the resolution the runtime would otherwise
-// redo on every visit. Sites live per predecoded instruction and die with
-// the predecoded stream, so they can never survive a code modification.
-type icSite struct {
-	valid bool
-	index uint32 // the constant-pool index the site resolved
-
-	// Invoke resolution.
-	mref    dex.MethodRef
-	cls     *Class  // resolved class (static/direct invokes, sget/sput)
-	target  *Method // resolved target (static/direct/super invokes)
-	recvCls *Class  // monomorphic receiver class (virtual/interface)
-	recvTgt *Method // target for recvCls
-
-	// Field resolution.
-	fref dex.FieldRef
-}
-
-// icAt returns the inline-cache slot for predecoded instruction index ci of
-// the frame's method, allocating the site array on first use; nil when the
-// instruction was not predecoded (fallback decode path, predecode off).
-func (f *frame) icAt(ci int) *icSite {
-	if ci < 0 || f.prog == nil {
-		return nil
-	}
-	ic := f.prog.ICOf(ci)
-	if ic < 0 {
-		return nil
-	}
-	m := f.method
-	if m.sites == nil {
-		m.sites = make([]icSite, f.prog.NumSites())
-	}
-	if int(ic) >= len(m.sites) {
-		return nil
-	}
-	return &m.sites[ic]
-}
-
-// bindProgram points the frame at the method's predecoded program, building
-// or rebuilding it when the live unit array no longer matches what the
-// current program was lowered from. This is both the entry bind and the
-// paper-faithful invalidation point: a stale program here means something
-// wrote into live code (self-modification, packer slice swap), so the old
-// stream is dropped and CodeWritten fires before the rebuild.
+// bindProgram binds the frame to the method's live code. It records the
+// code identity the frame runs against and, with predecode on, points the
+// frame at the predecoded program for that content. This is both the entry
+// bind and the paper-faithful invalidation point: in either mode, a live
+// unit array whose identity changed without TamperMethod bumping the
+// generation was swapped silently (packer-style slice replacement), so
+// CodeWritten fires before the rebind. A swap before the method's first
+// bind is not observed.
 func (rt *Runtime) bindProgram(f *frame) {
 	m := f.method
-	if !rt.predecode || len(m.Insns) == 0 {
-		f.prog = nil
+	f.prog = nil
+	if len(m.Insns) == 0 {
 		return
 	}
-	if m.prog == nil || m.progGen != m.codeGen ||
-		m.progLen != len(m.Insns) || m.progPtr != &m.Insns[0] {
-		if m.prog != nil {
-			// Silent code swap: the array changed without TamperMethod
-			// bumping the generation (packer-style slice replacement).
-			m.prog = nil
-			m.sites = nil
+	if m.progGen != m.codeGen || m.progLen != len(m.Insns) || m.progPtr != &m.Insns[0] {
+		if m.progPtr != nil && m.progGen == m.codeGen {
 			for _, h := range rt.hooks {
 				if h.CodeWritten != nil {
 					h.CodeWritten(m, f.pc)
 				}
 			}
 		}
-		m.prog = programCache.Get(m.Insns)
+		m.prog = nil
 		m.progGen = m.codeGen
 		m.progLen = len(m.Insns)
 		m.progPtr = &m.Insns[0]
-		m.sites = nil
 	}
-	f.prog = m.prog
+	if rt.predecode {
+		if m.prog == nil {
+			m.prog = programCache.Get(m.Insns)
+		}
+		f.prog = m.prog
+	}
 	f.bindGen = m.codeGen
 	f.bindLen = len(m.Insns)
 	f.bindPtr = &m.Insns[0]
@@ -117,10 +77,10 @@ func (f *frame) bindStale() bool {
 		(f.bindLen > 0 && &m.Insns[0] != f.bindPtr)
 }
 
-// invalidateCode drops the method's predecoded stream and inline caches
-// after a write into its live unit array and bumps the code generation so
-// every active frame rebinds before its next step. pc is the dex_pc of the
-// tampering call site (-1 when tampered from outside bytecode).
+// invalidateCode drops the method's predecoded stream after a write into
+// its live unit array and bumps the code generation so every active frame
+// rebinds before its next step. pc is the dex_pc of the tampering call site
+// (-1 when tampered from outside bytecode).
 func (m *Method) invalidateCode(rt *Runtime, pc int) {
 	m.codeGen++
 	// CodeWritten fires in both predecode modes: a tamper with predecode
@@ -132,5 +92,4 @@ func (m *Method) invalidateCode(rt *Runtime, pc int) {
 		}
 	}
 	m.prog = nil
-	m.sites = nil
 }

@@ -44,21 +44,6 @@ type DecodedInst struct {
 	Inst
 	Width  int
 	MaxReg int32
-	// IC is the compact inline-cache slot for instructions that carry a
-	// constant-pool reference (invoke/field/type formats), -1 otherwise.
-	// Numbering only those sites keeps a runtime's per-method cache array
-	// proportional to the resolution sites instead of the whole body.
-	IC int32
-}
-
-// carriesPoolRef reports whether the format embeds a constant-pool index
-// whose resolution an interpreter would want to cache per site.
-func carriesPoolRef(f Format) bool {
-	switch f {
-	case Fmt21c, Fmt22c, Fmt35c, Fmt3rc:
-		return true
-	}
-	return false
 }
 
 // Program is the predecoded form of one unit array: a dense instruction
@@ -69,7 +54,6 @@ type Program struct {
 	units []uint16
 	idx   []int32 // pc -> index into code, offset by +1; 0 = no instruction
 	code  []DecodedInst
-	sites int // number of IC slots handed out (see DecodedInst.IC)
 }
 
 // Predecode lowers a unit array into a Program with one linear scan,
@@ -91,46 +75,29 @@ func Predecode(insns []uint16) *Program {
 		if err != nil {
 			break
 		}
-		ic := int32(-1)
-		if carriesPoolRef(in.Op.Format()) {
-			ic = int32(p.sites)
-			p.sites++
-		}
-		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in), IC: ic})
+		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in)})
 		p.idx[pc] = int32(len(p.code))
 		pc += width
 	}
 	return p
 }
 
-// Lookup returns the predecoded instruction starting at pc and its index in
-// the instruction stream, or (nil, -1) when pc is not a decoded instruction
-// start (payload interior, misaligned pc, or past a malformed instruction).
-func (p *Program) Lookup(pc int) (*DecodedInst, int) {
+// Lookup returns the predecoded instruction starting at pc, or nil when pc
+// is not a decoded instruction start (payload interior, misaligned pc, or
+// past a malformed instruction).
+func (p *Program) Lookup(pc int) *DecodedInst {
 	if pc < 0 || pc >= len(p.idx) {
-		return nil, -1
+		return nil
 	}
 	i := p.idx[pc]
 	if i == 0 {
-		return nil, -1
+		return nil
 	}
-	return &p.code[i-1], int(i - 1)
+	return &p.code[i-1]
 }
 
 // NumInsts returns the number of predecoded instructions.
 func (p *Program) NumInsts() int { return len(p.code) }
-
-// NumSites returns the number of inline-cache slots the program assigned.
-func (p *Program) NumSites() int { return p.sites }
-
-// ICOf returns the inline-cache slot of predecoded instruction index ci,
-// or -1 when ci is out of range or the instruction carries no pool ref.
-func (p *Program) ICOf(ci int) int32 {
-	if ci < 0 || ci >= len(p.code) {
-		return -1
-	}
-	return p.code[ci].IC
-}
 
 // Len returns the unit length of the predecoded snapshot.
 func (p *Program) Len() int { return len(p.units) }

@@ -68,12 +68,9 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		if err != nil {
 			break // predecode must leave this pc and everything after unmapped
 		}
-		d, ci := p.Lookup(pc)
+		d := p.Lookup(pc)
 		if d == nil {
 			t.Fatalf("pc %d: Decode succeeds but Lookup returned nil", pc)
-		}
-		if ci != n {
-			t.Fatalf("pc %d: instruction index %d, want %d", pc, ci, n)
 		}
 		if d.Width != width {
 			t.Fatalf("pc %d: predecoded width %d, want %d", pc, d.Width, width)
@@ -99,7 +96,7 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		t.Fatalf("predecoded %d instructions, linear decode walk found %d", p.NumInsts(), n)
 	}
 	for pc := -2; pc < len(insns)+2; pc++ {
-		d, _ := p.Lookup(pc)
+		d := p.Lookup(pc)
 		if (d != nil) != covered[pc] {
 			t.Fatalf("pc %d: Lookup mapped=%v, decode walk covered=%v", pc, d != nil, covered[pc])
 		}

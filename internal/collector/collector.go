@@ -287,7 +287,8 @@ func (r *MethodRecord) Executed() bool { return len(r.Trees) > 0 }
 // method cache: it must hold at least one tree, the method's code must
 // never have been written at runtime, and no tree may carry divergence
 // children (a forked tree proves self-modification even when the write
-// itself was not hooked — e.g. silent slice swaps with predecode off).
+// itself was not hooked — e.g. a silent slice swap before the method's
+// first bind).
 func (r *MethodRecord) Cacheable() bool {
 	if r.Written || len(r.Trees) == 0 {
 		return false
