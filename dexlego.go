@@ -225,11 +225,8 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 		if opts.ForceExecution {
 			if err := stage(pipeline.StageForceExec, func(sp *obs.Span) error {
 				col.SetSpan(sp)
-				data, err := pkg.Dex()
-				if err != nil {
-					return err
-				}
-				f, err := dex.Read(data)
+				// The package's cached parse, which the runtime links too.
+				f, err := pkg.DexFile()
 				if err != nil {
 					return fmt.Errorf("force execution needs a parsable classes.dex: %w", err)
 				}

@@ -94,8 +94,8 @@ func run() error {
 	}
 	fmt.Printf("forced coverage:   instructions %s, branches %s\n",
 		forcedTracker.Report().Instruction, forcedTracker.Report().Branch)
-	fmt.Printf("iterations=%d forced runs=%d paths=%d exceptions cleared=%d\n",
-		stats.Iterations, stats.ForcedRuns, stats.PathsComputed, stats.ExceptionsCleared)
+	fmt.Printf("iterations=%d forced runs=%d skipped=%d paths=%d exceptions cleared=%d\n",
+		stats.Iterations, stats.ForcedRuns, stats.RunsSkipped, stats.PathsComputed, stats.ExceptionsCleared)
 	for _, p := range stats.Paths {
 		fmt.Printf("  path file: %s target pc=%d taken=%v decisions=%v\n",
 			p.Method, p.TargetPC, p.Taken, p.Decisions)

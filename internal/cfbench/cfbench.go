@@ -92,55 +92,56 @@ func DefaultConfig() Config {
 	return Config{JavaIters: 60_000, NativeIters: 4_000_000, Rounds: 3}
 }
 
-// Run executes the CF-Bench pair: once on the unmodified runtime and once
-// with DexLego's JIT collection attached.
+// Run executes the CF-Bench pair: the unmodified runtime and one with
+// DexLego's JIT collection attached. The two configurations alternate round
+// by round, each round alternating which goes first, so a burst of host
+// load lands on both rather than on whichever was measuring; each score is
+// its configuration's best round. Like launch, the rounds start on a
+// collected heap and run with the Go collector paused (they allocate well
+// under a MiB), so no configuration is timed collecting garbage left by
+// set-up or by the other one.
 func Run(cfg Config) (Comparison, error) {
 	pkg, err := benchAPK()
 	if err != nil {
 		return Comparison{}, err
 	}
-	measure := func(withCollector bool) (Scores, error) {
+	var rts [2]*art.Runtime // unmodified, instrumented
+	for c := range rts {
 		rt := art.NewRuntime(art.DefaultPhone())
 		rt.MaxSteps = 1 << 62
 		installBenchNatives(rt)
-		if withCollector {
-			col := collector.New()
-			rt.AddHooks(col.Hooks())
+		if c == 1 {
+			rt.AddHooks(collector.New().Hooks())
 		}
 		if err := rt.LoadAPK(pkg); err != nil {
-			return Scores{}, err
+			return Comparison{}, err
 		}
-		var javaBest, nativeBest float64
-		for r := 0; r < cfg.Rounds; r++ {
-			start := time.Now()
-			if _, err := rt.Call("Lbench/Work;", "spin", "(I)I", nil,
-				[]art.Value{art.IntVal(int64(cfg.JavaIters))}); err != nil {
-				return Scores{}, err
+		rts[c] = rt
+	}
+	var best [2]Scores
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One untimed warm-up pair first: the predecoded-program cache is
+	// process-global, so the first configuration to run would otherwise
+	// absorb its build cost.
+	for r := -1; r < cfg.Rounds; r++ {
+		for k := 0; k < 2; k++ {
+			c := (r + k) & 1
+			javaMS, err := timedCall(rts[c], "spin", cfg.JavaIters)
+			if err != nil {
+				return Comparison{}, err
 			}
-			javaOps := float64(cfg.JavaIters) / (float64(time.Since(start).Microseconds()) / 1000)
-			if javaOps > javaBest {
-				javaBest = javaOps
+			nativeMS, err := timedCall(rts[c], "nativeSpin", cfg.NativeIters)
+			if err != nil {
+				return Comparison{}, err
 			}
-			start = time.Now()
-			if _, err := rt.Call("Lbench/Work;", "nativeSpin", "(I)I", nil,
-				[]art.Value{art.IntVal(int64(cfg.NativeIters))}); err != nil {
-				return Scores{}, err
-			}
-			nativeOps := float64(cfg.NativeIters) / (float64(time.Since(start).Microseconds()) / 1000)
-			if nativeOps > nativeBest {
-				nativeBest = nativeOps
+			if r >= 0 {
+				best[c].Java = max(best[c].Java, float64(cfg.JavaIters)/javaMS)
+				best[c].Native = max(best[c].Native, float64(cfg.NativeIters)/nativeMS)
 			}
 		}
-		return Scores{Java: javaBest, Native: nativeBest}, nil
 	}
-	base, err := measure(false)
-	if err != nil {
-		return Comparison{}, err
-	}
-	lego, err := measure(true)
-	if err != nil {
-		return Comparison{}, err
-	}
+	base, lego := best[0], best[1]
 	// Normalize native units so the unmodified runtime's Java and native
 	// scores coincide, then Overall is their mean (CF-Bench style).
 	norm := base.Java / base.Native
@@ -236,6 +237,14 @@ func launch(pkg *apk.APK, withCollector bool) (time.Duration, error) {
 		return 0, err
 	}
 	return time.Since(start), nil
+}
+
+// timedCall runs one static bench method with argument n and returns its
+// wall time in milliseconds.
+func timedCall(rt *art.Runtime, name string, n int) (float64, error) {
+	start := time.Now()
+	_, err := rt.Call("Lbench/Work;", name, "(I)I", nil, []art.Value{art.IntVal(int64(n))})
+	return time.Since(start).Seconds() * 1000, err
 }
 
 // summarize reduces launch durations (ns) to a LaunchSample; it sorts them.

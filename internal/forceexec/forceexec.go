@@ -15,6 +15,22 @@
 // iteration semantics exactly. Every runtime resolves predecoded method
 // bodies through the runtime's process-wide program cache, so forced runs
 // reuse what the collection stage (or an earlier reveal) already lowered.
+//
+// Many forced runs never reach a branch in their target method, and such a
+// run replays the run with the iteration's frozen path files alone. Each
+// run records the methods in which it executed a conditional branch, and
+// each branch-forcing iteration runs in two phases. Phase 1 runs the tasks
+// whose target method an earlier run reached a branch in, plus one
+// representative of the rest. A phase-1 run X that reached no branch in its
+// own target method read no decision of its own path, so it is the run with
+// the frozen set alone; phase 2 then runs only the remaining tasks whose
+// target method X reached a branch in. Every other task would replay X step
+// for step — its own decisions sit in a method where X reads none — so it
+// is skipped, and only its path file joins the next iteration's set. The
+// rule assumes a forced run is a deterministic function of its path and the
+// frozen set; TestForcedRunsDeterministic checks that on the Table VII
+// slice. Runs that inject exceptions into uncovered handlers are never
+// skipped.
 package forceexec
 
 import (
@@ -47,8 +63,12 @@ type PathFile struct {
 
 // Stats summarizes a force-execution campaign.
 type Stats struct {
-	Iterations        int
+	Iterations int
+	// ForcedRuns counts the forced runs executed; RunsSkipped counts the
+	// scheduled runs an executed run of the same iteration proved identical
+	// to itself, which therefore never ran.
 	ForcedRuns        int
+	RunsSkipped       int
 	PathsComputed     int
 	PathsUnreachable  int
 	ExceptionsCleared int
@@ -102,6 +122,11 @@ type Engine struct {
 	// only from the serial scheduling phase.
 	codeIdx map[string]*dex.Code
 	cfgs    map[string]*methodPaths
+
+	// beforeMerge, when set, sees each branch-forcing iteration's frozen
+	// active set and tasks after every run finished and before the barrier
+	// merges them.
+	beforeMerge func(iter int, active map[string]map[int]bool, tasks []*task)
 }
 
 // New returns an engine with the defaults used in the experiments.
@@ -162,20 +187,16 @@ type task struct {
 	path PathFile
 	site *coverage.HandlerSite // non-nil for exception-edge injection runs
 
+	// Shards are built just before the task runs, so a skipped task has none.
 	tracker *coverage.Tracker    // per-run coverage shard
 	col     *collector.Collector // per-run collector shard, nil when unattached
 
+	reach     map[string]bool // methods in which the run executed a conditional branch
+	certifier *task           // for a skipped task, the executed run it repeats
+
 	cleared int           // unhandled exceptions tolerated in this run
 	busy    time.Duration // wall time inside the run (worker CPU attribution)
-	err     error         // infrastructure failure; the run is then skipped
-}
-
-func (e *Engine) newTask(tracker *coverage.Tracker, path PathFile, site *coverage.HandlerSite) *task {
-	t := &task{path: path, site: site, tracker: tracker.Shard()}
-	if e.Collector != nil {
-		t.col = e.Collector.Shard()
-	}
-	return t
+	err     error         // infrastructure failure; the run then contributes nothing
 }
 
 // Run executes the baseline driver once, then iterates force execution
@@ -195,6 +216,9 @@ func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
 	// iterations' files plus their own path, which is what makes them
 	// order-independent and safe to run concurrently.
 	active := make(map[string]map[int]bool)
+	// reached collects the methods in which an executed forced run of an
+	// earlier iteration reached a conditional branch.
+	reached := make(map[string]bool)
 	prevCovered := tracker.Report().Instruction.Covered
 	attempted := make(map[coverage.UCB]bool)
 	for iter := 0; iter < e.MaxIterations; iter++ {
@@ -220,13 +244,20 @@ func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
 			}
 			stats.PathsComputed++
 			stats.Paths = append(stats.Paths, path)
-			tasks = append(tasks, e.newTask(tracker, path, nil))
+			tasks = append(tasks, &task{path: path})
 		}
-		e.runTasks(iterSpan, tasks, active, iter)
+		e.runPhased(iterSpan, tracker, tasks, active, reached, iter)
+		if e.beforeMerge != nil {
+			e.beforeMerge(iter, active, tasks)
+		}
 		e.mergeTasks(iterSpan, tracker, tasks, stats, iter)
 		// The barrier has passed: fold this iteration's paths into the
-		// active set for the next one, in task order.
+		// active set for the next one, in task order. Skipped tasks' paths
+		// join too, so skipping never changes the next iteration's set.
 		for _, t := range tasks {
+			for m := range t.reach {
+				reached[m] = true
+			}
 			if active[t.path.Method] == nil {
 				active[t.path.Method] = make(map[int]bool)
 			}
@@ -278,18 +309,64 @@ func (e *Engine) forceHandlers(tracker *coverage.Tracker, active map[string]map[
 		stats.PathsComputed++
 		stats.Paths = append(stats.Paths, path)
 		site := site
-		tasks = append(tasks, e.newTask(tracker, path, &site))
+		tasks = append(tasks, &task{path: path, site: &site})
 	}
-	e.runTasks(span, tasks, active, stats.Iterations)
+	e.runTasks(span, tracker, tasks, active, stats.Iterations)
 	e.mergeTasks(span, tracker, tasks, stats, stats.Iterations)
 }
 
-// runTasks executes the iteration's tasks across the worker pool. active is
-// read-only until every task has finished; per-worker child spans attribute
-// the runs they carried.
-func (e *Engine) runTasks(parent *obs.Span, tasks []*task, active map[string]map[int]bool, iter int) {
+// runPhased runs one branch-forcing iteration in the two phases the package
+// comment describes. The representative is the first task, in task order,
+// whose target method no earlier run reached a branch in; the certifier X is
+// the first phase-1 run, in task order, that reached no branch in its own
+// target method. With no X, phase 2 runs all the rest. Both choices read
+// only executed runs' reach sets, so they are the same at every worker
+// count.
+func (e *Engine) runPhased(span *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, reached map[string]bool, iter int) {
+	var first, rest []*task
+	var rep *task
+	for _, t := range tasks {
+		switch {
+		case reached[t.path.Method]:
+			first = append(first, t)
+		case rep == nil:
+			rep = t
+			first = append(first, t)
+		default:
+			rest = append(rest, t)
+		}
+	}
+	e.runTasks(span, tracker, first, active, iter)
+	var x *task
+	for _, t := range first {
+		if t.err == nil && !t.reach[t.path.Method] {
+			x = t
+			break
+		}
+	}
+	var second []*task
+	for _, t := range rest {
+		if x != nil && !x.reach[t.path.Method] {
+			t.certifier = x
+			continue
+		}
+		second = append(second, t)
+	}
+	e.runTasks(span, tracker, second, active, iter)
+}
+
+// runTasks executes tasks across the worker pool, each against fresh
+// shards. active is read-only until every task has finished; per-worker
+// child spans attribute the runs they carried.
+func (e *Engine) runTasks(parent *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, iter int) {
 	if len(tasks) == 0 {
 		return
+	}
+	for _, t := range tasks {
+		t.tracker = tracker.Shard()
+		if e.Collector != nil {
+			t.col = e.Collector.Shard()
+		}
 	}
 	workers := min(e.workers(), len(tasks))
 	var next atomic.Int64
@@ -316,6 +393,7 @@ func (e *Engine) runTasks(parent *obs.Span, tasks []*task, active map[string]map
 func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span *obs.Span) {
 	start := time.Now()
 	defer func() { t.busy = time.Since(start) }()
+	t.reach = make(map[string]bool)
 	var extra []*art.Hooks
 	if t.site != nil {
 		injected := false
@@ -330,7 +408,7 @@ func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span
 			},
 		})
 	}
-	extra = append(extra, e.forcingHooks(active, t.path, &t.cleared, iter, span))
+	extra = append(extra, e.forcingHooks(active, t, iter, span))
 	rt, err := e.newRuntime(t.tracker, t.col, extra...)
 	if err != nil {
 		t.err = err // infrastructure failure on this path only
@@ -341,9 +419,14 @@ func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span
 
 // mergeTasks is the iteration barrier: shards fold back in task order —
 // coverage unions, collection trees dedup by fingerprint — and the
-// campaign counters accumulate. Failed tasks contribute nothing.
+// campaign counters accumulate. Failed and skipped tasks contribute
+// nothing.
 func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*task, stats *Stats, iter int) {
 	for ti, t := range tasks {
+		if t.certifier != nil {
+			stats.RunsSkipped++
+			continue
+		}
 		if t.err != nil {
 			continue
 		}
@@ -363,11 +446,18 @@ func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*
 // forcingHooks builds the branch-override and exception-tolerance hooks for
 // one forced run: all path files on record apply, with the fresh target
 // path winning conflicts in its own method. iter tags the run's trace
-// events with the campaign iteration that scheduled it; cleared counts
-// tolerated exceptions without sharing state across concurrent runs.
-func (e *Engine) forcingHooks(active map[string]map[int]bool, path PathFile, cleared *int, iter int, span *obs.Span) *art.Hooks {
+// events with the campaign iteration that scheduled it. The hooks record
+// the methods the run reached a branch in and count tolerated exceptions
+// in t, without sharing state across concurrent runs.
+func (e *Engine) forcingHooks(active map[string]map[int]bool, t *task, iter int, span *obs.Span) *art.Hooks {
+	path := t.path
+	var last *art.Method
 	return &art.Hooks{
 		Branch: func(m *art.Method, pc int, in bytecode.Inst, taken bool) (bool, bool) {
+			if m != last {
+				last = m
+				t.reach[m.Key()] = true
+			}
 			if m.Key() == path.Method {
 				if forcedOutcome, ok := path.Decisions[pc]; ok {
 					if forcedOutcome != taken && span.Enabled() {
@@ -387,7 +477,7 @@ func (e *Engine) forcingHooks(active map[string]map[int]bool, path PathFile, cle
 			return false, false
 		},
 		Unhandled: func(m *art.Method, pc int, ex *art.Object) bool {
-			*cleared++
+			t.cleared++
 			if span.Enabled() {
 				span.ExceptionTolerated(m.Key(), pc)
 			}

@@ -332,3 +332,113 @@ func TestForceHandlersBounded(t *testing.T) {
 }
 
 func labelf(prefix string, i int) string { return fmt.Sprintf("%s%d", prefix, i) }
+
+// buildApp assembles a one-activity app from onCreate's body and parses
+// its DEX; extra adds further classes.
+func buildApp(t *testing.T, name string, onCreate func(a *dexgen.Asm), extra func(p *dexgen.Program)) (*apk.APK, []*dex.File) {
+	t.Helper()
+	p := dexgen.New()
+	cls := "L" + name + "/Main;"
+	main := p.Class(cls, "Landroid/app/Activity;")
+	main.Ctor("Landroid/app/Activity;", nil)
+	main.Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, onCreate)
+	if extra != nil {
+		extra(p)
+	}
+	pkg, err := p.BuildAPK(name, "1.0", cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := pkg.Dex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dex.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkg, []*dex.File{f}
+}
+
+// TestRepresentativeReachingItsTargetSkipsNothing: both UCBs of the first
+// iteration sit in onCreate, which no earlier run reached. The
+// representative reaches a branch in its own target method, so it
+// certifies nothing and the other task runs too.
+func TestRepresentativeReachingItsTargetSkipsNothing(t *testing.T) {
+	pkg, files := buildApp(t, "rp", func(a *dexgen.Asm) {
+		a.Const(0, 0)
+		a.IfZ(bytecode.OpIfNez, 0, "a") // never taken naturally
+		a.Label("back")
+		a.IfZ(bytecode.OpIfNez, 0, "b") // never taken naturally
+		a.ReturnVoid()
+		a.Label("a")
+		a.Const(1, 1)
+		a.Goto("back")
+		a.Label("b")
+		a.Const(1, 2)
+		a.ReturnVoid()
+	}, nil)
+	tracker, err := coverage.NewTracker(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := forceexec.New(pkg, files).Run(tracker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PathsComputed != 2 || stats.ForcedRuns != 2 || stats.RunsSkipped != 0 {
+		t.Errorf("paths %d, forced runs %d, skipped %d; want 2, 2, 0",
+			stats.PathsComputed, stats.ForcedRuns, stats.RunsSkipped)
+	}
+	if rep := tracker.Report(); rep.Branch.Covered != rep.Branch.Total {
+		t.Errorf("branch coverage %v, want full", rep.Branch)
+	}
+}
+
+// TestExceptionEdgeRunsNeverSkipped: a method nothing calls holds two
+// branches and two try ranges. Its branch-forcing tasks never reach it, so
+// the representative certifies the rest and they are skipped; its
+// exception-injection runs are idle the same way but always run.
+func TestExceptionEdgeRunsNeverSkipped(t *testing.T) {
+	pkg, files := buildApp(t, "xs", func(a *dexgen.Asm) { a.ReturnVoid() }, func(p *dexgen.Program) {
+		p.Class("Lxs/Dead;", "Ljava/lang/Object;").Static("run", "V", []string{"I"}, func(a *dexgen.Asm) {
+			for i := range 2 {
+				ts, te, h, after := labelf("ts", i), labelf("te", i), labelf("h", i), labelf("after", i)
+				a.IfZ(bytecode.OpIfNez, a.P(0), after)
+				a.Label(ts)
+				a.Const(0, 8)
+				a.Binop(bytecode.OpDivInt, 1, 0, a.P(0))
+				a.Label(te)
+				a.Goto(after)
+				a.Label(h)
+				a.MoveException(2)
+				a.Label(after)
+				a.Nop()
+				a.Catch(ts, te, "Ljava/lang/ArithmeticException;", h)
+			}
+			a.ReturnVoid()
+		})
+	})
+	tracker, err := coverage.NewTracker(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := len(tracker.UncoveredHandlers())
+	if handlers != 2 {
+		t.Fatalf("uncovered handler sites = %d, want 2", handlers)
+	}
+	eng := forceexec.New(pkg, files)
+	eng.ForceExceptionEdges = true
+	stats, err := eng.Run(tracker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branchTasks := stats.PathsComputed - handlers
+	if branchTasks < 2 || stats.RunsSkipped != branchTasks-1 {
+		t.Errorf("%d branch-forcing tasks, %d skipped; want all but the representative skipped",
+			branchTasks, stats.RunsSkipped)
+	}
+	if stats.ForcedRuns != 1+handlers {
+		t.Errorf("forced runs = %d, want the representative plus %d injection runs", stats.ForcedRuns, handlers)
+	}
+}
