@@ -78,8 +78,9 @@ func TestRevealWithForceExecutionCoversGatedLeak(t *testing.T) {
 	countSMS := func(res *root.Result) int {
 		n := 0
 		em := res.RevealedDex.FindMethod("Lapi/Main;", "onCreate", "")
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		placed := prog.Insts()
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range placed {

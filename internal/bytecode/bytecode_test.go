@@ -285,8 +285,9 @@ func TestAssemblerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
+	prog := Predecode(insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	// const/4, const/16 (10 exceeds 4-bit range), if-ge, add-int/lit8,
@@ -302,12 +303,12 @@ func TestAssemblerLoop(t *testing.T) {
 	}
 	// The if-ge at pc 2 must target the return.
 	ifInst := placed[2]
-	if got := ifInst.PC + int(ifInst.Inst.Off); got != placed[5].PC {
+	if got := ifInst.PC + ifInst.Inst.Off; got != placed[5].PC {
 		t.Errorf("if-ge targets pc %d, want %d", got, placed[5].PC)
 	}
 	// The goto at pc 6 must target the loop head at pc 1.
 	g := placed[4]
-	if got := g.PC + int(g.Inst.Off); got != placed[1].PC {
+	if got := g.PC + g.Inst.Off; got != placed[1].PC {
 		t.Errorf("goto targets pc %d, want %d", got, placed[1].PC)
 	}
 }
@@ -362,9 +363,9 @@ func TestAssemblerSwitch(t *testing.T) {
 	if _, ok := PayloadAt(insns, ppc); !ok {
 		t.Errorf("no payload at pc %d", ppc)
 	}
-	// DecodeAll must skip the payload without error.
-	if _, err := DecodeAll(insns); err != nil {
-		t.Errorf("DecodeAll: %v", err)
+	// Predecode must skip the payload without error.
+	if err := Predecode(insns).Err(); err != nil {
+		t.Errorf("Predecode: %v", err)
 	}
 }
 
@@ -438,14 +439,15 @@ func TestTrailingLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
+	prog := Predecode(insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	last := placed[len(placed)-1]
 	branch := placed[1]
-	if branch.PC+int(branch.Inst.Off) != last.PC {
-		t.Errorf("branch target %d, want %d", branch.PC+int(branch.Inst.Off), last.PC)
+	if branch.PC+branch.Inst.Off != last.PC {
+		t.Errorf("branch target %d, want %d", branch.PC+branch.Inst.Off, last.PC)
 	}
 }
 
@@ -580,9 +582,10 @@ func TestAssemblerMultipleSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
-		t.Fatalf("DecodeAll after multi-switch assembly: %v", err)
+	prog := Predecode(insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
+		t.Fatalf("Predecode after multi-switch assembly: %v", err)
 	}
 	switches := 0
 	for _, p := range placed {

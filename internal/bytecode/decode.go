@@ -154,30 +154,3 @@ func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {
 	}
 	return nil
 }
-
-// DecodeAll decodes every reachable-by-linear-scan instruction of a method
-// body, skipping switch payload regions, and returns the instructions keyed
-// by their dex_pc in ascending order.
-func DecodeAll(insns []uint16) ([]Placed, error) {
-	var out []Placed
-	pc := 0
-	for pc < len(insns) {
-		if w, ok := PayloadAt(insns, pc); ok {
-			pc += w
-			continue
-		}
-		in, w, err := Decode(insns, pc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Placed{PC: pc, Inst: in})
-		pc += w
-	}
-	return out, nil
-}
-
-// Placed is an instruction together with the dex_pc it was decoded from.
-type Placed struct {
-	PC   int
-	Inst Inst
-}

@@ -72,13 +72,13 @@ func disasmInst(in Inst, r Resolver) string {
 // Disassemble renders a method body as smali-style lines, one per
 // instruction, prefixed with its dex_pc. Switch payload regions are skipped.
 func Disassemble(insns []uint16, r Resolver) ([]string, error) {
-	placed, err := DecodeAll(insns)
-	if err != nil {
+	p := Predecode(insns)
+	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	lines := make([]string, len(placed))
-	for i, p := range placed {
-		lines[i] = fmt.Sprintf("%04x: %s", p.PC, disasmInst(p.Inst, r))
+	lines := make([]string, len(p.Insts()))
+	for i, d := range p.Insts() {
+		lines[i] = fmt.Sprintf("%04x: %s", d.PC, disasmInst(d.Inst, r))
 	}
 	return lines, nil
 }

@@ -2,6 +2,14 @@
 // by DexLego: opcode metadata, instruction decoding and encoding over 16-bit
 // code-unit arrays, a label-based assembler, and a smali-style disassembler.
 //
+// A method body has one decoded form, Program (built by Predecode): the
+// instructions a linear scan reaches, each with its dex_pc, width and
+// register ceiling, a pc→instruction index, and the decode error that
+// stopped the scan, if any. The interpreter and every static reader
+// (verify, coverage, force-execution paths, method fingerprints, the taint
+// stand-in, the disassembler) read that form; Decode is the single-
+// instruction primitive beneath it.
+//
 // Opcodes carry their real Dalvik numeric values and unit formats so that the
 // code arrays produced here are laid out exactly like the arrays the ART
 // interpreter walks with its dex_pc counter. Wide (64-bit register pair)

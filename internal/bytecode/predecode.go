@@ -36,7 +36,7 @@ func MaxRegister(in Inst) int32 {
 }
 
 // DecodedInst is one predecoded instruction: the instruction itself plus
-// the per-step metadata (width, register ceiling) the interpreter would
+// the metadata (dex_pc, width, register ceiling) the interpreter would
 // otherwise recompute on every visit. The embedded Inst and its operand
 // slices are immutable once predecoded — Programs are shared across frames
 // and runtimes, so consumers must Clone before mutating.
@@ -44,22 +44,26 @@ type DecodedInst struct {
 	Inst
 	Width  int
 	MaxReg int32
+	PC     int32 // dex_pc the instruction was decoded from
 }
 
-// Program is the predecoded form of one unit array: a dense instruction
-// stream plus a pc→instruction index. It is immutable after Predecode and
+// Program is the decoded form of one unit array, read by the interpreter
+// and by every static reader: a dense instruction stream in ascending pc
+// order plus a pc→instruction index. It is immutable after Predecode and
 // holds its own copy of the units, so it stays valid (as a snapshot) even
 // when the live array it was lowered from is modified in place.
 type Program struct {
 	units []uint16
 	idx   []int32 // pc -> index into code, offset by +1; 0 = no instruction
 	code  []DecodedInst
+	err   error // decode error that stopped the scan, or nil
 }
 
 // Predecode lowers a unit array into a Program with one linear scan,
 // skipping switch payload regions. Decoding stops at the first malformed
-// instruction: the tail past it stays unmapped, so an interpreter falling
-// back to live Decode there surfaces the identical decode error.
+// instruction and records its error (see Err): the tail past it stays
+// unmapped, so an interpreter falling back to live Decode there surfaces
+// the identical decode error.
 func Predecode(insns []uint16) *Program {
 	p := &Program{
 		units: append([]uint16(nil), insns...),
@@ -73,31 +77,43 @@ func Predecode(insns []uint16) *Program {
 		}
 		in, width, err := Decode(insns, pc)
 		if err != nil {
+			p.err = err
 			break
 		}
-		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in)})
+		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in), PC: int32(pc)})
 		p.idx[pc] = int32(len(p.code))
 		pc += width
 	}
 	return p
 }
 
-// Lookup returns the predecoded instruction starting at pc, or nil when pc
-// is not a decoded instruction start (payload interior, misaligned pc, or
-// past a malformed instruction).
-func (p *Program) Lookup(pc int) *DecodedInst {
+// Index returns the position in Insts of the instruction starting at pc,
+// or -1 when pc is not a decoded instruction start (payload interior,
+// misaligned pc, or past a malformed instruction).
+func (p *Program) Index(pc int) int {
 	if pc < 0 || pc >= len(p.idx) {
-		return nil
+		return -1
 	}
-	i := p.idx[pc]
-	if i == 0 {
-		return nil
-	}
-	return &p.code[i-1]
+	return int(p.idx[pc]) - 1
 }
 
-// NumInsts returns the number of predecoded instructions.
-func (p *Program) NumInsts() int { return len(p.code) }
+// Lookup returns the predecoded instruction starting at pc, or nil when pc
+// is not a decoded instruction start.
+func (p *Program) Lookup(pc int) *DecodedInst {
+	if i := p.Index(pc); i >= 0 {
+		return &p.code[i]
+	}
+	return nil
+}
+
+// Insts returns the decoded instructions in ascending pc order: every
+// instruction the linear scan reached before Err. The slice is shared and
+// must not be modified.
+func (p *Program) Insts() []DecodedInst { return p.code }
+
+// Err returns the *DecodeError at which the linear scan stopped, or nil
+// when it reached the end of the units.
+func (p *Program) Err() error { return p.err }
 
 // Len returns the unit length of the predecoded snapshot.
 func (p *Program) Len() int { return len(p.units) }

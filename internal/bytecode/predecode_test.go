@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -45,8 +46,9 @@ func TestMaxRegisterMatchesMapRegisters(t *testing.T) {
 
 // checkPredecodeAgainstDecode verifies the core predecode contract on one
 // unit array: the predecoder's linear scan must mirror a step-by-step
-// bytecode.Decode walk exactly — same coverage, same (op, width, operands,
-// max register) per pc — and stop at the first malformed instruction so the
+// bytecode.Decode walk exactly — same coverage, same (pc, op, width,
+// operands, max register) per instruction — and stop at the first malformed
+// instruction, reporting that instruction's error from Err, so the
 // uncovered tail falls back to the live decoder.
 func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 	t.Helper()
@@ -59,6 +61,7 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 	}
 	covered := make(map[int]bool)
 	n := 0
+	var walkErr error
 	for pc := 0; pc < len(insns); {
 		if w, ok := PayloadAt(insns, pc); ok {
 			pc += w
@@ -66,11 +69,15 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		}
 		in, width, err := Decode(insns, pc)
 		if err != nil {
+			walkErr = err
 			break // predecode must leave this pc and everything after unmapped
 		}
 		d := p.Lookup(pc)
 		if d == nil {
 			t.Fatalf("pc %d: Decode succeeds but Lookup returned nil", pc)
+		}
+		if int(d.PC) != pc {
+			t.Fatalf("pc %d: predecoded PC %d", pc, d.PC)
 		}
 		if d.Width != width {
 			t.Fatalf("pc %d: predecoded width %d, want %d", pc, d.Width, width)
@@ -92,8 +99,11 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		n++
 		pc += width
 	}
-	if p.NumInsts() != n {
-		t.Fatalf("predecoded %d instructions, linear decode walk found %d", p.NumInsts(), n)
+	if len(p.Insts()) != n {
+		t.Fatalf("predecoded %d instructions, linear decode walk found %d", len(p.Insts()), n)
+	}
+	if !reflect.DeepEqual(p.Err(), walkErr) {
+		t.Fatalf("Program.Err() = %v, decode walk stopped with %v", p.Err(), walkErr)
 	}
 	for pc := -2; pc < len(insns)+2; pc++ {
 		d := p.Lookup(pc)

@@ -126,7 +126,11 @@ type Tracker struct {
 
 // NewTracker computes static totals from the application's DEX files. A
 // method key or class defined in several files counts once, with the union
-// of its definitions' instructions.
+// of its definitions' instructions. A method's instructions are the stream
+// the interpreter can run: a body that stops decoding (junk units a packer
+// rewrites at run time) counts the instructions before the fault, none when
+// it faults at pc 0. NewTracker does not fail; the error result is kept
+// for its callers.
 func NewTracker(files []*dex.File) (*Tracker, error) {
 	s := &statics{ids: make(map[string]int)}
 	classIDs := make(map[string]int)
@@ -184,17 +188,15 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 	s.insns, s.lines, s.edges = newBitset(units), newBitset(lines), newBitset(2*units)
 
 	for _, d := range defs {
-		placed, err := bytecode.DecodeAll(d.code.Insns)
-		if err != nil {
-			return nil, fmt.Errorf("coverage: %s: %w", d.key, err)
-		}
 		sp := s.spans[s.ids[d.key]]
-		for _, p := range placed {
-			s.insns.set(sp.base + p.PC)
-			s.lines.set(sp.line + p.PC/unitsPerLine)
-			if p.Inst.Op.IsBranch() {
-				s.edges.set(2 * (sp.base + p.PC))
-				s.edges.set(2*(sp.base+p.PC) + 1)
+		insts := bytecode.Predecode(d.code.Insns).Insts()
+		for i := range insts {
+			pc := int(insts[i].PC)
+			s.insns.set(sp.base + pc)
+			s.lines.set(sp.line + pc/unitsPerLine)
+			if insts[i].Op.IsBranch() {
+				s.edges.set(2 * (sp.base + pc))
+				s.edges.set(2*(sp.base+pc) + 1)
 			}
 		}
 	}

@@ -649,13 +649,13 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			}
 			return nil
 		}
-		placed, err := bytecode.DecodeAll(code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(code.Insns)
+		if err := prog.Err(); err != nil {
 			return fmt.Errorf("dex: remap %s: %w", f.MethodAt(method).Key(), err)
 		}
-		for _, p := range placed {
+		for _, p := range prog.Insts() {
 			var m []uint32
-			switch p.Inst.Op.Index() {
+			switch p.Op.Index() {
 			case bytecode.IndexString:
 				m = stringMap
 			case bytecode.IndexType:
@@ -670,12 +670,12 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			if m == nil {
 				continue // identity permutation: operand already final
 			}
-			if int(p.Inst.Index) >= len(m) {
+			if int(p.Index) >= len(m) {
 				return fmt.Errorf("dex: remap: index %d out of range at pc %d",
-					p.Inst.Index, p.PC)
+					p.Index, p.PC)
 			}
 			in := p.Inst
-			in.Index = m[p.Inst.Index]
+			in.Index = m[p.Index]
 			units, err := bytecode.Encode(in)
 			if err != nil {
 				return fmt.Errorf("dex: remap re-encode: %w", err)

@@ -174,8 +174,9 @@ func TestBytecodeIndicesRemapped(t *testing.T) {
 	if em == nil {
 		t.Fatal("advancedLeak not found")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	var calls []string

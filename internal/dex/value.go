@@ -173,9 +173,9 @@ func readEncodedValue(b []byte, off int) (Value, int, error) {
 // countInsns counts decodable instructions in a code array; payload regions
 // are skipped. Undecodable bodies count as zero.
 func countInsns(insns []uint16) int {
-	placed, err := bytecode.DecodeAll(insns)
-	if err != nil {
+	p := bytecode.Predecode(insns)
+	if p.Err() != nil {
 		return 0
 	}
-	return len(placed)
+	return len(p.Insts())
 }

@@ -80,63 +80,50 @@ func Verify(f *File) []error {
 }
 
 func verifyCode(f *File, where string, code *Code, report func(where, format string, args ...any)) {
-	placed, err := bytecode.DecodeAll(code.Insns)
-	if err != nil {
+	p := bytecode.Predecode(code.Insns)
+	if err := p.Err(); err != nil {
 		report(where, "undecodable body: %v", err)
 		return
 	}
-	if len(placed) == 0 {
+	insts := p.Insts()
+	if len(insts) == 0 {
 		report(where, "empty instruction array")
 		return
 	}
-	starts := make(map[int]bool, len(placed))
-	for _, p := range placed {
-		starts[p.PC] = true
-	}
+	isStart := func(pc int) bool { return p.Lookup(pc) != nil }
 	if int(code.InsSize) > int(code.RegistersSize) {
 		report(where, "ins %d exceed registers %d", code.InsSize, code.RegistersSize)
 	}
 	// The last reachable instruction must not fall off the end. Trailing
 	// alignment nops before switch payloads are unreachable padding and are
 	// exempt.
-	lastIdx := len(placed) - 1
-	for lastIdx > 0 && placed[lastIdx].Inst.Op == bytecode.OpNop {
+	lastIdx := len(insts) - 1
+	for lastIdx > 0 && insts[lastIdx].Op == bytecode.OpNop {
 		lastIdx--
 	}
-	if last := placed[lastIdx]; !last.Inst.Op.IsTerminator() &&
-		!last.Inst.Op.IsSwitch() && !last.Inst.Op.IsBranch() {
-		report(where, "control can fall off the end (last op %s)", last.Inst.Op)
+	if last := insts[lastIdx].Op; !last.IsTerminator() && !last.IsSwitch() && !last.IsBranch() {
+		report(where, "control can fall off the end (last op %s)", last)
 	}
-	for _, p := range placed {
-		maxReg := int32(-1)
-		bytecode.MapRegisters(p.Inst, func(r int32) int32 {
-			if r > maxReg {
-				maxReg = r
-			}
-			return r
-		})
-		if maxReg >= int32(code.RegistersSize) {
+	limits := [...]int{
+		bytecode.IndexString: len(f.Strings),
+		bytecode.IndexType:   len(f.Types),
+		bytecode.IndexField:  len(f.Fields),
+		bytecode.IndexMethod: len(f.Methods),
+	}
+	for i := range insts {
+		d := &insts[i]
+		if d.MaxReg >= int32(code.RegistersSize) {
 			report(where, "pc %#x: register v%d exceeds registers_size %d",
-				p.PC, maxReg, code.RegistersSize)
+				d.PC, d.MaxReg, code.RegistersSize)
 		}
-		for _, off := range p.Inst.BranchTargets() {
-			target := p.PC + int(off)
-			if !starts[target] {
+		for _, off := range d.BranchTargets() {
+			if target := int(d.PC) + int(off); !isStart(target) {
 				report(where, "pc %#x: %s targets %#x, not an instruction start",
-					p.PC, p.Inst.Op, target)
+					d.PC, d.Op, target)
 			}
 		}
-		if kind := p.Inst.Op.Index(); kind != bytecode.IndexNone {
-			limit := map[bytecode.IndexKind]int{
-				bytecode.IndexString: len(f.Strings),
-				bytecode.IndexType:   len(f.Types),
-				bytecode.IndexField:  len(f.Fields),
-				bytecode.IndexMethod: len(f.Methods),
-			}[kind]
-			if int(p.Inst.Index) >= limit {
-				report(where, "pc %#x: %s index %d out of range",
-					p.PC, p.Inst.Op, p.Inst.Index)
-			}
+		if kind := d.Op.Index(); kind != bytecode.IndexNone && int(d.Index) >= limits[kind] {
+			report(where, "pc %#x: %s index %d out of range", d.PC, d.Op, d.Index)
 		}
 	}
 	for ti, tr := range code.Tries {
@@ -145,14 +132,14 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 				ti, tr.Start, tr.Start+tr.Count, len(code.Insns))
 		}
 		for _, h := range tr.Handlers {
-			if !starts[int(h.Addr)] {
+			if !isStart(int(h.Addr)) {
 				report(where, "try %d: handler %#x not an instruction start", ti, h.Addr)
 			}
 			if int(h.Type) >= len(f.Types) {
 				report(where, "try %d: handler type %d out of range", ti, h.Type)
 			}
 		}
-		if tr.CatchAll >= 0 && !starts[int(tr.CatchAll)] {
+		if tr.CatchAll >= 0 && !isStart(int(tr.CatchAll)) {
 			report(where, "try %d: catch-all %#x not an instruction start", ti, tr.CatchAll)
 		}
 	}

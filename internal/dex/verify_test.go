@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,82 @@ func TestVerifyFindsDefects(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("defect %q not reported; got %v", tc.want, errs)
+			}
+		})
+	}
+
+	// These rows pin the complete defect list, in report order, for the
+	// remaining per-method report paths. Their bodies are installed after
+	// Builder.Finish, whose operand remap rejects some of them.
+	const m = "dex: verify Lv/C;->f()V: "
+	exact := []struct {
+		name string
+		code *Code
+		want []string
+	}{
+		{
+			"undecodable body",
+			&Code{RegistersSize: 1, Insns: []uint16{0xffff, 0xffff, 0x000e}},
+			[]string{m + "undecodable body: bytecode: decode at pc 0: unknown opcode op-0xff"},
+		},
+		{
+			"empty instruction array",
+			&Code{RegistersSize: 1},
+			[]string{m + "empty instruction array"},
+		},
+		{
+			"pool index out of range",
+			&Code{RegistersSize: 1, Insns: []uint16{0x001a, 999, 0x000e}}, // const-string v0, string@999
+			[]string{m + "pc 0x0: const-string index 999 out of range"},
+		},
+		{
+			"switch target mid-instruction",
+			&Code{RegistersSize: 1, Insns: []uint16{
+				0x002b, 6, 0, // packed-switch v0, payload at +6
+				0x0013, 7, // const/16 v0, 7 at pc 3..4
+				0x000e,                // return-void
+				0x0100, 1, 0, 0, 4, 0, // payload: key 0 -> +4, the const/16's second unit
+			}},
+			[]string{m + "pc 0x0: packed-switch targets 0x4, not an instruction start"},
+		},
+		{
+			"handler mid-instruction",
+			&Code{
+				RegistersSize: 1,
+				Insns:         []uint16{0x0013, 7, 0x000e}, // const/16 v0, 7; return-void
+				Tries:         []Try{{Start: 0, Count: 2, Handlers: []TypeAddr{{Type: 0, Addr: 1}}, CatchAll: -1}},
+			},
+			[]string{m + "try 0: handler 0x1 not an instruction start"},
+		},
+		{
+			"catch-all mid-instruction",
+			&Code{
+				RegistersSize: 1,
+				Insns:         []uint16{0x0013, 7, 0x000e},
+				Tries:         []Try{{Start: 0, Count: 2, CatchAll: 1}},
+			},
+			[]string{m + "try 0: catch-all 0x1 not an instruction start"},
+		},
+		{
+			"handler type out of range",
+			&Code{
+				RegistersSize: 1,
+				Insns:         []uint16{0x0013, 7, 0x000e},
+				Tries:         []Try{{Start: 0, Count: 2, Handlers: []TypeAddr{{Type: 999, Addr: 2}}, CatchAll: -1}},
+			},
+			[]string{m + "try 0: handler type 999 out of range"},
+		},
+	}
+	for _, tc := range exact {
+		t.Run(tc.name, func(t *testing.T) {
+			f := rawFile(t, &Code{RegistersSize: 1, Insns: []uint16{0x000e}})
+			f.Classes[0].DirectMeths[0].Code = tc.code
+			var got []string
+			for _, err := range Verify(f) {
+				got = append(got, err.Error())
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("defects:\n got %q\nwant %q", got, tc.want)
 			}
 		})
 	}

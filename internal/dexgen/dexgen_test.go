@@ -104,8 +104,9 @@ func TestInvokeRangePromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := f.FindMethod("Lr/C;", "go6", "()I")
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	sawRange := false

@@ -560,23 +560,18 @@ func (e *Engine) pathTo(method string, targetPC int) (map[int]bool, bool) {
 // buildPaths BFS-walks the static CFG from the method entry, recording the
 // shortest decision chain to every reachable pc.
 func buildPaths(code *dex.Code) *methodPaths {
-	placed, err := bytecode.DecodeAll(code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(code.Insns)
+	if prog.Err() != nil {
 		return nil
-	}
-	idxOf := make(map[int]int, len(placed))
-	for i, p := range placed {
-		idxOf[p.PC] = i
 	}
 	visited := map[int]int{0: 0}
 	order := []pathStep{{pc: 0, branchPC: -1, prev: -1}}
 	for qi := 0; qi < len(order); qi++ {
 		cur := order[qi]
-		ci, ok := idxOf[cur.pc]
-		if !ok {
+		in := prog.Lookup(cur.pc)
+		if in == nil {
 			continue
 		}
-		in := placed[ci].Inst
 		push := func(pc int, branchPC int, taken bool) {
 			if _, seen := visited[pc]; seen {
 				return
@@ -586,18 +581,18 @@ func buildPaths(code *dex.Code) *methodPaths {
 		}
 		switch {
 		case in.Op.IsBranch():
-			push(cur.pc+in.Width(), cur.pc, false)
+			push(cur.pc+in.Width, cur.pc, false)
 			push(cur.pc+int(in.Off), cur.pc, true)
 		case in.Op.IsGoto():
 			push(cur.pc+int(in.Off), -1, false)
 		case in.Op.IsSwitch():
-			push(cur.pc+in.Width(), -1, false)
+			push(cur.pc+in.Width, -1, false)
 			for _, t := range in.Targets {
 				push(cur.pc+int(t), -1, false)
 			}
 		case in.Op.IsTerminator():
 		default:
-			push(cur.pc+in.Width(), -1, false)
+			push(cur.pc+in.Width, -1, false)
 		}
 	}
 	return &methodPaths{visited: visited, order: order}

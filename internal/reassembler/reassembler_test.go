@@ -205,8 +205,9 @@ func TestSelfModifyingReassembly(t *testing.T) {
 	if em == nil {
 		t.Fatal("revealed advancedLeak missing")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	var calls []string
@@ -263,8 +264,9 @@ func TestDeadCodeElimination(t *testing.T) {
 		if em == nil {
 			t.Fatalf("revealed %s missing", name)
 		}
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		placed := prog.Insts()
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range placed {
@@ -327,8 +329,9 @@ func TestReflectionRewriting(t *testing.T) {
 		if em.Code == nil {
 			continue
 		}
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		placed := prog.Insts()
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range placed {
@@ -492,8 +495,9 @@ func TestCollectionFilesRoundTrip(t *testing.T) {
 	if em == nil {
 		t.Fatal("advancedLeak missing after file round trip")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}

@@ -136,13 +136,10 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 	// in malformed bodies (the analyzer must never crash on hostile input),
 	// plus an extra slot for the invoke result.
 	maxReg := m.regs
-	for _, pl := range m.code {
-		bytecode.MapRegisters(pl.Inst, func(r int32) int32 {
-			if int(r) >= maxReg {
-				maxReg = int(r) + 1
-			}
-			return r
-		})
+	for i := range m.code {
+		if r := int(m.code[i].MaxReg); r >= maxReg {
+			maxReg = r + 1
+		}
 	}
 	nRegs := maxReg + 1
 	resultSlot := maxReg
@@ -192,24 +189,18 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		ci := work[len(work)-1]
 		work = work[:len(work)-1]
 		regs := append([]fact(nil), inFacts[ci]...)
-		pl := m.code[ci]
-		in := pl.Inst
+		pl := &m.code[ci]
+		pc, in := int(pl.PC), pl.Inst
 
-		succNext := func() {
-			if next, ok := m.pcIdx[pl.PC+in.Width()]; ok {
-				push(next, regs)
-			}
-		}
-		succAt := func(targetPC int) {
-			if t, ok := m.pcIdx[targetPC]; ok {
-				push(t, regs)
-			}
-		}
+		// push ignores the -1 Index returns for a pc that starts no
+		// decoded instruction.
+		succNext := func() { push(m.prog.Index(pc+pl.Width), regs) }
+		succAt := func(targetPC int) { push(m.prog.Index(targetPC), regs) }
 		// Exceptional edges: any covered instruction may transfer to its
 		// handlers with the current facts (move-exception zeroes the
 		// exception register itself).
 		for _, tr := range m.tries {
-			if !tr.Covers(pl.PC) {
+			if !tr.Covers(pc) {
 				continue
 			}
 			for _, h := range tr.Handlers {
@@ -253,18 +244,18 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
 			succNext()
 		case op == bytecode.OpNewInstance:
-			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pl.PC}}
+			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
 			succNext()
 		case op == bytecode.OpNewArray:
-			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pl.PC}}
+			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
 			succNext()
 		case op == bytecode.OpThrow:
 			// No normal successor; handler edges are over-approximated away.
 		case op.IsGoto():
-			succAt(pl.PC + int(in.Off))
+			succAt(pc + int(in.Off))
 		case op.IsSwitch():
 			for _, t := range in.Targets {
-				succAt(pl.PC + int(t))
+				succAt(pc + int(t))
 			}
 			succNext()
 		case op.IsBranch():
@@ -273,7 +264,7 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 				condTaint |= regs[in.B].Taint
 			}
 			implicit |= condTaint
-			succAt(pl.PC + int(in.Off))
+			succAt(pc + int(in.Off))
 			succNext()
 		case op == bytecode.OpAGet || op == bytecode.OpAGetObject:
 			arr := regs[in.B]
@@ -327,7 +318,7 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 			}
 			succNext()
 		case op.IsInvoke():
-			regs[resultSlot] = an.invoke(m, pl.PC, in, regs, depth, stack, ambient)
+			regs[resultSlot] = an.invoke(m, pc, in, regs, depth, stack, ambient)
 			succNext()
 		case op == bytecode.OpNegInt || op == bytecode.OpNotInt:
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
@@ -577,11 +568,10 @@ func (an *analysis) allocClass(o objID) string {
 	arrow := strings.Index(o.Method, "->")
 	nameSig := o.Method[arrow+2:]
 	for _, mm := range c.meths {
-		if mm.name+mm.sig != nameSig {
+		if mm.name+mm.sig != nameSig || mm.prog == nil {
 			continue
 		}
-		if ci, ok := mm.pcIdx[o.PC]; ok {
-			in := mm.code[ci].Inst
+		if in := mm.prog.Lookup(o.PC); in != nil {
 			if in.Op == bytecode.OpNewInstance || in.Op == bytecode.OpNewArray {
 				return mm.file.TypeName(in.Index)
 			}

@@ -29,8 +29,8 @@ type mMethod struct {
 	params []string
 	regs   int
 	ins    int
-	code   []bytecode.Placed
-	pcIdx  map[int]int // dex_pc -> code index
+	prog   *bytecode.Program      // nil when the method has no decodable body
+	code   []bytecode.DecodedInst // prog's instructions
 	tries  []dex.Try
 	file   *dex.File
 }
@@ -72,21 +72,14 @@ func buildModel(files []*dex.File) (*model, error) {
 					}
 					_ = li
 					if em.Code != nil {
-						placed, err := bytecode.DecodeAll(em.Code.Insns)
-						if err != nil {
-							// Undecodable (e.g. still-encrypted) bodies are
-							// opaque to static analysis, like real packed
-							// code.
-							placed = nil
+						// Undecodable (e.g. still-encrypted) bodies are
+						// opaque to static analysis, like real packed code.
+						if prog := bytecode.Predecode(em.Code.Insns); prog.Err() == nil {
+							mm.prog, mm.code = prog, prog.Insts()
 						}
-						mm.code = placed
 						mm.regs = int(em.Code.RegistersSize)
 						mm.ins = int(em.Code.InsSize)
 						mm.tries = em.Code.Tries
-						mm.pcIdx = make(map[int]int, len(placed))
-						for i, p := range placed {
-							mm.pcIdx[p.PC] = i
-						}
 					}
 					mc.meths = append(mc.meths, mm)
 				}

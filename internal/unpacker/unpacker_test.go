@@ -144,8 +144,9 @@ func TestDumperMissesSelfModifyingFlow(t *testing.T) {
 	}
 	f := findDumpedClass(files, "Lsm/Main;")
 	em := f.FindMethod("Lsm/Main;", "onCreate", "(Landroid/os/Bundle;)V")
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	placed := prog.Insts()
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
 	sawMark, sawEvil := false, false

@@ -88,7 +88,7 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 	type pending struct {
 		node  int
 		em    *dex.EncodedMethod
-		insts []bytecode.Placed
+		insts []bytecode.DecodedInst // nil for an undecodable body
 	}
 	var work []pending
 	for ci := range f.Classes {
@@ -101,8 +101,12 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 				}
 				ref := f.MethodAt(em.Method)
 				n := &fpNode{key: ref.Key()}
-				insts, err := bytecode.DecodeAll(em.Code.Insns)
-				n.local = localBodyHash(f, em, insts, err)
+				prog := bytecode.Predecode(em.Code.Insns)
+				n.local = localBodyHash(f, em, prog)
+				var insts []bytecode.DecodedInst
+				if prog.Err() == nil {
+					insts = prog.Insts()
+				}
 				g.byKey[n.key] = len(g.nodes)
 				byNameSig[ref.Name+ref.Signature] = append(byNameSig[ref.Name+ref.Signature], len(g.nodes))
 				byName[ref.Name] = append(byName[ref.Name], len(g.nodes))
@@ -120,8 +124,8 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 				n.succs = append(n.succs, to)
 			}
 		}
-		for _, pl := range p.insts {
-			in := pl.Inst
+		for i := range p.insts {
+			in := &p.insts[i]
 			switch {
 			case in.Op.IsInvoke():
 				ref := f.MethodAt(in.Index)
@@ -152,7 +156,7 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 // localBodyHash hashes one method's canonical code-item bytes: everything
 // about the body except constant-pool index values, which are replaced by
 // the symbols they resolve to.
-func localBodyHash(f *dex.File, em *dex.EncodedMethod, insts []bytecode.Placed, decodeErr error) string {
+func localBodyHash(f *dex.File, em *dex.EncodedMethod, prog *bytecode.Program) string {
 	ref := f.MethodAt(em.Method)
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|body|%s|%#x|%d,%d,%d", methodFPVersion, ref.Key(),
@@ -164,7 +168,7 @@ func localBodyHash(f *dex.File, em *dex.EncodedMethod, insts []bytecode.Placed, 
 		}
 		fmt.Fprintf(h, ";all@%d", try.CatchAll)
 	}
-	if decodeErr != nil {
+	if decodeErr := prog.Err(); decodeErr != nil {
 		// An undecodable body (junk units awaiting runtime rewriting) falls
 		// back to the raw code units: still deterministic, never spliced
 		// wrongly, merely without index canonicalization.
@@ -174,9 +178,10 @@ func localBodyHash(f *dex.File, em *dex.EncodedMethod, insts []bytecode.Placed, 
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	for _, pl := range insts {
-		in := pl.Inst
-		fmt.Fprintf(h, "|%d:%s:%d,%d,%d:%d:%d", pl.PC, in.Op.String(), in.A, in.B, in.C, in.Lit, in.Off)
+	insts := prog.Insts()
+	for i := range insts {
+		in := &insts[i]
+		fmt.Fprintf(h, "|%d:%s:%d,%d,%d:%d:%d", in.PC, in.Op.String(), in.A, in.B, in.C, in.Lit, in.Off)
 		if len(in.Args) > 0 {
 			fmt.Fprintf(h, ":a%v", in.Args)
 		}
