@@ -34,13 +34,20 @@ type Scores struct {
 type Comparison struct {
 	Unmodified Scores
 	DexLego    Scores
+	// java and native are the medians of the per-round paired ratios (see
+	// Run); overall follows from them.
+	java, native float64
 }
 
-// Slowdowns returns the Java, native and overall slowdown factors.
+// Slowdowns returns the Java, native and overall slowdown factors. Java
+// and native are the medians of the per-round instrumented/unmodified time
+// ratios, not the ratios of the displayed best scores: each per-round
+// ratio compares two calls timed back to back, so a burst of host load
+// inflates both sides of it rather than one configuration's best. Overall
+// is the ratio of the two configurations' Overall scores at those
+// component ratios — their harmonic mean, which lies between them.
 func (c Comparison) Slowdowns() (java, native, overall float64) {
-	return c.Unmodified.Java / c.DexLego.Java,
-		c.Unmodified.Native / c.DexLego.Native,
-		c.Unmodified.Overall / c.DexLego.Overall
+	return c.java, c.native, 2 / (1/c.java + 1/c.native)
 }
 
 // benchAPK builds the benchmark application: a bytecode spin loop and a
@@ -89,18 +96,22 @@ type Config struct {
 // DefaultConfig returns workload sizes that run in well under a second per
 // mode on commodity hardware.
 func DefaultConfig() Config {
-	return Config{JavaIters: 60_000, NativeIters: 4_000_000, Rounds: 3}
+	return Config{JavaIters: 60_000, NativeIters: 4_000_000, Rounds: 5}
 }
 
 // Run executes the CF-Bench pair: the unmodified runtime and one with
 // DexLego's JIT collection attached. The two configurations alternate round
 // by round, each round alternating which goes first, so a burst of host
 // load lands on both rather than on whichever was measuring; each score is
-// its configuration's best round. Like launch, the rounds start on a
-// collected heap and run with the Go collector paused (they allocate well
-// under a MiB), so no configuration is timed collecting garbage left by
-// set-up or by the other one.
+// its configuration's best round, and the slowdowns are medians of the
+// per-round paired ratios (Comparison.Slowdowns). Like launch, the rounds
+// start on a collected heap and run with the Go collector paused (they
+// allocate well under a MiB), so no configuration is timed collecting
+// garbage left by set-up or by the other one.
 func Run(cfg Config) (Comparison, error) {
+	if cfg.Rounds < 1 {
+		return Comparison{}, fmt.Errorf("cfbench: rounds must be positive")
+	}
 	pkg, err := benchAPK()
 	if err != nil {
 		return Comparison{}, err
@@ -119,27 +130,37 @@ func Run(cfg Config) (Comparison, error) {
 		rts[c] = rt
 	}
 	var best [2]Scores
+	var javaRatios, nativeRatios []float64
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// One untimed warm-up pair first: the predecoded-program cache is
 	// process-global, so the first configuration to run would otherwise
 	// absorb its build cost.
 	for r := -1; r < cfg.Rounds; r++ {
+		// The two calls of each pair run back to back: java of one
+		// configuration, java of the other, then native in reverse order.
+		var javaMS, nativeMS [2]float64 // unmodified, instrumented
 		for k := 0; k < 2; k++ {
 			c := (r + k) & 1
-			javaMS, err := timedCall(rts[c], "spin", cfg.JavaIters)
-			if err != nil {
+			if javaMS[c], err = timedCall(rts[c], "spin", cfg.JavaIters); err != nil {
 				return Comparison{}, err
-			}
-			nativeMS, err := timedCall(rts[c], "nativeSpin", cfg.NativeIters)
-			if err != nil {
-				return Comparison{}, err
-			}
-			if r >= 0 {
-				best[c].Java = max(best[c].Java, float64(cfg.JavaIters)/javaMS)
-				best[c].Native = max(best[c].Native, float64(cfg.NativeIters)/nativeMS)
 			}
 		}
+		for k := 0; k < 2; k++ {
+			c := (r + k + 1) & 1
+			if nativeMS[c], err = timedCall(rts[c], "nativeSpin", cfg.NativeIters); err != nil {
+				return Comparison{}, err
+			}
+		}
+		if r < 0 {
+			continue
+		}
+		for c := range best {
+			best[c].Java = max(best[c].Java, float64(cfg.JavaIters)/javaMS[c])
+			best[c].Native = max(best[c].Native, float64(cfg.NativeIters)/nativeMS[c])
+		}
+		javaRatios = append(javaRatios, javaMS[1]/javaMS[0])
+		nativeRatios = append(nativeRatios, nativeMS[1]/nativeMS[0])
 	}
 	base, lego := best[0], best[1]
 	// Normalize native units so the unmodified runtime's Java and native
@@ -149,7 +170,15 @@ func Run(cfg Config) (Comparison, error) {
 	lego.Native *= norm
 	base.Overall = (base.Java + base.Native) / 2
 	lego.Overall = (lego.Java + lego.Native) / 2
-	return Comparison{Unmodified: base, DexLego: lego}, nil
+	return Comparison{Unmodified: base, DexLego: lego,
+		java: median(javaRatios), native: median(nativeRatios)}, nil
+}
+
+// median returns the median of xs, sorting it.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // LaunchSample is a mean/std launch-time measurement. Mean is an
@@ -205,12 +234,10 @@ func MeasureLaunchPair(pkg *apk.APK, runs int) (LaunchPair, error) {
 			ratios = append(ratios, d[1]/d[0])
 		}
 	}
-	sort.Float64s(ratios)
-	n := len(ratios)
 	return LaunchPair{
 		Orig:     summarize(orig),
 		DexLego:  summarize(lego),
-		Slowdown: (ratios[(n-1)/2] + ratios[n/2]) / 2,
+		Slowdown: median(ratios),
 	}, nil
 }
 

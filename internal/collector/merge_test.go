@@ -16,7 +16,7 @@ import (
 // launch-and-click lifecycle, later runs use distinct fuzzer seeds so the
 // corpus exercises different paths (and different tree fork/converge
 // shapes) per run.
-func collectRun(t *testing.T, s *droidbench.Sample, pkg *apk.APK, col *collector.Collector, run int) {
+func collectRun(t testing.TB, s *droidbench.Sample, pkg *apk.APK, col *collector.Collector, run int) {
 	t.Helper()
 	rt := art.NewRuntime(art.DefaultPhone())
 	for key, fn := range s.Natives() {

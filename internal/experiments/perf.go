@@ -16,6 +16,8 @@ type Figure6Result struct {
 
 // RunFigure6 runs the CF-Bench pair. Absolute scores are host-dependent;
 // the paper's shape is Java ~7.5x, native ~1.4x, overall ~2.3x slowdown.
+// The slowdowns are medians of per-round paired ratios (see
+// cfbench.Comparison.Slowdowns), so one loaded round cannot flip them.
 func RunFigure6() (*Figure6Result, error) {
 	cmp, err := cfbench.Run(cfbench.DefaultConfig())
 	if err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,6 +23,12 @@ import (
 // Entries are value-addressed and immutable, so the cache needs no
 // invalidation protocol: a changed method simply hashes to a different key
 // and the stale entry ages out of the LRU.
+//
+// Both key namespaces carry the record format's version (v2: the binary
+// codec of collector.EncodeRecord; v1 was JSON), and disk entries are
+// named <key>.rec, so a record written in an older format is never looked
+// up under a current key. Bytes planted at a current path anyway are
+// rejected by DecodeRecord, and the caller treats that as a miss.
 
 // DefaultMethodCacheBytes bounds the in-memory method-tree LRU when
 // OpenMethodCache is given no explicit capacity.
@@ -34,7 +41,7 @@ const DefaultMethodCacheBytes int64 = 64 << 20
 // collected under force-execution is not the tree collected without it.
 func MethodKeyFor(optionsFingerprint, methodFingerprint string) string {
 	h := sha256.New()
-	h.Write([]byte("methodtree/v1|"))
+	h.Write([]byte("methodtree/v2|"))
 	h.Write([]byte(optionsFingerprint))
 	h.Write([]byte{'|'})
 	h.Write([]byte(methodFingerprint))
@@ -50,7 +57,7 @@ func MethodKeyFor(optionsFingerprint, methodFingerprint string) string {
 // different bytes.
 func SpillKeyFor(data []byte) string {
 	h := sha256.New()
-	h.Write([]byte("spill/v1|"))
+	h.Write([]byte("spill/v2|"))
 	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -138,7 +145,13 @@ func (c *MethodCache) Get(key string) ([]byte, bool) {
 	if c.dir != "" {
 		if data, err := os.ReadFile(c.treePath(key)); err == nil && len(data) > 0 {
 			c.mu.Lock()
-			c.insertLocked(key, data)
+			if el, ok := c.byKey[key]; ok {
+				// A Put landed while the file was read; its bytes win.
+				c.lru.MoveToFront(el)
+				data = el.Value.(*methodEntry).data
+			} else {
+				c.insertLocked(key, data)
+			}
 			c.mu.Unlock()
 			c.hits.Add(1)
 			return data, true
@@ -149,8 +162,11 @@ func (c *MethodCache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores a serialized tree under key, persisting it to the disk tier
-// before publishing it in memory. Storing under an existing key is a no-op
-// (entries are value-addressed, so the bytes are equivalent).
+// before publishing it in memory. Entries are value-addressed, so storing
+// under an existing key normally rewrites equal bytes; when they differ —
+// the resident entry was promoted from a damaged or foreign file the
+// caller could not decode — the new bytes replace it, so one store-back
+// repairs the key in both tiers.
 func (c *MethodCache) Put(key string, data []byte) error {
 	if !ValidKey(key) {
 		return ErrBadKey
@@ -178,10 +194,22 @@ func (c *MethodCache) Put(key string, data []byte) error {
 func (c *MethodCache) insertLocked(key string, data []byte) {
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
+		e := el.Value.(*methodEntry)
+		if !bytes.Equal(e.data, data) {
+			c.bytes += int64(len(data)) - int64(len(e.data))
+			el.Value = &methodEntry{key: key, data: data}
+			c.evictLocked()
+		}
 		return
 	}
 	c.byKey[key] = c.lru.PushFront(&methodEntry{key: key, data: data})
 	c.bytes += int64(len(data))
+	c.evictLocked()
+}
+
+// evictLocked drops least-recently-used entries until the resident bytes
+// fit the budget, always keeping the most recent one.
+func (c *MethodCache) evictLocked() {
 	for c.bytes > c.capBytes && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		old := c.lru.Remove(back).(*methodEntry)
@@ -192,7 +220,7 @@ func (c *MethodCache) insertLocked(key string, data []byte) {
 }
 
 // treePath maps a key into the two-level on-disk fan-out
-// (<dir>/<key[:2]>/<key>.json).
+// (<dir>/<key[:2]>/<key>.rec).
 func (c *MethodCache) treePath(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return filepath.Join(c.dir, key[:2], key+".rec")
 }

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -71,5 +74,46 @@ func TestMethodCacheEvictionStorm(t *testing.T) {
 	}
 	if c.Evicted() == 0 {
 		t.Fatalf("storm evicted nothing — capacity not exercised")
+	}
+}
+
+// TestMethodCachePutReplacesForeignEntry: bytes planted at a key's disk
+// path are served as they are (the cache does not interpret records), and
+// one Put of the real record replaces them in memory and on disk, with the
+// byte accounting following.
+func TestMethodCachePutReplacesForeignEntry(t *testing.T) {
+	dir := t.TempDir()
+	key := MethodKeyFor("opts", "method")
+	path := filepath.Join(dir, key[:2], key+".rec")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	foreign := []byte(`{"class":"Lx;","trees":[]}`)
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenMethodCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(key); !ok || !bytes.Equal(got, foreign) {
+		t.Fatalf("planted entry: got %q, %v", got, ok)
+	}
+	good := []byte("R2 a record")
+	if err := c.Put(key, good); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(key); !ok || !bytes.Equal(got, good) {
+		t.Fatalf("after Put: got %q, %v; want the new bytes", got, ok)
+	}
+	if b := c.Bytes(); b != int64(len(good)) {
+		t.Errorf("resident bytes %d after replacement, want %d", b, len(good))
+	}
+	reopened, err := OpenMethodCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reopened.Get(key); !ok || !bytes.Equal(got, good) {
+		t.Errorf("disk tier after Put: got %q, %v; want the new bytes", got, ok)
 	}
 }

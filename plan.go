@@ -38,9 +38,10 @@ import (
 // records are displaced from the live result into a store.MethodCache and
 // fetched back one class at a time during reassembly, and the DEX image is
 // emitted through the section-streaming writer. A decoded tree graph
-// occupies several times its JSON encoding (pointers, parent links, the
-// fingerprint dedup index), so converting the bulk of the result to flat
-// bytes between the two phases caps the heap peak — the reassembler
+// occupies many times its binary encoding (collector.EncodeRecord: varints
+// and length-prefixed strings, against pointers, parent links, the IIM and
+// the fingerprint dedup index), so converting the bulk of the result to
+// flat bytes between the two phases caps the heap peak — the reassembler
 // re-inflates only the class it is currently emitting. Spilled entries are
 // content-addressed (store.SpillKeyFor), so the tier needs no invalidation
 // and tolerates any sharing. Every spillEntry retains the bytes it was
@@ -50,8 +51,10 @@ import (
 // spillMinBytes is the smallest encoded record worth displacing: below this
 // the bookkeeping (map entry, store key, cache slot) rivals the record
 // itself, and small methods are exactly the ones whose decoded form is
-// cheap to keep resident.
-const spillMinBytes = 2048
+// cheap to keep resident. The threshold is in binary-encoded bytes, about
+// a ninth of the record's JSON size: on the benchmark whale (seed 1) it
+// selects exactly the 243 records the former 2048-byte JSON threshold did.
+const spillMinBytes = 256
 
 // plan is one reveal's strategy state.
 type plan struct {
