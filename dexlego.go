@@ -158,16 +158,14 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	acct := pipeline.NewResourceAccountant()
 	// stage times one pipeline phase and wraps it in a child span; the
 	// closure receives the span so each phase can attribute its domain
-	// events to the stage that produced them. Each boundary also samples
-	// the heap, so every stage carries its allocation bill.
+	// events to the stage that produced them. Each boundary also folds a
+	// heap reading into the run's peak.
 	stage := func(s pipeline.Stage, f func(sp *obs.Span) error) error {
 		sp := root.Start("stage." + s.String())
 		t0 := time.Now()
 		err := f(sp)
 		res.Metrics.AddStage(s, time.Since(t0))
-		alloc, heapDelta := acct.StageDone()
-		res.Metrics.AddStageAlloc(s, alloc)
-		sp.ResourceSample(s.String(), alloc, heapDelta)
+		acct.SampleNow()
 		sp.End()
 		return err
 	}
@@ -340,11 +338,7 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	m.Stubs = stats.Stubs
 	m.Variants = stats.Variants
 	m.Divergences = stats.Divergences
-	var cpu int64
-	for _, st := range m.Stages {
-		cpu += st.CPUNS
-	}
-	m.Resources = acct.Finish(cpu, m.WallNS)
+	m.AllocBytes, m.HeapPeakBytes = acct.Finish()
 	// End the root span before snapshotting so its duration lands in the
 	// "reveal" histogram; the deferred End is a no-op afterwards.
 	root.End()

@@ -266,12 +266,13 @@ func measure(benchTime time.Duration, minIters int, op func() error) (StageBench
 	elapsed := time.Since(start)
 	stopSampling()
 	runtime.ReadMemStats(&after)
+	_, heapPeak := acct.Finish()
 	return StageBench{
 		NsPerOp:       elapsed.Nanoseconds() / int64(n),
 		BytesPerOp:    int64(after.TotalAlloc-before.TotalAlloc) / int64(n),
 		AllocsPerOp:   int64(after.Mallocs-before.Mallocs) / int64(n),
 		Iterations:    n,
-		HeapPeakBytes: acct.Finish(0, 0).HeapPeakBytes,
+		HeapPeakBytes: heapPeak,
 	}, nil
 }
 

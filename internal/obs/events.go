@@ -26,11 +26,10 @@ type EventType uint8
 // shard folded into the campaign result at an iteration barrier, and
 // worker_clamp records the service capping a job's worker budget to keep
 // jobs x workers within GOMAXPROCS. The telemetry events cover the
-// production telemetry plane: resource_sample attributes heap allocation
-// and live-heap growth to one pipeline stage, slo_violation records a job
-// exceeding its configured latency objective, and flight_dump records the
-// per-job flight recorder persisting its ring of recent events after a
-// failure or SLO violation. The incremental-reveal events cover the
+// production telemetry plane: slo_violation records a job exceeding its
+// configured latency objective, and flight_dump records the per-job flight
+// recorder persisting its ring of recent events after a failure or SLO
+// violation. The incremental-reveal events cover the
 // per-method collection cache: method_cache_hit and method_cache_miss
 // record one method's fingerprint lookup against the method-tree keyspace,
 // and tree_splice records a cached collection tree grafted into the result
@@ -58,7 +57,6 @@ const (
 	EventJobDone
 	EventWorkerMerge
 	EventWorkerClamp
-	EventResourceSample
 	EventSLOViolation
 	EventFlightDump
 	EventMethodCacheHit
@@ -176,10 +174,6 @@ var eventSpecs = [numEventTypes]eventSpec{
 		a.ShardDedupHits += e.From - e.Count
 	}},
 	EventWorkerClamp: {name: "worker_clamp", need: fCount, check: countWithinFrom},
-	EventResourceSample: {name: "resource_sample", need: fName, fold: func(a *AppTrace, e *Event) {
-		a.AllocBytes += e.Bytes
-		a.PeakHeapDelta = max(a.PeakHeapDelta, e.Heap)
-	}},
 	EventSLOViolation: {name: "slo_violation", need: fDetail | fSLO, check: func(e *Event) error {
 		if e.DurNS < e.SLONS {
 			return fmt.Errorf("latency %d within objective %d", e.DurNS, e.SLONS)

@@ -27,7 +27,6 @@ var minimalEvents = map[EventType]struct{ line, label string }{
 	EventJobDone:            {`{"ev":"job_done","tsNS":1,"name":"ok","detail":"job-1"}`, "name"},
 	EventWorkerMerge:        {`{"ev":"worker_merge","tsNS":1}`, ""},
 	EventWorkerClamp:        {`{"ev":"worker_clamp","tsNS":1,"from":4,"count":2}`, ""},
-	EventResourceSample:     {`{"ev":"resource_sample","tsNS":1,"name":"collection"}`, ""},
 	EventSLOViolation:       {`{"ev":"slo_violation","tsNS":1,"durNS":5,"detail":"job-1","sloNS":5}`, ""},
 	EventFlightDump:         {`{"ev":"flight_dump","tsNS":1,"name":"slo","detail":"job-1"}`, "name"},
 	EventMethodCacheHit:     {`{"ev":"method_cache_hit","tsNS":1,"method":"m"}`, ""},

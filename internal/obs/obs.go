@@ -34,7 +34,7 @@ type Event struct {
 	Span   uint64    `json:"span,omitempty"`
 	Parent uint64    `json:"parent,omitempty"` // span_start: enclosing span
 	Trace  string    `json:"trace,omitempty"`  // stable job trace id (content-hash prefix), inherited by the whole span tree
-	Name   string    `json:"name,omitempty"`   // span name; job_done: ok|failed; resource_sample: stage; flight_dump: reason
+	Name   string    `json:"name,omitempty"`   // span name; job_done: ok|failed; flight_dump: reason
 	App    string    `json:"app,omitempty"`    // root span: application label
 	DurNS  int64     `json:"durNS,omitempty"`  // span_end, queue_wait, job_done, slo_violation
 	Method string    `json:"method,omitempty"` // method key
@@ -47,8 +47,7 @@ type Event struct {
 	Count  int       `json:"count,omitempty"`  // merge_variant: arrays kept; method_collected: insns; worker_merge: trees kept; worker_clamp: granted workers; flight_dump: events dumped
 	Worker int       `json:"worker,omitempty"` // worker_merge: merged shard index
 	Detail string    `json:"detail,omitempty"` // verify_defect, concurrent_entry; service events: cache key or job id; worker_clamp: reason; mem_spill: spill-tier store key
-	Bytes  int64     `json:"bytes,omitempty"`  // resource_sample: heap bytes allocated during the stage; mem_spill: serialized record size; mem_admit_wait: requested estimate
-	Heap   int64     `json:"heap,omitempty"`   // resource_sample: live-heap delta vs run start after the stage
+	Bytes  int64     `json:"bytes,omitempty"`  // mem_spill: serialized record size; mem_admit_wait: requested estimate
 	SLONS  int64     `json:"sloNS,omitempty"`  // slo_violation: the configured latency objective
 }
 
@@ -374,18 +373,6 @@ func (s *Span) JobDone(id string, total time.Duration, ok bool) {
 }
 
 // --- telemetry-plane emitters ------------------------------------------------
-
-// ResourceSample attributes resource consumption to one pipeline stage:
-// alloc is the heap bytes allocated while the stage ran and heapDelta the
-// live-heap growth versus the start of the run observed at the stage
-// boundary (both process-wide runtime/metrics deltas — exact for a serial
-// process, an attribution upper bound under concurrent jobs).
-func (s *Span) ResourceSample(stage string, alloc, heapDelta int64) {
-	if alloc < 0 {
-		alloc = 0
-	}
-	s.event(func() Event { return Event{Type: EventResourceSample, Name: stage, Bytes: alloc, Heap: heapDelta} })
-}
 
 // SLOViolation records job `id` completing after `total`, past its
 // configured latency objective `limit`.

@@ -113,8 +113,6 @@ type AppTrace struct {
 	TreesSpliced   int   // trees adopted from the incremental method cache
 	SpilledBytes   int64 // serialized volume of the spilled records
 	AdmitWaitNS    int64 // summed admission-gate blocking time
-	AllocBytes     int64 // summed resource_sample allocation
-	PeakHeapDelta  int64 // max live-heap growth observed at a stage boundary
 
 	counts [numEventTypes]int
 }
@@ -270,10 +268,6 @@ func (t *Trace) ReportString() string {
 		if n[EventMethodCacheHit] > 0 || n[EventMethodCacheMiss] > 0 {
 			fmt.Fprintf(&sb, "  method cache: %d hits, %d misses, %d trees spliced\n",
 				n[EventMethodCacheHit], n[EventMethodCacheMiss], a.TreesSpliced)
-		}
-		if n[EventResourceSample] > 0 {
-			fmt.Fprintf(&sb, "  resources: %d samples, %d bytes allocated, peak heap delta %d bytes\n",
-				n[EventResourceSample], a.AllocBytes, a.PeakHeapDelta)
 		}
 		if n[EventMemSpill] > 0 || n[EventMemAdmitWait] > 0 {
 			fmt.Fprintf(&sb, "  memory budget: %d records spilled (%d bytes), %d admission waits (%v)\n",

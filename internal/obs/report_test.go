@@ -25,8 +25,7 @@ func TestReadTraceRejectsBadLines(t *testing.T) {
 		{"queue wait negative", `{"ev":"queue_wait","tsNS":1,"detail":"job-1","durNS":-5}`},
 		{"job done bad outcome", `{"ev":"job_done","tsNS":1,"detail":"job-1","name":"maybe"}`},
 		{"job done without job id", `{"ev":"job_done","tsNS":1,"name":"ok"}`},
-		{"resource sample without stage", `{"ev":"resource_sample","tsNS":1,"bytes":10}`},
-		{"resource sample negative bytes", `{"ev":"resource_sample","tsNS":1,"name":"collection","bytes":-1}`},
+		{"mem spill negative bytes", `{"ev":"mem_spill","tsNS":1,"method":"m","detail":"spill/v2|k","bytes":-1}`},
 		{"slo violation without job id", `{"ev":"slo_violation","tsNS":1,"durNS":10,"sloNS":5}`},
 		{"slo violation without objective", `{"ev":"slo_violation","tsNS":1,"detail":"job-1","durNS":10}`},
 		{"slo violation not violated", `{"ev":"slo_violation","tsNS":1,"detail":"job-1","durNS":3,"sloNS":5}`},
@@ -143,16 +142,13 @@ func TestTraceAppsAttribution(t *testing.T) {
 	}
 }
 
-// TestTelemetryEventsAggregation drives the three telemetry emitters
+// TestTelemetryEventsAggregation drives the two telemetry emitters
 // through a real tracer and checks both schema acceptance and per-app
-// aggregation of the resource/SLO/flight counters.
+// aggregation of the SLO/flight counters.
 func TestTelemetryEventsAggregation(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJSONLSink(&buf))
 	root := tr.Start("reveal", "app-a")
-	root.ResourceSample("collection", 1000, 400)
-	root.ResourceSample("reassembly", 500, 900)
-	root.ResourceSample("verify", 200, -100) // heap shrank: legal, not a peak
 	root.SLOViolation("job-1", 10*time.Millisecond, 5*time.Millisecond)
 	root.FlightDump("job-1", 42, FlightReasonSLO)
 	root.End()
@@ -166,20 +162,12 @@ func TestTelemetryEventsAggregation(t *testing.T) {
 		t.Fatalf("got %d apps, want 1", len(apps))
 	}
 	a := apps[0]
-	if a.Count(EventResourceSample) != 3 || a.AllocBytes != 1700 {
-		t.Errorf("samples/alloc = %d/%d, want 3/1700", a.Count(EventResourceSample), a.AllocBytes)
-	}
-	if a.PeakHeapDelta != 900 {
-		t.Errorf("peak heap delta = %d, want 900", a.PeakHeapDelta)
-	}
 	if a.Count(EventSLOViolation) != 1 || a.Count(EventFlightDump) != 1 {
 		t.Errorf("slo/flight = %d/%d, want 1/1", a.Count(EventSLOViolation), a.Count(EventFlightDump))
 	}
 	rep := trace.ReportString()
-	for _, want := range []string{"resources:", "SLO violations: 1"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
+	if !strings.Contains(rep, "SLO violations: 1") {
+		t.Errorf("report missing SLO violations:\n%s", rep)
 	}
 }
 

@@ -71,15 +71,13 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 // that fan work out across a worker pool — the aggregate CPU time the
 // workers spent inside it. CPUNS is zero for serial stages (wall is the
 // honest cost there); for parallel stages CPUNS/WallNS approximates the
-// effective parallelism the stage achieved.
+// effective parallelism the stage achieved. Only force-execution records
+// it: the time its workers spent inside forced runs (forceexec
+// Stats.BusyNS).
 type StageTiming struct {
 	Stage  Stage `json:"stage"`
 	WallNS int64 `json:"wallNS"`
 	CPUNS  int64 `json:"cpuNS,omitempty"`
-	// AllocBytes is the heap allocation volume of the stage's window,
-	// sampled from the process-wide allocation counter: exact when one job
-	// runs at a time, an upper bound when jobs share the process.
-	AllocBytes int64 `json:"allocBytes,omitempty"`
 }
 
 // Wall returns the recorded wall time as a duration.
@@ -127,10 +125,13 @@ type AppMetrics struct {
 	// depth, dropped lines); nil when tracing was off.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
-	// Resources is the job's resource bill: CPU, heap churn and peak
-	// occupancy, and latency split. Nil for reports written before
-	// resource accounting existed.
-	Resources *ResourceUsage `json:"resources,omitempty"`
+	// AllocBytes is the heap allocation volume of the run window and
+	// HeapPeakBytes the largest live-heap growth over the run's starting
+	// occupancy, both from ResourceAccountant. They are process-wide
+	// readings: an upper bound when reveals share the process, and the
+	// allocation total can be off by up to one span per size class per P.
+	AllocBytes    int64 `json:"allocBytes,omitempty"`
+	HeapPeakBytes int64 `json:"heapPeakBytes,omitempty"`
 
 	// Err is the job's failure, if any ("" on success). A failed job
 	// carries no counters.
@@ -164,18 +165,6 @@ func (m *AppMetrics) AddStageCPU(s Stage, d time.Duration) {
 		}
 	}
 	m.Stages = append(m.Stages, StageTiming{Stage: s, CPUNS: int64(d)})
-}
-
-// AddStageAlloc attributes heap allocation volume to a stage, creating the
-// entry if the stage has not recorded wall time yet.
-func (m *AppMetrics) AddStageAlloc(s Stage, bytes int64) {
-	for i := range m.Stages {
-		if m.Stages[i].Stage == s {
-			m.Stages[i].AllocBytes += bytes
-			return
-		}
-	}
-	m.Stages = append(m.Stages, StageTiming{Stage: s, AllocBytes: bytes})
 }
 
 // StageCPU returns the aggregate worker CPU time recorded for s, or 0.
@@ -234,29 +223,15 @@ func (m *AppMetrics) Validate() error {
 		if st.CPUNS < 0 {
 			return fmt.Errorf("pipeline: %s: stage %q has negative cpu time", m.Name, st.Stage)
 		}
-		if st.AllocBytes < 0 {
-			return fmt.Errorf("pipeline: %s: stage %q has negative allocation volume", m.Name, st.Stage)
-		}
 		last = idx
 	}
 	if sum := int64(m.StageSum()); sum > m.WallNS {
 		return fmt.Errorf("pipeline: %s: stage sum %v exceeds total wall %v (double-counted overhead)",
 			m.Name, m.StageSum(), m.Wall())
 	}
-	if err := m.Resources.Validate(); err != nil {
-		return fmt.Errorf("pipeline: %s: %w", m.Name, err)
-	}
-	if m.Resources != nil {
-		var stageAlloc int64
-		for _, st := range m.Stages {
-			stageAlloc += st.AllocBytes
-		}
-		// Stage windows are disjoint subintervals of the run window over a
-		// monotonic counter, so their sum can never exceed the run total.
-		if stageAlloc > m.Resources.AllocBytes {
-			return fmt.Errorf("pipeline: %s: per-stage allocation %d exceeds run total %d",
-				m.Name, stageAlloc, m.Resources.AllocBytes)
-		}
+	if m.AllocBytes < 0 || m.HeapPeakBytes < 0 {
+		return fmt.Errorf("pipeline: %s: negative resource bill (alloc %d, heap peak %d)",
+			m.Name, m.AllocBytes, m.HeapPeakBytes)
 	}
 	return nil
 }
@@ -293,10 +268,10 @@ type Report struct {
 	// drops add, tree depth maxes); nil when tracing was off.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
-	// Resources aggregates the per-app resource bills over successful jobs:
-	// CPU, allocation volume and latencies add, peak heap takes the
-	// batch-wide maximum. Nil when no app recorded resources.
-	Resources *ResourceUsage `json:"resources,omitempty"`
+	// TotalAllocBytes sums the per-app allocation volumes over successful
+	// jobs; HeapPeakBytes is the largest per-app heap peak among them.
+	TotalAllocBytes int64 `json:"totalAllocBytes,omitempty"`
+	HeapPeakBytes   int64 `json:"heapPeakBytes,omitempty"`
 
 	// Apps holds the per-app metrics in job submission order, regardless
 	// of completion order.
@@ -313,7 +288,6 @@ func BuildReport(workers int, wall time.Duration, apps []AppMetrics) *Report {
 	}
 	stageTotals := make(map[Stage]int64)
 	stageCPU := make(map[Stage]int64)
-	stageAlloc := make(map[Stage]int64)
 	for _, m := range apps {
 		if m.Err != "" {
 			r.Failed++
@@ -331,29 +305,17 @@ func BuildReport(workers int, wall time.Duration, apps []AppMetrics) *Report {
 		r.TotalMethodsSpilled += m.MethodsSpilled
 		r.TotalSpilledBytes += m.SpilledBytes
 		r.Obs = obs.MergeSnapshots(r.Obs, m.Obs)
-		if ru := m.Resources; ru != nil {
-			if r.Resources == nil {
-				r.Resources = &ResourceUsage{}
-			}
-			r.Resources.CPUNS += ru.CPUNS
-			r.Resources.AllocBytes += ru.AllocBytes
-			r.Resources.QueueNS += ru.QueueNS
-			r.Resources.RunNS += ru.RunNS
-			r.Resources.TotalNS += ru.TotalNS
-			if ru.HeapPeakBytes > r.Resources.HeapPeakBytes {
-				r.Resources.HeapPeakBytes = ru.HeapPeakBytes
-			}
-		}
+		r.TotalAllocBytes += m.AllocBytes
+		r.HeapPeakBytes = max(r.HeapPeakBytes, m.HeapPeakBytes)
 		for _, st := range m.Stages {
 			stageTotals[st.Stage] += st.WallNS
 			stageCPU[st.Stage] += st.CPUNS
-			stageAlloc[st.Stage] += st.AllocBytes
 		}
 	}
 	for _, s := range Stages() {
 		if ns, ok := stageTotals[s]; ok {
 			r.StageTotals = append(r.StageTotals,
-				StageTiming{Stage: s, WallNS: ns, CPUNS: stageCPU[s], AllocBytes: stageAlloc[s]})
+				StageTiming{Stage: s, WallNS: ns, CPUNS: stageCPU[s]})
 		}
 	}
 	return r
@@ -414,10 +376,9 @@ func (r *Report) String() string {
 	for _, st := range r.StageTotals {
 		fmt.Fprintf(&sb, "  stage %-16s %12v\n", st.Stage, st.Wall().Round(time.Microsecond))
 	}
-	if ru := r.Resources; ru != nil {
-		fmt.Fprintf(&sb, "  resources: cpu %v, alloc %.1f MiB, peak heap +%.1f MiB\n",
-			time.Duration(ru.CPUNS).Round(time.Microsecond),
-			float64(ru.AllocBytes)/(1<<20), float64(ru.HeapPeakBytes)/(1<<20))
+	if r.TotalAllocBytes > 0 || r.HeapPeakBytes > 0 {
+		fmt.Fprintf(&sb, "  resources: alloc %.1f MiB, peak heap +%.1f MiB\n",
+			float64(r.TotalAllocBytes)/(1<<20), float64(r.HeapPeakBytes)/(1<<20))
 	}
 	return sb.String()
 }

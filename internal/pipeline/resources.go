@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	runtimemetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -10,9 +9,12 @@ import (
 
 // The two runtime/metrics series resource accounting is built on: a
 // monotonic total of heap bytes ever allocated, and the live-heap
-// occupancy. Both are process-wide — deltas across a window are exact when
-// one reveal runs at a time and an upper bound when reveals share the
-// process, which is the honest direction for capacity planning.
+// occupancy. Both are process-wide, so deltas across a window include
+// whatever else the process allocated in it: an upper bound when reveals
+// share the process. Nor are they exact for one reveal at a time: the
+// runtime counts a small-object span's bytes when a P's cache gives the
+// span back, so a reading can be off by up to one span per size class per
+// P. Over a large reveal that error is small; a small reveal can read 0.
 const (
 	allocsMetric = "/gc/heap/allocs:bytes"
 	heapMetric   = "/memory/classes/heap/objects:bytes"
@@ -44,79 +46,22 @@ func ReadMemSample() MemSample {
 	return m
 }
 
-// ResourceUsage is the per-job resource bill: CPU consumed, heap churn and
-// peak occupancy delta, and where the job's latency went. It rides on
-// AppMetrics (and through it on store artifacts and batch reports) and on
-// the server's job status.
-type ResourceUsage struct {
-	// CPUNS is the aggregate worker CPU time attributed to the job's
-	// stages (the sum of StageTiming.CPUNS).
-	CPUNS int64 `json:"cpuNS,omitempty"`
-	// AllocBytes is the heap allocation volume of the run window.
-	AllocBytes int64 `json:"allocBytes,omitempty"`
-	// HeapPeakBytes is the largest live-heap growth observed at any stage
-	// boundary relative to the run's starting occupancy (never negative; a
-	// run that only shrank the heap records 0).
-	HeapPeakBytes int64 `json:"heapPeakBytes,omitempty"`
-	// QueueNS, RunNS and TotalNS split a served job's latency: time waiting
-	// for a worker, time inside Reveal, and admission-to-completion.
-	// Stand-alone runs record RunNS only.
-	QueueNS int64 `json:"queueNS,omitempty"`
-	RunNS   int64 `json:"runNS,omitempty"`
-	TotalNS int64 `json:"totalNS,omitempty"`
-}
-
-// Validate checks the resource invariants: nothing is negative, and the
-// total latency (when recorded) covers both the queue wait and the run.
-func (r *ResourceUsage) Validate() error {
-	if r == nil {
-		return nil
-	}
-	if r.CPUNS < 0 || r.AllocBytes < 0 || r.HeapPeakBytes < 0 ||
-		r.QueueNS < 0 || r.RunNS < 0 || r.TotalNS < 0 {
-		return fmt.Errorf("pipeline: negative resource usage: %+v", *r)
-	}
-	if r.TotalNS > 0 && (r.TotalNS < r.RunNS || r.TotalNS < r.QueueNS) {
-		return fmt.Errorf("pipeline: total latency %d below its queue %d / run %d components",
-			r.TotalNS, r.QueueNS, r.RunNS)
-	}
-	return nil
-}
-
-// ResourceAccountant samples the heap at stage boundaries and folds the
-// readings into a ResourceUsage. One accountant covers one Reveal; stage
-// methods (StageDone, Finish) are not safe for concurrent use — stages run
-// serially within a job — but the peak is an atomic maximum, so a sampling
-// ticker started with StartSampling may fold in-stage readings into it
-// concurrently. Boundary-only sampling systematically under-reports: a
-// stage that balloons the heap and frees before returning (reassembly's
-// tree flattening is exactly that shape) leaves no trace at its boundary.
+// ResourceAccountant measures one Reveal's resource bill: the heap bytes
+// allocated over the run window, and the largest live-heap growth observed
+// at any sample. Stage boundaries sample through SampleNow; the peak is an
+// atomic maximum, so a ticker started with StartSampling may fold in-stage
+// readings into it concurrently. Boundary-only sampling systematically
+// under-reports: a stage that balloons the heap and frees before returning
+// (reassembly's tree flattening is exactly that shape) leaves no trace at
+// its boundary.
 type ResourceAccountant struct {
 	start MemSample
-	last  MemSample
 	peak  atomic.Int64
 }
 
 // NewResourceAccountant starts accounting at the current heap state.
 func NewResourceAccountant() *ResourceAccountant {
-	base := ReadMemSample()
-	return &ResourceAccountant{start: base, last: base}
-}
-
-// StageDone samples the heap at a stage boundary. It returns the bytes
-// allocated since the previous boundary (the stage's allocation bill,
-// clamped at 0) and the live-heap delta versus the run start, and tracks
-// the peak of that delta.
-func (a *ResourceAccountant) StageDone() (allocBytes, heapDelta int64) {
-	now := ReadMemSample()
-	allocBytes = now.AllocBytes - a.last.AllocBytes
-	if allocBytes < 0 {
-		allocBytes = 0
-	}
-	heapDelta = now.HeapBytes - a.start.HeapBytes
-	a.maxPeak(heapDelta)
-	a.last = now
-	return allocBytes, heapDelta
+	return &ResourceAccountant{start: ReadMemSample()}
 }
 
 // maxPeak raises the peak to delta if larger (atomic, so the sampling
@@ -130,8 +75,8 @@ func (a *ResourceAccountant) maxPeak(delta int64) {
 	}
 }
 
-// SampleNow folds an immediate heap reading into the peak without closing a
-// stage window, and returns the live-heap delta versus the run start.
+// SampleNow folds an immediate heap reading into the peak, and returns the
+// live-heap delta versus the run start.
 func (a *ResourceAccountant) SampleNow() int64 {
 	delta := ReadMemSample().HeapBytes - a.start.HeapBytes
 	a.maxPeak(delta)
@@ -169,26 +114,14 @@ func (a *ResourceAccountant) StartSampling(interval time.Duration) (stop func())
 	}
 }
 
-// Finish closes the accounting window and returns the job's resource bill.
-// cpu is the aggregate stage CPU time and run the job's wall time, both in
-// nanoseconds; queue/total latency are the server's to fill in.
-func (a *ResourceAccountant) Finish(cpu, run int64) *ResourceUsage {
+// Finish closes the accounting window and returns the reveal's resource
+// bill: the heap bytes allocated since the accountant started, and the
+// largest live-heap growth over the starting occupancy that any sample, or
+// this final reading, observed (never negative; a run that only shrank the
+// heap records 0).
+func (a *ResourceAccountant) Finish() (allocBytes, heapPeakBytes int64) {
 	end := ReadMemSample()
-	alloc := end.AllocBytes - a.start.AllocBytes
-	if alloc < 0 {
-		alloc = 0
-	}
-	peak := a.peak.Load()
-	if d := end.HeapBytes - a.start.HeapBytes; d > peak {
-		peak = d
-	}
-	if peak < 0 {
-		peak = 0
-	}
-	return &ResourceUsage{
-		CPUNS:         cpu,
-		AllocBytes:    alloc,
-		HeapPeakBytes: peak,
-		RunNS:         run,
-	}
+	allocBytes = max(end.AllocBytes-a.start.AllocBytes, 0)
+	heapPeakBytes = max(a.peak.Load(), end.HeapBytes-a.start.HeapBytes, 0)
+	return allocBytes, heapPeakBytes
 }

@@ -7,125 +7,71 @@ import (
 	"time"
 )
 
-func TestResourceUsageValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		ru   *ResourceUsage
-		ok   bool
-	}{
-		{"nil", nil, true},
-		{"zero", &ResourceUsage{}, true},
-		{"full", &ResourceUsage{CPUNS: 1, AllocBytes: 2, HeapPeakBytes: 3, QueueNS: 4, RunNS: 5, TotalNS: 9}, true},
-		{"run only", &ResourceUsage{RunNS: 5}, true},
-		{"negative alloc", &ResourceUsage{AllocBytes: -1}, false},
-		{"negative cpu", &ResourceUsage{CPUNS: -1}, false},
-		{"total below run", &ResourceUsage{RunNS: 10, TotalNS: 5}, false},
-		{"total below queue", &ResourceUsage{QueueNS: 10, TotalNS: 5}, false},
-	}
-	for _, c := range cases {
-		if err := c.ru.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate = %v, want ok=%t", c.name, err, c.ok)
-		}
-	}
-}
-
 func TestResourceAccountantTracksAllocation(t *testing.T) {
 	a := NewResourceAccountant()
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
 		sink = append(sink, make([]byte, 16<<10))
 	}
-	alloc, _ := a.StageDone()
+	alloc, peak := a.Finish()
 	// The runtime's allocation counter is assembled from per-P caches and
 	// may lag by a few slots, so assert a generous lower bound rather than
 	// the exact volume.
 	if alloc < 64*(16<<10)/2 {
-		t.Errorf("stage allocated ~1MiB but accountant saw only %d bytes", alloc)
+		t.Errorf("run allocated ~1MiB but accountant saw only %d bytes", alloc)
 	}
 	_ = sink
-	ru := a.Finish(123, 456)
-	if ru.CPUNS != 123 || ru.RunNS != 456 {
-		t.Errorf("Finish did not carry cpu/run: %+v", ru)
-	}
-	if ru.AllocBytes < alloc {
-		t.Errorf("run total %d below stage bill %d", ru.AllocBytes, alloc)
-	}
-	if ru.HeapPeakBytes < 0 {
-		t.Errorf("negative heap peak %d", ru.HeapPeakBytes)
-	}
-	if err := ru.Validate(); err != nil {
-		t.Errorf("accountant produced invalid usage: %v", err)
-	}
-}
-
-func TestAddStageAllocAccumulates(t *testing.T) {
-	var m AppMetrics
-	m.AddStage(StageCollection, time.Millisecond)
-	m.AddStageAlloc(StageCollection, 100)
-	m.AddStageAlloc(StageCollection, 50)
-	if len(m.Stages) != 1 || m.Stages[0].AllocBytes != 150 {
-		t.Errorf("stage alloc = %+v, want one entry with 150", m.Stages)
-	}
-	m.AddStageAlloc(StageVerify, 7)
-	if len(m.Stages) != 2 || m.Stages[1].AllocBytes != 7 {
-		t.Errorf("new stage entry not created: %+v", m.Stages)
+	if peak < 0 {
+		t.Errorf("negative heap peak %d", peak)
 	}
 }
 
 func TestValidateResourceInvariants(t *testing.T) {
-	m := AppMetrics{Name: "a", WallNS: int64(time.Second)}
+	m := AppMetrics{Name: "a", WallNS: int64(time.Second), AllocBytes: 1000, HeapPeakBytes: 10}
 	m.AddStage(StageCollection, time.Millisecond)
-	m.AddStageAlloc(StageCollection, 1000)
-	m.Resources = &ResourceUsage{AllocBytes: 500}
-	if err := m.Validate(); err == nil ||
-		!strings.Contains(err.Error(), "exceeds run total") {
-		t.Errorf("stage alloc above run total not caught: %v", err)
-	}
-	m.Resources.AllocBytes = 1000
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid resources rejected: %v", err)
 	}
-	m.Stages[0].AllocBytes = -1
+	m.AllocBytes = -1
 	if err := m.Validate(); err == nil {
-		t.Error("negative stage alloc not caught")
+		t.Error("negative allocation not caught")
+	}
+	m.AllocBytes, m.HeapPeakBytes = 1000, -1
+	if err := m.Validate(); err == nil {
+		t.Error("negative heap peak not caught")
 	}
 }
 
 func TestBuildReportAggregatesResources(t *testing.T) {
 	apps := []AppMetrics{
-		{Name: "a", WallNS: 10, Resources: &ResourceUsage{CPUNS: 5, AllocBytes: 100, HeapPeakBytes: 30, RunNS: 10}},
-		{Name: "b", WallNS: 20, Resources: &ResourceUsage{CPUNS: 7, AllocBytes: 200, HeapPeakBytes: 80, RunNS: 20}},
-		{Name: "fail", Err: "boom", Resources: &ResourceUsage{AllocBytes: 999}},
+		{Name: "a", WallNS: 10, AllocBytes: 100, HeapPeakBytes: 30},
+		{Name: "b", WallNS: 20, AllocBytes: 200, HeapPeakBytes: 80},
+		{Name: "fail", Err: "boom", AllocBytes: 999, HeapPeakBytes: 999},
 	}
 	r := BuildReport(2, 30, apps)
-	ru := r.Resources
-	if ru == nil {
-		t.Fatal("report has no resource aggregate")
+	if r.TotalAllocBytes != 300 {
+		t.Errorf("alloc total = %d, want 300", r.TotalAllocBytes)
 	}
-	if ru.CPUNS != 12 || ru.AllocBytes != 300 || ru.RunNS != 30 {
-		t.Errorf("sums wrong: %+v", ru)
-	}
-	if ru.HeapPeakBytes != 80 {
-		t.Errorf("peak heap = %d, want batch max 80", ru.HeapPeakBytes)
+	if r.HeapPeakBytes != 80 {
+		t.Errorf("peak heap = %d, want batch max 80", r.HeapPeakBytes)
 	}
 	if !strings.Contains(r.String(), "resources:") {
 		t.Errorf("report text omits resources:\n%s", r.String())
 	}
 
-	// No app recorded resources -> no aggregate fabricated.
-	if r := BuildReport(1, 1, []AppMetrics{{Name: "x", WallNS: 1}}); r.Resources != nil {
-		t.Errorf("aggregate fabricated from nothing: %+v", r.Resources)
+	// No app recorded resources -> no resources line fabricated.
+	if r := BuildReport(1, 1, []AppMetrics{{Name: "x", WallNS: 1}}); strings.Contains(r.String(), "resources:") {
+		t.Errorf("resources fabricated from nothing:\n%s", r.String())
 	}
 }
 
 func TestReportRoundTripWithResources(t *testing.T) {
 	apps := []AppMetrics{{
-		Name:   "a",
-		WallNS: int64(time.Second),
-		Stages: []StageTiming{{Stage: StageCollection, WallNS: 1000, AllocBytes: 64}},
-		Resources: &ResourceUsage{
-			CPUNS: 1, AllocBytes: 128, HeapPeakBytes: 2, QueueNS: 3, RunNS: 4, TotalNS: 8,
-		},
+		Name:          "a",
+		WallNS:        int64(time.Second),
+		Stages:        []StageTiming{{Stage: StageCollection, WallNS: 1000}},
+		AllocBytes:    128,
+		HeapPeakBytes: 2,
 	}}
 	data, err := BuildReport(1, time.Second, apps).JSON()
 	if err != nil {
@@ -135,12 +81,13 @@ func TestReportRoundTripWithResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Apps[0].Resources
-	if got == nil || *got != *apps[0].Resources {
-		t.Errorf("resources did not round trip: %+v", got)
+	got := back.Apps[0]
+	if got.AllocBytes != 128 || got.HeapPeakBytes != 2 {
+		t.Errorf("resources did not round trip: alloc %d, heap peak %d", got.AllocBytes, got.HeapPeakBytes)
 	}
-	if back.Apps[0].Stages[0].AllocBytes != 64 {
-		t.Errorf("stage alloc did not round trip: %+v", back.Apps[0].Stages)
+	if back.TotalAllocBytes != 128 || back.HeapPeakBytes != 2 {
+		t.Errorf("report totals did not round trip: alloc %d, heap peak %d",
+			back.TotalAllocBytes, back.HeapPeakBytes)
 	}
 }
 
@@ -167,13 +114,9 @@ func TestStartSamplingCatchesInStageBalloon(t *testing.T) {
 	stop()
 	stop() // idempotent
 
-	ru := a.Finish(0, 0)
-	if ru.HeapPeakBytes < balloon/2 {
+	if _, peak := a.Finish(); peak < balloon/2 {
 		t.Errorf("in-stage %dMiB balloon invisible to sampling: peak %d bytes",
-			balloon>>20, ru.HeapPeakBytes)
-	}
-	if err := ru.Validate(); err != nil {
-		t.Errorf("sampled usage invalid: %v", err)
+			balloon>>20, peak)
 	}
 }
 
@@ -188,7 +131,7 @@ func TestSampleNowRaisesPeak(t *testing.T) {
 	if delta < 4<<20 {
 		t.Errorf("SampleNow delta %d below half the held allocation", delta)
 	}
-	if peak := a.Finish(0, 0).HeapPeakBytes; peak < delta {
+	if _, peak := a.Finish(); peak < delta {
 		t.Errorf("peak %d below observed sample %d", peak, delta)
 	}
 }

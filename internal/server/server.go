@@ -143,7 +143,6 @@ type job struct {
 	queueNS      int64
 	runNS        int64
 	totalNS      int64
-	resources    *pipeline.ResourceUsage
 	flight       []byte // JSONL flight recording; nil unless the job failed or blew its SLO
 	flightReason string
 	artifact     *store.Artifact
@@ -168,9 +167,6 @@ type JobStatus struct {
 	QueueNS int64  `json:"queueNS,omitempty"`
 	RunNS   int64  `json:"runNS,omitempty"`
 	TotalNS int64  `json:"totalNS,omitempty"`
-	// Resources is the job's resource bill as the server observed it:
-	// latency split always, CPU/heap figures when the job actually ran.
-	Resources *pipeline.ResourceUsage `json:"resources,omitempty"`
 	// FlightReason is set ("failed" or "slo") when a flight recording is
 	// available at /v1/jobs/{id}/flight.
 	FlightReason string `json:"flightReason,omitempty"`
@@ -413,7 +409,6 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		s.tel.observeJob(0, 0, total, nil, false)
 		s.mu.Lock()
 		j.totalNS = int64(total)
-		j.resources = &pipeline.ResourceUsage{TotalNS: int64(total)}
 		s.finishLocked(j, art, true, nil, 0)
 		s.mu.Unlock()
 		s.root.CacheHit(key)
@@ -642,16 +637,6 @@ func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego
 	total := time.Since(submitTime)
 	fresh := !hit && err == nil
 
-	// The job's resource bill: latency split from the server's clocks,
-	// CPU/heap figures from the reveal when this job actually ran one.
-	ru := &pipeline.ResourceUsage{QueueNS: int64(wait), RunNS: int64(run), TotalNS: int64(total)}
-	if fresh && art.Metrics != nil && art.Metrics.Resources != nil {
-		r := *art.Metrics.Resources
-		r.QueueNS = int64(wait)
-		r.TotalNS = int64(total)
-		ru = &r
-	}
-
 	sloViolated := s.cfg.SLO > 0 && total > s.cfg.SLO
 	if sloViolated {
 		s.tel.sloViolations.Add(1)
@@ -676,7 +661,6 @@ func (s *Server) runJob(j *job, submitTime time.Time, pkg *apk.APK, opts dexlego
 
 	s.mu.Lock()
 	j.totalNS = int64(total)
-	j.resources = ru
 	s.finishLocked(j, art, hit, err, run)
 	s.mu.Unlock()
 }
@@ -713,7 +697,6 @@ func (j *job) statusLocked() *JobStatus {
 		QueueNS:      j.queueNS,
 		RunNS:        j.runNS,
 		TotalNS:      j.totalNS,
-		Resources:    j.resources,
 		FlightReason: j.flightReason,
 	}
 	if j.artifact != nil {

@@ -95,7 +95,8 @@ func newTelemetry(s *Server) *telemetry {
 	r.CounterFunc("flight_dump_errors", "Flight dumps that could not be written to disk.",
 		t.flightDumpErrs.Load)
 
-	r.CounterFunc("reveal_cpu_nanoseconds", "Aggregate worker CPU time attributed to reveals.",
+	r.CounterFunc("reveal_cpu_nanoseconds",
+		"Time force-execution workers spent inside forced runs, summed over reveals.",
 		t.revealCPUNS.Load)
 	r.CounterFunc("reveal_alloc_bytes", "Heap allocation volume of completed reveals.",
 		t.revealAllocB.Load)
@@ -158,12 +159,10 @@ func (t *telemetry) observeJob(queue, run, total time.Duration, m *pipeline.AppM
 		if h, ok := t.stageHist[st.Stage]; ok {
 			h.Observe(st.WallNS)
 		}
+		t.revealCPUNS.Add(st.CPUNS)
 	}
-	if ru := m.Resources; ru != nil {
-		t.revealCPUNS.Add(ru.CPUNS)
-		t.revealAllocB.Add(ru.AllocBytes)
-		t.revealHeapPeakB.Max(ru.HeapPeakBytes)
-	}
+	t.revealAllocB.Add(m.AllocBytes)
+	t.revealHeapPeakB.Max(m.HeapPeakBytes)
 	t.methodsCached.Add(int64(m.MethodsCached))
 	t.methodsExecuted.Add(int64(m.MethodsExecuted))
 	t.memSpills.Add(int64(m.MethodsSpilled))

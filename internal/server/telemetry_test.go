@@ -16,6 +16,7 @@ import (
 
 	dexlego "dexlego"
 	"dexlego/internal/apk"
+	"dexlego/internal/art"
 	"dexlego/internal/obs"
 	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
@@ -261,41 +262,61 @@ func TestTraceIDPropagatesEndToEnd(t *testing.T) {
 	}
 }
 
+// ballast holds the large object TestJobResourceAccounting's driver
+// allocates, so the allocation escapes to the heap.
+var ballast []byte
+
 // TestJobResourceAccounting: a completed job reports its latency split and
-// the reveal's CPU/heap bill through the status API.
+// the reveal's allocation bill through the status API and /metrics, and a
+// cache hit, which runs nothing, adds nothing to the reveal totals.
+//
+// The bill reads a process-wide counter that can lag a small window by up
+// to one span per size class per P, so a small reveal may legitimately
+// read 0. Objects above 32 KiB are counted when allocated, so the driver
+// allocates one of 1 MiB inside the run window: the bill must cover it.
 func TestJobResourceAccounting(t *testing.T) {
-	_, hs := newTestServer(t, nil)
+	const large = 1 << 20
+	_, hs := newTestServer(t, func(c *Config) {
+		c.Reveal = func(pkg *apk.APK, o dexlego.Options) (*dexlego.Result, error) {
+			o.Driver = func(rt *art.Runtime) error {
+				ballast = make([]byte, large)
+				return dexlego.DefaultDriver(rt)
+			}
+			return dexlego.Reveal(pkg, o)
+		}
+	})
 	resp, st := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
 	if resp.StatusCode != http.StatusOK || st.State != StateDone {
 		t.Fatalf("job = %d %+v, want done", resp.StatusCode, st)
 	}
-	ru := st.Resources
-	if ru == nil {
-		t.Fatal("job status has no resources")
+	if st.TotalNS <= 0 || st.TotalNS < st.RunNS || st.TotalNS < st.QueueNS {
+		t.Errorf("latency split queue %d / run %d / total %d inconsistent", st.QueueNS, st.RunNS, st.TotalNS)
 	}
-	if err := ru.Validate(); err != nil {
-		t.Errorf("job resources invalid: %v", err)
-	}
-	if ru.TotalNS <= 0 || st.TotalNS != ru.TotalNS {
-		t.Errorf("total latency %d / %d inconsistent", st.TotalNS, ru.TotalNS)
-	}
-	if ru.AllocBytes <= 0 {
-		t.Errorf("reveal allocated nothing? %+v", ru)
-	}
-	if st.Metrics == nil || st.Metrics.Resources == nil {
-		t.Fatalf("artifact metrics carry no resources: %+v", st.Metrics)
-	}
-	if got := st.Metrics.Stages; len(got) == 0 || got[0].AllocBytes <= 0 {
-		t.Errorf("stage allocation bill missing: %+v", got)
+	if st.Metrics == nil || st.Metrics.AllocBytes < large {
+		t.Fatalf("reveal bill misses the %d-byte allocation: %+v", large, st.Metrics)
 	}
 
-	// The cache-hit job reports latency only — it ran nothing.
-	_, hit := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
-	if !hit.CacheHit || hit.Resources == nil {
-		t.Fatalf("hit = %+v, want cache hit with resources", hit)
+	revealTotals := func() (alloc, cpu float64) {
+		t.Helper()
+		_, body := getBody(t, hs.URL+"/metrics")
+		e, err := obs.ParseExposition(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("scrape does not lint: %v", err)
+		}
+		alloc, _ = e.Value("dexlego_reveal_alloc_bytes_total")
+		cpu, _ = e.Value("dexlego_reveal_cpu_nanoseconds_total")
+		return alloc, cpu
 	}
-	if hit.Resources.AllocBytes != 0 || hit.Resources.TotalNS <= 0 {
-		t.Errorf("cache hit resources = %+v, want latency only", hit.Resources)
+	alloc, cpu := revealTotals()
+	if alloc != float64(st.Metrics.AllocBytes) {
+		t.Errorf("reveal_alloc_bytes_total = %v, want the job's bill %d", alloc, st.Metrics.AllocBytes)
+	}
+	_, hit := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
+	if !hit.CacheHit || hit.TotalNS <= 0 {
+		t.Fatalf("hit = %+v, want cache hit with a latency", hit)
+	}
+	if a, c := revealTotals(); a != alloc || c != cpu {
+		t.Errorf("cache hit moved the reveal totals: alloc %v -> %v, cpu %v -> %v", alloc, a, cpu, c)
 	}
 }
 

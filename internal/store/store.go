@@ -10,9 +10,10 @@
 // The store is two tiers: a bounded in-memory LRU of decoded artifacts in
 // front of an unbounded on-disk layout (two-level fan-out directories,
 // atomic write-then-rename persistence of the revealed APK and its
-// pipeline.AppMetrics/obs snapshot). The store does not deduplicate
-// concurrent reveals of one key: the server's admission lease already keeps
-// each key to one queued or running job.
+// pipeline.AppMetrics/obs snapshot and a SHA-256 of the APK, checked on
+// load). The store does not deduplicate concurrent reveals of one key: the
+// server's admission lease already keeps each key to one queued or running
+// job.
 package store
 
 import (
@@ -218,9 +219,23 @@ func (s *Store) metaPath(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
+// diskMeta is an artifact's on-disk metadata: the artifact's own fields
+// plus the SHA-256 of its revealed bytes, which loadDisk checks before it
+// serves the bytes.
+type diskMeta struct {
+	*Artifact
+	SHA256 string `json:"sha256"`
+}
+
+func revealedDigest(revealed []byte) string {
+	sum := sha256.Sum256(revealed)
+	return hex.EncodeToString(sum[:])
+}
+
 // loadDisk reads one persisted artifact; (nil, nil) is a clean miss. A
-// torn or corrupt entry is a miss, never an error: the reveal re-creates
-// it.
+// torn or corrupt entry, including one whose revealed bytes do not match
+// the digest in its metadata or whose metadata has no digest, is a miss,
+// never an error: the reveal re-creates it.
 func (s *Store) loadDisk(key string) (*Artifact, error) {
 	if s.dir == "" {
 		return nil, nil
@@ -234,7 +249,9 @@ func (s *Store) loadDisk(key string) (*Artifact, error) {
 		return nil, nil
 	}
 	art := &Artifact{Revealed: revealed}
-	if err := json.Unmarshal(meta, art); err != nil || art.Key != key {
+	m := diskMeta{Artifact: art}
+	if err := json.Unmarshal(meta, &m); err != nil || art.Key != key ||
+		m.SHA256 != revealedDigest(revealed) {
 		return nil, nil
 	}
 	return art, nil
@@ -254,7 +271,7 @@ func (s *Store) persist(art *Artifact) error {
 	if err := atomicWrite(s.apkPath(art.Key), art.Revealed); err != nil {
 		return err
 	}
-	meta, err := json.MarshalIndent(art, "", "  ")
+	meta, err := json.MarshalIndent(diskMeta{art, revealedDigest(art.Revealed)}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode metadata: %w", err)
 	}

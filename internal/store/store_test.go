@@ -2,6 +2,7 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,35 +110,69 @@ func TestPersistAcrossReopen(t *testing.T) {
 }
 
 func TestCorruptDiskEntryIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(2)
-	if _, _, err := s.GetOrReveal(key, func() (*Artifact, error) {
-		return artifactFor(key), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the metadata on disk; a fresh store must treat the entry as
+	// Each case damages one persisted entry; a fresh store must treat it as
 	// a miss and re-reveal rather than serve garbage.
-	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".json"), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		corrupt func(apkPath, metaPath string) error
+	}{
+		{"broken metadata", func(_, metaPath string) error {
+			return os.WriteFile(metaPath, []byte("{broken"), 0o644)
+		}},
+		{"flipped apk byte", func(apkPath, _ string) error {
+			data, err := os.ReadFile(apkPath)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x01
+			return os.WriteFile(apkPath, data, 0o644)
+		}},
+		{"metadata without digest", func(_, metaPath string) error {
+			data, err := os.ReadFile(metaPath)
+			if err != nil {
+				return err
+			}
+			var meta map[string]any
+			if err := json.Unmarshal(data, &meta); err != nil {
+				return err
+			}
+			delete(meta, "sha256")
+			data, err = json.Marshal(meta)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(metaPath, data, 0o644)
+		}},
 	}
-	s2, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Get(key); ok {
-		t.Error("corrupt entry served as a hit")
-	}
-	revealed := false
-	if _, hit, err := s2.GetOrReveal(key, func() (*Artifact, error) {
-		revealed = true
-		return artifactFor(key), nil
-	}); err != nil || hit || !revealed {
-		t.Errorf("corrupt entry: hit=%t revealed=%t err=%v", hit, revealed, err)
+	for _, c := range cases {
+		dir := t.TempDir()
+		s, err := Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := testKey(2)
+		if _, _, err := s.GetOrReveal(key, func() (*Artifact, error) {
+			return artifactFor(key), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.corrupt(filepath.Join(dir, key[:2], key+".apk"), filepath.Join(dir, key[:2], key+".json")); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s2, err := Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s2.Get(key); ok {
+			t.Errorf("%s: corrupt entry served as a hit", c.name)
+		}
+		revealed := false
+		if _, hit, err := s2.GetOrReveal(key, func() (*Artifact, error) {
+			revealed = true
+			return artifactFor(key), nil
+		}); err != nil || hit || !revealed {
+			t.Errorf("%s: hit=%t revealed=%t err=%v", c.name, hit, revealed, err)
+		}
 	}
 }
 

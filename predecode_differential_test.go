@@ -15,8 +15,8 @@ import (
 )
 
 // projectEvents canonicalizes a JSONL trace for differential comparison:
-// wall-clock fields (timestamps, durations), heap readings and
-// process-global span ids are zeroed. No event type is dropped: the two
+// wall-clock fields (timestamps, durations) and process-global span ids
+// are zeroed. No event type is dropped: the two
 // interpreters emit the same vocabulary, so every event — collection-tree
 // forks, reassembly decisions, forced-run lifecycle — must match event for
 // event.
@@ -34,11 +34,6 @@ func projectEvents(t *testing.T, trace []byte) []string {
 		ev.Span = 0
 		ev.Parent = 0
 		ev.DurNS = 0
-		// Heap readings are measurements, not behavior: the two interpreters
-		// legitimately allocate differently. The sample's presence and stage
-		// attribution still must match.
-		ev.Bytes = 0
-		ev.Heap = 0
 		line, err := json.Marshal(&ev)
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ import (
 // fails if an input change stops covering one of them.
 type codecTally struct {
 	records, children, tries, handlers, refl, written, switches int
-	syms                                                      map[string]int
+	syms                                                        map[string]int
 }
 
 // checkRecordRoundTrip asserts that rec encodes deterministically, decodes

@@ -155,7 +155,7 @@ func TestWhaleHeapPeakCeiling(t *testing.T) {
 		t.Fatalf("whale reveal spilled no methods")
 	}
 	const ceiling = 256 << 20
-	if peak := acct.Finish(0, 0).HeapPeakBytes; peak > ceiling {
+	if _, peak := acct.Finish(); peak > ceiling {
 		t.Errorf("whale reveal heap peak %d bytes exceeds %d ceiling", peak, int64(ceiling))
 	}
 }
