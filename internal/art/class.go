@@ -67,6 +67,11 @@ type Method struct {
 
 	ParamTypes []string
 	ReturnType string
+	// argWords is the register words ParamTypes take, J and D counting
+	// two; an invoke must pass exactly that many after any receiver, and a
+	// word whose bit is set in refArgs must hold an object or null.
+	argWords int
+	refArgs  uint64
 
 	key string // Key() cache; class, name and signature are fixed after link
 

@@ -26,19 +26,30 @@ var sigCache sync.Map // signature string -> *sigInfo
 type sigInfo struct {
 	params []string
 	ret    string
+	words  int    // register words the parameters take; J and D count two
+	refs   uint64 // bit w set when argument word w (below 64) is a reference
 }
 
-func parseSigCached(sig string) ([]string, string, error) {
+func parseSigCached(sig string) (*sigInfo, error) {
 	if v, ok := sigCache.Load(sig); ok {
-		si := v.(*sigInfo)
-		return si.params, si.ret, nil
+		return v.(*sigInfo), nil
 	}
 	params, ret, err := dex.ParseSignature(sig)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	sigCache.Store(sig, &sigInfo{params: params, ret: ret})
-	return params, ret, nil
+	si := &sigInfo{params: params, ret: ret}
+	for _, p := range params {
+		if (p[0] == 'L' || p[0] == '[') && si.words < 64 {
+			si.refs |= 1 << si.words
+		}
+		si.words++
+		if p == "J" || p == "D" {
+			si.words++
+		}
+	}
+	sigCache.Store(sig, si)
+	return si, nil
 }
 
 func (rt *Runtime) fw(desc, super string, ifaces ...string) *fwClass {
@@ -59,7 +70,7 @@ func (rt *Runtime) fw(desc, super string, ifaces ...string) *fwClass {
 }
 
 func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass {
-	params, ret, err := parseSigCached(sig)
+	si, err := parseSigCached(sig)
 	if err != nil {
 		panic(fmt.Sprintf("art: framework method %s->%s%s: %v", f.c.Descriptor, name, sig, err))
 	}
@@ -70,7 +81,8 @@ func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass 
 	m := f.rt.newMethod()
 	*m = Method{
 		Class: f.c, Name: name, Signature: sig, AccessFlags: flags,
-		Native: fn, ParamTypes: params, ReturnType: ret, Virtual: !static,
+		Native: fn, ParamTypes: si.params, ReturnType: si.ret, Virtual: !static,
+		argWords: si.words, refArgs: si.refs,
 	}
 	f.c.Methods = append(f.c.Methods, m)
 	return f
@@ -78,7 +90,7 @@ func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass 
 
 // abstract declares an interface/abstract method with no implementation.
 func (f *fwClass) abstract(name, sig string) *fwClass {
-	params, ret, err := parseSigCached(sig)
+	si, err := parseSigCached(sig)
 	if err != nil {
 		panic(fmt.Sprintf("art: framework abstract %s->%s%s: %v", f.c.Descriptor, name, sig, err))
 	}
@@ -86,7 +98,8 @@ func (f *fwClass) abstract(name, sig string) *fwClass {
 	*m = Method{
 		Class: f.c, Name: name, Signature: sig,
 		AccessFlags: dex.AccPublic | dex.AccAbstract,
-		ParamTypes:  params, ReturnType: ret, Virtual: true,
+		ParamTypes:  si.params, ReturnType: si.ret, Virtual: true,
+		argWords: si.words, refArgs: si.refs,
 	}
 	f.c.Methods = append(f.c.Methods, m)
 	return f
@@ -251,6 +264,9 @@ func (rt *Runtime) installFramework() {
 		{"Ljava/lang/NumberFormatException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/ClassNotFoundException;", "Ljava/lang/Exception;"},
 		{"Ljava/lang/NoSuchMethodException;", "Ljava/lang/Exception;"},
+		{"Ljava/lang/Error;", "Ljava/lang/Throwable;"},
+		{"Ljava/lang/LinkageError;", "Ljava/lang/Error;"},
+		{"Ljava/lang/VerifyError;", "Ljava/lang/LinkageError;"},
 	} {
 		ex := rt.fw(pair[0], pair[1])
 		ex.method("<init>", "()V", false, exInit)

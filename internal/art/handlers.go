@@ -147,6 +147,9 @@ func hArrayLength(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width
 	if arr.IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;", "array-length on null")
 	}
+	if arr.Ref == nil {
+		return Value{}, false, rt.verifyError("array-length on a primitive")
+	}
 	f.regs[in.A] = IntVal(int64(len(arr.Ref.Elems))).WithTaint(arr.Taint)
 	f.pc += width
 	return Value{}, false, nil
@@ -252,6 +255,9 @@ func hIGet(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;",
 			"iget on null in "+f.method.Key())
 	}
+	if obj.Ref == nil {
+		return Value{}, false, rt.verifyError("iget on a primitive in %s", f.method.Key())
+	}
 	f.regs[in.A] = obj.Ref.Field(f.method.Class.File.FieldAt(in.Index).Name)
 	f.pc += width
 	return Value{}, false, nil
@@ -262,6 +268,9 @@ func hIPut(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (
 	if obj.IsNull() {
 		return Value{}, false, rt.Throw("Ljava/lang/NullPointerException;",
 			"iput on null in "+f.method.Key())
+	}
+	if obj.Ref == nil {
+		return Value{}, false, rt.verifyError("iput on a primitive in %s", f.method.Key())
 	}
 	obj.Ref.SetField(f.method.Class.File.FieldAt(in.Index).Name, f.regs[in.A])
 	f.pc += width

@@ -437,9 +437,21 @@ func (rt *Runtime) binop(op bytecode.Opcode, a, b Value) (Value, error) {
 	return IntVal(int64(r)).WithTaint(a.Taint | b.Taint), nil
 }
 
+// verifyError throws the VerifyError ART's verifier raises for bytecode it
+// rejects and the interpreter meets only at run time: a primitive register
+// used as an object, a static invoke of a framework instance method, or an
+// invoke whose argument words miss its target's prototype in count or in
+// kind.
+func (rt *Runtime) verifyError(format string, args ...any) error {
+	return rt.Throw("Ljava/lang/VerifyError;", fmt.Sprintf(format, args...))
+}
+
 func (rt *Runtime) arrayGet(arr, idx Value) (Value, error) {
 	if arr.IsNull() {
 		return Value{}, rt.Throw("Ljava/lang/NullPointerException;", "aget on null")
+	}
+	if arr.Ref == nil {
+		return Value{}, rt.verifyError("aget on a primitive")
 	}
 	i := idx.Int
 	if i < 0 || int(i) >= len(arr.Ref.Elems) {
@@ -454,6 +466,9 @@ func (rt *Runtime) arrayGet(arr, idx Value) (Value, error) {
 func (rt *Runtime) arrayPut(arr, idx, val Value) error {
 	if arr.IsNull() {
 		return rt.Throw("Ljava/lang/NullPointerException;", "aput on null")
+	}
+	if arr.Ref == nil {
+		return rt.verifyError("aput on a primitive")
 	}
 	i := idx.Int
 	if i < 0 || int(i) >= len(arr.Ref.Elems) {
@@ -508,6 +523,9 @@ func (rt *Runtime) checkCast(v Value, desc string) error {
 	if v.IsNull() {
 		return nil
 	}
+	if v.Ref == nil {
+		return rt.verifyError("check-cast of a primitive to %s", desc)
+	}
 	if !rt.instanceOf(v, desc) {
 		return rt.Throw("Ljava/lang/ClassCastException;",
 			v.Ref.Class.Descriptor+" cannot be cast to "+desc)
@@ -545,6 +563,9 @@ func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst) error {
 			return rt.Throw("Ljava/lang/NullPointerException;",
 				"invoke "+ref.Key()+" on null in "+m.Key())
 		}
+		if rv.Ref == nil {
+			return rt.verifyError("invoke %s on a primitive in %s", ref.Key(), m.Key())
+		}
 		recv = rv.Ref
 		argRegs = argRegs[1:]
 	}
@@ -577,6 +598,22 @@ func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst) error {
 	}
 	if target == nil {
 		return rt.Throw("Ljava/lang/NoSuchMethodException;", ref.Key())
+	}
+	if !instance && !target.IsStatic() && target.Native != nil {
+		// Framework methods carry their real static flag, and their natives
+		// need the receiver a static invoke does not pass. (App natives
+		// declared without the flag are invoked statically by design.)
+		return rt.verifyError("%s of instance method %s in %s", in.Op, target.Key(), m.Key())
+	}
+	if len(args) != target.argWords {
+		return rt.verifyError("invoke %s passes %d argument words, its prototype takes %d, in %s",
+			ref.Key(), len(args), target.argWords, m.Key())
+	}
+	for w, refs := 0, target.refArgs; refs != 0; w, refs = w+1, refs>>1 {
+		if refs&1 != 0 && args[w].Ref == nil && !args[w].IsNull() {
+			return rt.verifyError("invoke %s passes a primitive as reference argument word %d, in %s",
+				ref.Key(), w, m.Key())
+		}
 	}
 	res, err := rt.invoke(st, target, recv, args)
 	if err != nil {

@@ -323,3 +323,109 @@ func TestInterfaceDispatch(t *testing.T) {
 		t.Errorf("interface dispatch = %v, %v", res, err)
 	}
 }
+
+// TestVerifyErrorOnMalformedAccess: bytecode ART's verifier rejects — an
+// invoke whose argument words miss its target's prototype in count or in
+// kind, or a non-null
+// primitive used as an invoke receiver, as the object of iget/iput, as an
+// array, or as the operand of check-cast — throws Ljava/lang/VerifyError;
+// at run time instead of panicking the interpreter.
+func TestVerifyErrorOnMalformedAccess(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(a *dexgen.Asm)
+		want string // thrown class; "" for a clean return
+	}{
+		{"native invoke missing an argument", func(a *dexgen.Asm) {
+			a.NewInstance(0, "Ljava/lang/StringBuilder;")
+			a.InvokeDirect("Ljava/lang/StringBuilder;", "<init>", "()V", 0)
+			a.InvokeVirtual("Ljava/lang/StringBuilder;", "append", "(C)Ljava/lang/StringBuilder;", 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"bytecode invoke with an extra argument", func(a *dexgen.Asm) {
+			a.Const(0, 1)
+			a.InvokeStatic("Lsem/V;", "one", "(I)V", 0, 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"wide parameter passed one word", func(a *dexgen.Asm) {
+			a.Const(0, 1)
+			a.InvokeStatic("Lsem/V;", "wide", "(J)V", 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"wide parameter passed two words", func(a *dexgen.Asm) {
+			a.Const(0, 1)
+			a.Const(1, 0)
+			a.InvokeStatic("Lsem/V;", "wide", "(J)V", 0, 1)
+		}, ""},
+		{"primitive for a reference parameter", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.InvokeStatic("Lsem/V;", "obj", "(JLjava/lang/Object;)V", 0, 0, 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"null for a reference parameter", func(a *dexgen.Asm) {
+			a.Const(0, 0)
+			a.InvokeStatic("Lsem/V;", "obj", "(JLjava/lang/Object;)V", 0, 0, 0)
+		}, ""},
+		{"static invoke of a framework instance method", func(a *dexgen.Asm) {
+			a.InvokeStatic("Ljava/lang/String;", "length", "()I")
+		}, "Ljava/lang/VerifyError;"},
+		{"primitive receiver", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.InvokeVirtual("Ljava/lang/String;", "length", "()I", 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"zero receiver stays a null pointer", func(a *dexgen.Asm) {
+			a.Const(0, 0)
+			a.InvokeVirtual("Ljava/lang/String;", "length", "()I", 0)
+		}, "Ljava/lang/NullPointerException;"},
+		{"iget on a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.IGetInt(1, 0, "Lsem/V;", "x")
+		}, "Ljava/lang/VerifyError;"},
+		{"iput on a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.IPutObject(0, 0, "Lsem/V;", "o", "Ljava/lang/Object;")
+		}, "Ljava/lang/VerifyError;"},
+		{"aget on a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.AGet(bytecode.OpAGet, 1, 0, 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"aput on a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.APut(bytecode.OpAPut, 0, 0, 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"array-length of a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.ArrayLength(1, 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"check-cast of a primitive", func(a *dexgen.Asm) {
+			a.Const(0, 7)
+			a.CheckCast(0, "Ljava/lang/String;")
+		}, "Ljava/lang/VerifyError;"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := dexgen.New()
+			cls := p.Class("Lsem/V;", "Ljava/lang/Object;")
+			cls.Field("x", "I").Field("o", "Ljava/lang/Object;")
+			cls.Static("one", "V", []string{"I"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+			cls.Static("wide", "V", []string{"J"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+			cls.Static("obj", "V", []string{"J", "Ljava/lang/Object;"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+			cls.Static("f", "V", nil, func(a *dexgen.Asm) {
+				tc.body(a)
+				a.ReturnVoid()
+			})
+			f, err := p.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := art.NewRuntime(art.DefaultPhone())
+			if _, err := rt.LoadDex(f); err != nil {
+				t.Fatal(err)
+			}
+			_, err = rt.Call("Lsem/V;", "f", "()V", nil, nil)
+			var thrown *art.ThrownError
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("got %v, want a clean return", err)
+			case tc.want != "" && (!errors.As(err, &thrown) || thrown.Obj.Class.Descriptor != tc.want):
+				t.Errorf("got %v, want %s thrown", err, tc.want)
+			}
+		})
+	}
+}

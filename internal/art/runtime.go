@@ -249,7 +249,7 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 			for mi := range list {
 				em := &list[mi]
 				ref := f.MethodAt(em.Method)
-				params, ret, err := parseSigCached(ref.Signature)
+				si, err := parseSigCached(ref.Signature)
 				if err != nil {
 					return nil, fmt.Errorf("art: class %s method %s: %w",
 						c.Descriptor, ref.Name, err)
@@ -258,7 +258,8 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 				*m = Method{
 					Class: c, Name: ref.Name, Signature: ref.Signature,
 					AccessFlags: em.AccessFlags, Virtual: li == 1,
-					ParamTypes: params, ReturnType: ret,
+					ParamTypes: si.params, ReturnType: si.ret,
+					argWords: si.words, refArgs: si.refs,
 				}
 				if em.Code != nil {
 					m.Insns = append([]uint16(nil), em.Code.Insns...)

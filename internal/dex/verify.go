@@ -19,8 +19,9 @@ func (e *VerifyError) Error() string {
 // Verify performs the structural checks a loader relies on, beyond what
 // Write validates: canonical table ordering, class-definition topology,
 // and per-method bytecode sanity (decodability, register bounds, branch
-// and switch targets landing on instruction starts, try ranges and handler
-// addresses within the body). It returns every defect found.
+// and switch targets landing on instruction starts, sparse-switch keys in
+// strictly ascending order, try ranges and handler addresses within the
+// body). It returns every defect found.
 func Verify(f *File) []error {
 	var errs []error
 	report := func(where, format string, args ...any) {
@@ -124,6 +125,15 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 		}
 		if kind := d.Op.Index(); kind != bytecode.IndexNone && int(d.Index) >= limits[kind] {
 			report(where, "pc %#x: %s index %d out of range", d.PC, d.Op, d.Index)
+		}
+		if d.Op == bytecode.OpSparseSwitch {
+			for k := 1; k < len(d.Keys); k++ {
+				if d.Keys[k] <= d.Keys[k-1] {
+					report(where, "pc %#x: sparse-switch key %d at case %d not above %d",
+						d.PC, d.Keys[k], k, d.Keys[k-1])
+					break
+				}
+			}
 		}
 	}
 	for ti, tr := range code.Tries {

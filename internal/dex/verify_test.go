@@ -142,6 +142,15 @@ func TestVerifyFindsDefects(t *testing.T) {
 			[]string{m + "pc 0x0: packed-switch targets 0x4, not an instruction start"},
 		},
 		{
+			"sparse-switch keys not ascending",
+			&Code{RegistersSize: 1, Insns: []uint16{
+				0x002c, 4, 0, // sparse-switch v0, payload at +4
+				0x000e,                            // return-void at pc 3
+				0x0200, 2, 5, 0, 5, 0, 3, 0, 3, 0, // payload: keys 5, 5 -> +3, +3
+			}},
+			[]string{m + "pc 0x0: sparse-switch key 5 at case 1 not above 5"},
+		},
+		{
 			"handler mid-instruction",
 			&Code{
 				RegistersSize: 1,

@@ -18,19 +18,16 @@
 //
 // Many forced runs never reach a branch in their target method, and such a
 // run replays the run with the iteration's frozen path files alone. Each
-// run records the methods in which it executed a conditional branch, and
-// each branch-forcing iteration runs in two phases. Phase 1 runs the tasks
-// whose target method an earlier run reached a branch in, plus one
-// representative of the rest. A phase-1 run X that reached no branch in its
-// own target method read no decision of its own path, so it is the run with
-// the frozen set alone; phase 2 then runs only the remaining tasks whose
-// target method X reached a branch in. Every other task would replay X step
-// for step — its own decisions sit in a method where X reads none — so it
-// is skipped, and only its path file joins the next iteration's set. The
-// rule assumes a forced run is a deterministic function of its path and the
-// frozen set; TestForcedRunsDeterministic checks that on the Table VII
-// slice. Runs that inject exceptions into uncovered handlers are never
-// skipped.
+// run records the methods in which it executed a conditional branch, so an
+// iteration with two or more tasks first runs that replay once — the base
+// run, with the frozen set and no path of its own. A task whose target
+// method the base run reached no branch in would repeat it step for step:
+// its own decisions sit in a method where the base reads none. Such a task
+// is skipped, and only its path file joins the next iteration's set; the
+// iteration runs the rest. The rule assumes a forced run is a deterministic
+// function of its path and the frozen set; TestForcedRunsDeterministic
+// checks that on the Table VII slice. Runs that inject exceptions into
+// uncovered handlers are never skipped.
 package forceexec
 
 import (
@@ -50,6 +47,7 @@ import (
 	"dexlego/internal/coverage"
 	"dexlego/internal/dex"
 	"dexlego/internal/obs"
+	"dexlego/internal/pipeline"
 )
 
 // PathFile records the branch decisions leading to one UCB, as saved
@@ -64,9 +62,9 @@ type PathFile struct {
 // Stats summarizes a force-execution campaign.
 type Stats struct {
 	Iterations int
-	// ForcedRuns counts the forced runs executed; RunsSkipped counts the
-	// scheduled runs an executed run of the same iteration proved identical
-	// to itself, which therefore never ran.
+	// ForcedRuns counts the forced runs executed, base runs included;
+	// RunsSkipped counts the scheduled runs their iteration's base run
+	// proved identical to itself, which therefore never ran.
 	ForcedRuns        int
 	RunsSkipped       int
 	PathsComputed     int
@@ -187,12 +185,13 @@ type task struct {
 	path PathFile
 	site *coverage.HandlerSite // non-nil for exception-edge injection runs
 
-	// Shards are built just before the task runs, so a skipped task has none.
+	// Shards are built just before the task runs, so a skipped task has
+	// none; a base run that certified no task drops its own.
 	tracker *coverage.Tracker    // per-run coverage shard
 	col     *collector.Collector // per-run collector shard, nil when unattached
 
 	reach     map[string]bool // methods in which the run executed a conditional branch
-	certifier *task           // for a skipped task, the executed run it repeats
+	certifier *task           // for a skipped task, the base run it repeats
 
 	cleared int           // unhandled exceptions tolerated in this run
 	busy    time.Duration // wall time inside the run (worker CPU attribution)
@@ -216,9 +215,6 @@ func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
 	// iterations' files plus their own path, which is what makes them
 	// order-independent and safe to run concurrently.
 	active := make(map[string]map[int]bool)
-	// reached collects the methods in which an executed forced run of an
-	// earlier iteration reached a conditional branch.
-	reached := make(map[string]bool)
 	prevCovered := tracker.Report().Instruction.Covered
 	attempted := make(map[coverage.UCB]bool)
 	for iter := 0; iter < e.MaxIterations; iter++ {
@@ -246,18 +242,15 @@ func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
 			stats.Paths = append(stats.Paths, path)
 			tasks = append(tasks, &task{path: path})
 		}
-		e.runPhased(iterSpan, tracker, tasks, active, reached, iter)
+		runs := e.runCertified(iterSpan, tracker, tasks, active, iter)
 		if e.beforeMerge != nil {
 			e.beforeMerge(iter, active, tasks)
 		}
-		e.mergeTasks(iterSpan, tracker, tasks, stats, iter)
+		e.mergeTasks(iterSpan, tracker, runs, stats, iter)
 		// The barrier has passed: fold this iteration's paths into the
 		// active set for the next one, in task order. Skipped tasks' paths
 		// join too, so skipping never changes the next iteration's set.
 		for _, t := range tasks {
-			for m := range t.reach {
-				reached[m] = true
-			}
 			if active[t.path.Method] == nil {
 				active[t.path.Method] = make(map[int]bool)
 			}
@@ -315,44 +308,32 @@ func (e *Engine) forceHandlers(tracker *coverage.Tracker, active map[string]map[
 	e.mergeTasks(span, tracker, tasks, stats, stats.Iterations)
 }
 
-// runPhased runs one branch-forcing iteration in the two phases the package
-// comment describes. The representative is the first task, in task order,
-// whose target method no earlier run reached a branch in; the certifier X is
-// the first phase-1 run, in task order, that reached no branch in its own
-// target method. With no X, phase 2 runs all the rest. Both choices read
-// only executed runs' reach sets, so they are the same at every worker
-// count.
-func (e *Engine) runPhased(span *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, reached map[string]bool, iter int) {
-	var first, rest []*task
-	var rep *task
+// runCertified runs one branch-forcing iteration and returns the tasks to
+// merge. With two or more tasks it first runs the base run alone and skips
+// every task whose target method the base reached no branch in; the base
+// run merges first, and drops its shards when it certified nothing, so only
+// what a task would have contributed merges. A failed base run certifies
+// nothing.
+func (e *Engine) runCertified(span *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, iter int) []*task {
+	if len(tasks) < 2 {
+		e.runTasks(span, tracker, tasks, active, iter)
+		return tasks
+	}
+	base := &task{}
+	e.runTasks(span, tracker, []*task{base}, active, iter)
+	var rest []*task
 	for _, t := range tasks {
-		switch {
-		case reached[t.path.Method]:
-			first = append(first, t)
-		case rep == nil:
-			rep = t
-			first = append(first, t)
-		default:
+		if base.err == nil && !base.reach[t.path.Method] {
+			t.certifier = base
+		} else {
 			rest = append(rest, t)
 		}
 	}
-	e.runTasks(span, tracker, first, active, iter)
-	var x *task
-	for _, t := range first {
-		if t.err == nil && !t.reach[t.path.Method] {
-			x = t
-			break
-		}
+	if len(rest) == len(tasks) {
+		base.tracker, base.col = nil, nil
 	}
-	var second []*task
-	for _, t := range rest {
-		if x != nil && !x.reach[t.path.Method] {
-			t.certifier = x
-			continue
-		}
-		second = append(second, t)
-	}
-	e.runTasks(span, tracker, second, active, iter)
+	e.runTasks(span, tracker, rest, active, iter)
+	return append([]*task{base}, tasks...)
 }
 
 // runTasks executes tasks across the worker pool, each against fresh
@@ -389,38 +370,42 @@ func (e *Engine) runTasks(parent *obs.Span, tracker *coverage.Tracker, tasks []*
 	wg.Wait()
 }
 
-// runTask performs one forced run against the task's own shards.
+// runTask performs one forced run against the task's own shards. A panic
+// inside the run, like a failure to set up its runtime, becomes the task's
+// err: that run then contributes nothing, and the campaign goes on.
 func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span *obs.Span) {
 	start := time.Now()
 	defer func() { t.busy = time.Since(start) }()
 	t.reach = make(map[string]bool)
-	var extra []*art.Hooks
-	if t.site != nil {
-		injected := false
-		site := t.site
-		extra = append(extra, &art.Hooks{
-			InjectException: func(m *art.Method, pc int) string {
-				if injected || m.Key() != site.Method || pc != site.TryStart {
-					return ""
-				}
-				injected = true
-				return site.Type
-			},
-		})
-	}
-	extra = append(extra, e.forcingHooks(active, t, iter, span))
-	rt, err := e.newRuntime(t.tracker, t.col, extra...)
-	if err != nil {
-		t.err = err // infrastructure failure on this path only
-		return
-	}
-	_ = e.driver()(rt) // app-level failures are expected on infeasible paths
+	t.err = pipeline.Isolate(func() error {
+		var extra []*art.Hooks
+		if t.site != nil {
+			injected := false
+			site := t.site
+			extra = append(extra, &art.Hooks{
+				InjectException: func(m *art.Method, pc int) string {
+					if injected || m.Key() != site.Method || pc != site.TryStart {
+						return ""
+					}
+					injected = true
+					return site.Type
+				},
+			})
+		}
+		extra = append(extra, e.forcingHooks(active, t, iter, span))
+		rt, err := e.newRuntime(t.tracker, t.col, extra...)
+		if err != nil {
+			return err // infrastructure failure on this path only
+		}
+		_ = e.driver()(rt) // app-level failures are expected on infeasible paths
+		return nil
+	})
 }
 
 // mergeTasks is the iteration barrier: shards fold back in task order —
 // coverage unions, collection trees dedup by fingerprint — and the
 // campaign counters accumulate. Failed and skipped tasks contribute
-// nothing.
+// nothing; a base run without shards contributes only its counters.
 func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*task, stats *Stats, iter int) {
 	for ti, t := range tasks {
 		if t.certifier != nil {
@@ -430,7 +415,9 @@ func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*
 		if t.err != nil {
 			continue
 		}
-		tracker.Merge(t.tracker)
+		if t.tracker != nil {
+			tracker.Merge(t.tracker)
+		}
 		if t.col != nil {
 			st := e.Collector.Merge(t.col)
 			if span.Enabled() {

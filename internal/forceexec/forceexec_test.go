@@ -360,11 +360,10 @@ func buildApp(t *testing.T, name string, onCreate func(a *dexgen.Asm), extra fun
 	return pkg, []*dex.File{f}
 }
 
-// TestRepresentativeReachingItsTargetSkipsNothing: both UCBs of the first
-// iteration sit in onCreate, which no earlier run reached. The
-// representative reaches a branch in its own target method, so it
-// certifies nothing and the other task runs too.
-func TestRepresentativeReachingItsTargetSkipsNothing(t *testing.T) {
+// TestBaseRunReachingEveryTargetSkipsNothing: both UCBs of the first
+// iteration sit in onCreate, where the base run executes both branches. The
+// base run certifies neither task, so both run after it.
+func TestBaseRunReachingEveryTargetSkipsNothing(t *testing.T) {
 	pkg, files := buildApp(t, "rp", func(a *dexgen.Asm) {
 		a.Const(0, 0)
 		a.IfZ(bytecode.OpIfNez, 0, "a") // never taken naturally
@@ -386,8 +385,8 @@ func TestRepresentativeReachingItsTargetSkipsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PathsComputed != 2 || stats.ForcedRuns != 2 || stats.RunsSkipped != 0 {
-		t.Errorf("paths %d, forced runs %d, skipped %d; want 2, 2, 0",
+	if stats.PathsComputed != 2 || stats.ForcedRuns != 3 || stats.RunsSkipped != 0 {
+		t.Errorf("paths %d, forced runs %d, skipped %d; want 2, 3 (the base run and both tasks), 0",
 			stats.PathsComputed, stats.ForcedRuns, stats.RunsSkipped)
 	}
 	if rep := tracker.Report(); rep.Branch.Covered != rep.Branch.Total {
@@ -396,9 +395,9 @@ func TestRepresentativeReachingItsTargetSkipsNothing(t *testing.T) {
 }
 
 // TestExceptionEdgeRunsNeverSkipped: a method nothing calls holds two
-// branches and two try ranges. Its branch-forcing tasks never reach it, so
-// the representative certifies the rest and they are skipped; its
-// exception-injection runs are idle the same way but always run.
+// branches and two try ranges. The base run never reaches it, so it
+// certifies every branch-forcing task and they are all skipped; the
+// method's exception-injection runs are idle the same way but always run.
 func TestExceptionEdgeRunsNeverSkipped(t *testing.T) {
 	pkg, files := buildApp(t, "xs", func(a *dexgen.Asm) { a.ReturnVoid() }, func(p *dexgen.Program) {
 		p.Class("Lxs/Dead;", "Ljava/lang/Object;").Static("run", "V", []string{"I"}, func(a *dexgen.Asm) {
@@ -434,11 +433,11 @@ func TestExceptionEdgeRunsNeverSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	branchTasks := stats.PathsComputed - handlers
-	if branchTasks < 2 || stats.RunsSkipped != branchTasks-1 {
-		t.Errorf("%d branch-forcing tasks, %d skipped; want all but the representative skipped",
+	if branchTasks < 2 || stats.RunsSkipped != branchTasks {
+		t.Errorf("%d branch-forcing tasks, %d skipped; want all skipped",
 			branchTasks, stats.RunsSkipped)
 	}
 	if stats.ForcedRuns != 1+handlers {
-		t.Errorf("forced runs = %d, want the representative plus %d injection runs", stats.ForcedRuns, handlers)
+		t.Errorf("forced runs = %d, want the base run plus %d injection runs", stats.ForcedRuns, handlers)
 	}
 }

@@ -55,9 +55,9 @@ func campaignWorkers(t *testing.T) []int {
 
 // TestSkippedRunsRepeatCertifier re-runs every task the slice's campaign
 // skips, alone against the same frozen active set and collector parent, and
-// requires exactly its certifying run's coverage shard, collected trees,
-// reach set and tolerated exceptions. The campaign skips the same tasks at
-// every worker count.
+// requires exactly its iteration's base run's coverage shard, collected
+// trees, reach set and tolerated exceptions. The campaign skips the same
+// tasks at every worker count.
 func TestSkippedRunsRepeatCertifier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forced campaigns")
@@ -78,15 +78,19 @@ func TestSkippedRunsRepeatCertifier(t *testing.T) {
 }
 
 // skippedRunsRepeatCertifier runs app's campaign at the given pool size,
-// checks every skipped task against its certifier, and lists the skipped
-// tasks as iteration/method/pc/edge.
+// checks every skipped task against the base run that certified it, and
+// lists the skipped tasks as iteration/method/pc/edge.
 func skippedRunsRepeatCertifier(t *testing.T, app workload.FDroidApp, workers int) []string {
 	t.Helper()
 	e, tracker := sliceEngine(t, app, nil)
 	e.Workers = workers
 	e.Collector = collector.New()
 	var skipped []string
+	bases := 0 // every iteration with two or more tasks runs one base run
 	e.beforeMerge = func(iter int, active map[string]map[int]bool, tasks []*task) {
+		if len(tasks) >= 2 {
+			bases++
+		}
 		for _, tk := range tasks {
 			x := tk.certifier
 			if x == nil {
@@ -95,19 +99,18 @@ func skippedRunsRepeatCertifier(t *testing.T, app workload.FDroidApp, workers in
 			skipped = append(skipped, fmt.Sprintf("%d/%s/%d/%v", iter, tk.path.Method, tk.path.TargetPC, tk.path.Taken))
 			alone := &task{path: tk.path, tracker: tracker.Shard(), col: e.Collector.Shard()}
 			e.runTask(alone, active, iter, nil)
-			where := fmt.Sprintf("workers=%d, iteration %d, %s (certified by a run targeting %s)",
-				workers, iter, tk.path.Method, x.path.Method)
+			where := fmt.Sprintf("workers=%d, iteration %d, %s", workers, iter, tk.path.Method)
 			if alone.err != nil || x.err != nil {
 				t.Fatalf("%s: run errors %v, %v", where, alone.err, x.err)
 			}
 			if !sameCoverage(tracker, alone.tracker, x.tracker) {
-				t.Errorf("%s: coverage %+v, certifier %+v", where, alone.tracker.Report(), x.tracker.Report())
+				t.Errorf("%s: coverage %+v, base run %+v", where, alone.tracker.Report(), x.tracker.Report())
 			}
 			if got, want := treeFingerprints(alone.col.Result()), treeFingerprints(x.col.Result()); !maps.EqualFunc(got, want, slices.Equal) {
-				t.Errorf("%s: collected trees differ from the certifier's", where)
+				t.Errorf("%s: collected trees differ from the base run's", where)
 			}
 			if !maps.Equal(alone.reach, x.reach) || alone.cleared != x.cleared {
-				t.Errorf("%s: reach %v cleared %d, certifier reach %v cleared %d",
+				t.Errorf("%s: reach %v cleared %d, base run reach %v cleared %d",
 					where, alone.reach, alone.cleared, x.reach, x.cleared)
 			}
 			if alone.reach[tk.path.Method] {
@@ -122,9 +125,9 @@ func skippedRunsRepeatCertifier(t *testing.T, app workload.FDroidApp, workers in
 	if len(skipped) == 0 || len(skipped) != stats.RunsSkipped {
 		t.Errorf("workers=%d: re-ran %d skipped tasks, Stats.RunsSkipped = %d", workers, len(skipped), stats.RunsSkipped)
 	}
-	if stats.ForcedRuns+stats.RunsSkipped != stats.PathsComputed {
-		t.Errorf("workers=%d: forced %d + skipped %d != %d paths",
-			workers, stats.ForcedRuns, stats.RunsSkipped, stats.PathsComputed)
+	if stats.ForcedRuns+stats.RunsSkipped != stats.PathsComputed+bases {
+		t.Errorf("workers=%d: forced %d + skipped %d != %d paths + %d base runs",
+			workers, stats.ForcedRuns, stats.RunsSkipped, stats.PathsComputed, bases)
 	}
 	return skipped
 }

@@ -59,9 +59,19 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // TestOpenMetricsScrapeLints is the exposition acceptance test: after a
 // real reveal, GET /metrics must serve OpenMetrics text that survives the
 // strict parser and covers jobs, cache traffic, per-stage latency and
-// resource accounting.
+// resource accounting. A small warm reveal's allocation bill can read 0
+// (see TestJobResourceAccounting), so the driver allocates 1 MiB inside
+// the run window.
 func TestOpenMetricsScrapeLints(t *testing.T) {
-	_, hs := newTestServer(t, nil)
+	_, hs := newTestServer(t, func(c *Config) {
+		c.Reveal = func(pkg *apk.APK, o dexlego.Options) (*dexlego.Result, error) {
+			o.Driver = func(rt *art.Runtime) error {
+				ballast = make([]byte, 1<<20)
+				return dexlego.DefaultDriver(rt)
+			}
+			return dexlego.Reveal(pkg, o)
+		}
+	})
 	if resp, _ := postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reveal = %d", resp.StatusCode)
 	}
@@ -262,8 +272,8 @@ func TestTraceIDPropagatesEndToEnd(t *testing.T) {
 	}
 }
 
-// ballast holds the large object TestJobResourceAccounting's driver
-// allocates, so the allocation escapes to the heap.
+// ballast holds the large object the resource-accounting tests' drivers
+// allocate, so the allocation escapes to the heap.
 var ballast []byte
 
 // TestJobResourceAccounting: a completed job reports its latency split and

@@ -1,0 +1,153 @@
+package dexlego_test
+
+import (
+	"testing"
+
+	root "dexlego"
+	"dexlego/internal/apk"
+	"dexlego/internal/dex"
+	"dexlego/internal/droidbench"
+)
+
+// fuzzSamples are the DroidBench samples FuzzReveal mutates: the
+// reflection sample whose mutant once crashed the forced campaign, plus
+// branch, switch, try/catch and reflection shapes.
+var fuzzSamples = []string{"TabletReflection1", "Branching2", "SwitchFlow1", "CatchFlow1", "Reflection3"}
+
+// methodBodies lists f's method bodies with code in class_defs order,
+// direct methods before virtual ones.
+func methodBodies(f *dex.File) []*dex.Code {
+	var bodies []*dex.Code
+	for ci := range f.Classes {
+		cd := &f.Classes[ci]
+		for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
+			for mi := range list {
+				if code := list[mi].Code; code != nil && len(code.Insns) > 0 {
+					bodies = append(bodies, code)
+				}
+			}
+		}
+	}
+	return bodies
+}
+
+// mutateUnit returns a copy of pkg whose DEX has code unit unit of method
+// body body (in methodBodies order) set to value; body and unit wrap around
+// their ranges. It reports false when the mutated file fails dex.Verify or
+// cannot be written.
+func mutateUnit(t testing.TB, pkg *apk.APK, body, unit int, value uint16) (*apk.APK, bool) {
+	t.Helper()
+	raw, err := pkg.Dex() // a private copy: pkg.DexFile is shared and immutable
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dex.Read(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := methodBodies(f)
+	if len(bodies) == 0 {
+		return nil, false
+	}
+	code := bodies[body%len(bodies)]
+	code.Insns[unit%len(code.Insns)] = value
+	if len(dex.Verify(f)) != 0 {
+		return nil, false
+	}
+	data, err := f.Write()
+	if err != nil {
+		return nil, false
+	}
+	out := pkg.Clone()
+	out.SetDex(data)
+	return out, true
+}
+
+// tabletMutant is TabletReflection1 with unit 95 of onCreate (the second
+// body) turned from 0x206e to 0x176e: an invoke-virtual of
+// StringBuilder.append(C) that passes the receiver alone. The file passes
+// dex.Verify, and the unforced launch never reaches the call: only a
+// forced run steering the tablet branch executes it.
+func tabletMutant(t testing.TB) (*apk.APK, *droidbench.Sample) {
+	t.Helper()
+	s := droidbench.ByName("TabletReflection1")
+	pkg, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := pkg.DexFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bodies := methodBodies(f); len(bodies) < 2 || len(bodies[1].Insns) <= 95 || bodies[1].Insns[95] != 0x206e {
+		t.Fatal("TabletReflection1's second body no longer holds invoke-virtual {v4, v5} at unit 95")
+	}
+	mutant, ok := mutateUnit(t, pkg, 1, 95, 0x176e)
+	if !ok {
+		t.Fatal("the TabletReflection1 mutant fails dex.Verify")
+	}
+	return mutant, s
+}
+
+// checkReveal reveals pkg, with sample s's natives, force execution on or
+// off and the given pool size, and requires an error or a DEX that passes
+// dex.Verify and reads back.
+func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, workers int) {
+	t.Helper()
+	res, err := root.Reveal(pkg, root.Options{Natives: s.Natives(), ForceExecution: force, Workers: workers})
+	if err != nil {
+		return
+	}
+	if errs := dex.Verify(res.RevealedDex); len(errs) != 0 {
+		t.Fatalf("force=%v workers=%d: revealed DEX fails verify: %v", force, workers, errs)
+	}
+	data, err := res.Revealed.Dex()
+	if err != nil {
+		t.Fatalf("force=%v workers=%d: revealed APK has no DEX: %v", force, workers, err)
+	}
+	if _, err := dex.Read(data); err != nil {
+		t.Fatalf("force=%v workers=%d: revealed DEX does not read back: %v", force, workers, err)
+	}
+}
+
+// TestForcedRevealSurvivesMalformedInvoke reveals the TabletReflection1
+// mutant forced, serially and with a two-run pool: the call that passes too
+// few argument words must not take the campaign down.
+func TestForcedRevealSurvivesMalformedInvoke(t *testing.T) {
+	pkg, s := tabletMutant(t)
+	for _, workers := range []int{1, 2} {
+		checkReveal(t, pkg, s, true, workers)
+	}
+}
+
+// FuzzReveal mutates one code unit of one method body of a DroidBench
+// sample, keeps only files that pass dex.Verify, and reveals each with
+// force execution off and on: Reveal must never panic, and must return an
+// error or a DEX that passes dex.Verify and reads back.
+func FuzzReveal(f *testing.F) {
+	pkgs := make([]*apk.APK, len(fuzzSamples))
+	samples := make([]*droidbench.Sample, len(fuzzSamples))
+	for i, name := range fuzzSamples {
+		samples[i] = droidbench.ByName(name)
+		pkg, err := samples[i].Build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		pkgs[i] = pkg
+	}
+	f.Add(uint8(0), uint16(1), uint16(95), uint16(0x176e)) // the TabletReflection1 mutant
+	for i := range fuzzSamples {
+		f.Add(uint8(i), uint16(1), uint16(0), uint16(0x000e)) // return-void at onCreate's entry
+		f.Add(uint8(i), uint16(1), uint16(3), uint16(0x0112)) // const/4 v2, #1
+	}
+	f.Fuzz(func(t *testing.T, sample uint8, body, unit, value uint16) {
+		i := int(sample) % len(pkgs)
+		pkg, ok := mutateUnit(t, pkgs[i], int(body), int(unit), value)
+		if !ok {
+			return
+		}
+		for _, force := range []bool{false, true} {
+			checkReveal(t, pkg, samples[i], force, 1)
+		}
+	})
+}
