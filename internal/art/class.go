@@ -78,8 +78,8 @@ type Method struct {
 	// Live-code binding state (see predecode.go), kept in both interpreter
 	// modes. A method belongs to exactly one runtime and is only touched
 	// from its goroutine, so none of this needs locking; the cross-shard
-	// sharing happens one level down in the content-keyed
-	// bytecode.ProgramCache.
+	// sharing happens one level down in the content-keyed process program
+	// cache (bytecode.Cached).
 	codeGen uint64            // bumped on every write into the live unit array
 	prog    *bytecode.Program // predecoded stream for (progPtr, progLen, progGen); nil with predecode off
 	progGen uint64            // codeGen at the last bind

@@ -7,12 +7,6 @@ import (
 	"dexlego/internal/bytecode"
 )
 
-// programCache is the process-wide predecoded-program cache. Every runtime
-// resolves through it, so the predecode cost of a method body is paid once
-// per distinct content across all runtimes of the process (repeated reveals,
-// forced runs, worker shards, benchmarks).
-var programCache = bytecode.NewProgramCache()
-
 // predecodeEnvDefault reads the DEXLEGO_PREDECODE toggle: predecode is on
 // unless the variable is explicitly "off", "false", "no" or "0". The off
 // mode keeps the original decode-per-step path alive as the differential
@@ -31,7 +25,11 @@ func (rt *Runtime) SetPredecode(on bool) { rt.predecode = on }
 
 // bindProgram binds the frame to the method's live code. It records the
 // code identity the frame runs against and, with predecode on, points the
-// frame at the predecoded program for that content. This is both the entry
+// frame at the predecoded program for that content. Programs come from the
+// process cache in internal/bytecode (bytecode.Cached), which only
+// execution fills: the predecode cost of a body is paid once per distinct
+// content across every runtime of the process, and the static readers
+// reuse what runs. This is both the entry
 // bind and the paper-faithful invalidation point: in either mode, a live
 // unit array whose identity changed without TamperMethod bumping the
 // generation was swapped silently (packer-style slice replacement), so
@@ -58,7 +56,7 @@ func (rt *Runtime) bindProgram(f *frame) {
 	}
 	if rt.predecode {
 		if m.prog == nil {
-			m.prog = programCache.Get(m.Insns)
+			m.prog = bytecode.Cached(m.Insns)
 		}
 		f.prog = m.prog
 	}

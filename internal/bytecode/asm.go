@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -109,6 +110,12 @@ func (a *Assembler) push(it asmItem) *Assembler {
 	}
 	a.items = append(a.items, it)
 	return a
+}
+
+// Grow reserves room for n more instructions, so an emitter that knows its
+// instruction count does not regrow the item list as it goes.
+func (a *Assembler) Grow(n int) {
+	a.items = slices.Grow(a.items, n)
 }
 
 // Raw emits a fully formed instruction with no label operands.

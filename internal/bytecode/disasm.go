@@ -72,7 +72,7 @@ func disasmInst(in Inst, r Resolver) string {
 // Disassemble renders a method body as smali-style lines, one per
 // instruction, prefixed with its dex_pc. Switch payload regions are skipped.
 func Disassemble(insns []uint16, r Resolver) ([]string, error) {
-	p := Predecode(insns)
+	p := Read(insns)
 	if err := p.Err(); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@
 // stopped the scan, if any. The interpreter and every static reader
 // (verify, coverage, force-execution paths, method fingerprints, the taint
 // stand-in, the disassembler) read that form; Decode is the single-
-// instruction primitive beneath it.
+// instruction primitive beneath it. The process keeps one content-addressed
+// cache of programs: the interpreter fills it (Cached), and the static
+// readers read through it without filling it (Read).
 //
 // Opcodes carry their real Dalvik numeric values and unit formats so that the
 // code arrays produced here are laid out exactly like the arrays the ART

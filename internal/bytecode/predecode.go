@@ -1,6 +1,11 @@
 package bytecode
 
-import "sync"
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+	"unsafe"
+)
 
 // MaxRegister returns the highest register number named by any operand of
 // in, or -1 when the instruction has no register operands. It covers exactly
@@ -121,15 +126,13 @@ func (p *Program) Len() int { return len(p.units) }
 // Matches reports whether insns still has the exact content the program was
 // predecoded from.
 func (p *Program) Matches(insns []uint16) bool {
-	if len(insns) != len(p.units) {
-		return false
-	}
-	for i, u := range insns {
-		if u != p.units[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(unitBytes(insns), unitBytes(p.units))
+}
+
+// unitBytes views a unit array as its bytes in memory order, without
+// copying, so hashing and comparing a body each run over one memory block.
+func unitBytes(insns []uint16) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(insns))), 2*len(insns))
 }
 
 // programCacheLimit caps the number of cached programs; past it the cache is
@@ -140,9 +143,7 @@ const programCacheLimit = 4096
 // ProgramCache is a content-addressed, thread-safe cache of predecoded
 // programs. Keys are the full unit content (hash plus exact compare), never
 // the slice identity, so self-modified code can never alias a stale entry:
-// any content change simply hashes to a different program. The runtime
-// keeps one cache per process, shared by every reveal, forced run and
-// worker shard.
+// any content change simply hashes to a different program.
 type ProgramCache struct {
 	mu      sync.RWMutex
 	entries map[uint64][]*Program
@@ -154,34 +155,34 @@ func NewProgramCache() *ProgramCache {
 	return &ProgramCache{entries: make(map[uint64][]*Program)}
 }
 
-// hashUnits is FNV-1a over the byte representation of the unit array.
+// hashSeed keys hashUnits. Hashes never leave the process, so a per-process
+// random seed is enough.
+var hashSeed = maphash.MakeSeed()
+
+// hashUnits hashes the bytes of the unit array.
 func hashUnits(insns []uint16) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, u := range insns {
-		h ^= uint64(u & 0xff)
-		h *= prime64
-		h ^= uint64(u >> 8)
-		h *= prime64
+	return maphash.Bytes(hashSeed, unitBytes(insns))
+}
+
+// lookup returns the cached program for the exact content of insns, or nil.
+func (c *ProgramCache) lookup(h uint64, insns []uint16) *Program {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, cand := range c.entries[h] {
+		if cand.Matches(insns) {
+			return cand
+		}
 	}
-	return h
+	return nil
 }
 
 // Get returns the predecoded program for the exact content of insns,
 // building and caching it on a miss.
 func (c *ProgramCache) Get(insns []uint16) *Program {
 	h := hashUnits(insns)
-	c.mu.RLock()
-	for _, cand := range c.entries[h] {
-		if cand.Matches(insns) {
-			c.mu.RUnlock()
-			return cand
-		}
+	if p := c.lookup(h, insns); p != nil {
+		return p
 	}
-	c.mu.RUnlock()
 
 	p := Predecode(insns)
 	c.mu.Lock()
@@ -200,9 +201,39 @@ func (c *ProgramCache) Get(insns []uint16) *Program {
 	return p
 }
 
+// Read returns the cached program for the exact content of insns, or a
+// fresh Predecode on a miss. Unlike Get it never inserts: a miss leaves the
+// cache as it was.
+func (c *ProgramCache) Read(insns []uint16) *Program {
+	if p := c.lookup(hashUnits(insns), insns); p != nil {
+		return p
+	}
+	return Predecode(insns)
+}
+
 // Size returns the number of cached programs.
 func (c *ProgramCache) Size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.size
 }
+
+// programs is the process's program cache, shared by every runtime, reveal,
+// forced run and worker shard. Only execution fills it (Cached); the static
+// readers read through it (Read), so a body the process has run is decoded
+// once, and a body it has never run costs no cache memory.
+var programs = NewProgramCache()
+
+// Cached returns the process cache's program for the exact content of insns,
+// predecoding and caching it on a miss. The interpreter binds through it.
+func Cached(insns []uint16) *Program { return programs.Get(insns) }
+
+// Read returns the process cache's program for the exact content of insns
+// when execution has cached one, and a fresh Predecode otherwise; it never
+// fills the cache. Every static reader of a method body decodes through it.
+// A program is an immutable snapshot of its units, so a reader gets the same
+// instructions either way.
+func Read(insns []uint16) *Program { return programs.Read(insns) }
+
+// CachedPrograms returns the number of programs in the process cache.
+func CachedPrograms() int { return programs.Size() }

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -182,5 +183,119 @@ func TestProgramCacheContentKeyed(t *testing.T) {
 	}
 	if c.Size() != 2 {
 		t.Fatalf("cache size %d, want 2", c.Size())
+	}
+}
+
+// TestProgramCacheReadThrough checks that Read returns the cached program
+// for exactly the cached content and otherwise a fresh decode that it never
+// inserts, including for a body one unit away from a cached one.
+func TestProgramCacheReadThrough(t *testing.T) {
+	c := NewProgramCache()
+	a := []uint16{0x0013, 7, 0x0038, 3, 0x000e, 0x000e} // const/16 v0,7; if-eqz v0,+3; return-void x2
+	r1 := c.Read(a)
+	if c.Size() != 0 {
+		t.Fatalf("cache size %d after a cold Read, want 0", c.Size())
+	}
+	if r2 := c.Read(a); r2 == r1 {
+		t.Fatal("two cold Reads returned one program: the first was cached")
+	}
+	got := c.Get(a)
+	if r := c.Read(a); r != got {
+		t.Fatal("Read after Get did not return the cached program")
+	}
+	if c.Size() != 1 {
+		t.Fatalf("cache size %d, want 1", c.Size())
+	}
+
+	b := append([]uint16(nil), a...)
+	b[1] = 8 // const/16 v0,8: one unit away from the cached body
+	rb := c.Read(b)
+	if rb == got {
+		t.Fatal("a body one unit away from a cached body read the cached program")
+	}
+	if !rb.Matches(b) || rb.Insts()[0].Lit != 8 {
+		t.Fatalf("one-unit-away body decoded to %+v", rb.Insts()[0].Inst)
+	}
+	if c.Size() != 1 {
+		t.Fatalf("cache size %d after reading a one-unit-away body, want 1", c.Size())
+	}
+	if want := Predecode(a); !reflect.DeepEqual(c.Read(a).Insts(), want.Insts()) {
+		t.Fatal("cached program's instructions differ from a fresh decode")
+	}
+}
+
+var processNonce uint16
+
+// TestProcessCacheFilledOnlyByCached checks the process-level pair: Read
+// leaves the process cache as it was, and once Cached has decoded a body,
+// Read returns that program.
+func TestProcessCacheFilledOnlyByCached(t *testing.T) {
+	// A fresh body on every run, also under -count.
+	processNonce++
+	body := []uint16{0x0013, 0x5a17, 0x0013, processNonce, 0x000e} // const/16 v0 twice; return-void
+	before := CachedPrograms()
+	if Read(body) == Read(body) {
+		t.Fatal("test body is already in the process cache")
+	}
+	if got := CachedPrograms(); got != before {
+		t.Fatalf("process cache size %d after cold Reads, want %d", got, before)
+	}
+	p := Cached(body)
+	if Read(body) != p {
+		t.Fatal("Read after Cached did not return the cached program")
+	}
+}
+
+// BenchmarkProgramCacheHit measures a static reader's hit: hash the body and
+// compare it with the cached units.
+func BenchmarkProgramCacheHit(b *testing.B) {
+	c := NewProgramCache()
+	body := make([]uint16, 0, 96)
+	for len(body) < 94 {
+		body = append(body, 0x0013, uint16(len(body))) // const/16 v0, n
+	}
+	body = append(body, 0x000e)
+	want := c.Get(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Read(body) != want {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// TestProgramCacheConcurrentReadAndGet runs readers and fillers against one
+// cache at once, as concurrent reveals do against the process cache: every
+// result matches its body, and only Get fills the cache.
+func TestProgramCacheConcurrentReadAndGet(t *testing.T) {
+	c := NewProgramCache()
+	bodies := make([][]uint16, 8)
+	for i := range bodies {
+		bodies[i] = []uint16{0x0013, uint16(i), 0x000e} // const/16 v0, i; return-void
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				body := bodies[(g+i)%len(bodies)]
+				var p *Program
+				if g%2 == 0 {
+					p = c.Get(body)
+				} else {
+					p = c.Read(body)
+				}
+				if !p.Matches(body) || p.Err() != nil {
+					t.Errorf("goroutine %d: program does not match its body", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c.Size() != len(bodies) {
+		t.Errorf("cache size %d, want %d", c.Size(), len(bodies))
 	}
 }

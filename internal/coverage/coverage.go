@@ -189,7 +189,7 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 
 	for _, d := range defs {
 		sp := s.spans[s.ids[d.key]]
-		insts := bytecode.Predecode(d.code.Insns).Insts()
+		insts := bytecode.Read(d.code.Insns).Insts()
 		for i := range insts {
 			pc := int(insts[i].PC)
 			s.insns.set(sp.base + pc)
@@ -264,6 +264,10 @@ type cursor struct {
 	last *art.Method
 	id   int // -1 when the method is outside the static totals
 	sp   span
+	// marked is set once the tracker's method and class bits are set for
+	// last. Bits are only ever set, so they need setting once per method
+	// switch, not on every instruction.
+	marked bool
 }
 
 func (c *cursor) resolve(m *art.Method) bool {
@@ -275,6 +279,7 @@ func (c *cursor) resolve(m *art.Method) bool {
 
 func (c *cursor) rebind(m *art.Method) {
 	c.last = m
+	c.marked = false
 	id, ok := c.s.ids[m.Key()]
 	if !ok {
 		c.id = -1
@@ -296,8 +301,11 @@ func (t *Tracker) newHooks() *art.Hooks {
 			}
 			t.insns.set(c.sp.base + pc)
 			t.lines.set(c.sp.line + pc/unitsPerLine)
-			t.methods.set(c.id)
-			t.classes.set(c.sp.class)
+			if !c.marked {
+				t.methods.set(c.id)
+				t.classes.set(c.sp.class)
+				c.marked = true
+			}
 		},
 		Branch: func(m *art.Method, pc int, in bytecode.Inst, taken bool) (bool, bool) {
 			if !c.resolve(m) || uint(pc) >= uint(c.sp.units) {

@@ -649,7 +649,7 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			}
 			return nil
 		}
-		prog := bytecode.Predecode(code.Insns)
+		prog := bytecode.Read(code.Insns)
 		if err := prog.Err(); err != nil {
 			return fmt.Errorf("dex: remap %s: %w", f.MethodAt(method).Key(), err)
 		}

@@ -173,7 +173,7 @@ func readEncodedValue(b []byte, off int) (Value, int, error) {
 // countInsns counts decodable instructions in a code array; payload regions
 // are skipped. Undecodable bodies count as zero.
 func countInsns(insns []uint16) int {
-	p := bytecode.Predecode(insns)
+	p := bytecode.Read(insns)
 	if p.Err() != nil {
 		return 0
 	}

@@ -81,7 +81,7 @@ func Verify(f *File) []error {
 }
 
 func verifyCode(f *File, where string, code *Code, report func(where, format string, args ...any)) {
-	p := bytecode.Predecode(code.Insns)
+	p := bytecode.Read(code.Insns)
 	if err := p.Err(); err != nil {
 		report(where, "undecodable body: %v", err)
 		return

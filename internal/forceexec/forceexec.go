@@ -13,8 +13,9 @@
 // shard; a barrier at the end of the iteration folds the shards back in
 // task order and recomputes the UCB worklist, preserving the paper's
 // iteration semantics exactly. Every runtime resolves predecoded method
-// bodies through the runtime's process-wide program cache, so forced runs
-// reuse what the collection stage (or an earlier reveal) already lowered.
+// bodies through the process-wide program cache (bytecode.Cached), so
+// forced runs reuse what the collection stage (or an earlier reveal)
+// already lowered.
 //
 // Many forced runs never reach a branch in their target method, and such a
 // run replays the run with the iteration's frozen path files alone. Each
@@ -547,7 +548,7 @@ func (e *Engine) pathTo(method string, targetPC int) (map[int]bool, bool) {
 // buildPaths BFS-walks the static CFG from the method entry, recording the
 // shortest decision chain to every reachable pc.
 func buildPaths(code *dex.Code) *methodPaths {
-	prog := bytecode.Predecode(code.Insns)
+	prog := bytecode.Read(code.Insns)
 	if prog.Err() != nil {
 		return nil
 	}

@@ -482,7 +482,10 @@ type rootSpan struct {
 	width  int
 }
 
-func (fl *flattener) assignBases(n *collector.TreeNode) {
+// assignBases gives every node of n's subtree its label block and returns
+// the number of entries the subtree logs.
+func (fl *flattener) assignBases(n *collector.TreeNode) int {
+	entries := len(n.IL)
 	base := fl.asm.NewLabelBlock(len(n.IL))
 	if n == fl.tree {
 		fl.rootBase = base
@@ -493,8 +496,9 @@ func (fl *flattener) assignBases(n *collector.TreeNode) {
 		fl.nodeBase[n] = base
 	}
 	for _, c := range n.Children {
-		fl.assignBases(c)
+		entries += fl.assignBases(c)
 	}
+	return entries
 }
 
 // labelAt returns the label for the instruction n logged at pc.
@@ -529,7 +533,7 @@ func (fl *flattener) resolve(n *collector.TreeNode, pc int) bytecode.LabelID {
 func (fl *flattener) emit(a *dexgen.Asm) {
 	fl.a = a
 	fl.asm = a.Raw()
-	fl.assignBases(fl.tree)
+	fl.asm.Grow(fl.assignBases(fl.tree))
 	fl.emitNode(fl.tree)
 	if fl.unexec {
 		fl.asm.BindLabel(fl.unexecID)

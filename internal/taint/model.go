@@ -74,7 +74,7 @@ func buildModel(files []*dex.File) (*model, error) {
 					if em.Code != nil {
 						// Undecodable (e.g. still-encrypted) bodies are
 						// opaque to static analysis, like real packed code.
-						if prog := bytecode.Predecode(em.Code.Insns); prog.Err() == nil {
+						if prog := bytecode.Read(em.Code.Insns); prog.Err() == nil {
 							mm.prog, mm.code = prog, prog.Insts()
 						}
 						mm.regs = int(em.Code.RegistersSize)

@@ -101,7 +101,7 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 				}
 				ref := f.MethodAt(em.Method)
 				n := &fpNode{key: ref.Key()}
-				prog := bytecode.Predecode(em.Code.Insns)
+				prog := bytecode.Read(em.Code.Insns)
 				n.local = localBodyHash(f, em, prog)
 				var insts []bytecode.DecodedInst
 				if prog.Err() == nil {
