@@ -27,8 +27,9 @@ package collector
 // writes without omitempty keep the nil/empty distinction (list), so a
 // decoded record marshals to the same JSON as the one that was encoded.
 // The IIM, parent links and the fingerprint dedup index are not stored:
-// Decode rebuilds them. The leading "R2" tag rejects anything that is not
-// this format — notably a v1 JSON record, which opens with '{'.
+// Decode rebuilds them, the IIM within a budget (checkIndexBudget). The
+// leading "R2" tag rejects anything that is not this format — notably a v1
+// JSON record, which opens with '{'.
 
 import (
 	"encoding/binary"
@@ -74,6 +75,12 @@ func EncodeRecord(rec *MethodRecord) ([]byte, error) {
 	*scratch = buf
 	if err != nil {
 		return nil, err
+	}
+	// Refuse what DecodeRecord would refuse, so that every encoding
+	// decodes: such a record stays resident rather than spilled, and
+	// never enters the method cache.
+	if err := checkIndexBudget(rec, len(buf)); err != nil {
+		return nil, fmt.Errorf("collector: encode method record: %w", err)
 	}
 	// Callers retain the bytes (cache entries, spill fallbacks), so hand
 	// out an exact-size copy rather than a slice of a growing buffer.
@@ -193,8 +200,10 @@ func appendBool(buf []byte, b bool) []byte {
 // collection-time state the encoding does not carry: each node's IIM,
 // parent links and the fingerprint dedup index. Any input that is not a
 // complete record in this format — truncated, trailing bytes, a v1 JSON
-// record, garbage — is an error, never a panic, and no count is trusted
-// beyond the bytes that remain to back it.
+// record, a dex_pc no code item reaches, garbage — is an error, never a
+// panic, and no count is trusted beyond the bytes that remain to back it.
+// A record whose IIMs would take more slots than checkIndexBudget allows
+// is an error too.
 func DecodeRecord(data []byte) (*MethodRecord, error) {
 	rec, err := decodeRecord(data)
 	if err != nil {
@@ -229,7 +238,7 @@ func decodeRecord(data []byte) (*MethodRecord, error) {
 	if n := d.count(minNodeBytes); n > 0 {
 		rec.Trees = make([]*TreeNode, n)
 		for i := range rec.Trees {
-			rec.Trees[i] = d.node(nil)
+			rec.Trees[i] = d.node()
 		}
 	}
 	if n := d.count(minTryBytes); n > 0 {
@@ -272,11 +281,28 @@ func decodeRecord(data []byte) (*MethodRecord, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	rec.seen = make(map[string]bool, len(rec.Trees))
-	for _, tr := range rec.Trees {
-		rec.seen[tr.Fingerprint()] = true
+	if err := checkIndexBudget(rec, len(data)); err != nil {
+		return nil, err
 	}
+	rec.reindex()
 	return rec, nil
+}
+
+// checkIndexBudget fails unless the IIMs of rec, encoded in n bytes, fit
+// in 4·n+4096 slots. A slot costs four bytes, so the IIMs DecodeRecord
+// rebuilds stay O(input): without the bound, a 38-byte record with one
+// entry at dex_pc 1<<26 would allocate 256 MiB. EncodeRecord applies the
+// same check, so a sparse record (a few entries far into a long method)
+// fails to encode instead of encoding to bytes that never decode.
+func checkIndexBudget(rec *MethodRecord, n int) error {
+	slots, err := indexSlots(rec.Trees)
+	if err != nil {
+		return err
+	}
+	if budget := 4*n + 4096; slots > budget {
+		return fmt.Errorf("IIMs need %d slots, over the budget of %d for %d bytes", slots, budget, n)
+	}
+	return nil
 }
 
 // recordDecoder reads an encoded record front to back. The first error
@@ -391,22 +417,18 @@ func (d *recordDecoder) list(minBytes int) (n int, ok bool) {
 	return int(h - 1), true
 }
 
-func (d *recordDecoder) node(parent *TreeNode) *TreeNode {
-	n := &TreeNode{Parent: parent, SmStart: d.int(), SmEnd: d.int()}
+func (d *recordDecoder) node() *TreeNode {
+	n := &TreeNode{SmStart: d.int(), SmEnd: d.int()}
 	if m, ok := d.list(minEntryBytes); ok {
 		n.IL = make([]Entry, m)
-		n.IIM = make(map[int]int, m)
 		for i := range n.IL {
 			d.entry(&n.IL[i])
-			n.IIM[n.IL[i].DexPC] = i
 		}
-	} else {
-		n.IIM = map[int]int{}
 	}
 	if m := d.count(minNodeBytes); m > 0 {
 		n.Children = make([]*TreeNode, m)
 		for i := range n.Children {
-			n.Children[i] = d.node(n)
+			n.Children[i] = d.node()
 		}
 	}
 	return n

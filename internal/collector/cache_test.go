@@ -2,6 +2,7 @@ package collector_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -86,20 +87,32 @@ func handBuiltRecord() *collector.MethodRecord {
 			7: nil,
 		},
 	}
-	// Published records carry their IIM map (collector.buildIIM).
-	for _, tr := range rec.Trees {
-		fillIIM(tr)
-	}
 	return rec
 }
 
-func fillIIM(n *collector.TreeNode) {
-	n.IIM = make(map[int]int, len(n.IL))
+// checkIndex asserts that each node's IIM (TreeNode.Index) inverts its IL:
+// every entry's dex_pc maps to that entry, and no other dex_pc maps at all.
+func checkIndex(tb testing.TB, where string, n *collector.TreeNode) {
+	tb.Helper()
+	maxPC := -1
 	for i := range n.IL {
-		n.IIM[n.IL[i].DexPC] = i
+		pc := n.IL[i].DexPC
+		if j, ok := n.Index(pc); !ok || j != i {
+			tb.Fatalf("%s: Index(%d) = %d, %v; want %d", where, pc, j, ok, i)
+		}
+		maxPC = max(maxPC, pc)
+	}
+	found := 0
+	for pc := -1; pc <= maxPC+1; pc++ {
+		if _, ok := n.Index(pc); ok {
+			found++
+		}
+	}
+	if found != len(n.IL) {
+		tb.Fatalf("%s: Index maps %d dex_pcs, want the IL's %d", where, found, len(n.IL))
 	}
 	for _, c := range n.Children {
-		fillIIM(c)
+		checkIndex(tb, where, c)
 	}
 }
 
@@ -129,7 +142,83 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !bytes.Equal(encode(t, dec), data) {
 			t.Errorf("%s: decoded record re-encodes differently", rec.Key())
 		}
+		for _, tr := range dec.Trees {
+			checkIndex(t, rec.Key(), tr)
+		}
 	}
+}
+
+// pcRecord returns the encoding of a record whose one tree holds a single
+// entry at dex_pc pc. EncodeRecord refuses a pc outside the IIM budget, so
+// the record is encoded at pc 0 and the entry's one-byte dex_pc varint is
+// then replaced. With pc = 1<<26 it is the 38-byte input that, without a
+// bound on the rebuilt IIM, would allocate a 256 MiB index.
+func pcRecord(tb testing.TB, pc int) []byte {
+	tb.Helper()
+	data := encode(tb, &collector.MethodRecord{
+		Class: "La;", Name: "f", Signature: "()V",
+		Trees: []*collector.TreeNode{{SmStart: -1, SmEnd: -1,
+			IL: []collector.Entry{{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpReturnVoid}}}}},
+	})
+	// The tree opens with SmStart -1, SmEnd -1, an IL of one entry and
+	// that entry's dex_pc 0: varints 01 01 02 00.
+	i := bytes.Index(data, []byte{1, 1, 2, 0})
+	if i < 0 {
+		tb.Fatal("pcRecord: tree header not found")
+	}
+	i += 3
+	return append(binary.AppendVarint(append([]byte(nil), data[:i]...), int64(pc)), data[i+1:]...)
+}
+
+// sparseRecords are records as a large, sparsely executed method leaves
+// them: a few entries with the last far into the body, several forced
+// trees that skip a big block to reach a late return, and self-modification
+// children at a high dex_pc. Each needs more IIM slots than its encoding
+// buys, so EncodeRecord must refuse it.
+func sparseRecords() []*collector.MethodRecord {
+	entry := func(pc int, op bytecode.Opcode) collector.Entry {
+		return collector.Entry{DexPC: pc, Inst: bytecode.Inst{Op: op}}
+	}
+	rec := func(name string, trees ...*collector.TreeNode) *collector.MethodRecord {
+		return &collector.MethodRecord{Class: "Ls;", Name: name, Signature: "()V", Trees: trees}
+	}
+	var forced []*collector.TreeNode
+	for i := 0; i < 4; i++ {
+		forced = append(forced, &collector.TreeNode{SmStart: -1, SmEnd: -1, IL: []collector.Entry{
+			entry(0, bytecode.OpNop), entry(1+i, bytecode.OpGoto), entry(6000+i, bytecode.OpReturnVoid)}})
+	}
+	root := &collector.TreeNode{SmStart: -1, SmEnd: -1, IL: []collector.Entry{entry(0, bytecode.OpNop)}}
+	for i := 0; i < 3; i++ {
+		root.Children = append(root.Children, &collector.TreeNode{SmStart: 6000, SmEnd: -1,
+			IL: []collector.Entry{entry(6000+i, bytecode.OpReturnVoid)}})
+	}
+	return []*collector.MethodRecord{
+		rec("late", &collector.TreeNode{SmStart: -1, SmEnd: -1, IL: []collector.Entry{
+			entry(0, bytecode.OpNop), entry(1, bytecode.OpGoto), entry(6000, bytecode.OpReturnVoid)}}),
+		rec("forced", forced...),
+		rec("children", root),
+	}
+}
+
+// TestEncodeDecodeTotal: whatever EncodeRecord returns, DecodeRecord
+// accepts. Sparse records over the IIM budget fail to encode (they then
+// stay resident instead of spilling and never enter the method cache),
+// and a sparse record within it round-trips.
+func TestEncodeDecodeTotal(t *testing.T) {
+	for _, rec := range sparseRecords() {
+		if data, err := collector.EncodeRecord(rec); err == nil {
+			t.Errorf("%s: over-budget record encoded to %d bytes", rec.Key(), len(data))
+		}
+	}
+	rec := &collector.MethodRecord{Class: "Ls;", Name: "near", Signature: "()V",
+		Trees: []*collector.TreeNode{{SmStart: -1, SmEnd: -1, IL: []collector.Entry{
+			{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpNop}},
+			{DexPC: 4000, Inst: bytecode.Inst{Op: bytecode.OpReturnVoid}}}}}}
+	dec, err := collector.DecodeRecord(encode(t, rec))
+	if err != nil {
+		t.Fatalf("within-budget sparse record does not decode: %v", err)
+	}
+	checkIndex(t, rec.Key(), dec.Trees[0])
 }
 
 // TestDecodeRecordRejects: anything but a complete record in the binary
@@ -155,13 +244,24 @@ func TestDecodeRecordRejects(t *testing.T) {
 			t.Errorf("%s: record under a foreign tag decoded", rec.Key())
 		}
 	}
+	// A negative dex_pc has no IIM slot, and a dex_pc beyond the budget
+	// would take more IIM slots than the input may buy.
+	for _, pc := range []int{-1, 1 << 26} {
+		if _, err := collector.DecodeRecord(pcRecord(t, pc)); err == nil {
+			t.Errorf("record with an entry at dex_pc %d decoded", pc)
+		}
+	}
+	if _, err := collector.DecodeRecord(pcRecord(t, 4096)); err != nil {
+		t.Errorf("record with an entry at dex_pc 4096 rejected: %v", err)
+	}
 }
 
 // maxAllocPerInputByte bounds what DecodeRecord may allocate per input
 // byte. Every element a count announces costs at least one encoded byte,
 // and the largest decoded element per byte is an empty child node (a
-// TreeNode and its empty IIM for four bytes); a count trusted beyond the
-// remaining bytes overshoots this by orders of magnitude.
+// TreeNode for four bytes); a count trusted beyond the remaining bytes
+// overshoots this by orders of magnitude, and so does an IIM rebuilt for
+// a dex_pc far beyond the input's size.
 const maxAllocPerInputByte = 96
 
 // FuzzDecodeRecord: DecodeRecord never panics; its allocation stays
@@ -180,6 +280,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	// A million trees announced with nothing behind them: an unchecked
 	// count allocates megabytes here.
 	f.Add([]byte("R2\x00\x00\x00\x00\x00\x00\x00\x80\x80\x40"))
+	f.Add(pcRecord(f, 1<<26))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -206,4 +307,34 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("encoding not stable across a round trip")
 		}
 	})
+}
+
+// TestCollectionFilesLoadSparse: the collection files carry every record,
+// sparse ones the record codec refuses included, and ReadFiles loads them
+// back with each node's IIM rebuilt.
+func TestCollectionFilesLoadSparse(t *testing.T) {
+	res := &collector.Result{
+		Classes: []collector.ClassRecord{{Descriptor: "Ls;"}},
+		Methods: map[string]*collector.MethodRecord{},
+	}
+	for _, rec := range sparseRecords() {
+		res.Methods[rec.Key()] = rec
+	}
+	dir := t.TempDir()
+	if err := res.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := collector.ReadFiles(dir)
+	if err != nil {
+		t.Fatalf("collection files with sparse records do not load: %v", err)
+	}
+	for key, rec := range res.Methods {
+		back := got.Methods[key]
+		if back == nil || len(back.Trees) != len(rec.Trees) {
+			t.Fatalf("%s: reloaded record lost trees", key)
+		}
+		for _, tr := range back.Trees {
+			checkIndex(t, key, tr)
+		}
+	}
 }

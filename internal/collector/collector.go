@@ -14,6 +14,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -44,46 +45,34 @@ type Entry struct {
 // (IL) in first-execution order, the Instruction Index Map (IIM) from
 // dex_pc to IL index, the divergence bounds, and child links.
 //
-// During collection the IIM is kept as the dense pcIdx array instead of the
-// map: dex_pcs are small code-unit offsets, so an array lookup replaces a
-// map hash on the per-instruction hot path. The map form is materialized by
-// buildIIM only when a unique tree is published into a MethodRecord —
-// duplicate executions (the steady state of loops and repeated calls) never
-// pay for map construction at all.
+// The IIM is the dense pcIdx array, not a map: dex_pcs are small code-unit
+// offsets, so an array lookup (Index) serves the per-instruction hot path,
+// later executions following a published tree, and the reassembler alike.
+// It is derived from the IL, so neither JSON nor the record codec stores
+// it; readers rebuild it (see reindex).
 type TreeNode struct {
 	IL       []Entry     `json:"il"`
-	IIM      map[int]int `json:"iim"`
 	SmStart  int         `json:"smStart"` // divergence dex_pc; -1 for the root
 	SmEnd    int         `json:"smEnd"`   // convergence dex_pc; -1 if none
 	Children []*TreeNode `json:"children,omitempty"`
 	Parent   *TreeNode   `json:"-"`
 
 	// pcIdx[pc] is the IL index of the entry collected at dex_pc pc, or -1.
-	// Set during collection and kept on published trees, which later
-	// executions follow through it (see followed); JSON carries the IIM map
-	// instead.
 	pcIdx []int32
 }
 
-func newNode(parent *TreeNode, smStart int) *TreeNode {
-	return &TreeNode{
-		SmStart: smStart,
-		SmEnd:   -1,
-		Parent:  parent,
-	}
-}
-
-// ilIndex is the collection-time IIM lookup: the IL index of the entry at
-// dex_pc pc, if one was collected in this node.
-func (n *TreeNode) ilIndex(pc int) (int, bool) {
+// Index is the IIM lookup: the IL index of the entry at dex_pc pc, if one
+// was recorded in this node.
+func (n *TreeNode) Index(pc int) (int, bool) {
 	if pc < 0 || pc >= len(n.pcIdx) || n.pcIdx[pc] < 0 {
 		return 0, false
 	}
 	return int(n.pcIdx[pc]), true
 }
 
-// push records an instruction in the node (Algorithm 1 lines 29-31).
-func (n *TreeNode) push(e Entry) {
+// Push appends an entry to the IL and indexes it (Algorithm 1 lines
+// 29-31). The entry's dex_pc must be non-negative and not yet in the node.
+func (n *TreeNode) Push(e Entry) {
 	if e.DexPC >= len(n.pcIdx) {
 		n.growPCIdx(e.DexPC)
 	}
@@ -109,19 +98,6 @@ func (n *TreeNode) growPCIdx(pc int) {
 	}
 	for i := old; i < len(n.pcIdx); i++ {
 		n.pcIdx[i] = -1
-	}
-}
-
-// buildIIM materializes the published (map) form of the IIM for the subtree.
-// Within a node each dex_pc appears at most once in the IL (a re-executed pc
-// either deduplicates or forks a child), so the IL walk is exact.
-func buildIIM(n *TreeNode) {
-	n.IIM = make(map[int]int, len(n.IL))
-	for i := range n.IL {
-		n.IIM[n.IL[i].DexPC] = i
-	}
-	for _, c := range n.Children {
-		buildIIM(c)
 	}
 }
 
@@ -301,6 +277,61 @@ func (r *MethodRecord) Cacheable() bool {
 	return true
 }
 
+// indexSlots is the number of IIM slots reindex allocates for the trees:
+// each node's largest dex_pc + 1. A dex_pc that is negative, or that no
+// DEX code item can reach (dex.MaxInsns), is an error.
+func indexSlots(trees []*TreeNode) (int, error) {
+	slots := 0
+	for _, n := range trees {
+		for i := range n.IL {
+			if pc := n.IL[i].DexPC; pc < 0 || pc >= dex.MaxInsns {
+				return 0, fmt.Errorf("dex_pc %d out of range", pc)
+			}
+		}
+		sub, err := indexSlots(n.Children)
+		if err != nil {
+			return 0, err
+		}
+		slots += n.maxPC() + 1 + sub
+	}
+	return slots, nil
+}
+
+// reindex rebuilds what a record's serialized forms (the record codec and
+// the collection files) leave out: each tree node's parent link and IIM,
+// and the fingerprint dedup set. Callers first check indexSlots, which
+// rejects a dex_pc the IIM cannot index and counts what reindex allocates.
+func (r *MethodRecord) reindex() {
+	r.seen = make(map[string]bool, len(r.Trees))
+	for _, tr := range r.Trees {
+		tr.reindex(nil)
+		r.seen[tr.Fingerprint()] = true
+	}
+}
+
+func (n *TreeNode) reindex(parent *TreeNode) {
+	n.Parent = parent
+	n.pcIdx = make([]int32, n.maxPC()+1)
+	for i := range n.pcIdx {
+		n.pcIdx[i] = -1
+	}
+	for i := range n.IL {
+		n.pcIdx[n.IL[i].DexPC] = int32(i)
+	}
+	for _, c := range n.Children {
+		c.reindex(n)
+	}
+}
+
+// maxPC is the largest dex_pc in the node's IL, or -1 if it is empty.
+func (n *TreeNode) maxPC() int {
+	m := -1
+	for i := range n.IL {
+		m = max(m, n.IL[i].DexPC)
+	}
+	return m
+}
+
 // TryRecord is a try/catch range anchored at original dex_pcs.
 type TryRecord struct {
 	StartPC    int        `json:"startPC"`
@@ -416,11 +447,9 @@ type methodExec struct {
 
 // followable reports whether an execution may follow t instead of building
 // a tree: t has no divergence children (self-modifying executions always
-// build, and fork exactly as Algorithm 1 says) and carries the dense
-// collection-time IIM, which trees decoded from files or the method cache
-// lack.
+// build, and fork exactly as Algorithm 1 says).
 func followable(t *TreeNode) bool {
-	return len(t.Children) == 0 && len(t.IL) > 0 && t.pcIdx != nil
+	return len(t.Children) == 0 && len(t.IL) > 0
 }
 
 // followed applies Algorithm 1 to the execution's tree, which in follow
@@ -430,7 +459,7 @@ func followable(t *TreeNode) bool {
 // prefix and carries on building.
 func (ex *methodExec) followed(m *art.Method, pc int, in *bytecode.Inst) bool {
 	cand, fi := ex.follow, ex.fi
-	if j, ok := cand.ilIndex(pc); ok && j < fi {
+	if j, ok := cand.Index(pc); ok && j < fi {
 		// A recorded dex_pc: an equal instruction is the usual dedup; a
 		// different one forks, which no followable tree holds.
 		return cand.IL[j].Inst.Equal(in)
@@ -541,7 +570,7 @@ func (c *Collector) newNode(parent *TreeNode, smStart int) *TreeNode {
 		nd.Parent = parent
 		return nd
 	}
-	return newNode(parent, smStart)
+	return &TreeNode{SmStart: smStart, SmEnd: -1, Parent: parent}
 }
 
 // recycleTree returns a discarded (duplicate) tree's nodes to the freelist.
@@ -572,7 +601,7 @@ func (c *Collector) recycleTree(n *TreeNode) {
 func (c *Collector) materialize(ex *methodExec) {
 	root := c.newNode(nil, -1)
 	for i := range ex.follow.IL[:ex.fi] {
-		root.push(ex.follow.IL[i])
+		root.Push(ex.follow.IL[i])
 	}
 	ex.root, ex.cur = root, root
 	ex.known, ex.follow, ex.fi = nil, nil, 0
@@ -786,7 +815,6 @@ func (c *Collector) methodExited(m *art.Method) {
 		return // keep only unique trees
 	}
 	rec.seen[string(c.fpBuf)] = true
-	buildIIM(root)
 	rec.Trees = append(rec.Trees, root)
 	if c.span.Enabled() {
 		c.span.MethodCollected(rec.Key(), root.Depth(), root.Size())
@@ -826,7 +854,7 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 	// state (loop bodies, repeated calls) re-executes recorded instructions,
 	// which must not allocate.
 	cur := top.cur
-	if ilIdx, ok := cur.ilIndex(pc); ok {
+	if ilIdx, ok := cur.Index(pc); ok {
 		if cur.IL[ilIdx].Inst.Equal(in) {
 			return // same instruction at same dex_pc: deduplicate
 		}
@@ -834,14 +862,14 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 		child := c.newNode(cur, pc)
 		cur.Children = append(cur.Children, child)
 		top.cur = child
-		child.push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
+		child.Push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
 		if c.span.Enabled() {
 			c.span.TreeFork(m.Key(), pc, layerDepth(child))
 		}
 		return
 	}
 	if cur.Parent != nil {
-		if pIdx, ok := cur.Parent.ilIndex(pc); ok && cur.Parent.IL[pIdx].Inst.Equal(in) {
+		if pIdx, ok := cur.Parent.Index(pc); ok && cur.Parent.IL[pIdx].Inst.Equal(in) {
 			// Convergence: this self-modification layer ended.
 			cur.SmEnd = pc
 			top.cur = cur.Parent
@@ -851,7 +879,7 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 			return
 		}
 	}
-	cur.push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
+	cur.Push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
 }
 
 // codeWritten marks a method whose live unit array was written: its record

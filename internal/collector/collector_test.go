@@ -67,11 +67,7 @@ func TestLoopDeduplication(t *testing.T) {
 		t.Errorf("depth = %d", tree.Depth())
 	}
 	// IL order is first-execution order, and the IIM inverts it.
-	for pc, idx := range tree.IIM {
-		if tree.IL[idx].DexPC != pc {
-			t.Errorf("IIM[%d] = %d points at pc %d", pc, idx, tree.IL[idx].DexPC)
-		}
-	}
+	checkIndex(t, rec.Key(), tree)
 }
 
 // TestNestedSelfModification drives two LAYERS of self-modifying code: the

@@ -49,10 +49,28 @@ type bytecodeFileEntry struct {
 }
 
 // WriteFiles serializes the collection result as the paper's five
-// collection files inside dir.
+// collection files inside dir. Each tree is written once, into
+// bytecode.json; the method records in method_data.json carry everything
+// else.
 func (r *Result) WriteFiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("collector: create dir: %w", err)
+	}
+	var codes []bytecodeFileEntry
+	keys := make([]string, 0, len(r.Methods))
+	for k := range r.Methods {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	recordsByClass := make(map[string][]*MethodRecord)
+	for _, k := range keys {
+		rec := r.Methods[k]
+		meta := *rec
+		meta.Trees = nil
+		recordsByClass[rec.Class] = append(recordsByClass[rec.Class], &meta)
+		if len(rec.Trees) > 0 {
+			codes = append(codes, bytecodeFileEntry{Method: k, Trees: rec.Trees})
+		}
 	}
 	var classes []classFileEntry
 	var fields []fieldFileEntry
@@ -79,83 +97,44 @@ func (r *Result) WriteFiles(dir string) error {
 		}
 		fe.Instance = c.InstanceFields
 		fields = append(fields, fe)
-		me := methodFileEntry{Class: c.Descriptor, Shells: c.Methods}
-		methods = append(methods, me)
+		methods = append(methods, methodFileEntry{Class: c.Descriptor, Shells: c.Methods, Records: recordsByClass[c.Descriptor]})
 	}
-	var codes []bytecodeFileEntry
-	keys := make([]string, 0, len(r.Methods))
-	for k := range r.Methods {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recordsByClass := make(map[string][]*MethodRecord)
-	for _, k := range keys {
-		rec := r.Methods[k]
-		recordsByClass[rec.Class] = append(recordsByClass[rec.Class], rec)
-		if len(rec.Trees) > 0 {
-			codes = append(codes, bytecodeFileEntry{Method: k, Trees: rec.Trees})
-		}
-	}
-	for i := range methods {
-		methods[i].Records = recordsByClass[methods[i].Class]
-	}
-	write := func(name string, v any) error {
-		data, err := json.MarshalIndent(v, "", " ")
+	for _, f := range []struct {
+		name string
+		v    any
+	}{{ClassDataFile, classes}, {FieldDataFile, fields}, {StaticValuesFile, statics}, {MethodDataFile, methods}, {BytecodeFile, codes}} {
+		data, err := json.MarshalIndent(f.v, "", " ")
 		if err != nil {
-			return fmt.Errorf("collector: marshal %s: %w", name, err)
+			return fmt.Errorf("collector: marshal %s: %w", f.name, err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			return fmt.Errorf("collector: write %s: %w", name, err)
+		if err := os.WriteFile(filepath.Join(dir, f.name), data, 0o644); err != nil {
+			return fmt.Errorf("collector: write %s: %w", f.name, err)
 		}
-		return nil
 	}
-	if err := write(ClassDataFile, classes); err != nil {
-		return err
-	}
-	if err := write(FieldDataFile, fields); err != nil {
-		return err
-	}
-	if err := write(StaticValuesFile, statics); err != nil {
-		return err
-	}
-	if err := write(MethodDataFile, methods); err != nil {
-		return err
-	}
-	return write(BytecodeFile, codes)
+	return nil
 }
 
 // ReadFiles reloads a Result from collection files previously written by
-// WriteFiles.
+// WriteFiles. It rebuilds each IIM with no byte budget: unlike the record
+// codec, the files hold sparse records (a few entries far into a long
+// method) too. A dex_pc no loaded method reaches is still an error.
 func ReadFiles(dir string) (*Result, error) {
-	read := func(name string, v any) error {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("collector: read %s: %w", name, err)
-		}
-		if err := json.Unmarshal(data, v); err != nil {
-			return fmt.Errorf("collector: parse %s: %w", name, err)
-		}
-		return nil
-	}
 	var classes []classFileEntry
 	var fields []fieldFileEntry
 	var statics []staticValueEntry
 	var methods []methodFileEntry
 	var codes []bytecodeFileEntry
-	if err := read(ClassDataFile, &classes); err != nil {
-		return nil, err
-	}
-	if err := read(FieldDataFile, &fields); err != nil {
-		return nil, err
-	}
-	if err := read(StaticValuesFile, &statics); err != nil {
-		return nil, err
-	}
-	if err := read(MethodDataFile, &methods); err != nil {
-		return nil, err
-	}
-	if err := read(BytecodeFile, &codes); err != nil {
-		return nil, err
+	for _, f := range []struct {
+		name string
+		v    any
+	}{{ClassDataFile, &classes}, {FieldDataFile, &fields}, {StaticValuesFile, &statics}, {MethodDataFile, &methods}, {BytecodeFile, &codes}} {
+		data, err := os.ReadFile(filepath.Join(dir, f.name))
+		if err != nil {
+			return nil, fmt.Errorf("collector: read %s: %w", f.name, err)
+		}
+		if err := json.Unmarshal(data, f.v); err != nil {
+			return nil, fmt.Errorf("collector: parse %s: %w", f.name, err)
+		}
 	}
 
 	res := &Result{Methods: make(map[string]*MethodRecord)}
@@ -171,11 +150,6 @@ func ReadFiles(dir string) (*Result, error) {
 	for _, me := range methods {
 		shellsByClass[me.Class] = me.Shells
 		for _, rec := range me.Records {
-			rec.seen = make(map[string]bool)
-			for _, tr := range rec.Trees {
-				fixParents(tr, nil)
-				rec.seen[tr.Fingerprint()] = true
-			}
 			res.Methods[rec.Key()] = rec
 		}
 	}
@@ -196,22 +170,16 @@ func ReadFiles(dir string) (*Result, error) {
 		cr.InstanceFields = fe.Instance
 		res.Classes = append(res.Classes, cr)
 	}
-	// Bytecode trees were already attached through method records; codes is
-	// retained for integrity checking.
 	for _, be := range codes {
-		if rec, ok := res.Methods[be.Method]; ok && len(rec.Trees) == 0 {
+		if rec, ok := res.Methods[be.Method]; ok {
 			rec.Trees = be.Trees
-			for _, tr := range rec.Trees {
-				fixParents(tr, nil)
-			}
 		}
 	}
-	return res, nil
-}
-
-func fixParents(n *TreeNode, parent *TreeNode) {
-	n.Parent = parent
-	for _, c := range n.Children {
-		fixParents(c, n)
+	for key, rec := range res.Methods {
+		if _, err := indexSlots(rec.Trees); err != nil {
+			return nil, fmt.Errorf("collector: %s: %s: %w", BytecodeFile, key, err)
+		}
+		rec.reindex()
 	}
+	return res, nil
 }

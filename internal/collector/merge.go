@@ -78,14 +78,6 @@ func (r *Result) Merge(other *Result) MergeStats {
 		if rm.Tries == nil {
 			rm.Tries = om.Tries
 		}
-		if rm.seen == nil {
-			// Records decoded from files carry no fingerprint index; rebuild
-			// it once from the trees already present.
-			rm.seen = make(map[string]bool, len(rm.Trees))
-			for _, t := range rm.Trees {
-				rm.seen[t.Fingerprint()] = true
-			}
-		}
 		st.TreesOffered += len(om.Trees)
 		for _, t := range om.Trees {
 			fp := t.Fingerprint()

@@ -23,6 +23,11 @@ func (e *FormatError) Error() string {
 // match the file contents.
 var ErrChecksum = errors.New("dex: checksum or signature mismatch")
 
+// MaxInsns is the largest instruction array, in code units, the reader
+// accepts in a code item: a defensive cap against hostile size fields.
+// No dex_pc of a loaded method reaches it.
+const MaxInsns = 1 << 24
+
 type byteReader struct {
 	buf []byte
 	// shared lets string payloads alias buf instead of copying (ReadShared).
@@ -455,7 +460,7 @@ func (r *byteReader) readCodeItem(off int) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	if insnsSize > 1<<24 {
+	if insnsSize > MaxInsns {
 		return nil, &FormatError{Offset: off, Reason: "instruction array too large"}
 	}
 	code := &Code{RegistersSize: regs, InsSize: ins, OutsSize: outs}

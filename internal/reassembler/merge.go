@@ -14,28 +14,22 @@ import (
 // bytecode at the same dex_pc, i.e. cross-execution self-modification —
 // remain separate and become method variants.
 //
-// The pass is single-pass over the input with two dedup keys: exact
-// duplicates are dropped by their canonical tree fingerprint (the same key
-// the collector and Result.Merge dedup on), and merge candidates are
-// bucketed by root SmStart — the first thing compatible() checks — so each
-// tree compares only against the few survivors it could possibly union
-// with. Survivors are copy-on-write: a tree is cloned only when another
-// tree actually merges into it, so the dominant single-tree method pays
-// nothing and callers must treat the returned trees as read-only.
+// The pass is single-pass over the input. A record's trees are already
+// unique by fingerprint (the collector and Result.Merge dedup on it), so
+// no exact-duplicate check is made here. Merge candidates are bucketed by
+// root SmStart — the first thing compatible() checks — so each tree
+// compares only against the few survivors it could possibly union with.
+// Survivors are copy-on-write: a tree is cloned only when another tree
+// actually merges into it, so the dominant single-tree method pays nothing
+// and callers must treat the returned trees as read-only.
 func mergeCompatibleTrees(trees []*collector.TreeNode) []*collector.TreeNode {
 	if len(trees) <= 1 {
 		return trees
 	}
 	out := make([]*collector.TreeNode, 0, len(trees))
 	owned := make([]bool, len(trees))
-	seen := make(map[string]struct{}, len(trees))
 	byStart := make(map[int][]int, len(trees))
 	for _, t := range trees {
-		fp := t.Fingerprint()
-		if _, dup := seen[fp]; dup {
-			continue
-		}
-		seen[fp] = struct{}{}
 		merged := false
 		for _, oi := range byStart[t.SmStart] {
 			if compatible(out[oi], t) {
@@ -61,11 +55,9 @@ func compatible(a, b *collector.TreeNode) bool {
 	if a.SmStart != b.SmStart {
 		return false
 	}
-	for pc, bi := range b.IIM {
-		if ai, ok := a.IIM[pc]; ok {
-			if !a.IL[ai].Inst.Equal(&b.IL[bi].Inst) {
-				return false
-			}
+	for i := range b.IL {
+		if ai, ok := a.Index(b.IL[i].DexPC); ok && !a.IL[ai].Inst.Equal(&b.IL[i].Inst) {
+			return false
 		}
 	}
 	// Children pair by SmStart; a child present in both must be compatible.
@@ -83,11 +75,9 @@ func compatible(a, b *collector.TreeNode) bool {
 // and owned by the caller; b is never mutated).
 func union(a, b *collector.TreeNode) {
 	for _, e := range b.IL {
-		if _, ok := a.IIM[e.DexPC]; ok {
-			continue
+		if _, ok := a.Index(e.DexPC); !ok {
+			a.Push(e)
 		}
-		a.IIM[e.DexPC] = len(a.IL)
-		a.IL = append(a.IL, e)
 	}
 	if a.SmEnd < 0 {
 		a.SmEnd = b.SmEnd
@@ -113,14 +103,13 @@ func union(a, b *collector.TreeNode) {
 
 func cloneTree(n *collector.TreeNode, parent *collector.TreeNode) *collector.TreeNode {
 	out := &collector.TreeNode{
-		IL:      append([]collector.Entry(nil), n.IL...),
-		IIM:     make(map[int]int, len(n.IIM)),
+		IL:      make([]collector.Entry, 0, len(n.IL)),
 		SmStart: n.SmStart,
 		SmEnd:   n.SmEnd,
 		Parent:  parent,
 	}
-	for k, v := range n.IIM {
-		out.IIM[k] = v
+	for _, e := range n.IL {
+		out.Push(e)
 	}
 	for _, c := range n.Children {
 		out.Children = append(out.Children, cloneTree(c, out))

@@ -12,10 +12,9 @@ func entry(pc int, op bytecode.Opcode, lit int64) collector.Entry {
 }
 
 func tree(entries ...collector.Entry) *collector.TreeNode {
-	n := &collector.TreeNode{IIM: map[int]int{}, SmStart: -1, SmEnd: -1}
+	n := &collector.TreeNode{SmStart: -1, SmEnd: -1}
 	for _, e := range entries {
-		n.IIM[e.DexPC] = len(n.IL)
-		n.IL = append(n.IL, e)
+		n.Push(e)
 	}
 	return n
 }
@@ -32,7 +31,7 @@ func TestMergeCompatibleTreesUnion(t *testing.T) {
 		t.Errorf("union size = %d, want 3", got)
 	}
 	for _, pc := range []int{0, 2, 4} {
-		if _, ok := merged[0].IIM[pc]; !ok {
+		if _, ok := merged[0].Index(pc); !ok {
 			t.Errorf("pc %d missing from union", pc)
 		}
 	}
@@ -49,11 +48,8 @@ func TestMergeConflictingTreesStaySeparate(t *testing.T) {
 
 func TestMergeChildrenBySmStart(t *testing.T) {
 	mkChild := func(parent *collector.TreeNode, smStart int, lit int64) *collector.TreeNode {
-		c := &collector.TreeNode{
-			IIM: map[int]int{smStart: 0}, SmStart: smStart, SmEnd: smStart + 2,
-			Parent: parent,
-		}
-		c.IL = []collector.Entry{entry(smStart, bytecode.OpConst16, lit)}
+		c := &collector.TreeNode{SmStart: smStart, SmEnd: smStart + 2, Parent: parent}
+		c.Push(entry(smStart, bytecode.OpConst16, lit))
 		parent.Children = append(parent.Children, c)
 		return c
 	}
@@ -83,10 +79,8 @@ func TestMergeChildrenBySmStart(t *testing.T) {
 func TestMergeConflictingChildrenKeepTreesApart(t *testing.T) {
 	mk := func(childLit int64) *collector.TreeNode {
 		root := tree(entry(0, bytecode.OpConst16, 1))
-		c := &collector.TreeNode{
-			IIM: map[int]int{0: 0}, SmStart: 0, SmEnd: 2, Parent: root,
-		}
-		c.IL = []collector.Entry{entry(0, bytecode.OpConst16, childLit)}
+		c := &collector.TreeNode{SmStart: 0, SmEnd: 2, Parent: root}
+		c.Push(entry(0, bytecode.OpConst16, childLit))
 		root.Children = append(root.Children, c)
 		return root
 	}

@@ -503,7 +503,7 @@ func (fl *flattener) assignBases(n *collector.TreeNode) int {
 
 // labelAt returns the label for the instruction n logged at pc.
 func (fl *flattener) labelAt(n *collector.TreeNode, pc int) bytecode.LabelID {
-	idx, ok := n.IIM[pc]
+	idx, ok := n.Index(pc)
 	if !ok {
 		// No instruction at pc: a fresh label that is never bound, so
 		// assembly reports it undefined (same diagnostic as named labels).
@@ -519,7 +519,7 @@ func (fl *flattener) labelAt(n *collector.TreeNode, pc int) bytecode.LabelID {
 // walking ancestors; unexecuted targets go to the shared trailer.
 func (fl *flattener) resolve(n *collector.TreeNode, pc int) bytecode.LabelID {
 	for k := n; k != nil; k = k.Parent {
-		if _, ok := k.IIM[pc]; ok {
+		if _, ok := k.Index(pc); ok {
 			return fl.labelAt(k, pc)
 		}
 	}

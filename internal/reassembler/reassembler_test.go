@@ -1,6 +1,7 @@
 package reassembler_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -485,11 +486,26 @@ func TestCollectionFilesRoundTrip(t *testing.T) {
 	if len(res2.Methods) != len(res.Methods) {
 		t.Errorf("methods = %d, want %d", len(res2.Methods), len(res.Methods))
 	}
-	// Reassembling the reloaded result must still produce the dual-path
-	// advancedLeak.
+	// The reloaded result reassembles to the same bytes, with the
+	// dual-path advancedLeak.
 	f, _, err := reassembler.Reassemble(res2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, _, err := reassembler.Reassemble(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := want.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := f.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Errorf("reloaded result reassembles to %d bytes that differ from the original's %d", len(gotBytes), len(wantBytes))
 	}
 	em := f.FindMethod("Lcom/test/Main;", "advancedLeak", "()V")
 	if em == nil {

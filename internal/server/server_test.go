@@ -15,6 +15,8 @@ import (
 
 	dexlego "dexlego"
 	"dexlego/internal/apk"
+	"dexlego/internal/dex"
+	"dexlego/internal/droidbench"
 	"dexlego/internal/obs"
 	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
@@ -231,6 +233,75 @@ func buildBodyAPK(t *testing.T, name string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// tabletMutantAPK returns TabletReflection1 with unit 95 of onCreate (its
+// second method body) turned from 0x206e to 0x176e: an invoke-virtual of
+// StringBuilder.append(C) that passes the receiver alone. The file passes
+// dex.Verify, and only a forced run steering the tablet branch reaches the
+// call.
+func tabletMutantAPK(t *testing.T) []byte {
+	t.Helper()
+	pkg, err := droidbench.ByName("TabletReflection1").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pkg.Dex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dex.Read(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies []*dex.Code // class_defs order, direct methods first
+	for ci := range f.Classes {
+		for _, list := range [][]dex.EncodedMethod{f.Classes[ci].DirectMeths, f.Classes[ci].VirtualMeths} {
+			for mi := range list {
+				if code := list[mi].Code; code != nil && len(code.Insns) > 0 {
+					bodies = append(bodies, code)
+				}
+			}
+		}
+	}
+	if len(bodies) < 2 || len(bodies[1].Insns) <= 95 || bodies[1].Insns[95] != 0x206e {
+		t.Fatal("TabletReflection1's second body no longer holds invoke-virtual {v4, v5} at unit 95")
+	}
+	bodies[1].Insns[95] = 0x176e
+	if errs := dex.Verify(f); len(errs) != 0 {
+		t.Fatalf("the TabletReflection1 mutant fails dex.Verify: %v", errs)
+	}
+	data, err := f.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg.SetDex(data)
+	body, err := pkg.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestForcedMutantLeavesServerReady submits the forced TabletReflection1
+// mutant, whose malformed invoke once crashed the forced campaign and the
+// process with it. The job must end, the server must stay live and ready,
+// and the next valid submission must be served.
+func TestForcedMutantLeavesServerReady(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	resp, st := postReveal(t, hs.URL, "?force=1&wait=1", tabletMutantAPK(t))
+	if resp.StatusCode != http.StatusOK || (st.State != StateDone && st.State != StateFailed) {
+		t.Fatalf("mutant job = %d %+v, want it ended", resp.StatusCode, st)
+	}
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code := getStatus(t, hs.URL+path); code != http.StatusOK {
+			t.Errorf("%s after the mutant = %d, want 200", path, code)
+		}
+	}
+	resp, st = postReveal(t, hs.URL, "?sample=SelfModifying1&wait=1", nil)
+	if resp.StatusCode != http.StatusOK || st.State != StateDone || st.RevealedBytes == 0 {
+		t.Fatalf("next job = %d %+v, want done with an artifact", resp.StatusCode, st)
+	}
 }
 
 func TestRevealPanicIsolatedIntoFailedJob(t *testing.T) {

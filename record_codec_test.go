@@ -10,6 +10,7 @@ import (
 	root "dexlego"
 	"dexlego/internal/apk"
 	"dexlego/internal/collector"
+	"dexlego/internal/dexgen"
 	"dexlego/internal/droidbench"
 	"dexlego/internal/obs"
 	"dexlego/internal/store"
@@ -32,7 +33,7 @@ type codecTally struct {
 
 // checkRecordRoundTrip asserts that rec encodes deterministically, decodes
 // to a record whose JSON is byte-equal to rec's, re-encodes to the same
-// bytes, and comes back with its parent links rebuilt.
+// bytes, and comes back with its parent links and IIMs rebuilt.
 func checkRecordRoundTrip(t *testing.T, where string, rec *collector.MethodRecord, tally *codecTally) {
 	t.Helper()
 	enc, err := collector.EncodeRecord(rec)
@@ -54,7 +55,7 @@ func checkRecordRoundTrip(t *testing.T, where string, rec *collector.MethodRecor
 		if tr.Parent != nil {
 			t.Fatalf("%s %s: decoded root has a parent", where, rec.Key())
 		}
-		checkParents(t, where+" "+rec.Key(), tr)
+		checkRebuilt(t, where+" "+rec.Key(), tr)
 	}
 	tally.add(rec)
 }
@@ -75,13 +76,30 @@ func assertSameJSON(t *testing.T, where string, want, got *collector.MethodRecor
 	}
 }
 
-func checkParents(t *testing.T, where string, n *collector.TreeNode) {
+// checkRebuilt asserts that every node below n links back to its parent
+// and that its IIM (TreeNode.Index) inverts its IL: each entry's dex_pc
+// maps to that entry, and no other dex_pc maps at all. JSON does not carry
+// the IIM, so the byte-equal JSON above cannot see a wrong one.
+func checkRebuilt(t *testing.T, where string, n *collector.TreeNode) {
 	t.Helper()
+	maxPC := -1
+	for i := range n.IL {
+		pc := n.IL[i].DexPC
+		if j, ok := n.Index(pc); !ok || j != i {
+			t.Fatalf("%s: Index(%d) = %d, %v; want %d", where, pc, j, ok, i)
+		}
+		maxPC = max(maxPC, pc)
+	}
+	for pc := -1; pc <= maxPC+1; pc++ {
+		if j, ok := n.Index(pc); ok && n.IL[j].DexPC != pc {
+			t.Fatalf("%s: Index(%d) = %d, an entry at dex_pc %d", where, pc, j, n.IL[j].DexPC)
+		}
+	}
 	for _, c := range n.Children {
 		if c.Parent != n {
 			t.Fatalf("%s: child at pc %d lost its parent link", where, c.SmStart)
 		}
-		checkParents(t, where, c)
+		checkRebuilt(t, where, c)
 	}
 }
 
@@ -267,5 +285,68 @@ func TestRecordCodecWhaleSpill(t *testing.T) {
 	}
 	if spilled == 0 {
 		t.Fatal("whale reveal spilled nothing")
+	}
+}
+
+// sparseAPK builds an app whose launch runs one long method sparsely: a
+// run of constants, then a jump over a large never-executed block to a
+// late return. The method's record needs more IIM slots than its encoding
+// buys, and encodes to well over the spill threshold if encoded at all.
+func sparseAPK(t *testing.T) *apk.APK {
+	t.Helper()
+	p := dexgen.New()
+	cls := p.Class("Lsparse/Main;", "Landroid/app/Activity;")
+	cls.Ctor("Landroid/app/Activity;", nil)
+	cls.Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, func(a *dexgen.Asm) {
+		for i := 0; i < 40; i++ {
+			a.Const(0, int64(i))
+		}
+		a.Goto("late")
+		for i := 0; i < 8000; i++ {
+			a.Nop()
+		}
+		a.Label("late")
+		a.ReturnVoid()
+	})
+	pkg, err := p.BuildAPK("sparse", "1.0", "Lsparse/Main;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkg
+}
+
+// TestSparseRecordSurvivesSpillAndCache: a record the codec refuses stays
+// resident under the spill tier and out of the method cache, so the
+// revealed DEX keeps its collected bytecode on every path.
+func TestSparseRecordSurvivesSpillAndCache(t *testing.T) {
+	const key = "Lsparse/Main;->onCreate(Landroid/os/Bundle;)V"
+	pkg := sparseAPK(t)
+	want, ref := revealTraced(t, pkg, root.Options{Workers: 1})
+	rec := ref.Collection.Methods[key]
+	if rec == nil || !rec.Executed() {
+		t.Fatalf("%s not collected", key)
+	}
+	if _, err := collector.EncodeRecord(rec); err == nil {
+		t.Fatalf("%s: sparse record encoded; the test no longer exercises the IIM budget", key)
+	}
+	sc, err := store.OpenMethodCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, res := revealTraced(t, pkg, root.Options{Workers: 1, SpillCache: sc})
+	if res.Collection.Methods[key] == nil {
+		t.Errorf("%s: over-budget record left the result", key)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("spilled reveal differs from the resident one")
+	}
+	mc, err := store.OpenMethodCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		if got, _ := revealTraced(t, pkg, root.Options{Workers: 1, MethodCache: mc}); !bytes.Equal(got, want) {
+			t.Errorf("incremental reveal %d differs from the full one", run)
+		}
 	}
 }
