@@ -8,13 +8,13 @@
 //
 // Forced runs within one iteration are independent — they target distinct
 // UCBs and the path-file set is frozen when the iteration starts — so the
-// engine schedules them across a Workers-sized pool. Each run owns a fresh
-// runtime, a coverage shard, and (when a Collector is attached) a collector
-// shard; a barrier at the end of the iteration folds the shards back in
-// task order and recomputes the UCB worklist, preserving the paper's
-// iteration semantics exactly. Every runtime resolves predecoded method
-// bodies through the process-wide program cache (bytecode.Cached), so
-// forced runs reuse what the collection stage (or an earlier reveal)
+// engine schedules them on a Workers-sized pipeline pool. Each run owns a
+// fresh runtime, a coverage shard, and (when a Collector is attached) a
+// collector shard; a barrier at the end of the iteration folds the shards
+// back in task order and recomputes the UCB worklist, preserving the
+// paper's iteration semantics exactly. Every runtime resolves predecoded
+// method bodies through the process-wide program cache (bytecode.Cached),
+// so forced runs reuse what the collection stage (or an earlier reveal)
 // already lowered.
 //
 // Many forced runs never reach a branch in their target method, and such a
@@ -37,8 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dexlego/internal/apk"
@@ -337,70 +335,53 @@ func (e *Engine) runCertified(span *obs.Span, tracker *coverage.Tracker, tasks [
 	return append([]*task{base}, tasks...)
 }
 
-// runTasks executes tasks across the worker pool, each against fresh
-// shards. active is read-only until every task has finished; per-worker
-// child spans attribute the runs they carried.
-func (e *Engine) runTasks(parent *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, iter int) {
-	if len(tasks) == 0 {
-		return
-	}
+// runTasks executes tasks on the pipeline pool, each against fresh shards.
+// active is read-only until every task has finished. A task whose run
+// panicked or could not set up its runtime keeps that as its err.
+func (e *Engine) runTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, iter int) {
 	for _, t := range tasks {
 		t.tracker = tracker.Shard()
 		if e.Collector != nil {
 			t.col = e.Collector.Shard()
 		}
 	}
-	workers := min(e.workers(), len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			span := parent.Start("forceexec.worker")
-			defer span.End()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(tasks) {
-					return
-				}
-				e.runTask(tasks[ti], active, iter, span)
-			}
-		}()
+	errs := pipeline.New(e.workers()).Run(len(tasks), func(i int) error {
+		return e.runTask(tasks[i], active, iter, span)
+	})
+	for i, t := range tasks {
+		t.err = errs[i]
 	}
-	wg.Wait()
 }
 
-// runTask performs one forced run against the task's own shards. A panic
-// inside the run, like a failure to set up its runtime, becomes the task's
-// err: that run then contributes nothing, and the campaign goes on.
-func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span *obs.Span) {
+// runTask performs one forced run against the task's own shards. An error
+// here is an infrastructure failure on this path only: that run then
+// contributes nothing, and the campaign goes on. App-level failures are
+// expected on infeasible paths and are not errors.
+func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span *obs.Span) error {
 	start := time.Now()
 	defer func() { t.busy = time.Since(start) }()
 	t.reach = make(map[string]bool)
-	t.err = pipeline.Isolate(func() error {
-		var extra []*art.Hooks
-		if t.site != nil {
-			injected := false
-			site := t.site
-			extra = append(extra, &art.Hooks{
-				InjectException: func(m *art.Method, pc int) string {
-					if injected || m.Key() != site.Method || pc != site.TryStart {
-						return ""
-					}
-					injected = true
-					return site.Type
-				},
-			})
-		}
-		extra = append(extra, e.forcingHooks(active, t, iter, span))
-		rt, err := e.newRuntime(t.tracker, t.col, extra...)
-		if err != nil {
-			return err // infrastructure failure on this path only
-		}
-		_ = e.driver()(rt) // app-level failures are expected on infeasible paths
-		return nil
-	})
+	var extra []*art.Hooks
+	if t.site != nil {
+		injected := false
+		site := t.site
+		extra = append(extra, &art.Hooks{
+			InjectException: func(m *art.Method, pc int) string {
+				if injected || m.Key() != site.Method || pc != site.TryStart {
+					return ""
+				}
+				injected = true
+				return site.Type
+			},
+		})
+	}
+	extra = append(extra, e.forcingHooks(active, t, iter, span))
+	rt, err := e.newRuntime(t.tracker, t.col, extra...)
+	if err != nil {
+		return err
+	}
+	_ = e.driver()(rt)
+	return nil
 }
 
 // mergeTasks is the iteration barrier: shards fold back in task order —
@@ -511,12 +492,6 @@ type methodPaths struct {
 // entry to targetPC, from the memoized per-method BFS. Only the serial
 // scheduling phase may call it — the caches are unsynchronized.
 func (e *Engine) pathTo(method string, targetPC int) (map[int]bool, bool) {
-	if e.codeIdx == nil {
-		e.codeIdx = buildCodeIndex(e.Files) // Engine built without New
-	}
-	if e.cfgs == nil {
-		e.cfgs = make(map[string]*methodPaths)
-	}
 	mp, ok := e.cfgs[method]
 	if !ok {
 		if code := e.codeIdx[method]; code != nil {

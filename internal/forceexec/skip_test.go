@@ -11,6 +11,7 @@ import (
 
 	"dexlego/internal/collector"
 	"dexlego/internal/coverage"
+	"dexlego/internal/pipeline"
 	"dexlego/internal/workload"
 )
 
@@ -98,7 +99,7 @@ func skippedRunsRepeatCertifier(t *testing.T, app workload.FDroidApp, workers in
 			}
 			skipped = append(skipped, fmt.Sprintf("%d/%s/%d/%v", iter, tk.path.Method, tk.path.TargetPC, tk.path.Taken))
 			alone := &task{path: tk.path, tracker: tracker.Shard(), col: e.Collector.Shard()}
-			e.runTask(alone, active, iter, nil)
+			alone.err = pipeline.Isolate(func() error { return e.runTask(alone, active, iter, nil) })
 			where := fmt.Sprintf("workers=%d, iteration %d, %s", workers, iter, tk.path.Method)
 			if alone.err != nil || x.err != nil {
 				t.Fatalf("%s: run errors %v, %v", where, alone.err, x.err)

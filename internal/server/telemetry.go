@@ -68,6 +68,7 @@ func newTelemetry(s *Server) *telemetry {
 	r.CounterFunc("store_hits", "Artifact cache hits.", s.cfg.Store.Hits)
 	r.CounterFunc("store_misses", "Artifact cache misses.", s.cfg.Store.Misses)
 	r.CounterFunc("store_evicted", "Artifacts evicted from the store.", s.cfg.Store.Evicted)
+	r.CounterFunc("store_corrupt", "Damaged disk artifacts rejected as misses.", s.cfg.Store.Corrupt)
 	r.GaugeFunc("store_resident", "Artifacts resident in the store.", func() int64 {
 		return int64(s.cfg.Store.Len())
 	})

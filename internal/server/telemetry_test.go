@@ -92,6 +92,9 @@ func TestOpenMetricsScrapeLints(t *testing.T) {
 	if v, ok := e.Value("dexlego_jobs", obs.L("state", "done")); !ok || v != 1 {
 		t.Errorf("jobs{state=done} = %v,%t want 1", v, ok)
 	}
+	if v, ok := e.Value("dexlego_store_corrupt_total"); !ok || v != 0 {
+		t.Errorf("store_corrupt_total = %v,%t want 0", v, ok)
+	}
 	if v, ok := e.Value("dexlego_trace_dropped_events_total"); !ok || v != 0 {
 		t.Errorf("trace_dropped_events_total = %v,%t want 0", v, ok)
 	}
@@ -109,6 +112,53 @@ func TestOpenMetricsScrapeLints(t *testing.T) {
 	}
 	if v, ok := e.Value("dexlego_reveal_heap_peak_bytes"); !ok || v < 0 {
 		t.Errorf("reveal_heap_peak_bytes = %v,%t want >= 0", v, ok)
+	}
+}
+
+// TestStoreCorruptCountsEntryOnce submits once over a damaged on-disk
+// artifact. The fast path and the job both read the entry, and both reject
+// it, but dexlego_store_corrupt_total counts the damaged entry once.
+func TestStoreCorruptCountsEntryOnce(t *testing.T) {
+	dir := t.TempDir()
+	body := buildBodyAPK(t, "damagedapp")
+	serve := func() string {
+		st, err := store.Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hs := newTestServer(t, func(c *Config) {
+			c.Store = st
+			c.Reveal = func(pkg *apk.APK, _ dexlego.Options) (*dexlego.Result, error) {
+				return stubResult(pkg.Manifest.Package), nil
+			}
+		})
+		return hs.URL
+	}
+	if resp, _ := postReveal(t, serve(), "?wait=1", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first reveal = %d", resp.StatusCode)
+	}
+	metas, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("persisted metadata = %v, %v; want one file", metas, err)
+	}
+	if err := os.WriteFile(metas[0], []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	base := serve() // a fresh store over the damaged entry
+	if resp, job := postReveal(t, base, "?wait=1", body); resp.StatusCode != http.StatusOK || job.CacheHit {
+		t.Fatalf("reveal over the damaged entry = %d, job = %+v", resp.StatusCode, job)
+	}
+	_, scrape := getBody(t, base+"/metrics")
+	e, err := obs.ParseExposition(bytes.NewReader(scrape))
+	if err != nil {
+		t.Fatalf("scrape does not lint: %v", err)
+	}
+	if v, ok := e.Value("dexlego_store_corrupt_total"); !ok || v != 1 {
+		t.Errorf("store_corrupt_total = %v,%t want 1", v, ok)
+	}
+	if v, ok := e.Value("dexlego_store_misses_total"); !ok || v != 1 {
+		t.Errorf("store_misses_total = %v,%t want 1", v, ok)
 	}
 }
 

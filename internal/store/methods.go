@@ -1,15 +1,11 @@
 package store
 
 import (
-	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 )
 
 // The method-level keyspace sits beside the whole-APK artifact keyspace: an
@@ -62,27 +58,15 @@ func SpillKeyFor(data []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// methodEntry is one resident method tree; data is immutable once inserted.
-type methodEntry struct {
-	key  string
-	data []byte
-}
-
 // MethodCache is the per-method collection-tree cache: a byte-bounded
 // in-memory LRU in front of an optional on-disk tier with the same
-// two-level fan-out and atomic persistence as the artifact store. All
-// methods are safe for concurrent use.
+// two-level fan-out and atomic persistence as the artifact store. Hits
+// counts lookups served from memory or disk, Misses counts lookups that
+// found nothing, and Evicted counts trees dropped from memory (the disk
+// tier keeps them). All methods are safe for concurrent use.
 type MethodCache struct {
-	dir      string // "" = memory-only
-	capBytes int64
-
-	mu      sync.Mutex
-	byKey   map[string]*list.Element // -> *methodEntry inside lru
-	lru     *list.List               // front = most recently used
-	bytes   int64
-	hits    atomic.Int64
-	misses  atomic.Int64
-	evicted atomic.Int64
+	lru[[]byte]
+	dir string // "" = memory-only
 }
 
 // OpenMethodCache returns a method-tree cache persisting under dir (created
@@ -98,63 +82,29 @@ func OpenMethodCache(dir string, capBytes int64) (*MethodCache, error) {
 		}
 	}
 	return &MethodCache{
-		dir:      dir,
-		capBytes: capBytes,
-		byKey:    make(map[string]*list.Element),
-		lru:      list.New(),
+		lru: newLRU(capBytes, func(data []byte) int64 { return int64(len(data)) }),
+		dir: dir,
 	}, nil
 }
 
-// Hits counts lookups served from memory or disk; Misses counts lookups
-// that found nothing; Evicted counts LRU evictions (the disk tier keeps
-// evicted entries).
-func (c *MethodCache) Hits() int64    { return c.hits.Load() }
-func (c *MethodCache) Misses() int64  { return c.misses.Load() }
-func (c *MethodCache) Evicted() int64 { return c.evicted.Load() }
-
-// Len returns the number of method trees resident in memory.
-func (c *MethodCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
 // Bytes returns the serialized size of the resident method trees.
-func (c *MethodCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *MethodCache) Bytes() int64 { return c.resident() }
 
 // Get returns the serialized tree stored under key, consulting memory then
-// disk. A disk hit is promoted into the LRU. Callers must not mutate the
+// disk. A disk hit is promoted into the LRU unless a Put landed while the
+// file was read; that Put's bytes win. Callers must not mutate the
 // returned bytes.
 func (c *MethodCache) Get(key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		data := el.Value.(*methodEntry).data
-		c.mu.Unlock()
-		c.hits.Add(1)
+	if data, ok := c.get(key); ok {
 		return data, true
 	}
-	c.mu.Unlock()
 	if c.dir != "" {
 		if data, err := os.ReadFile(c.treePath(key)); err == nil && len(data) > 0 {
-			c.mu.Lock()
-			if el, ok := c.byKey[key]; ok {
-				// A Put landed while the file was read; its bytes win.
-				c.lru.MoveToFront(el)
-				data = el.Value.(*methodEntry).data
-			} else {
-				c.insertLocked(key, data)
-			}
-			c.mu.Unlock()
 			c.hits.Add(1)
-			return data, true
+			return c.put(key, data, true), true
 		}
 	}
 	c.misses.Add(1)
@@ -183,40 +133,8 @@ func (c *MethodCache) Put(key string, data []byte) error {
 			return err
 		}
 	}
-	c.mu.Lock()
-	c.insertLocked(key, data)
-	c.mu.Unlock()
+	c.put(key, data, false)
 	return nil
-}
-
-// insertLocked publishes data under key, evicting cold entries past the
-// byte budget. Evicted entries stay on disk for future promotion.
-func (c *MethodCache) insertLocked(key string, data []byte) {
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*methodEntry)
-		if !bytes.Equal(e.data, data) {
-			c.bytes += int64(len(data)) - int64(len(e.data))
-			el.Value = &methodEntry{key: key, data: data}
-			c.evictLocked()
-		}
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&methodEntry{key: key, data: data})
-	c.bytes += int64(len(data))
-	c.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries until the resident bytes
-// fit the budget, always keeping the most recent one.
-func (c *MethodCache) evictLocked() {
-	for c.bytes > c.capBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		old := c.lru.Remove(back).(*methodEntry)
-		delete(c.byKey, old.key)
-		c.bytes -= int64(len(old.data))
-		c.evicted.Add(1)
-	}
 }
 
 // treePath maps a key into the two-level on-disk fan-out

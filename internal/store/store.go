@@ -7,17 +7,18 @@
 // because a reveal is deterministic for a fixed (APK, Options) pair —
 // DESIGN.md maps this assumption back to the paper.
 //
-// The store is two tiers: a bounded in-memory LRU of decoded artifacts in
-// front of an unbounded on-disk layout (two-level fan-out directories,
-// atomic write-then-rename persistence of the revealed APK and its
+// The store is two tiers: one in-memory LRU of decoded artifacts in front
+// of an unbounded on-disk layout (two-level fan-out directories, atomic
+// write-then-rename persistence of the revealed APK and its
 // pipeline.AppMetrics/obs snapshot and a SHA-256 of the APK, checked on
-// load). The store does not deduplicate concurrent reveals of one key: the
-// server's admission lease already keeps each key to one queued or running
-// job.
+// load). The same memory tier (lru.go), bounded by a per-entry cost, also
+// fronts the MethodCache: one artifact costs 1, one method tree its size
+// in bytes. The store does not deduplicate concurrent reveals of one key:
+// the server's admission lease already keeps each key to one queued or
+// running job.
 package store
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -84,18 +85,17 @@ type Artifact struct {
 	Metrics *pipeline.AppMetrics `json:"metrics"`
 }
 
-// Store is a two-tier content-addressed artifact cache. All methods are
-// safe for concurrent use.
+// Store is a two-tier content-addressed artifact cache: the memory tier
+// holds at most its capacity of decoded artifacts, whatever their size.
+// Hits counts lookups served from memory or disk, Misses counts reveals
+// actually run (Get alone never counts one), and Evicted counts artifacts
+// dropped from memory (the disk tier keeps them). All methods are safe for
+// concurrent use.
 type Store struct {
-	dir string // "" = memory-only
-	cap int
-
-	mu      sync.Mutex
-	byKey   map[string]*list.Element // -> *Artifact inside lru
-	lru     *list.List               // front = most recently used
-	hits    atomic.Int64
-	misses  atomic.Int64
-	evicted atomic.Int64
+	lru[*Artifact]
+	dir     string // "" = memory-only
+	corrupt atomic.Int64
+	damaged sync.Map // keys counted in corrupt, until persist repairs them
 }
 
 // Open returns a store persisting under dir (created if missing; "" keeps
@@ -111,26 +111,17 @@ func Open(dir string, capEntries int) (*Store, error) {
 		}
 	}
 	return &Store{
-		dir:   dir,
-		cap:   capEntries,
-		byKey: make(map[string]*list.Element),
-		lru:   list.New(),
+		lru: newLRU(int64(capEntries), func(*Artifact) int64 { return 1 }),
+		dir: dir,
 	}, nil
 }
 
-// Hits counts lookups served without running a reveal (memory or disk);
-// Misses counts reveals actually run; Evicted counts LRU evictions (the
-// disk tier keeps evicted artifacts).
-func (s *Store) Hits() int64    { return s.hits.Load() }
-func (s *Store) Misses() int64  { return s.misses.Load() }
-func (s *Store) Evicted() int64 { return s.evicted.Load() }
-
-// Len returns the number of artifacts resident in memory.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
+// Corrupt counts disk entries rejected as damaged: both files present, but
+// the metadata does not parse, names another key, or carries no or a wrong
+// digest of the APK. Each rejection is also a miss, so the reveal
+// re-creates the entry. A damaged entry counts once however often it is
+// read; once repaired, a later fault counts again.
+func (s *Store) Corrupt() int64 { return s.corrupt.Load() }
 
 // Get returns the artifact stored under key, consulting memory then disk,
 // without ever running a reveal. A disk hit is promoted into the LRU.
@@ -138,24 +129,15 @@ func (s *Store) Get(key string) (*Artifact, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
-	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		art := el.Value.(*Artifact) // read under mu: insertLocked rewrites Value
-		s.mu.Unlock()
-		s.hits.Add(1)
+	if art, ok := s.get(key); ok {
 		return art, true
 	}
-	s.mu.Unlock()
-	art, err := s.loadDisk(key)
-	if err != nil || art == nil {
+	art := s.loadDisk(key)
+	if art == nil {
 		return nil, false
 	}
-	s.mu.Lock()
-	s.insertLocked(key, art)
-	s.mu.Unlock()
 	s.hits.Add(1)
-	return art, true
+	return s.put(key, art, true), true
 }
 
 // GetOrReveal returns the artifact for key: from memory, then disk, and
@@ -183,29 +165,9 @@ func (s *Store) GetOrReveal(key string, reveal func() (*Artifact, error)) (*Arti
 	if err := s.persist(art); err != nil {
 		return nil, false, err
 	}
-	s.mu.Lock()
-	s.insertLocked(key, art)
-	s.mu.Unlock()
+	s.put(key, art, false)
 	s.misses.Add(1)
 	return art, false, nil
-}
-
-// insertLocked publishes art under key in the LRU, evicting from the cold
-// end past capacity. Evicted artifacts stay valid for readers holding them
-// (they are immutable) and stay on disk for future promotion.
-func (s *Store) insertLocked(key string, art *Artifact) {
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		el.Value = art
-		return
-	}
-	s.byKey[key] = s.lru.PushFront(art)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		old := s.lru.Remove(back).(*Artifact)
-		delete(s.byKey, old.Key)
-		s.evicted.Add(1)
-	}
 }
 
 // apkPath/metaPath map a key into the two-level on-disk fan-out
@@ -232,29 +194,33 @@ func revealedDigest(revealed []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// loadDisk reads one persisted artifact; (nil, nil) is a clean miss. A
-// torn or corrupt entry, including one whose revealed bytes do not match
-// the digest in its metadata or whose metadata has no digest, is a miss,
-// never an error: the reveal re-creates it.
-func (s *Store) loadDisk(key string) (*Artifact, error) {
+// loadDisk reads one persisted artifact; nil is a miss, never an error:
+// the reveal re-creates the entry. A file that cannot be read, as when
+// absent, is a clean miss (a crash between persist's two writes leaves the
+// APK without its metadata); an entry whose files both read but fail the
+// checks is counted in Corrupt.
+func (s *Store) loadDisk(key string) *Artifact {
 	if s.dir == "" {
-		return nil, nil
+		return nil
 	}
 	revealed, err := os.ReadFile(s.apkPath(key))
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	meta, err := os.ReadFile(s.metaPath(key))
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	art := &Artifact{Revealed: revealed}
 	m := diskMeta{Artifact: art}
 	if err := json.Unmarshal(meta, &m); err != nil || art.Key != key ||
 		m.SHA256 != revealedDigest(revealed) {
-		return nil, nil
+		if _, seen := s.damaged.LoadOrStore(key, struct{}{}); !seen {
+			s.corrupt.Add(1)
+		}
+		return nil
 	}
-	return art, nil
+	return art
 }
 
 // persist writes the artifact with write-then-rename atomicity: a crash
@@ -275,7 +241,11 @@ func (s *Store) persist(art *Artifact) error {
 	if err != nil {
 		return fmt.Errorf("store: encode metadata: %w", err)
 	}
-	return atomicWrite(s.metaPath(art.Key), meta)
+	if err := atomicWrite(s.metaPath(art.Key), meta); err != nil {
+		return err
+	}
+	s.damaged.Delete(art.Key)
+	return nil
 }
 
 // atomicWrite writes data to a temp file in path's directory and renames

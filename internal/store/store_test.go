@@ -111,14 +111,20 @@ func TestPersistAcrossReopen(t *testing.T) {
 
 func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 	// Each case damages one persisted entry; a fresh store must treat it as
-	// a miss and re-reveal rather than serve garbage.
+	// a miss and re-reveal rather than serve garbage. Only an entry whose
+	// files are both present counts in Corrupt: a crash between persist's
+	// two writes leaves the APK alone, which is a clean miss.
 	cases := []struct {
-		name    string
-		corrupt func(apkPath, metaPath string) error
+		name     string
+		corrupt  func(apkPath, metaPath string) error
+		rejected int64 // Corrupt() after one read of the entry
 	}{
 		{"broken metadata", func(_, metaPath string) error {
 			return os.WriteFile(metaPath, []byte("{broken"), 0o644)
-		}},
+		}, 1},
+		{"metadata never written", func(_, metaPath string) error {
+			return os.Remove(metaPath)
+		}, 0},
 		{"flipped apk byte", func(apkPath, _ string) error {
 			data, err := os.ReadFile(apkPath)
 			if err != nil {
@@ -126,7 +132,7 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 			}
 			data[len(data)/2] ^= 0x01
 			return os.WriteFile(apkPath, data, 0o644)
-		}},
+		}, 1},
 		{"metadata without digest", func(_, metaPath string) error {
 			data, err := os.ReadFile(metaPath)
 			if err != nil {
@@ -142,7 +148,7 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 				return err
 			}
 			return os.WriteFile(metaPath, data, 0o644)
-		}},
+		}, 1},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -163,8 +169,17 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, ok := s2.Get(testKey(3)); ok || s2.Corrupt() != 0 {
+			t.Errorf("%s: clean miss: ok=%t corrupt=%d", c.name, ok, s2.Corrupt())
+		}
 		if _, ok := s2.Get(key); ok {
 			t.Errorf("%s: corrupt entry served as a hit", c.name)
+		}
+		if s2.Corrupt() != c.rejected {
+			t.Errorf("%s: Corrupt() = %d after one read, want %d", c.name, s2.Corrupt(), c.rejected)
+		}
+		if _, ok := s2.Get(key); ok || s2.Corrupt() != c.rejected {
+			t.Errorf("%s: second read: ok=%t Corrupt() = %d, want the entry counted once", c.name, ok, s2.Corrupt())
 		}
 		revealed := false
 		if _, hit, err := s2.GetOrReveal(key, func() (*Artifact, error) {
@@ -172,6 +187,14 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 			return artifactFor(key), nil
 		}); err != nil || hit || !revealed {
 			t.Errorf("%s: hit=%t revealed=%t err=%v", c.name, hit, revealed, err)
+		}
+		// The reveal's store-back repaired the entry.
+		s3, err := Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s3.Get(key); !ok || s3.Corrupt() != 0 {
+			t.Errorf("%s: repaired entry: ok=%t corrupt=%d", c.name, ok, s3.Corrupt())
 		}
 	}
 }
