@@ -143,7 +143,13 @@ func (e *Env) RecordSink(kind apimodel.SinkKind, methodKey string, dataArgs []Va
 		ev.Caller = m.Key()
 		ev.CallerPC = pc
 	}
+	// Every sink parameter is a reference, and a zero word there is null
+	// (see IsNull), whether const/4 or a null reference put it there.
 	for _, a := range allArgs {
+		if a.IsNull() {
+			ev.Args = append(ev.Args, "null")
+			continue
+		}
 		ev.Args = append(ev.Args, Pretty(a))
 	}
 	e.rt.sinks = append(e.rt.sinks, ev)

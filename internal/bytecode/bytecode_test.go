@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -451,19 +452,36 @@ func TestTrailingLabel(t *testing.T) {
 	}
 }
 
-func TestBranchTargets(t *testing.T) {
-	if got := (Inst{Op: OpGoto, Off: 5}).BranchTargets(); len(got) != 1 || got[0] != 5 {
-		t.Errorf("goto targets = %v", got)
-	}
-	if got := (Inst{Op: OpIfEq, Off: -2}).BranchTargets(); len(got) != 1 || got[0] != -2 {
-		t.Errorf("if targets = %v", got)
-	}
-	sw := Inst{Op: OpSparseSwitch, Targets: []int32{3, 9}}
-	if got := sw.BranchTargets(); len(got) != 2 {
-		t.Errorf("switch targets = %v", got)
-	}
-	if got := (Inst{Op: OpNop}).BranchTargets(); got != nil {
-		t.Errorf("nop targets = %v", got)
+func TestSuccessors(t *testing.T) {
+	const pc = 10
+	for _, tc := range []struct {
+		name  string
+		in    Inst
+		next  int
+		jumps []int
+	}{
+		{"goto", Inst{Op: OpGoto, Off: 5}, -1, []int{15}},
+		{"goto/16", Inst{Op: OpGoto16, Off: -4}, -1, []int{6}},
+		{"if-eq", Inst{Op: OpIfEq, Off: -2}, 12, []int{8}},
+		{"if-eqz", Inst{Op: OpIfEqz, Off: 7}, 12, []int{17}},
+		{"sparse-switch", Inst{Op: OpSparseSwitch, Targets: []int32{9, 3}}, 13, []int{19, 13}},
+		{"packed-switch", Inst{Op: OpPackedSwitch, Targets: []int32{4}}, 13, []int{14}},
+		{"nop", Inst{Op: OpNop}, 11, nil},
+		{"return-void", Inst{Op: OpReturnVoid}, -1, nil},
+		{"return", Inst{Op: OpReturn}, -1, nil},
+		{"throw", Inst{Op: OpThrow}, -1, nil},
+	} {
+		d := DecodedInst{Inst: tc.in, Width: tc.in.Width(), PC: pc}
+		if got := d.Next(); got != tc.next {
+			t.Errorf("%s: Next() = %d, want %d", tc.name, got, tc.next)
+		}
+		var jumps []int
+		for i := 0; i < d.Jumps(); i++ {
+			jumps = append(jumps, d.Jump(i))
+		}
+		if !reflect.DeepEqual(jumps, tc.jumps) {
+			t.Errorf("%s: jumps = %v, want %v", tc.name, jumps, tc.jumps)
+		}
 	}
 }
 

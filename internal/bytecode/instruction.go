@@ -100,20 +100,6 @@ func (in Inst) Clone() Inst {
 	return out
 }
 
-// BranchTargets returns all possible relative unit offsets control can jump
-// to from this instruction (excluding fall-through): the single offset of
-// gotos and if-tests, or every case target of a switch.
-func (in Inst) BranchTargets() []int32 {
-	switch {
-	case in.Op.IsGoto(), in.Op.IsBranch():
-		return []int32{in.Off}
-	case in.Op.IsSwitch():
-		return append([]int32(nil), in.Targets...)
-	default:
-		return nil
-	}
-}
-
 func (in Inst) String() string {
 	return disasmInst(in, nil)
 }

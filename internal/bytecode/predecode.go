@@ -52,6 +52,42 @@ type DecodedInst struct {
 	PC     int32 // dex_pc the instruction was decoded from
 }
 
+// These accessors are the one definition of an instruction's normal
+// successors that every static reader walks. A successor pc need not start
+// an instruction of the body (it may lie past the end or inside a payload);
+// Program.Index maps such a pc to -1.
+
+// Next returns the dex_pc control falls through to after d, or -1 when d
+// never falls through (a return, goto or throw).
+func (d *DecodedInst) Next() int {
+	if d.Op.IsTerminator() {
+		return -1
+	}
+	return int(d.PC) + d.Width
+}
+
+// Jumps returns the number of jump targets of d: one for the taken edge of
+// an if-* or for a goto, the case count for a switch, and zero otherwise.
+func (d *DecodedInst) Jumps() int {
+	switch {
+	case d.Op.IsBranch(), d.Op.IsGoto():
+		return 1
+	case d.Op.IsSwitch():
+		return len(d.Targets)
+	default:
+		return 0
+	}
+}
+
+// Jump returns the dex_pc of d's i-th jump target, 0 <= i < Jumps(); a
+// switch's cases come in payload order.
+func (d *DecodedInst) Jump(i int) int {
+	if d.Op.IsSwitch() {
+		return int(d.PC) + int(d.Targets[i])
+	}
+	return int(d.PC) + int(d.Off)
+}
+
 // Program is the decoded form of one unit array, read by the interpreter
 // and by every static reader: a dense instruction stream in ascending pc
 // order plus a pc→instruction index. It is immutable after Predecode and

@@ -370,6 +370,28 @@ func TestTryCovers(t *testing.T) {
 	}
 }
 
+func TestCodeHandlers(t *testing.T) {
+	c := &Code{Tries: []Try{
+		{Start: 2, Count: 4, Handlers: []TypeAddr{{Type: 1, Addr: 20}, {Type: 2, Addr: 24}}, CatchAll: 30},
+		{Start: 4, Count: 4, Handlers: []TypeAddr{{Type: 3, Addr: 40}}, CatchAll: -1},
+		{Start: 5, Count: 1, CatchAll: 50},
+	}}
+	for pc, want := range map[int][]int{
+		0: nil,                  // uncovered
+		2: {20, 24, 30},         // typed catches before the catch-all
+		4: {20, 24, 30, 40},     // overlapping tries in table order
+		5: {20, 24, 30, 40, 50}, // a catch-all-only try
+		7: {40},                 // past the first try
+		8: nil,                  // past every try
+	} {
+		var got []int
+		c.Handlers(pc, func(h int) { got = append(got, h) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Handlers(%d) = %v, want %v", pc, got, want)
+		}
+	}
+}
+
 func TestCodeClone(t *testing.T) {
 	var nilCode *Code
 	if nilCode.Clone() != nil {

@@ -127,6 +127,26 @@ func (t Try) Covers(pc int) bool {
 	return uint32(pc) >= t.Start && uint32(pc) < t.Start+t.Count
 }
 
+// Handlers calls fn with the handler dex_pc of each exceptional successor of
+// pc: for every try covering pc, in table order, its typed catches in order
+// and then its catch-all. It is the one definition of exception edges that
+// static readers walk beside bytecode's normal successors; a pc no try
+// covers has none.
+func (c *Code) Handlers(pc int, fn func(handlerPC int)) {
+	for i := range c.Tries {
+		t := &c.Tries[i]
+		if !t.Covers(pc) {
+			continue
+		}
+		for _, h := range t.Handlers {
+			fn(int(h.Addr))
+		}
+		if t.CatchAll >= 0 {
+			fn(int(t.CatchAll))
+		}
+	}
+}
+
 // Clone returns a deep copy of the code item.
 func (c *Code) Clone() *Code {
 	if c == nil {

@@ -3,6 +3,7 @@ package dex_test
 import (
 	"testing"
 
+	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
 	"dexlego/internal/dexgen"
 )
@@ -40,7 +41,9 @@ func seedDex(f *testing.F) []byte {
 // FuzzDexRead feeds mutated bytes through dex.Read: parsing must never
 // panic, and any input that parses must survive dex.Verify (and a Write
 // attempt) without crashing — the exact pipeline a hostile classes.dex
-// inside an APK reaches.
+// inside an APK reaches. A file that passes Verify must also have every
+// jump target start a decoded instruction: the static readers drop the -1
+// index of any other target, trusting Verify to have rejected it.
 func FuzzDexRead(f *testing.F) {
 	seed := seedDex(f)
 	f.Add(seed)
@@ -62,7 +65,35 @@ func FuzzDexRead(f *testing.F) {
 		// A file that parses must be verifiable and re-serializable
 		// without crashing. Both may report errors — hostile input is
 		// allowed to be structurally defective — but never panic.
-		_ = dex.Verify(parsed)
+		verified := len(dex.Verify(parsed)) == 0
 		_, _ = parsed.Write()
+		if verified {
+			checkJumpTargets(t, parsed)
+		}
 	})
+}
+
+// checkJumpTargets fails t when a jump target of some decoded instruction in
+// f does not start an instruction of its body.
+func checkJumpTargets(t *testing.T, f *dex.File) {
+	for ci := range f.Classes {
+		cd := &f.Classes[ci]
+		for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
+			for _, em := range list {
+				if em.Code == nil {
+					continue
+				}
+				prog := bytecode.Read(em.Code.Insns)
+				insts := prog.Insts()
+				for i := range insts {
+					for j := 0; j < insts[i].Jumps(); j++ {
+						if target := insts[i].Jump(j); prog.Index(target) < 0 {
+							t.Fatalf("%s: verified file has %s at pc %#x jumping to %#x, no instruction start",
+								f.MethodAt(em.Method).Key(), insts[i].Op, insts[i].PC, target)
+						}
+					}
+				}
+			}
+		}
+	}
 }

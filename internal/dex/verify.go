@@ -117,8 +117,8 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 			report(where, "pc %#x: register v%d exceeds registers_size %d",
 				d.PC, d.MaxReg, code.RegistersSize)
 		}
-		for _, off := range d.BranchTargets() {
-			if target := int(d.PC) + int(off); !isStart(target) {
+		for j := 0; j < d.Jumps(); j++ {
+			if target := d.Jump(j); !isStart(target) {
 				report(where, "pc %#x: %s targets %#x, not an instruction start",
 					d.PC, d.Op, target)
 			}

@@ -229,14 +229,14 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 	if locals == 0 {
 		locals = 8
 	}
-	ins := len(spec.Params)
+	ins := paramWords(spec.Params)
 	if !spec.Static {
 		ins++
 	}
 	a := c.p.newAsm()
 	a.locals = int32(locals)
 	a.static = spec.Static
-	a.params = len(spec.Params)
+	a.params = spec.Params
 	gen(a)
 	// The body was generated (interning every constant through the Builder);
 	// the pure assembly into code units is deferred so Finish can fan it out.
@@ -318,7 +318,7 @@ type Asm struct {
 	asm    bytecode.Assembler
 	locals int32
 	static bool
-	params int
+	params []string // declared parameter types, which lay out P's registers
 	outs   int
 	tries  []tryCatch
 }
@@ -326,13 +326,26 @@ type Asm struct {
 // This returns the receiver register (instance methods only).
 func (a *Asm) This() int32 { return a.locals }
 
-// P returns the i-th declared parameter's register.
+// P returns the i-th declared parameter's register. A wide (J or D)
+// parameter takes two registers, and P names the low one.
 func (a *Asm) P(i int) int32 {
 	base := a.locals
 	if !a.static {
 		base++
 	}
-	return base + int32(i)
+	return base + int32(paramWords(a.params[:i]))
+}
+
+// paramWords returns the register words that parameters of the given types
+// take: two for J and D, one for any other type.
+func paramWords(params []string) int {
+	n := len(params)
+	for _, p := range params {
+		if p == "J" || p == "D" {
+			n++
+		}
+	}
+	return n
 }
 
 // Raw gives access to the underlying assembler.
@@ -656,7 +669,7 @@ func (c *Class) RawMethod(name, ret string, params []string, flags uint32, rc Ra
 	a := c.p.newAsm()
 	a.locals = int32(rc.Registers - rc.Ins)
 	a.static = flags&dex.AccStatic != 0
-	a.params = len(params)
+	a.params = params
 	rc.Build(a)
 	outs := rc.Outs
 	if a.outs > outs {

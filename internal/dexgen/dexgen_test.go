@@ -37,9 +37,22 @@ func TestParameterRegisterConvention(t *testing.T) {
 		a.BinopLit8(bytecode.OpMulIntLit8, 0, a.P(0), 2)
 		a.Return(0)
 	})
+	// A wide parameter takes two words: this, then the long's pair, then
+	// the object.
+	cls.Method(dexgen.MethodSpec{
+		Name: "wide", Ret: "Ljava/lang/Object;", Params: []string{"J", "Ljava/lang/Object;"}, Locals: 2,
+	}, func(a *dexgen.Asm) {
+		if a.This() != 2 || a.P(0) != 3 || a.P(1) != 5 {
+			t.Errorf("this, params = v%d, v%d, v%d; want v2, v3, v5", a.This(), a.P(0), a.P(1))
+		}
+		a.ReturnObj(a.P(1))
+	})
 	f, err := p.Finish()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if code := f.FindMethod("Lg/C;", "wide", "").Code; code.InsSize != 4 || code.RegistersSize != 6 {
+		t.Errorf("wide: ins %d, registers_size %d; want 4, 6", code.InsSize, code.RegistersSize)
 	}
 	rt := art.NewRuntime(art.DefaultPhone())
 	if _, err := rt.LoadDex(f); err != nil {
@@ -58,6 +71,13 @@ func TestParameterRegisterConvention(t *testing.T) {
 	res, err = rt.Call("Lg/C;", "twice", "(I)I", nil, []art.Value{art.IntVal(21)})
 	if err != nil || res.Int != 42 {
 		t.Errorf("twice(21) = %v, %v", res, err)
+	}
+	// The long's two words, then the object: the interpreter must find the
+	// object where P(1) named it.
+	res, err = rt.Call("Lg/C;", "wide", "(JLjava/lang/Object;)Ljava/lang/Object;", obj,
+		[]art.Value{art.IntVal(7), art.IntVal(0), art.RefVal(obj)})
+	if err != nil || res.Ref != obj {
+		t.Errorf("wide(7, obj) = %v, %v; want obj", res, err)
 	}
 }
 

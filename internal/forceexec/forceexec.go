@@ -484,7 +484,7 @@ type pathStep struct {
 // decision chains from the entry to every reachable pc. Computing it once
 // per method amortizes what used to be a fresh BFS per UCB per iteration.
 type methodPaths struct {
-	visited map[int]int // pc -> index into order
+	visited []int32 // pc -> index into order plus one; 0 = unreached
 	order   []pathStep
 }
 
@@ -499,66 +499,52 @@ func (e *Engine) pathTo(method string, targetPC int) (map[int]bool, bool) {
 		}
 		e.cfgs[method] = mp // negative results memoize too
 	}
-	if mp == nil {
-		return nil, false
-	}
-	qi, ok := mp.visited[targetPC]
-	if !ok {
+	if mp == nil || targetPC < 0 || targetPC >= len(mp.visited) || mp.visited[targetPC] == 0 {
 		return nil, false
 	}
 	// Walk the BFS parent chain, collecting the branch decisions that
 	// steered here.
 	decisions := map[int]bool{}
-	for i := qi; i > 0; i = mp.order[i].prev {
+	for i := int(mp.visited[targetPC]) - 1; i > 0; i = mp.order[i].prev {
 		if mp.order[i].branchPC >= 0 {
 			decisions[mp.order[i].branchPC] = mp.order[i].taken
-		}
-		if mp.order[i].prev < 0 {
-			break
 		}
 	}
 	return decisions, true
 }
 
 // buildPaths BFS-walks the static CFG from the method entry, recording the
-// shortest decision chain to every reachable pc.
+// shortest decision chain to every reachable instruction. It visits an
+// instruction's fall-through before its jumps, so of two equally short
+// chains the one that does not take a branch wins.
 func buildPaths(code *dex.Code) *methodPaths {
 	prog := bytecode.Read(code.Insns)
 	if prog.Err() != nil {
 		return nil
 	}
-	visited := map[int]int{0: 0}
-	order := []pathStep{{pc: 0, branchPC: -1, prev: -1}}
-	for qi := 0; qi < len(order); qi++ {
-		cur := order[qi]
-		in := prog.Lookup(cur.pc)
-		if in == nil {
-			continue
+	mp := &methodPaths{visited: make([]int32, len(code.Insns))}
+	push := func(pc, branchPC int, taken bool, prev int) {
+		if prog.Index(pc) < 0 || mp.visited[pc] != 0 {
+			return
 		}
-		push := func(pc int, branchPC int, taken bool) {
-			if _, seen := visited[pc]; seen {
-				return
-			}
-			visited[pc] = len(order)
-			order = append(order, pathStep{pc: pc, branchPC: branchPC, taken: taken, prev: qi})
+		mp.order = append(mp.order, pathStep{pc: pc, branchPC: branchPC, taken: taken, prev: prev})
+		mp.visited[pc] = int32(len(mp.order))
+	}
+	push(0, -1, false, -1)
+	for qi := 0; qi < len(mp.order); qi++ {
+		in := prog.Lookup(mp.order[qi].pc)
+		branchPC := -1
+		if in.Op.IsBranch() {
+			branchPC = int(in.PC)
 		}
-		switch {
-		case in.Op.IsBranch():
-			push(cur.pc+in.Width, cur.pc, false)
-			push(cur.pc+int(in.Off), cur.pc, true)
-		case in.Op.IsGoto():
-			push(cur.pc+int(in.Off), -1, false)
-		case in.Op.IsSwitch():
-			push(cur.pc+in.Width, -1, false)
-			for _, t := range in.Targets {
-				push(cur.pc+int(t), -1, false)
-			}
-		case in.Op.IsTerminator():
-		default:
-			push(cur.pc+in.Width, -1, false)
+		if next := in.Next(); next >= 0 {
+			push(next, branchPC, false, qi)
+		}
+		for j := 0; j < in.Jumps(); j++ {
+			push(in.Jump(j), branchPC, branchPC >= 0, qi)
 		}
 	}
-	return &methodPaths{visited: visited, order: order}
+	return mp
 }
 
 // buildCodeIndex maps method keys to their bodies, replacing what used to

@@ -135,7 +135,8 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 	// Size the abstract register file to cover even out-of-range operands
 	// in malformed bodies (the analyzer must never crash on hostile input),
 	// plus an extra slot for the invoke result.
-	maxReg := m.regs
+	size, ins := int(m.body.RegistersSize), int(m.body.InsSize)
+	maxReg := size
 	for i := range m.code {
 		if r := int(m.code[i].MaxReg); r >= maxReg {
 			maxReg = r + 1
@@ -144,19 +145,19 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 	nRegs := maxReg + 1
 	resultSlot := maxReg
 	entry := make([]fact, nRegs)
-	base := m.regs - m.ins
+	base := size - ins
 	if base < 0 {
 		base = 0
 	}
 	idx := base
 	if !m.static {
-		if idx < m.regs {
+		if idx < size {
 			entry[idx] = recv
 		}
 		idx++
 	}
 	for _, pf := range params {
-		if idx >= m.regs {
+		if idx >= size {
 			break
 		}
 		entry[idx] = pf
@@ -192,38 +193,20 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		pl := &m.code[ci]
 		pc, in := int(pl.PC), pl.Inst
 
-		// push ignores the -1 Index returns for a pc that starts no
-		// decoded instruction.
-		succNext := func() { push(m.prog.Index(pc+pl.Width), regs) }
-		succAt := func(targetPC int) { push(m.prog.Index(targetPC), regs) }
 		// Exceptional edges: any covered instruction may transfer to its
 		// handlers with the current facts (move-exception zeroes the
-		// exception register itself).
-		for _, tr := range m.tries {
-			if !tr.Covers(pc) {
-				continue
-			}
-			for _, h := range tr.Handlers {
-				succAt(int(h.Addr))
-			}
-			if tr.CatchAll >= 0 {
-				succAt(int(tr.CatchAll))
-			}
-		}
+		// exception register itself). push ignores the -1 Index returns
+		// for a pc that starts no decoded instruction.
+		m.body.Handlers(pc, func(h int) { push(m.prog.Index(h), regs) })
 
 		switch op := in.Op; {
-		case op == bytecode.OpNop:
-			succNext()
 		case op == bytecode.OpMove || op == bytecode.OpMoveFrom16 ||
 			op == bytecode.OpMoveObject || op == bytecode.OpMoveObject16:
 			regs[in.A] = regs[in.B]
-			succNext()
 		case op == bytecode.OpMoveResult || op == bytecode.OpMoveResultObj:
 			regs[in.A] = regs[resultSlot]
-			succNext()
 		case op == bytecode.OpMoveException:
 			regs[in.A] = fact{}
-			succNext()
 		case op.IsReturn():
 			if op != bytecode.OpReturnVoid {
 				retFact = join(retFact, regs[in.A])
@@ -231,48 +214,27 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		case op == bytecode.OpConst4 || op == bytecode.OpConst16 ||
 			op == bytecode.OpConst || op == bytecode.OpConstHigh16:
 			regs[in.A] = fact{}
-			succNext()
 		case op == bytecode.OpConstString:
 			regs[in.A] = fact{HasStr: true, Str: m.file.String(in.Index)}
-			succNext()
 		case op == bytecode.OpConstClass:
 			regs[in.A] = fact{HasCls: true, Cls: m.file.TypeName(in.Index)}
-			succNext()
-		case op == bytecode.OpCheckCast:
-			succNext()
 		case op == bytecode.OpInstanceOf || op == bytecode.OpArrayLength:
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
-			succNext()
 		case op == bytecode.OpNewInstance:
 			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
-			succNext()
 		case op == bytecode.OpNewArray:
 			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
-			succNext()
-		case op == bytecode.OpThrow:
-			// No normal successor; handler edges are over-approximated away.
-		case op.IsGoto():
-			succAt(pc + int(in.Off))
-		case op.IsSwitch():
-			for _, t := range in.Targets {
-				succAt(pc + int(t))
-			}
-			succNext()
 		case op.IsBranch():
 			condTaint := regs[in.A].Taint
 			if op >= bytecode.OpIfEq && op <= bytecode.OpIfLe {
 				condTaint |= regs[in.B].Taint
 			}
 			implicit |= condTaint
-			succAt(pc + int(in.Off))
-			succNext()
 		case op == bytecode.OpAGet || op == bytecode.OpAGetObject:
 			arr := regs[in.B]
 			regs[in.A] = fact{Taint: arr.Taint | an.readField(arr, "[", "$elem", ambient)}
-			succNext()
 		case op == bytecode.OpAPut || op == bytecode.OpAPutObject:
 			an.writeField(regs[in.B], "[", "$elem", regs[in.A], ambient)
-			succNext()
 		case op == bytecode.OpIGet || op == bytecode.OpIGetObject || op == bytecode.OpIGetBoolean:
 			ref := m.file.FieldAt(in.Index)
 			obj := regs[in.B]
@@ -283,11 +245,9 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 				}
 			}
 			regs[in.A] = f
-			succNext()
 		case op == bytecode.OpIPut || op == bytecode.OpIPutObject || op == bytecode.OpIPutBoolean:
 			ref := m.file.FieldAt(in.Index)
 			an.writeField(regs[in.B], ref.Class, ref.Name, regs[in.A], ambient)
-			succNext()
 		case op == bytecode.OpSGet || op == bytecode.OpSGetObject || op == bytecode.OpSGetBoolean:
 			ref := m.file.FieldAt(in.Index)
 			key := ref.Class + "->" + ref.Name
@@ -301,7 +261,6 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 				f.HasStr, f.Str = true, s
 			}
 			regs[in.A] = f
-			succNext()
 		case op == bytecode.OpSPut || op == bytecode.OpSPutObject || op == bytecode.OpSPutBoolean:
 			ref := m.file.FieldAt(in.Index)
 			key := ref.Class + "->" + ref.Name
@@ -316,22 +275,22 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 					an.changed = true
 				}
 			}
-			succNext()
 		case op.IsInvoke():
 			regs[resultSlot] = an.invoke(m, pc, in, regs, depth, stack, ambient)
-			succNext()
 		case op == bytecode.OpNegInt || op == bytecode.OpNotInt:
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
-			succNext()
 		case op >= bytecode.OpAddInt && op <= bytecode.OpUshrInt:
 			regs[in.A] = fact{Taint: regs[in.B].Taint | regs[in.C].Taint}
-			succNext()
 		case op == bytecode.OpAddIntLit16 ||
 			(op >= bytecode.OpAddIntLit8 && op <= bytecode.OpShrIntLit8):
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
-			succNext()
-		default:
-			succNext()
+		}
+		// Normal edges carry the facts after the transfer.
+		for j := 0; j < pl.Jumps(); j++ {
+			push(m.prog.Index(pl.Jump(j)), regs)
+		}
+		if next := pl.Next(); next >= 0 {
+			push(m.prog.Index(next), regs)
 		}
 	}
 	return retFact, implicit

@@ -27,11 +27,9 @@ type mMethod struct {
 	static bool
 	ret    string
 	params []string
-	regs   int
-	ins    int
+	body   *dex.Code              // nil for abstract and native methods
 	prog   *bytecode.Program      // nil when the method has no decodable body
 	code   []bytecode.DecodedInst // prog's instructions
-	tries  []dex.Try
 	file   *dex.File
 }
 
@@ -77,9 +75,7 @@ func buildModel(files []*dex.File) (*model, error) {
 						if prog := bytecode.Read(em.Code.Insns); prog.Err() == nil {
 							mm.prog, mm.code = prog, prog.Insts()
 						}
-						mm.regs = int(em.Code.RegistersSize)
-						mm.ins = int(em.Code.InsSize)
-						mm.tries = em.Code.Tries
+						mm.body = em.Code
 					}
 					mc.meths = append(mc.meths, mm)
 				}

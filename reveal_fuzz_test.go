@@ -1,10 +1,14 @@
 package dexlego_test
 
 import (
+	"errors"
+	"reflect"
+	"regexp"
 	"testing"
 
 	root "dexlego"
 	"dexlego/internal/apk"
+	"dexlego/internal/art"
 	"dexlego/internal/dex"
 	"dexlego/internal/droidbench"
 )
@@ -89,9 +93,46 @@ func tabletMutant(t testing.TB) (*apk.APK, *droidbench.Sample) {
 	return mutant, s
 }
 
+// oracleSteps bounds each call the behaviour oracle drives, far above what
+// any sample needs, so a mutant that loops fails fast instead of running to
+// the runtime's default budget.
+const oracleSteps = 200_000
+
+// objectAddr matches the address Object.String prints for a plain object.
+var objectAddr = regexp.MustCompile(`@0x[0-9a-f]+`)
+
+// sinkTrace runs pkg under DefaultDriver with sample s's natives and a
+// bounded step budget, and returns its sink events with object addresses
+// in their arguments masked. Call sites are cleared too: the reassembler
+// lays each body out anew and routes reflective calls through bridge
+// methods, so a sink call may move within or between methods. It reports
+// false when pkg does not load or a call ran out of steps.
+func sinkTrace(pkg *apk.APK, s *droidbench.Sample) ([]art.SinkEvent, bool) {
+	rt := art.NewRuntime(art.DefaultPhone())
+	rt.MaxSteps = oracleSteps
+	s.InstallNatives(rt)
+	if err := rt.LoadAPK(pkg); err != nil {
+		return nil, false
+	}
+	if err := root.DefaultDriver(rt); errors.Is(err, art.ErrStepBudget) {
+		return nil, false
+	}
+	trace := rt.Sinks()
+	for i := range trace {
+		args := make([]string, len(trace[i].Args))
+		for j, a := range trace[i].Args {
+			args[j] = objectAddr.ReplaceAllString(a, "@obj")
+		}
+		trace[i].Args, trace[i].Caller, trace[i].CallerPC = args, "", 0
+	}
+	return trace, true
+}
+
 // checkReveal reveals pkg, with sample s's natives, force execution on or
 // off and the given pool size, and requires an error or a DEX that passes
-// dex.Verify and reads back.
+// dex.Verify and reads back. The revealed APK must also behave as pkg: run
+// under DefaultDriver, it must produce pkg's sink trace. An input whose own
+// run does not load or runs out of steps has no trace to compare.
 func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, workers int) {
 	t.Helper()
 	res, err := root.Reveal(pkg, root.Options{Natives: s.Natives(), ForceExecution: force, Workers: workers})
@@ -108,6 +149,14 @@ func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, w
 	if _, err := dex.Read(data); err != nil {
 		t.Fatalf("force=%v workers=%d: revealed DEX does not read back: %v", force, workers, err)
 	}
+	want, ok := sinkTrace(pkg, s)
+	if !ok {
+		return
+	}
+	if got, ok := sinkTrace(res.Revealed, s); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("force=%v workers=%d: revealed APK's sink trace differs from the input's (completed %v):\n got %+v\nwant %+v",
+			force, workers, ok, got, want)
+	}
 }
 
 // TestForcedRevealSurvivesMalformedInvoke reveals the TabletReflection1
@@ -123,7 +172,8 @@ func TestForcedRevealSurvivesMalformedInvoke(t *testing.T) {
 // FuzzReveal mutates one code unit of one method body of a DroidBench
 // sample, keeps only files that pass dex.Verify, and reveals each with
 // force execution off and on: Reveal must never panic, and must return an
-// error or a DEX that passes dex.Verify and reads back.
+// error or a DEX that passes dex.Verify, reads back and reproduces the
+// input's sink trace.
 func FuzzReveal(f *testing.F) {
 	pkgs := make([]*apk.APK, len(fuzzSamples))
 	samples := make([]*droidbench.Sample, len(fuzzSamples))
@@ -136,7 +186,9 @@ func FuzzReveal(f *testing.F) {
 		pkgs[i] = pkg
 	}
 	f.Add(uint8(0), uint16(1), uint16(95), uint16(0x176e)) // the TabletReflection1 mutant
+	f.Add(uint8(0), uint16(1), uint16(6), uint16(0x0112))  // const/4 v1, #0 opens the tablet gate: the launch reaches the SMS sink
 	for i := range fuzzSamples {
+		f.Add(uint8(i), uint16(0), uint16(1), uint16(0x0000)) // <init>'s unit 1 already holds method@0: the sample unchanged
 		f.Add(uint8(i), uint16(1), uint16(0), uint16(0x000e)) // return-void at onCreate's entry
 		f.Add(uint8(i), uint16(1), uint16(3), uint16(0x0112)) // const/4 v2, #1
 	}
