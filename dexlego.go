@@ -172,8 +172,17 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 
 	// The plan is computed before any execution: with a method cache it
 	// fingerprints every method, looks each up, and builds the skip list
-	// the collector — and through it the force engine — honors.
-	p := newPlan(pkg, opts, root)
+	// the collector — and through it the force engine — honors. That work
+	// is the plan stage; without a cache there is nothing to plan.
+	var p *plan
+	if opts.MethodCache == nil {
+		p = newPlan(pkg, opts, nil)
+	} else {
+		_ = stage(pipeline.StagePlan, func(sp *obs.Span) error {
+			p = newPlan(pkg, opts, sp)
+			return nil
+		})
+	}
 	col := p.newCollector()
 
 	setup := func(rt *art.Runtime) {
@@ -201,11 +210,39 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 	// against the current collector. It exists as a closure so a voided
 	// plan (a cached method whose code was written at runtime) can discard
 	// the collector and run it all again in full — AddStage merges the
-	// re-entered stage timings.
+	// re-entered stage timings. With force execution on, the collection
+	// launch is the campaign's baseline, so the app's plain execution runs
+	// once.
 	runExecution := func() error {
+		var eng *forceexec.Engine
+		var tracker *coverage.Tracker
 		if err := stage(pipeline.StageCollection, func(sp *obs.Span) error {
 			col.SetSpan(sp)
-			return runPlain(driver)
+			if !opts.ForceExecution {
+				return runPlain(driver)
+			}
+			// The package's cached parse, which the runtime links too.
+			f, err := pkg.DexFile()
+			if err != nil {
+				return fmt.Errorf("force execution needs a parsable classes.dex: %w", err)
+			}
+			files := []*dex.File{f}
+			if tracker, err = coverage.NewTracker(files); err != nil {
+				return err
+			}
+			eng = forceexec.New(pkg, files)
+			eng.InstallNatives = setup
+			eng.Driver = driver
+			eng.Device = opts.Device
+			eng.Workers = opts.Workers
+			// The engine owns the collector from here on: the baseline
+			// collects directly, forced runs collect into per-run shards
+			// merged at each iteration barrier, and the result is
+			// canonicalized — byte-identical output at any worker count.
+			eng.Collector = col
+			sinks, err := eng.Baseline(tracker)
+			res.Sinks = append(res.Sinks, sinks...)
+			return err
 		}); err != nil {
 			return fmt.Errorf("dexlego: collection run: %w", err)
 		}
@@ -220,28 +257,9 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 				return fmt.Errorf("dexlego: fuzzing run: %w", err)
 			}
 		}
-		if opts.ForceExecution {
+		if eng != nil {
 			if err := stage(pipeline.StageForceExec, func(sp *obs.Span) error {
 				col.SetSpan(sp)
-				// The package's cached parse, which the runtime links too.
-				f, err := pkg.DexFile()
-				if err != nil {
-					return fmt.Errorf("force execution needs a parsable classes.dex: %w", err)
-				}
-				files := []*dex.File{f}
-				tracker, err := coverage.NewTracker(files)
-				if err != nil {
-					return err
-				}
-				eng := forceexec.New(pkg, files)
-				eng.InstallNatives = func(rt *art.Runtime) { setup(rt) }
-				eng.Driver = driver
-				eng.Workers = opts.Workers
-				// The engine owns the collector for this stage: the baseline run
-				// collects directly, forced runs collect into per-run shards
-				// merged at each iteration barrier, and the result is
-				// canonicalized — byte-identical output at any worker count.
-				eng.Collector = col
 				eng.Span = sp
 				stats, err := eng.Run(tracker)
 				if err != nil {

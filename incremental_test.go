@@ -13,6 +13,7 @@ import (
 	"dexlego/internal/droidbench"
 	"dexlego/internal/hotbench"
 	"dexlego/internal/obs"
+	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
 	"dexlego/internal/workload"
 )
@@ -341,5 +342,38 @@ func TestIncrementalStoreBackDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIncrementalRevealRecordsPlanStage: with a method cache, fingerprinting
+// and looking up every method is the plan stage, timed ahead of collection;
+// the metrics still pass Validate, and a reveal without a cache records no
+// plan stage.
+func TestIncrementalRevealRecordsPlanStage(t *testing.T) {
+	apps, err := workload.VersionChain(workload.ChainConfig{Methods: 12, Links: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, force := range []bool{true, false} {
+		mc, err := store.OpenMethodCache("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range apps {
+			full := root.Options{ForceExecution: force, Workers: 2}
+			incr := full
+			incr.MethodCache = mc
+			_, res := revealTraced(t, app.APK, incr)
+			m := res.Metrics
+			if err := m.Validate(); err != nil {
+				t.Errorf("%s force=%t: %v", app.Name, force, err)
+			}
+			if len(m.Stages) == 0 || m.Stages[0].Stage != pipeline.StagePlan {
+				t.Errorf("%s force=%t: stages %+v do not start with the plan stage", app.Name, force, m.Stages)
+			}
+			if _, res := revealTraced(t, app.APK, full); res.Metrics.StageWall(pipeline.StagePlan) != 0 {
+				t.Errorf("%s force=%t: a reveal without a method cache recorded a plan stage", app.Name, force)
+			}
+		}
 	}
 }

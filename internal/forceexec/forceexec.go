@@ -17,6 +17,12 @@
 // so forced runs reuse what the collection stage (or an earlier reveal)
 // already lowered.
 //
+// The "previous execution" that feeds the first UCB set is the baseline
+// (Engine.Baseline): one plain run of the driver under the collector and
+// the coverage tracker. A reveal runs it as its collection stage, so JIT
+// collection and the campaign's first coverage come from the same launch;
+// Run starts with it only when nobody ran it yet.
+//
 // Many forced runs never reach a branch in their target method, and such a
 // run replays the run with the iteration's frozen path files alone. Each
 // run records the methods in which it executed a conditional branch, so an
@@ -25,10 +31,14 @@
 // method the base run reached no branch in would repeat it step for step:
 // its own decisions sit in a method where the base reads none. Such a task
 // is skipped, and only its path file joins the next iteration's set; the
-// iteration runs the rest. The rule assumes a forced run is a deterministic
-// function of its path and the frozen set; TestForcedRunsDeterministic
-// checks that on the Table VII slice. Runs that inject exceptions into
-// uncovered handlers are never skipped.
+// iteration runs the rest. Iteration 0's frozen set is empty, so its base
+// run would repeat the baseline unless an exception escaped a frame there
+// (a base run tolerates it, the baseline does not): when none escaped, the
+// baseline certifies iteration 0's tasks and no base run happens. The rule
+// assumes a forced run is a deterministic function of its path and the
+// frozen set; TestForcedRunsDeterministic checks that on the Table VII
+// slice. Runs that inject exceptions into uncovered handlers are never
+// skipped.
 package forceexec
 
 import (
@@ -61,9 +71,10 @@ type PathFile struct {
 // Stats summarizes a force-execution campaign.
 type Stats struct {
 	Iterations int
-	// ForcedRuns counts the forced runs executed, base runs included;
-	// RunsSkipped counts the scheduled runs their iteration's base run
-	// proved identical to itself, which therefore never ran.
+	// ForcedRuns counts the forced runs executed, base runs included and
+	// the baseline not; RunsSkipped counts the scheduled runs their
+	// iteration's base run (in iteration 0, usually the baseline) proved
+	// identical to itself, which therefore never ran.
 	ForcedRuns        int
 	RunsSkipped       int
 	PathsComputed     int
@@ -86,6 +97,9 @@ type Engine struct {
 	// Driver is the "previous execution" (fuzzing, or a plain launch when
 	// nil) repeated under forced control flow.
 	Driver func(*art.Runtime) error
+	// Device is the environment every runtime of the campaign runs on; nil
+	// selects art.DefaultPhone.
+	Device *art.Device
 
 	MaxIterations  int
 	MaxRunsPerIter int
@@ -98,7 +112,7 @@ type Engine struct {
 	// Workers sizes the forced-run pool: 0 selects GOMAXPROCS, 1 forces
 	// serial execution. The merged result is byte-identical at any count.
 	Workers int
-	// Collector, when set, observes the baseline run directly and every
+	// Collector, when set, observes the baseline directly and every
 	// forced run through a per-run shard (Collector.Shard) that the
 	// iteration barrier merges back (deduplicating trees by fingerprint).
 	// The engine canonicalizes the result when the campaign ends, so the
@@ -119,6 +133,9 @@ type Engine struct {
 	// only from the serial scheduling phase.
 	codeIdx map[string]*dex.Code
 	cfgs    map[string]*methodPaths
+
+	// baseline is the campaign's baseline run once Baseline returned.
+	baseline *task
 
 	// beforeMerge, when set, sees each branch-forcing iteration's frozen
 	// active set and tasks after every run finished and before the barrier
@@ -157,7 +174,11 @@ func (e *Engine) workers() int {
 }
 
 func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector, extra ...*art.Hooks) (*art.Runtime, error) {
-	rt := art.NewRuntime(art.DefaultPhone())
+	device := art.DefaultPhone()
+	if e.Device != nil {
+		device = *e.Device
+	}
+	rt := art.NewRuntime(device)
 	if e.InstallNatives != nil {
 		e.InstallNatives(rt)
 	}
@@ -190,22 +211,49 @@ type task struct {
 	col     *collector.Collector // per-run collector shard, nil when unattached
 
 	reach     map[string]bool // methods in which the run executed a conditional branch
-	certifier *task           // for a skipped task, the base run it repeats
+	certifier *task           // for a skipped task, the base run or baseline it repeats
 
 	cleared int           // unhandled exceptions tolerated in this run
+	escaped int           // exceptions that escaped a frame (the baseline, which tolerates none)
 	busy    time.Duration // wall time inside the run (worker CPU attribution)
 	err     error         // infrastructure failure; the run then contributes nothing
 }
 
-// Run executes the baseline driver once, then iterates force execution
-// until no new UCBs are resolved.
-func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
-	stats := &Stats{Workers: e.workers()}
-	rt, err := e.newRuntime(tracker, e.Collector)
+// Baseline runs the driver once, unforced, under the engine's collector and
+// tracker, and returns the sink events it recorded. It records the run's
+// reach set and counts the exceptions that escaped a frame; those propagate
+// as in any plain run, and app-level crashes are tolerated. An engine runs
+// one campaign: call Baseline at most once, with the tracker later passed
+// to Run.
+func (e *Engine) Baseline(tracker *coverage.Tracker) ([]art.SinkEvent, error) {
+	base := &task{reach: make(map[string]bool)}
+	rt, err := e.newRuntime(tracker, e.Collector, &art.Hooks{
+		Branch: func(m *art.Method, _ int, _ bytecode.Inst, _ bool) (bool, bool) {
+			base.reach[m.Key()] = true
+			return false, false
+		},
+		Unhandled: func(*art.Method, int, *art.Object) bool {
+			base.escaped++
+			return false
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	_ = e.driver()(rt) // baseline; crashes are tolerated
+	_ = e.driver()(rt)
+	e.baseline = base
+	return rt.Sinks(), nil
+}
+
+// Run iterates force execution from the baseline until no new UCBs are
+// resolved, running the baseline first unless Baseline already did.
+func (e *Engine) Run(tracker *coverage.Tracker) (*Stats, error) {
+	stats := &Stats{Workers: e.workers()}
+	if e.baseline == nil {
+		if _, err := e.Baseline(tracker); err != nil {
+			return nil, err
+		}
+	}
 
 	// Path files accumulate across iterations (Fig. 4: each iteration's
 	// files feed the next), so a UCB nested behind an earlier UCB becomes
@@ -312,15 +360,32 @@ func (e *Engine) forceHandlers(tracker *coverage.Tracker, active map[string]map[
 // every task whose target method the base reached no branch in; the base
 // run merges first, and drops its shards when it certified nothing, so only
 // what a task would have contributed merges. A failed base run certifies
-// nothing.
+// nothing. With no path file on record, iteration 0's base run would
+// repeat the baseline step for step unless it tolerated an exception the
+// baseline let escape, so when none escaped the baseline, which already
+// merged, certifies in its place.
 func (e *Engine) runCertified(span *obs.Span, tracker *coverage.Tracker, tasks []*task, active map[string]map[int]bool, iter int) []*task {
+	if iter == 0 && e.baseline.escaped == 0 {
+		e.runTasks(span, tracker, certify(e.baseline, tasks), active, iter)
+		return tasks
+	}
 	if len(tasks) < 2 {
 		e.runTasks(span, tracker, tasks, active, iter)
 		return tasks
 	}
 	base := &task{}
 	e.runTasks(span, tracker, []*task{base}, active, iter)
-	var rest []*task
+	rest := certify(base, tasks)
+	if len(rest) == len(tasks) {
+		base.tracker, base.col = nil, nil
+	}
+	e.runTasks(span, tracker, rest, active, iter)
+	return append([]*task{base}, tasks...)
+}
+
+// certify marks as certified by base every task whose target method base
+// reached no branch in, and returns the others.
+func certify(base *task, tasks []*task) (rest []*task) {
 	for _, t := range tasks {
 		if base.err == nil && !base.reach[t.path.Method] {
 			t.certifier = base
@@ -328,11 +393,7 @@ func (e *Engine) runCertified(span *obs.Span, tracker *coverage.Tracker, tasks [
 			rest = append(rest, t)
 		}
 	}
-	if len(rest) == len(tasks) {
-		base.tracker, base.col = nil, nil
-	}
-	e.runTasks(span, tracker, rest, active, iter)
-	return append([]*task{base}, tasks...)
+	return rest
 }
 
 // runTasks executes tasks on the pipeline pool, each against fresh shards.

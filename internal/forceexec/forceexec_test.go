@@ -361,8 +361,9 @@ func buildApp(t *testing.T, name string, onCreate func(a *dexgen.Asm), extra fun
 }
 
 // TestBaseRunReachingEveryTargetSkipsNothing: both UCBs of the first
-// iteration sit in onCreate, where the base run executes both branches. The
-// base run certifies neither task, so both run after it.
+// iteration sit in onCreate, where the baseline executes both branches. The
+// baseline certifies neither task, so both run, and iteration 0 runs no
+// base run of its own.
 func TestBaseRunReachingEveryTargetSkipsNothing(t *testing.T) {
 	pkg, files := buildApp(t, "rp", func(a *dexgen.Asm) {
 		a.Const(0, 0)
@@ -385,8 +386,8 @@ func TestBaseRunReachingEveryTargetSkipsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PathsComputed != 2 || stats.ForcedRuns != 3 || stats.RunsSkipped != 0 {
-		t.Errorf("paths %d, forced runs %d, skipped %d; want 2, 3 (the base run and both tasks), 0",
+	if stats.PathsComputed != 2 || stats.ForcedRuns != 2 || stats.RunsSkipped != 0 {
+		t.Errorf("paths %d, forced runs %d, skipped %d; want 2, 2 (both tasks), 0",
 			stats.PathsComputed, stats.ForcedRuns, stats.RunsSkipped)
 	}
 	if rep := tracker.Report(); rep.Branch.Covered != rep.Branch.Total {
@@ -395,7 +396,7 @@ func TestBaseRunReachingEveryTargetSkipsNothing(t *testing.T) {
 }
 
 // TestExceptionEdgeRunsNeverSkipped: a method nothing calls holds two
-// branches and two try ranges. The base run never reaches it, so it
+// branches and two try ranges. The baseline never reaches it, so it
 // certifies every branch-forcing task and they are all skipped; the
 // method's exception-injection runs are idle the same way but always run.
 func TestExceptionEdgeRunsNeverSkipped(t *testing.T) {
@@ -437,7 +438,7 @@ func TestExceptionEdgeRunsNeverSkipped(t *testing.T) {
 		t.Errorf("%d branch-forcing tasks, %d skipped; want all skipped",
 			branchTasks, stats.RunsSkipped)
 	}
-	if stats.ForcedRuns != 1+handlers {
-		t.Errorf("forced runs = %d, want the base run plus %d injection runs", stats.ForcedRuns, handlers)
+	if stats.ForcedRuns != handlers {
+		t.Errorf("forced runs = %d, want the %d injection runs alone", stats.ForcedRuns, handlers)
 	}
 }

@@ -12,11 +12,14 @@ import (
 // Stage identifies one phase of a Reveal run, mirroring Fig. 1 of the
 // paper: driving the app under JIT collection, the Sapienz-style fuzzing
 // run, the iterative force-execution module, offline reassembly, and the
-// structural verification of the revealed DEX.
+// structural verification of the revealed DEX. An incremental reveal first
+// plans: it fingerprints every method and looks each up in the method
+// cache.
 type Stage string
 
 // The pipeline stages in execution order.
 const (
+	StagePlan       Stage = "plan"
 	StageCollection Stage = "collection"
 	StageFuzz       Stage = "fuzz"
 	StageForceExec  Stage = "force-execution"
@@ -26,7 +29,7 @@ const (
 
 // Stages returns all stages in execution order.
 func Stages() []Stage {
-	return []Stage{StageCollection, StageFuzz, StageForceExec, StageReassembly, StageVerify}
+	return []Stage{StagePlan, StageCollection, StageFuzz, StageForceExec, StageReassembly, StageVerify}
 }
 
 // stageIndex maps each known stage to its execution-order position.
@@ -92,7 +95,10 @@ func (st StageTiming) CPU() time.Duration { return time.Duration(st.CPUNS) }
 type AppMetrics struct {
 	Name string `json:"name"`
 	// Stages holds one timing per stage that ran, in execution order.
-	// Optional stages (fuzz, force-execution) are absent when disabled.
+	// Optional stages (plan, fuzz, force-execution) are absent when
+	// disabled; plan runs only with a method cache. A forced reveal's
+	// collection stage is the force-execution campaign's baseline: the
+	// one plain launch, run under the coverage tracker as well.
 	Stages []StageTiming `json:"stages,omitempty"`
 	// WallNS is the total wall time of the reveal, including overhead not
 	// attributed to a stage.

@@ -240,7 +240,7 @@ func TestAppMetricsStageHelpers(t *testing.T) {
 	if got := m.StageWall(StageCollection); got != 5*time.Millisecond {
 		t.Errorf("StageWall = %v", got)
 	}
-	if len(Stages()) != 5 {
-		t.Errorf("Stages() = %v, want 5 stages", Stages())
+	if len(Stages()) != 6 {
+		t.Errorf("Stages() = %v, want 6 stages", Stages())
 	}
 }

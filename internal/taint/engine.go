@@ -194,10 +194,11 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		pc, in := int(pl.PC), pl.Inst
 
 		// Exceptional edges: any covered instruction may transfer to its
-		// handlers with the current facts (move-exception zeroes the
-		// exception register itself). push ignores the -1 Index returns
-		// for a pc that starts no decoded instruction.
-		m.body.Handlers(pc, func(h int) { push(m.prog.Index(h), regs) })
+		// handlers with the facts before it (move-exception zeroes the
+		// exception register itself). They get inFacts[ci], not regs,
+		// which the transfer below overwrites. push ignores the -1 Index
+		// returns for a pc that starts no decoded instruction.
+		m.body.Handlers(pc, func(h int) { push(m.prog.Index(h), inFacts[ci]) })
 
 		switch op := in.Op; {
 		case op == bytecode.OpMove || op == bytecode.OpMoveFrom16 ||

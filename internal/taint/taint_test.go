@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dexlego/internal/apimodel"
+	"dexlego/internal/art"
 	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
 	"dexlego/internal/dexgen"
@@ -319,6 +320,52 @@ func TestDeadBranchFlowFlaggedByAll(t *testing.T) {
 		a.ReturnVoid()
 	})
 	expect(t, verdicts(t, finish(t, p)), true, true, true)
+}
+
+// TestHandlerSeesFactsBeforeThrowingInstruction: the IMEI sits in v0 and
+// the only instruction in the try, aget-object into v0, throws on a null
+// array. The handler therefore runs with v0 still holding the IMEI and logs
+// it — a leak the runtime records — so every tool must see the handler
+// entered with the facts from before the throwing instruction's write.
+func TestHandlerSeesFactsBeforeThrowingInstruction(t *testing.T) {
+	p := dexgen.New()
+	activity(p, "Lq/Main;").Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, func(a *dexgen.Asm) {
+		a.GetIMEI(0, 1)
+		a.Const(3, 0) // null array
+		a.Const(4, 0)
+		a.Label("ts")
+		a.AGet(bytecode.OpAGetObject, 0, 3, 4)
+		a.Label("te")
+		a.ReturnVoid()
+		a.Label("h")
+		a.MoveException(5)
+		a.LogLeak("t", 0, 1)
+		a.ReturnVoid()
+		a.Catch("ts", "te", "Ljava/lang/NullPointerException;", "h")
+	})
+	pkg, err := p.BuildAPK("q", "1.0", "Lq/Main;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := art.NewRuntime(art.DefaultPhone())
+	if err := rt.LoadAPK(pkg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.LaunchActivity(); err != nil {
+		t.Fatal(err)
+	}
+	if sinks := rt.Sinks(); len(sinks) != 1 || !sinks[0].Leaky() {
+		t.Fatalf("runtime sinks %+v, want one IMEI leak", sinks)
+	}
+	data, err := pkg.Dex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dex.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, verdicts(t, f), true, true, true)
 }
 
 func TestCallbackFlow(t *testing.T) {
