@@ -68,32 +68,27 @@ func run() error {
 	}
 	files := []*dex.File{f}
 
-	// Baseline coverage: launch only.
-	baseTracker, err := coverage.NewTracker(files)
-	if err != nil {
-		return err
-	}
-	baseline := forceexec.New(pkg, files)
-	baseline.MaxIterations = 0
-	if _, err := baseline.Run(baseTracker); err != nil {
-		return err
-	}
-	fmt.Printf("baseline coverage: instructions %s, branches %s\n",
-		baseTracker.Report().Instruction, baseTracker.Report().Branch)
-	fmt.Printf("uncovered conditional branches: %d\n", len(baseTracker.UncoveredBranches()))
-
-	// Force execution.
-	forcedTracker, err := coverage.NewTracker(files)
+	// Baseline coverage: launch only. Force execution then iterates from
+	// this launch on the same tracker.
+	tracker, err := coverage.NewTracker(files)
 	if err != nil {
 		return err
 	}
 	eng := forceexec.New(pkg, files)
-	stats, err := eng.Run(forcedTracker)
+	if _, err := eng.Baseline(tracker); err != nil {
+		return err
+	}
+	fmt.Printf("baseline coverage: instructions %s, branches %s\n",
+		tracker.Report().Instruction, tracker.Report().Branch)
+	fmt.Printf("uncovered conditional branches: %d\n", len(tracker.UncoveredBranches()))
+
+	// Force execution.
+	stats, err := eng.Run(tracker)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("forced coverage:   instructions %s, branches %s\n",
-		forcedTracker.Report().Instruction, forcedTracker.Report().Branch)
+		tracker.Report().Instruction, tracker.Report().Branch)
 	fmt.Printf("iterations=%d forced runs=%d skipped=%d paths=%d exceptions cleared=%d\n",
 		stats.Iterations, stats.ForcedRuns, stats.RunsSkipped, stats.PathsComputed, stats.ExceptionsCleared)
 	for _, p := range stats.Paths {

@@ -11,7 +11,6 @@ import (
 	"dexlego/internal/apk"
 	"dexlego/internal/art"
 	"dexlego/internal/droidbench"
-	"dexlego/internal/hotbench"
 	"dexlego/internal/obs"
 	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
@@ -57,7 +56,7 @@ func revealTraced(t *testing.T, pkg *apk.APK, opts root.Options) ([]byte, *root.
 // barred from the cache.
 func TestIncrementalGoldenCorpusSelfChain(t *testing.T) {
 	for _, mode := range predecodeModes {
-		for _, name := range hotbench.CorpusNames {
+		for _, name := range droidbench.CorpusNames {
 			name := name
 			t.Run(fmt.Sprintf("predecode-%s/%s", mode, name), func(t *testing.T) {
 				t.Setenv("DEXLEGO_PREDECODE", mode)

@@ -70,6 +70,27 @@ func ByName(name string) *Sample {
 	return nil
 }
 
+// CorpusNames is the pinned golden corpus: samples chosen to cover the
+// allocator-relevant shapes of the reveal hot path — plain straight-line
+// leaks, loop-heavy methods (tree dedup pressure), branching and switches
+// (fall-through repair), reflection (bridge generation), try/catch
+// re-anchoring, and self-modifying code (divergence trees and variant
+// merge). The byte-identity suites reveal each of them, and the hot-path
+// benchmark embeds the list in its report and refuses cross-corpus
+// compares, so changing it invalidates every recorded baseline.
+var CorpusNames = []string{
+	"DirectLeak1",
+	"LoopString3",
+	"Branching2",
+	"SwitchFlow1",
+	"Interproc5",
+	"CatchFlow1",
+	"Reflection3",
+	"AdvReflection2",
+	"SelfModifying1",
+	"SelfModifying2",
+}
+
 // Counts returns the suite size and the number of leaky (malware) samples —
 // the first two columns of Tables II and III.
 func Counts() (total, malware int) {

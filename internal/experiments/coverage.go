@@ -136,24 +136,9 @@ func runTable7(exceptionEdges bool) (*Table7Result, error) {
 		fz := fuzzer.New(int64(i) + 1)
 		driver := func(rt *art.Runtime) error { return fz.Drive(rt, nil) }
 
-		// Sapienz alone.
-		base, err := coverage.NewTracker(files)
-		if err != nil {
-			return nil, err
-		}
-		rt := art.NewRuntime(art.DefaultPhone())
-		install(rt)
-		rt.AddHooks(base.Hooks())
-		if err := rt.LoadAPK(app.APK); err != nil {
-			return nil, err
-		}
-		if err := driver(rt); err != nil {
-			return nil, err
-		}
-		sapienz := base.Report()
-
-		// Sapienz + force execution.
-		forcedTracker, err := coverage.NewTracker(files)
+		// Sapienz alone is the campaign's baseline launch; force execution
+		// then iterates from it on the same tracker.
+		tracker, err := coverage.NewTracker(files)
 		if err != nil {
 			return nil, err
 		}
@@ -161,10 +146,14 @@ func runTable7(exceptionEdges bool) (*Table7Result, error) {
 		eng.InstallNatives = install
 		eng.Driver = driver
 		eng.ForceExceptionEdges = exceptionEdges
-		if _, err := eng.Run(forcedTracker); err != nil {
+		if _, err := eng.Baseline(tracker); err != nil {
 			return nil, err
 		}
-		forced := forcedTracker.Report()
+		sapienz := tracker.Report()
+		if _, err := eng.Run(tracker); err != nil {
+			return nil, err
+		}
+		forced := tracker.Report()
 
 		res.PerApp = append(res.PerApp, AppCoverage{
 			Package: app.Package, Sapienz: sapienz, Forced: forced,

@@ -34,26 +34,6 @@ import (
 	"dexlego/internal/workload"
 )
 
-// CorpusNames is the pinned benchmark corpus: DroidBench samples chosen to
-// cover the allocator-relevant shapes of the hot path — plain straight-line
-// leaks, loop-heavy methods (tree dedup pressure), branching and switches
-// (fall-through repair), reflection (bridge generation), try/catch
-// re-anchoring, and self-modifying code (divergence trees and variant
-// merge). Changing this list invalidates every recorded baseline, so the
-// gate embeds the corpus in the report and refuses cross-corpus compares.
-var CorpusNames = []string{
-	"DirectLeak1",
-	"LoopString3",
-	"Branching2",
-	"SwitchFlow1",
-	"Interproc5",
-	"CatchFlow1",
-	"Reflection3",
-	"AdvReflection2",
-	"SelfModifying1",
-	"SelfModifying2",
-}
-
 // The stage vocabulary of the report, in hot-path order. StageReveal is the
 // end-to-end number the acceptance gate tracks; StageForceExec measures one
 // full force-execution campaign over the gate farm at the configured worker
@@ -130,8 +110,8 @@ func (c Config) minIters() int {
 
 // loadCorpus builds the pinned corpus and precomputes every stage input.
 func loadCorpus(workers int) ([]*app, error) {
-	apps := make([]*app, 0, len(CorpusNames))
-	for _, name := range CorpusNames {
+	apps := make([]*app, 0, len(droidbench.CorpusNames))
+	for _, name := range droidbench.CorpusNames {
 		s := droidbench.ByName(name)
 		if s == nil {
 			return nil, fmt.Errorf("hotbench: corpus sample %q does not exist", name)
@@ -313,7 +293,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep := &Report{
 		Schema:      Schema,
-		Corpus:      append([]string(nil), CorpusNames...),
+		Corpus:      append([]string(nil), droidbench.CorpusNames...),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Workers:     cfg.Workers,
 		BenchTimeNS: int64(cfg.benchTime()),

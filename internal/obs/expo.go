@@ -5,9 +5,9 @@
 // The registry reuses the lock-free primitives of this package (Counter,
 // Gauge, Histogram) as its sample backing, so instrumented hot paths pay
 // the same few-nanosecond cost whether a sample is scraped or not. Lazy
-// variants (CounterFunc, GaugeFunc, HistogramFunc) read a value at scrape
-// time, which lets the server expose counters it already maintains as
-// atomics without double accounting.
+// variants (CounterFunc, GaugeFunc) read a value at scrape time, which
+// lets the server expose counters it already maintains as atomics without
+// double accounting.
 //
 // Durations are exposed in nanoseconds (metric names carry the
 // _nanoseconds suffix) because the underlying histograms bucket raw int64
@@ -70,7 +70,6 @@ type series struct {
 	gauge   *Gauge
 	hist    *Histogram
 	intFn   func() int64
-	histFn  func() HistSnapshot
 }
 
 // family is one named metric family: a type, help text, and its series in
@@ -175,12 +174,6 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return h
 }
 
-// HistogramFunc registers a histogram series whose snapshot is read at
-// scrape time; fn must be safe for concurrent use.
-func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot, labels ...Label) {
-	r.register(name, help, TypeHistogram, labels, &series{histFn: fn})
-}
-
 // escapeLabelValue applies the OpenMetrics label value escaping.
 func escapeLabelValue(v string) string {
 	var sb strings.Builder
@@ -244,7 +237,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			case TypeGauge:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, s.intValue())
 			case TypeHistogram:
-				snap := s.histValue()
+				snap := s.hist.Snapshot()
 				var cum int64
 				for _, b := range snap.Buckets {
 					cum += b.Count
@@ -283,16 +276,6 @@ func (s *series) intValue() int64 {
 		return s.intFn()
 	}
 	return 0
-}
-
-func (s *series) histValue() HistSnapshot {
-	switch {
-	case s.hist != nil:
-		return s.hist.Snapshot()
-	case s.histFn != nil:
-		return s.histFn()
-	}
-	return HistSnapshot{}
 }
 
 // --- exposition parsing / linting --------------------------------------------

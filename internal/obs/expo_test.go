@@ -63,25 +63,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistryHistogramFunc covers the lazy histogram path.
-func TestRegistryHistogramFunc(t *testing.T) {
-	var h Histogram
-	h.Observe(50)
-	r := NewRegistry("t")
-	r.HistogramFunc("spans", "span durations", h.Snapshot)
-	var sb strings.Builder
-	if err := r.WriteOpenMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	e, err := ParseExposition(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("lint: %v\n%s", err, sb.String())
-	}
-	if v, ok := e.Value("t_spans_count"); !ok || v != 1 {
-		t.Errorf("spans_count = %v,%t want 1", v, ok)
-	}
-}
-
 // TestRegistryOverflowBucketRendersInf exercises the MaxInt64 bucket: it
 // must fold into +Inf, never print a 9.2e18 bound.
 func TestRegistryOverflowBucketRendersInf(t *testing.T) {

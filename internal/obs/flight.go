@@ -23,14 +23,12 @@ const defaultFlightEvents = 256
 //
 // When next is non-nil every line is also forwarded to it (tee), so wiring
 // a recorder in front of a JSONL sink keeps the full trace while arming
-// the crash ring. A disabled recorder forwards without recording and
-// performs zero allocations.
+// the crash ring.
 type FlightRecorder struct {
-	next     Sink
-	disabled atomic.Bool
-	mask     uint64
-	cur      atomic.Uint64 // total lines recorded; next slot is cur & mask
-	slots    []atomic.Pointer[flightLine]
+	next  Sink
+	mask  uint64
+	cur   atomic.Uint64 // total lines recorded; next slot is cur & mask
+	slots []atomic.Pointer[flightLine]
 }
 
 // flightLine wraps a recorded line so a slot can be published with one
@@ -57,20 +55,10 @@ func NewFlightRecorder(next Sink, size int) *FlightRecorder {
 	}
 }
 
-// SetEnabled arms or disarms the ring; a disarmed recorder still forwards
-// to the tee target but records nothing and allocates nothing.
-func (f *FlightRecorder) SetEnabled(on bool) {
-	if f != nil {
-		f.disabled.Store(!on)
-	}
-}
-
 // Emit records line in the ring and forwards it to the tee target.
 func (f *FlightRecorder) Emit(line []byte) error {
-	if !f.disabled.Load() {
-		idx := (f.cur.Add(1) - 1) & f.mask
-		f.slots[idx].Store(&flightLine{line: line})
-	}
+	idx := (f.cur.Add(1) - 1) & f.mask
+	f.slots[idx].Store(&flightLine{line: line})
 	if f.next != nil {
 		return f.next.Emit(line)
 	}
@@ -89,19 +77,10 @@ func (f *FlightRecorder) Len() int {
 	return int(n)
 }
 
-// Total reports how many lines have been recorded over the recorder's
-// lifetime, including lines the ring has since overwritten.
-func (f *FlightRecorder) Total() int64 {
-	if f == nil {
-		return 0
-	}
-	return int64(f.cur.Load())
-}
-
 // Dump writes the recorded lines to w as JSONL, oldest first, and returns
 // the number of lines written. Slots still in flight (claimed but not yet
 // published by a concurrent Emit) are skipped rather than torn. Dump does
-// not consume the ring; call Reset to clear it.
+// not consume the ring.
 func (f *FlightRecorder) Dump(w io.Writer) (int, error) {
 	if f == nil {
 		return 0, nil
@@ -124,16 +103,4 @@ func (f *FlightRecorder) Dump(w io.Writer) (int, error) {
 		written++
 	}
 	return written, nil
-}
-
-// Reset clears the ring so retained lines become collectible; the tee
-// target is untouched.
-func (f *FlightRecorder) Reset() {
-	if f == nil {
-		return
-	}
-	f.cur.Store(0)
-	for i := range f.slots {
-		f.slots[i].Store(nil)
-	}
 }

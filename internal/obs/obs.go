@@ -4,10 +4,9 @@
 // into a Snapshot the batch report merges per app.
 //
 // The no-op default is a nil *Tracer: every method on *Tracer and *Span is
-// nil-safe, so instrumented hot paths pay one pointer comparison (and, on a
-// live but disabled tracer, one atomic load) when tracing is off — the
-// disabled-path cost is pinned by BenchmarkNilSpanEvent and
-// BenchmarkDisabledTracerEvent.
+// nil-safe, so instrumented hot paths pay one pointer comparison when
+// tracing is off — the off-path cost is pinned by BenchmarkNilSpanEvent.
+// A live tracer is always on.
 //
 // Concurrency contract: a Tracer and its spans are safe for concurrent use
 // (span IDs are process-global, sink writes are serialized by the sink),
@@ -97,7 +96,6 @@ var spanIDs atomic.Uint64
 // Tracer emits spans, domain events, and metrics. A nil *Tracer is the
 // no-op default; a non-nil tracer with a nil sink records metrics only.
 type Tracer struct {
-	enabled  atomic.Bool
 	sink     Sink
 	traceID  string // stamped on every event; set before the first Start
 	counters [numEventTypes]Counter
@@ -105,24 +103,12 @@ type Tracer struct {
 	dropped  atomic.Int64
 }
 
-// New returns an enabled tracer writing to sink. A nil sink keeps metrics
-// without emitting trace lines.
-func New(sink Sink) *Tracer {
-	t := &Tracer{sink: sink}
-	t.enabled.Store(true)
-	return t
-}
+// New returns a tracer writing to sink. A nil sink keeps metrics without
+// emitting trace lines.
+func New(sink Sink) *Tracer { return &Tracer{sink: sink} }
 
-// Enabled reports whether the tracer records anything; false on nil.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips the atomic enabled flag; instrumented call sites observe
-// it on their next event.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+// Enabled reports whether the tracer records anything: false only on nil.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetTraceID names the stable trace identity (a content-hash prefix for
 // server jobs) stamped on every event this tracer emits, root and child
@@ -166,7 +152,7 @@ func (t *Tracer) emit(ev *Event) {
 
 // Start opens a root span. app labels the application the span covers (it
 // becomes the trace report's grouping key); Start returns nil when the
-// tracer is nil or disabled, and a nil *Span is itself a valid no-op.
+// tracer is nil, and a nil *Span is itself a valid no-op.
 func (t *Tracer) Start(name, app string) *Span {
 	if !t.Enabled() {
 		return nil
@@ -190,7 +176,7 @@ type Span struct {
 // Enabled reports whether events on this span are recorded. Call sites
 // whose event arguments are themselves costly (key construction, depth
 // walks) should guard on it.
-func (s *Span) Enabled() bool { return s != nil && s.t.enabled.Load() }
+func (s *Span) Enabled() bool { return s != nil }
 
 // Start opens a child span inheriting the parent's trace identity.
 func (s *Span) Start(name string) *Span {
@@ -215,7 +201,7 @@ func (s *Span) End() {
 
 // event records one domain event on the span: the single enabled check
 // behind every typed emitter below. The event is built by a callback only
-// past that check, so a nil or disabled span neither builds the (large)
+// past that check, so a nil span neither builds the (large)
 // Event nor allocates, and since the tracer encodes a copy, a metrics-only
 // tracer allocates nothing either.
 func (s *Span) event(build func() Event) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -128,24 +127,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	}
 	if tr.Snapshot() != nil {
 		t.Fatal("nil tracer returned a snapshot")
-	}
-	tr.SetEnabled(true) // no-op, no panic
-}
-
-func TestDisabledTracerEmitsNothing(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
-	s := tr.Start("reveal", "x")
-	tr.SetEnabled(false)
-	s.TreeFork("m", 0, 1)
-	s.MethodCollected("m", 1, 1)
-	s.End()
-	if got := buf.String(); strings.Count(got, "\n") != 1 {
-		t.Errorf("disabled tracer kept writing: %q", got)
-	}
-	snap := tr.Snapshot()
-	if snap.EventCount(EventTreeFork) != 0 || snap.EventCount(EventMethodCollected) != 0 {
-		t.Errorf("disabled tracer kept counting: %+v", snap)
 	}
 }
 

@@ -111,6 +111,7 @@ func newTelemetry(s *Server) *telemetry {
 		r.CounterFunc("methodcache_hits", "Method-tree cache hits.", mc.Hits)
 		r.CounterFunc("methodcache_misses", "Method-tree cache misses.", mc.Misses)
 		r.CounterFunc("methodcache_evicted", "Method trees evicted from memory.", mc.Evicted)
+		r.CounterFunc("methodcache_corrupt", "Damaged disk method trees rejected as misses.", mc.Corrupt)
 		r.GaugeFunc("methodcache_resident", "Method trees resident in memory.", func() int64 {
 			return int64(mc.Len())
 		})

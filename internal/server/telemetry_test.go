@@ -162,6 +162,51 @@ func TestStoreCorruptCountsEntryOnce(t *testing.T) {
 	}
 }
 
+// TestMethodCacheCorruptExposed damages a persisted method tree and reads
+// it twice through the server's method cache: the scrape reports the
+// damaged key once in dexlego_methodcache_corrupt_total.
+func TestMethodCacheCorruptExposed(t *testing.T) {
+	dir := t.TempDir()
+	mc, err := store.OpenMethodCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.MethodKeyFor("opts", "method")
+	if err := mc.Put(key, []byte("R2 a record")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key[:2], key+".rec")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := store.OpenMethodCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, func(c *Config) { c.MethodCache = fresh })
+	for i := 0; i < 2; i++ {
+		if _, ok := fresh.Get(key); ok {
+			t.Fatal("damaged method tree served")
+		}
+	}
+	code, scrape := getBody(t, hs.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", code)
+	}
+	e, err := obs.ParseExposition(bytes.NewReader(scrape))
+	if err != nil {
+		t.Fatalf("scrape does not lint: %v", err)
+	}
+	if v, ok := e.Value("dexlego_methodcache_corrupt_total"); !ok || v != 1 {
+		t.Errorf("methodcache_corrupt_total = %v,%t want 1", v, ok)
+	}
+}
+
 // TestFlightDumpOnFailedJob checks the incident path end to end: a failed
 // job keeps a flight recording, serves it at /v1/jobs/{id}/flight, writes
 // it to FlightDir, and every recorded event replays under the job's trace

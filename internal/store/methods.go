@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // The method-level keyspace sits beside the whole-APK artifact keyspace: an
@@ -20,11 +18,13 @@ import (
 // invalidation protocol: a changed method simply hashes to a different key
 // and the stale entry ages out of the LRU.
 //
-// Both key namespaces carry the record format's version (v2: the binary
-// codec of collector.EncodeRecord; v1 was JSON), and disk entries are
-// named <key>.rec, so a record written in an older format is never looked
-// up under a current key. Bytes planted at a current path anyway are
-// rejected by DecodeRecord, and the caller treats that as a miss.
+// Both key namespaces carry the format's version, so an entry written in an
+// older format is never looked up under a current key. The method-tree
+// namespace is at v3: the binary codec of collector.EncodeRecord (v2; v1
+// was JSON) in a digest-framed <key>.rec file (see disk). A damaged file
+// fails its digest and is a miss; intact bytes that are not a current
+// record are rejected by DecodeRecord, and the caller treats that as a
+// miss too.
 
 // DefaultMethodCacheBytes bounds the in-memory method-tree LRU when
 // OpenMethodCache is given no explicit capacity.
@@ -37,7 +37,7 @@ const DefaultMethodCacheBytes int64 = 64 << 20
 // collected under force-execution is not the tree collected without it.
 func MethodKeyFor(optionsFingerprint, methodFingerprint string) string {
 	h := sha256.New()
-	h.Write([]byte("methodtree/v2|"))
+	h.Write([]byte("methodtree/v3|"))
 	h.Write([]byte(optionsFingerprint))
 	h.Write([]byte{'|'})
 	h.Write([]byte(methodFingerprint))
@@ -59,14 +59,14 @@ func SpillKeyFor(data []byte) string {
 }
 
 // MethodCache is the per-method collection-tree cache: a byte-bounded
-// in-memory LRU in front of an optional on-disk tier with the same
-// two-level fan-out and atomic persistence as the artifact store. Hits
-// counts lookups served from memory or disk, Misses counts lookups that
-// found nothing, and Evicted counts trees dropped from memory (the disk
-// tier keeps them). All methods are safe for concurrent use.
+// in-memory LRU in front of an optional disk tier, the artifact store's.
+// Hits counts lookups served from memory or disk, Misses counts lookups
+// that found nothing, Evicted counts trees dropped from memory (the disk
+// tier keeps them), and Corrupt counts keys whose disk entry was rejected
+// as damaged. All methods are safe for concurrent use.
 type MethodCache struct {
 	lru[[]byte]
-	dir string // "" = memory-only
+	*disk
 }
 
 // OpenMethodCache returns a method-tree cache persisting under dir (created
@@ -76,14 +76,13 @@ func OpenMethodCache(dir string, capBytes int64) (*MethodCache, error) {
 	if capBytes <= 0 {
 		capBytes = DefaultMethodCacheBytes
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: method cache: %w", err)
-		}
+	d, err := newDisk(dir)
+	if err != nil {
+		return nil, err
 	}
 	return &MethodCache{
-		lru: newLRU(capBytes, func(data []byte) int64 { return int64(len(data)) }),
-		dir: dir,
+		lru:  newLRU(capBytes, func(data []byte) int64 { return int64(len(data)) }),
+		disk: d,
 	}, nil
 }
 
@@ -101,11 +100,9 @@ func (c *MethodCache) Get(key string) ([]byte, bool) {
 	if data, ok := c.get(key); ok {
 		return data, true
 	}
-	if c.dir != "" {
-		if data, err := os.ReadFile(c.treePath(key)); err == nil && len(data) > 0 {
-			c.hits.Add(1)
-			return c.put(key, data, true), true
-		}
+	if data, ok := c.read(key, ".rec"); ok {
+		c.hits.Add(1)
+		return c.put(key, data, true), true
 	}
 	c.misses.Add(1)
 	return nil, false
@@ -124,21 +121,9 @@ func (c *MethodCache) Put(key string, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("store: refusing to cache an empty method tree")
 	}
-	if c.dir != "" {
-		path := c.treePath(key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("store: method cache: %w", err)
-		}
-		if err := atomicWrite(path, data); err != nil {
-			return err
-		}
+	if err := c.write(key, ".rec", data); err != nil {
+		return err
 	}
 	c.put(key, data, false)
 	return nil
-}
-
-// treePath maps a key into the two-level on-disk fan-out
-// (<dir>/<key[:2]>/<key>.rec).
-func (c *MethodCache) treePath(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".rec")
 }

@@ -77,19 +77,19 @@ func TestMethodCacheEvictionStorm(t *testing.T) {
 	}
 }
 
-// TestMethodCachePutReplacesForeignEntry: bytes planted at a key's disk
-// path are served as they are (the cache does not interpret records), and
-// one Put of the real record replaces them in memory and on disk, with the
-// byte accounting following.
+// TestMethodCachePutReplacesForeignEntry: intact bytes planted under a key
+// by another cache over the same directory are served as they are (the
+// cache does not interpret records), and one Put of the real record
+// replaces them in memory and on disk, with the byte accounting following.
 func TestMethodCachePutReplacesForeignEntry(t *testing.T) {
 	dir := t.TempDir()
 	key := MethodKeyFor("opts", "method")
-	path := filepath.Join(dir, key[:2], key+".rec")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	planter, err := OpenMethodCache(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	foreign := []byte(`{"class":"Lx;","trees":[]}`)
-	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+	if err := planter.Put(key, foreign); err != nil {
 		t.Fatal(err)
 	}
 	c, err := OpenMethodCache(dir, 0)
@@ -115,5 +115,59 @@ func TestMethodCachePutReplacesForeignEntry(t *testing.T) {
 	}
 	if got, ok := reopened.Get(key); !ok || !bytes.Equal(got, good) {
 		t.Errorf("disk tier after Put: got %q, %v; want the new bytes", got, ok)
+	}
+}
+
+// TestMethodCacheDamagedRecordIsAMiss flips each byte of a persisted
+// record in turn, digest and payload alike: a fresh cache over the file
+// never serves it, counts the key once however often it is read, and one
+// Put repairs it.
+func TestMethodCacheDamagedRecordIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	key := MethodKeyFor("opts", "method")
+	good := []byte("R2 a record")
+	w, err := OpenMethodCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(key, good); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key[:2], key+".rec")
+	framed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range framed {
+		damaged := bytes.Clone(framed)
+		damaged[i] ^= 0x01
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenMethodCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for read := 0; read < 2; read++ {
+			if got, ok := c.Get(key); ok {
+				t.Fatalf("byte %d flipped: served %q", i, got)
+			}
+		}
+		if c.Corrupt() != 1 || c.Misses() != 2 {
+			t.Fatalf("byte %d flipped: Corrupt() = %d, Misses() = %d; want 1, 2", i, c.Corrupt(), c.Misses())
+		}
+		if err := c.Put(key, good); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.Get(key); !ok || !bytes.Equal(got, good) {
+			t.Fatalf("byte %d flipped: after Put got %q, %v", i, got, ok)
+		}
+		fresh, err := OpenMethodCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := fresh.Get(key); !ok || !bytes.Equal(got, good) || fresh.Corrupt() != 0 {
+			t.Fatalf("byte %d flipped: repaired entry got %q, %v, Corrupt() = %d", i, got, ok, fresh.Corrupt())
+		}
 	}
 }

@@ -8,14 +8,15 @@
 // DESIGN.md maps this assumption back to the paper.
 //
 // The store is two tiers: one in-memory LRU of decoded artifacts in front
-// of an unbounded on-disk layout (two-level fan-out directories, atomic
-// write-then-rename persistence of the revealed APK and its
-// pipeline.AppMetrics/obs snapshot and a SHA-256 of the APK, checked on
-// load). The same memory tier (lru.go), bounded by a per-entry cost, also
-// fronts the MethodCache: one artifact costs 1, one method tree its size
-// in bytes. The store does not deduplicate concurrent reveals of one key:
-// the server's admission lease already keeps each key to one queued or
-// running job.
+// of an unbounded disk tier holding the revealed APK and its
+// pipeline.AppMetrics/obs snapshot as two files. The MethodCache is built
+// from the same two tiers: the memory tier (lru.go), bounded by a
+// per-entry cost (one artifact costs 1, one method tree its size in
+// bytes), and the disk tier (disk.go), which owns the fan-out layout, the
+// write-then-rename publication and the SHA-256 frame every file is
+// checked against on load. The store does not deduplicate concurrent
+// reveals of one key: the server's admission lease already keeps each key
+// to one queued or running job.
 package store
 
 import (
@@ -24,10 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"dexlego/internal/pipeline"
 )
@@ -48,7 +45,7 @@ var ErrBadKey = errors.New("store: cache key is not a sha-256 hex string")
 // options fingerprint (dexlego.Options.Fingerprint).
 func KeyFor(apkHash [32]byte, optionsFingerprint string) string {
 	h := sha256.New()
-	h.Write([]byte("artifact/v1|"))
+	h.Write([]byte("artifact/v2|"))
 	h.Write(apkHash[:])
 	h.Write([]byte{'|'})
 	h.Write([]byte(optionsFingerprint))
@@ -60,8 +57,7 @@ func ValidKey(key string) bool {
 	if len(key) != keyHexLen {
 		return false
 	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
+	for _, c := range []byte(key) {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return false
 		}
@@ -88,14 +84,13 @@ type Artifact struct {
 // Store is a two-tier content-addressed artifact cache: the memory tier
 // holds at most its capacity of decoded artifacts, whatever their size.
 // Hits counts lookups served from memory or disk, Misses counts reveals
-// actually run (Get alone never counts one), and Evicted counts artifacts
-// dropped from memory (the disk tier keeps them). All methods are safe for
+// actually run (Get alone never counts one), Evicted counts artifacts
+// dropped from memory (the disk tier keeps them), and Corrupt counts keys
+// whose disk entry was rejected as damaged. All methods are safe for
 // concurrent use.
 type Store struct {
 	lru[*Artifact]
-	dir     string // "" = memory-only
-	corrupt atomic.Int64
-	damaged sync.Map // keys counted in corrupt, until persist repairs them
+	*disk
 }
 
 // Open returns a store persisting under dir (created if missing; "" keeps
@@ -105,23 +100,15 @@ func Open(dir string, capEntries int) (*Store, error) {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	d, err := newDisk(dir)
+	if err != nil {
+		return nil, err
 	}
 	return &Store{
-		lru: newLRU(int64(capEntries), func(*Artifact) int64 { return 1 }),
-		dir: dir,
+		lru:  newLRU(int64(capEntries), func(*Artifact) int64 { return 1 }),
+		disk: d,
 	}, nil
 }
-
-// Corrupt counts disk entries rejected as damaged: both files present, but
-// the metadata does not parse, names another key, or carries no or a wrong
-// digest of the APK. Each rejection is also a miss, so the reveal
-// re-creates the entry. A damaged entry counts once however often it is
-// read; once repaired, a later fault counts again.
-func (s *Store) Corrupt() int64 { return s.corrupt.Load() }
 
 // Get returns the artifact stored under key, consulting memory then disk,
 // without ever running a reveal. A disk hit is promoted into the LRU.
@@ -170,103 +157,40 @@ func (s *Store) GetOrReveal(key string, reveal func() (*Artifact, error)) (*Arti
 	return art, false, nil
 }
 
-// apkPath/metaPath map a key into the two-level on-disk fan-out
-// (<dir>/<key[:2]>/<key>.{apk,json}), keeping directories small at
-// corpus scale.
-func (s *Store) apkPath(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".apk")
-}
-
-func (s *Store) metaPath(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
-}
-
-// diskMeta is an artifact's on-disk metadata: the artifact's own fields
-// plus the SHA-256 of its revealed bytes, which loadDisk checks before it
-// serves the bytes.
-type diskMeta struct {
-	*Artifact
-	SHA256 string `json:"sha256"`
-}
-
-func revealedDigest(revealed []byte) string {
-	sum := sha256.Sum256(revealed)
-	return hex.EncodeToString(sum[:])
-}
-
 // loadDisk reads one persisted artifact; nil is a miss, never an error:
-// the reveal re-creates the entry. A file that cannot be read, as when
-// absent, is a clean miss (a crash between persist's two writes leaves the
-// APK without its metadata); an entry whose files both read but fail the
-// checks is counted in Corrupt.
+// the reveal re-creates the entry. The metadata is read first, so an APK
+// without it (a crash between persist's two writes) is a clean miss; a
+// metadata file that passes its digest but does not parse or names another
+// key is counted in Corrupt.
 func (s *Store) loadDisk(key string) *Artifact {
-	if s.dir == "" {
+	meta, ok := s.read(key, ".json")
+	if !ok {
 		return nil
 	}
-	revealed, err := os.ReadFile(s.apkPath(key))
-	if err != nil {
-		return nil
-	}
-	meta, err := os.ReadFile(s.metaPath(key))
-	if err != nil {
+	revealed, ok := s.read(key, ".apk")
+	if !ok {
 		return nil
 	}
 	art := &Artifact{Revealed: revealed}
-	m := diskMeta{Artifact: art}
-	if err := json.Unmarshal(meta, &m); err != nil || art.Key != key ||
-		m.SHA256 != revealedDigest(revealed) {
-		if _, seen := s.damaged.LoadOrStore(key, struct{}{}); !seen {
-			s.corrupt.Add(1)
-		}
+	if err := json.Unmarshal(meta, art); err != nil || art.Key != key {
+		s.reject(key)
 		return nil
 	}
 	return art
 }
 
-// persist writes the artifact with write-then-rename atomicity: a crash
-// mid-write leaves a *.tmp* file, never a half-visible artifact. The
-// metadata lands last, so an artifact is visible only once complete.
+// persist writes the APK, then its metadata, so an artifact is visible
+// only once complete.
 func (s *Store) persist(art *Artifact) error {
 	if s.dir == "" {
 		return nil
 	}
-	dir := filepath.Dir(s.apkPath(art.Key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := atomicWrite(s.apkPath(art.Key), art.Revealed); err != nil {
-		return err
-	}
-	meta, err := json.MarshalIndent(diskMeta{art, revealedDigest(art.Revealed)}, "", "  ")
+	meta, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode metadata: %w", err)
 	}
-	if err := atomicWrite(s.metaPath(art.Key), meta); err != nil {
+	if err := s.write(art.Key, ".apk", art.Revealed); err != nil {
 		return err
 	}
-	s.damaged.Delete(art.Key)
-	return nil
-}
-
-// atomicWrite writes data to a temp file in path's directory and renames
-// it into place.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: publish %s: %w", path, err)
-	}
-	return nil
+	return s.write(art.Key, ".json", meta)
 }

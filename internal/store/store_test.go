@@ -133,21 +133,28 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 			data[len(data)/2] ^= 0x01
 			return os.WriteFile(apkPath, data, 0o644)
 		}, 1},
-		{"metadata without digest", func(_, metaPath string) error {
+		{"flipped metadata byte", func(_, metaPath string) error {
 			data, err := os.ReadFile(metaPath)
 			if err != nil {
 				return err
 			}
-			var meta map[string]any
-			if err := json.Unmarshal(data, &meta); err != nil {
-				return err
+			i := strings.Index(string(data), `"name": "app-`)
+			if i < 0 {
+				return fmt.Errorf("no name field in %q", data)
 			}
-			delete(meta, "sha256")
-			data, err = json.Marshal(meta)
+			data[i+len(`"name": "app-`)] ^= 0x01
+			return os.WriteFile(metaPath, data, 0o644)
+		}, 1},
+		{"metadata without digest", func(_, metaPath string) error {
+			// The metadata JSON itself, intact, but not framed by its digest.
+			data, err := os.ReadFile(metaPath)
 			if err != nil {
 				return err
 			}
-			return os.WriteFile(metaPath, data, 0o644)
+			if !json.Valid(data[sha256.Size:]) {
+				return fmt.Errorf("metadata payload is not JSON: %q", data)
+			}
+			return os.WriteFile(metaPath, data[sha256.Size:], 0o644)
 		}, 1},
 	}
 	for _, c := range cases {
@@ -195,6 +202,59 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 		}
 		if _, ok := s3.Get(key); !ok || s3.Corrupt() != 0 {
 			t.Errorf("%s: repaired entry: ok=%t corrupt=%d", c.name, ok, s3.Corrupt())
+		}
+	}
+}
+
+// TestStoreDamagedFilesAreMisses flips each byte of a persisted
+// artifact's APK and metadata in turn, digest and payload alike: a fresh
+// store never serves the entry, counts it once however often it is read,
+// and the reveal's store-back repairs it.
+func TestStoreDamagedFilesAreMisses(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(5)
+	reveal := func() (*Artifact, error) { return artifactFor(key), nil }
+	s, err := Open(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.GetOrReveal(key, reveal); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".apk", ".json"} {
+		path := filepath.Join(dir, key[:2], key+ext)
+		intact, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range intact {
+			damaged := append([]byte(nil), intact...)
+			damaged[i] ^= 0x01
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for read := 0; read < 2; read++ {
+				if _, ok := s.Get(key); ok {
+					t.Fatalf("%s byte %d flipped: damaged entry served", ext, i)
+				}
+			}
+			if s.Corrupt() != 1 {
+				t.Fatalf("%s byte %d flipped: Corrupt() = %d, want 1", ext, i, s.Corrupt())
+			}
+			if _, hit, err := s.GetOrReveal(key, reveal); err != nil || hit {
+				t.Fatalf("%s byte %d flipped: hit=%t err=%v", ext, i, hit, err)
+			}
+			fresh, err := Open(dir, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if art, ok := fresh.Get(key); !ok || string(art.Revealed) != string(payloadFor(key)) || fresh.Corrupt() != 0 {
+				t.Fatalf("%s byte %d flipped: repaired entry ok=%t corrupt=%d", ext, i, ok, fresh.Corrupt())
+			}
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	root "dexlego"
@@ -14,11 +12,13 @@ import (
 	"dexlego/internal/workload"
 )
 
-// TestMethodCacheForeignEntriesAreMisses plants, at the disk path of every
-// cacheable method's key, bytes that are not a record in the current
-// format: the method's v1 JSON record, its binary record cut in half, or
-// garbage with and without the format tag. Every planted entry is read and
-// is a miss: the reveal neither fails nor panics, re-executes every
+// TestMethodCacheForeignEntriesAreMisses plants, through another cache over
+// the same directory, under every cacheable method's key, bytes that are
+// not a record in the current format: the method's v1 JSON record, its
+// binary record cut in half, or garbage with and without the format tag.
+// The planted files are intact, so each passes the disk tier's digest
+// check and reaches DecodeRecord. Every planted entry is read and is a
+// miss: the reveal neither fails nor panics, re-executes every
 // method, and stays byte-identical to the full path. Its store-back
 // replaces the planted bytes, so the next reveal splices.
 func TestMethodCacheForeignEntriesAreMisses(t *testing.T) {
@@ -68,18 +68,17 @@ func TestMethodCacheForeignEntriesAreMisses(t *testing.T) {
 	for _, plant := range plants {
 		t.Run(plant.name, func(t *testing.T) {
 			dir := t.TempDir()
+			planter, err := store.OpenMethodCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			planted := 0
 			for key, fp := range fps {
 				rec := refRes.Collection.Methods[key]
 				if rec == nil || !rec.Cacheable() {
 					continue
 				}
-				mk := store.MethodKeyFor(optsFP, fp)
-				path := filepath.Join(dir, mk[:2], mk+".rec")
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, plant.bytes(rec), 0o644); err != nil {
+				if err := planter.Put(store.MethodKeyFor(optsFP, fp), plant.bytes(rec)); err != nil {
 					t.Fatal(err)
 				}
 				planted++

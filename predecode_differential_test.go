@@ -10,7 +10,6 @@ import (
 	"dexlego/internal/apk"
 	"dexlego/internal/art"
 	"dexlego/internal/droidbench"
-	"dexlego/internal/hotbench"
 	"dexlego/internal/obs"
 )
 
@@ -118,12 +117,12 @@ func TestPredecodeDifferentialDroidBench(t *testing.T) {
 }
 
 // TestPredecodeDifferentialGoldenCorpus deepens the check on the pinned
-// hotbench corpus: force execution is enabled so the differential covers
+// golden corpus: force execution is enabled so the differential covers
 // branch overrides, the forced-run pool and the coverage module, and the
 // byte-identity is additionally asserted at Workers > 1, where all shard
 // runtimes of a campaign share one predecoded-program cache.
 func TestPredecodeDifferentialGoldenCorpus(t *testing.T) {
-	for _, name := range hotbench.CorpusNames {
+	for _, name := range droidbench.CorpusNames {
 		s := droidbench.ByName(name)
 		if s == nil {
 			t.Fatalf("corpus sample %q missing", name)

@@ -6,7 +6,6 @@ import (
 
 	root "dexlego"
 	"dexlego/internal/droidbench"
-	"dexlego/internal/hotbench"
 	"dexlego/internal/reassembler"
 )
 
@@ -16,7 +15,7 @@ import (
 // (File.Write), at every reassembly worker count. Run under -race in CI,
 // this also exercises the parallel assembly fan-out feeding the writer.
 func TestStreamingDexByteIdentical(t *testing.T) {
-	for _, name := range hotbench.CorpusNames {
+	for _, name := range droidbench.CorpusNames {
 		s := droidbench.ByName(name)
 		if s == nil {
 			t.Fatalf("corpus sample %q missing", name)
