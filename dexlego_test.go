@@ -187,7 +187,7 @@ func TestRevealKeepsSwitchPayloadVariants(t *testing.T) {
 					t.Fatalf("pc 0 is %v (%v), want packed-switch", in.Op, err)
 				}
 				in.Targets[1] = in.Targets[0] // case 1 now jumps where case 0 does
-				units, err := bytecode.EncodePayload(in)
+				units, err := bytecode.EncodePayload(&in)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func TestRevealKeepsSwitchPayloadVariants(t *testing.T) {
 	if len(rec.Trees) != 2 {
 		t.Fatalf("%s holds %d trees, want 2 (one per switch payload)", key, len(rec.Trees))
 	}
-	a, b := &rec.Trees[0].IL[0].Inst, &rec.Trees[1].IL[0].Inst
+	a, b := rec.Trees[0].IL[0].Inst, rec.Trees[1].IL[0].Inst
 	if a.Equal(b) {
 		t.Errorf("both trees carry the same switch: %v", a.Targets)
 	}

@@ -262,6 +262,7 @@ func (rt *Runtime) installFramework() {
 		{"Ljava/lang/ClassCastException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/ArrayIndexOutOfBoundsException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/NumberFormatException;", "Ljava/lang/RuntimeException;"},
+		{"Ljava/lang/IllegalArgumentException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/ClassNotFoundException;", "Ljava/lang/Exception;"},
 		{"Ljava/lang/NoSuchMethodException;", "Ljava/lang/Exception;"},
 		{"Ljava/lang/Error;", "Ljava/lang/Throwable;"},
@@ -398,6 +399,12 @@ func (rt *Runtime) installFramework() {
 				for _, el := range args[1].Ref.Elems {
 					callArgs = append(callArgs, unbox(el))
 				}
+			}
+			// Natives index their arguments unchecked, so a call with the
+			// wrong count throws here, as Method.invoke does on a device.
+			if len(callArgs) != len(target.ParamTypes) {
+				return Value{}, env.Throw("Ljava/lang/IllegalArgumentException;",
+					fmt.Sprintf("wrong number of arguments; expected %d, got %d", len(target.ParamTypes), len(callArgs)))
 			}
 			env.FireReflectiveCall(target)
 			res, err := env.Call(target, callRecv, callArgs)

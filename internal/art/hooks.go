@@ -23,10 +23,14 @@ type Hooks struct {
 	// Instruction fires before each instruction executes. insns is the live
 	// instruction array — self-modified code is visible here, which is what
 	// makes instruction-level JIT collection possible. in is the decoded
-	// instruction about to execute (shared with the predecoded stream, so
-	// hooks must Clone before mutating), or nil when decoding failed at pc.
-	// Hooks must not write into insns; live-code mutation goes through
-	// Env.TamperMethod so the predecode cache is invalidated.
+	// instruction about to execute, or nil when decoding failed at pc;
+	// hooks must not mutate it (Clone first). When it is the bound
+	// program's instruction at pc (see Method.Program), an immutable
+	// snapshot, a hook may keep the pointer beyond the call. Otherwise it is
+	// the interpreter's scratch for a live-decoded pc, which the next step
+	// overwrites, so a hook keeps a copy. Hooks must not write into insns;
+	// live-code mutation goes through Env.TamperMethod so the predecode
+	// cache is invalidated.
 	Instruction func(m *Method, pc int, insns []uint16, in *bytecode.Inst)
 	// Branch fires for each conditional branch with the evaluated outcome;
 	// returning override=true forces newTaken instead (force execution).

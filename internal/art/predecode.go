@@ -65,6 +65,12 @@ func (rt *Runtime) bindProgram(f *frame) {
 	f.bindPtr = &m.Insns[0]
 }
 
+// Program returns the predecoded program the method's frames execute from:
+// the one bound for its current live code, or nil with predecode off or
+// before the first bind. A non-nil program is an immutable snapshot, so the
+// instructions it hands to Hooks.Instruction stay valid after the call.
+func (m *Method) Program() *bytecode.Program { return m.prog }
+
 // bindStale reports whether the live code of the frame's method changed
 // since bindProgram: a replaced slice, a grown slice, or a generation bump
 // from an in-place tamper. Checked before every step so a mid-run

@@ -485,8 +485,14 @@ func (a *Assembler) AssembleFull() (AsmResult, error) {
 	}
 	for i := range a.items {
 		it := &a.items[i]
-		in := it.inst
+		in := &it.inst
 		at := int(itemPC[i])
+		if it.branch >= 0 || len(it.targets) > 0 {
+			// Only branch and switch items are patched, and into a copy, so
+			// the item keeps its unresolved form.
+			patched := it.inst
+			in = &patched
+		}
 		if it.branch >= 0 {
 			off, err := resolve(it.branch, at)
 			if err != nil {
@@ -528,7 +534,7 @@ func (a *Assembler) AssembleFull() (AsmResult, error) {
 			}
 			in.Targets[j] = off
 		}
-		payload, err := EncodePayload(in)
+		payload, err := EncodePayload(&in)
 		if err != nil {
 			return AsmResult{}, err
 		}

@@ -157,7 +157,7 @@ func TestEncodeDecodeRoundTripAllOpcodes(t *testing.T) {
 	for _, op := range Opcodes() {
 		for trial := 0; trial < 50; trial++ {
 			in := randInst(op, rng)
-			units, err := Encode(in)
+			units, err := Encode(&in)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", op, err)
 			}
@@ -169,11 +169,11 @@ func TestEncodeDecodeRoundTripAllOpcodes(t *testing.T) {
 				// Place payload right after the instruction (even pc 0+3 →
 				// pad to 4).
 				in.Off = 4
-				units, err = Encode(in)
+				units, err = Encode(&in)
 				if err != nil {
 					t.Fatalf("%s: re-encode: %v", op, err)
 				}
-				payload, err := EncodePayload(in)
+				payload, err := EncodePayload(&in)
 				if err != nil {
 					t.Fatalf("%s: payload: %v", op, err)
 				}
@@ -202,7 +202,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			return true // covered above; payload placement differs
 		}
 		in := randInst(op, rng)
-		units, err := Encode(in)
+		units, err := Encode(&in)
 		if err != nil {
 			return false
 		}
@@ -255,18 +255,18 @@ func TestEncodeErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Encode(tt.in); err == nil {
+			if _, err := Encode(&tt.in); err == nil {
 				t.Errorf("want error, got nil")
 			}
 		})
 	}
-	if _, err := EncodePayload(Inst{Op: OpNop}); err == nil {
+	if _, err := EncodePayload(&Inst{Op: OpNop}); err == nil {
 		t.Error("EncodePayload(nop): want error")
 	}
-	if _, err := EncodePayload(Inst{Op: OpPackedSwitch, Keys: []int32{0, 2}, Targets: []int32{1, 2}}); err == nil {
+	if _, err := EncodePayload(&Inst{Op: OpPackedSwitch, Keys: []int32{0, 2}, Targets: []int32{1, 2}}); err == nil {
 		t.Error("EncodePayload(non-consecutive packed keys): want error")
 	}
-	if _, err := EncodePayload(Inst{Op: OpSparseSwitch, Keys: []int32{5, 5}, Targets: []int32{1, 2}}); err == nil {
+	if _, err := EncodePayload(&Inst{Op: OpSparseSwitch, Keys: []int32{5, 5}, Targets: []int32{1, 2}}); err == nil {
 		t.Error("EncodePayload(non-ascending sparse keys): want error")
 	}
 }

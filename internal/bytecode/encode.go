@@ -23,8 +23,10 @@ func fitsS(v int64, bits int) bool {
 
 // Encode encodes a single instruction to code units. Branch offsets (Off)
 // must already be resolved in units relative to the instruction address.
-// Switch payloads are not emitted here; see EncodePayload.
-func Encode(in Inst) ([]uint16, error) {
+// Switch payloads are not emitted here; see EncodePayload. in is read, never
+// written, and passed by pointer because an Inst is too large to copy per
+// encoded instruction.
+func Encode(in *Inst) ([]uint16, error) {
 	info, ok := in.Op.info()
 	if !ok {
 		return nil, encErr(in.Op, "unknown opcode")
@@ -182,7 +184,7 @@ func Encode(in Inst) ([]uint16, error) {
 
 // EncodePayload encodes the out-of-line payload of a switch instruction.
 // The returned unit slice must be placed at an even dex_pc (4-byte aligned).
-func EncodePayload(in Inst) ([]uint16, error) {
+func EncodePayload(in *Inst) ([]uint16, error) {
 	switch in.Op {
 	case OpPackedSwitch:
 		if len(in.Keys) != len(in.Targets) {

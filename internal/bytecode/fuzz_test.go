@@ -55,7 +55,7 @@ func FuzzDecode(f *testing.F) {
 		}
 
 		// Re-encode of a decoded instruction must succeed and round-trip.
-		enc, err := Encode(in)
+		enc, err := Encode(&in)
 		if err != nil {
 			t.Fatalf("Encode of decoded %v failed: %v", in, err)
 		}
@@ -66,7 +66,7 @@ func FuzzDecode(f *testing.F) {
 		if pw := in.PayloadWidth(); pw > 0 {
 			// Switch instructions need their payload appended where Off
 			// points before they re-decode.
-			payload, err := EncodePayload(in)
+			payload, err := EncodePayload(&in)
 			if err != nil {
 				t.Fatalf("EncodePayload of decoded %v failed: %v", in, err)
 			}

@@ -30,15 +30,17 @@ type Inst struct {
 }
 
 // Width returns the width of the instruction in 16-bit code units, not
-// counting any out-of-line switch payload.
-func (in Inst) Width() int {
+// counting any out-of-line switch payload. Like PayloadWidth it takes a
+// pointer: the assembler and the reassembler call it per instruction, and a
+// value receiver copies the whole Inst there.
+func (in *Inst) Width() int {
 	return in.Op.Format().Width()
 }
 
 // PayloadWidth returns the number of units of the out-of-line payload for
 // switch instructions, or 0. The case count comes from Keys when Targets
 // are not yet resolved (assembly time) — the two always agree once encoded.
-func (in Inst) PayloadWidth() int {
+func (in *Inst) PayloadWidth() int {
 	n := len(in.Targets)
 	if len(in.Keys) > n {
 		n = len(in.Keys)
@@ -56,8 +58,13 @@ func (in Inst) PayloadWidth() int {
 // Equal reports whether two instructions are identical, including operands
 // and switch tables. It is the SameIns predicate of the paper's Algorithm 1.
 // Both sides are pointers: the collector calls it on every executed
-// instruction, and an Inst is too large to copy there.
+// instruction, and an Inst is too large to copy there. The same pointer is
+// equal without a field compare, which is the collector's common case: its
+// entries point at the predecoded instructions the interpreter hands it.
 func (in *Inst) Equal(other *Inst) bool {
+	if in == other {
+		return true
+	}
 	if in.Op != other.Op || in.A != other.A || in.B != other.B ||
 		in.C != other.C || in.Index != other.Index || in.Lit != other.Lit ||
 		in.Off != other.Off {

@@ -125,7 +125,7 @@ func TestDenseOpcodeTableMatchesMap(t *testing.T) {
 		if _, _, err := Decode([]uint16{uint16(i), 0, 0, 0, 0}, 0); err == nil {
 			t.Errorf("0x%02x: Decode accepted an unsupported opcode", i)
 		}
-		if _, err := Encode(Inst{Op: op}); err == nil {
+		if _, err := Encode(&Inst{Op: op}); err == nil {
 			t.Errorf("0x%02x: Encode accepted an unsupported opcode", i)
 		}
 	}

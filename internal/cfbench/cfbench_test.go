@@ -8,8 +8,10 @@ import (
 )
 
 func TestRunSmallConfig(t *testing.T) {
+	// Five rounds, so the slowdowns are true medians: with two, the
+	// "median" is the mean of both, and one slow round flips the check.
 	cmp, err := cfbench.Run(cfbench.Config{
-		JavaIters: 2000, NativeIters: 50_000, Rounds: 2,
+		JavaIters: 2000, NativeIters: 50_000, Rounds: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +36,10 @@ func TestMeasureLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cfbench.MeasureLaunchPair(apps[2].APK, 3) // WhatsApp: smallest
+	// Eight paired runs (WhatsApp: the smallest app), so summarize's
+	// upper-trimmed mean drops the slowest two of each side; at three it
+	// drops none and the "not slower" check compares raw means.
+	p, err := cfbench.MeasureLaunchPair(apps[2].APK, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

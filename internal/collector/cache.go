@@ -151,7 +151,7 @@ func appendNode(buf []byte, n *TreeNode) []byte {
 	buf = appendLen(buf, n.IL == nil, len(n.IL))
 	for i := range n.IL {
 		e := &n.IL[i]
-		in := &e.Inst
+		in := e.Inst
 		buf = appendVarint(buf, int64(e.DexPC))
 		buf = append(buf, byte(in.Op))
 		buf = appendVarint(buf, int64(in.A))
@@ -420,8 +420,11 @@ func (d *recordDecoder) list(minBytes int) (n int, ok bool) {
 func (d *recordDecoder) node() *TreeNode {
 	n := &TreeNode{SmStart: d.int(), SmEnd: d.int()}
 	if m, ok := d.list(minEntryBytes); ok {
+		// One slab holds the node's instructions; each entry points into it.
 		n.IL = make([]Entry, m)
+		insts := make([]bytecode.Inst, m)
 		for i := range n.IL {
+			n.IL[i].Inst = &insts[i]
 			d.entry(&n.IL[i])
 		}
 	}
@@ -436,7 +439,7 @@ func (d *recordDecoder) node() *TreeNode {
 
 func (d *recordDecoder) entry(e *Entry) {
 	e.DexPC = d.int()
-	in := &e.Inst
+	in := e.Inst
 	in.Op = bytecode.Opcode(d.byte())
 	in.A = d.int32()
 	in.B = d.int32()

@@ -53,20 +53,20 @@ func codecRecords(tb testing.TB) []*collector.MethodRecord {
 func handBuiltRecord() *collector.MethodRecord {
 	child := &collector.TreeNode{
 		SmStart: 2, SmEnd: -1,
-		IL: []collector.Entry{{DexPC: 2, Inst: bytecode.Inst{Op: bytecode.OpConst4, A: 1, Lit: -8, Args: []int{}}}},
+		IL: []collector.Entry{{DexPC: 2, Inst: &bytecode.Inst{Op: bytecode.OpConst4, A: 1, Lit: -8, Args: []int{}}}},
 	}
 	root := &collector.TreeNode{
 		SmStart: -1, SmEnd: -1,
 		IL: []collector.Entry{
-			{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpConstString, A: 0, Index: 7},
+			{DexPC: 0, Inst: &bytecode.Inst{Op: bytecode.OpConstString, A: 0, Index: 7},
 				Sym: &collector.Symbol{Kind: bytecode.IndexString, Str: "héllo\x00"}},
-			{DexPC: 2, Inst: bytecode.Inst{Op: bytecode.OpNewInstance, A: 1, Index: 1 << 31},
+			{DexPC: 2, Inst: &bytecode.Inst{Op: bytecode.OpNewInstance, A: 1, Index: 1 << 31},
 				Sym: &collector.Symbol{Kind: bytecode.IndexType, Type: "Lx/Y;"}},
-			{DexPC: 4, Inst: bytecode.Inst{Op: bytecode.OpIGet, A: 2, B: 1},
+			{DexPC: 4, Inst: &bytecode.Inst{Op: bytecode.OpIGet, A: 2, B: 1},
 				Sym: &collector.Symbol{Kind: bytecode.IndexField, Field: dex.FieldRef{Class: "Lx/Y;", Name: "f", Type: "I"}}},
-			{DexPC: 6, Inst: bytecode.Inst{Op: bytecode.OpInvokeStatic, Args: []int{0, 1, 2}, Lit: 1 << 40},
+			{DexPC: 6, Inst: &bytecode.Inst{Op: bytecode.OpInvokeStatic, Args: []int{0, 1, 2}, Lit: 1 << 40},
 				Sym: &collector.Symbol{Kind: bytecode.IndexMethod, Method: dex.MethodRef{Class: "Lx/Y;", Name: "m", Signature: "(II)V"}}},
-			{DexPC: 9, Inst: bytecode.Inst{Op: bytecode.OpPackedSwitch, A: 3, Off: -9,
+			{DexPC: 9, Inst: &bytecode.Inst{Op: bytecode.OpPackedSwitch, A: 3, Off: -9,
 				Keys: []int32{-2147483648, 0, 2147483647}, Targets: []int32{}}},
 		},
 		Children: []*collector.TreeNode{child},
@@ -158,7 +158,7 @@ func pcRecord(tb testing.TB, pc int) []byte {
 	data := encode(tb, &collector.MethodRecord{
 		Class: "La;", Name: "f", Signature: "()V",
 		Trees: []*collector.TreeNode{{SmStart: -1, SmEnd: -1,
-			IL: []collector.Entry{{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpReturnVoid}}}}},
+			IL: []collector.Entry{{DexPC: 0, Inst: &bytecode.Inst{Op: bytecode.OpReturnVoid}}}}},
 	})
 	// The tree opens with SmStart -1, SmEnd -1, an IL of one entry and
 	// that entry's dex_pc 0: varints 01 01 02 00.
@@ -177,7 +177,7 @@ func pcRecord(tb testing.TB, pc int) []byte {
 // buys, so EncodeRecord must refuse it.
 func sparseRecords() []*collector.MethodRecord {
 	entry := func(pc int, op bytecode.Opcode) collector.Entry {
-		return collector.Entry{DexPC: pc, Inst: bytecode.Inst{Op: op}}
+		return collector.Entry{DexPC: pc, Inst: &bytecode.Inst{Op: op}}
 	}
 	rec := func(name string, trees ...*collector.TreeNode) *collector.MethodRecord {
 		return &collector.MethodRecord{Class: "Ls;", Name: name, Signature: "()V", Trees: trees}
@@ -212,8 +212,8 @@ func TestEncodeDecodeTotal(t *testing.T) {
 	}
 	rec := &collector.MethodRecord{Class: "Ls;", Name: "near", Signature: "()V",
 		Trees: []*collector.TreeNode{{SmStart: -1, SmEnd: -1, IL: []collector.Entry{
-			{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpNop}},
-			{DexPC: 4000, Inst: bytecode.Inst{Op: bytecode.OpReturnVoid}}}}}}
+			{DexPC: 0, Inst: &bytecode.Inst{Op: bytecode.OpNop}},
+			{DexPC: 4000, Inst: &bytecode.Inst{Op: bytecode.OpReturnVoid}}}}}}
 	dec, err := collector.DecodeRecord(encode(t, rec))
 	if err != nil {
 		t.Fatalf("within-budget sparse record does not decode: %v", err)

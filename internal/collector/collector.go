@@ -35,10 +35,16 @@ type Symbol struct {
 
 // Entry is one collected instruction: its dex_pc, the decoded instruction,
 // and its resolved constant-pool operand (if any).
+//
+// Inst points at an immutable instruction that entries may share. At
+// collection time it is the bound program's own instruction (see
+// art.Method.Program), so an entry is 24 bytes and collecting copies
+// nothing; only a live-decoded pc gets a heap copy. A decoded record points
+// its entries into one slab per node. Nothing writes through Inst.
 type Entry struct {
-	DexPC int           `json:"pc"`
-	Inst  bytecode.Inst `json:"inst"`
-	Sym   *Symbol       `json:"sym,omitempty"`
+	DexPC int            `json:"pc"`
+	Inst  *bytecode.Inst `json:"inst"`
+	Sym   *Symbol        `json:"sym,omitempty"`
 }
 
 // TreeNode is a node of the collection tree (Fig. 3): the Instruction List
@@ -170,7 +176,7 @@ func (n *TreeNode) fingerprint(buf []byte) []byte {
 func appendPayloads(buf []byte, il []Entry) []byte {
 	tagged := false
 	for i := range il {
-		in := &il[i].Inst
+		in := il[i].Inst
 		if !in.Op.IsSwitch() {
 			continue
 		}
@@ -279,13 +285,19 @@ func (r *MethodRecord) Cacheable() bool {
 
 // indexSlots is the number of IIM slots reindex allocates for the trees:
 // each node's largest dex_pc + 1. A dex_pc that is negative, or that no
-// DEX code item can reach (dex.MaxInsns), is an error.
+// DEX code item can reach (dex.MaxInsns), is an error, and so is an entry
+// without an instruction (a missing or null "inst" in the collection
+// files), which the reassembler would dereference.
 func indexSlots(trees []*TreeNode) (int, error) {
 	slots := 0
 	for _, n := range trees {
 		for i := range n.IL {
-			if pc := n.IL[i].DexPC; pc < 0 || pc >= dex.MaxInsns {
+			pc := n.IL[i].DexPC
+			if pc < 0 || pc >= dex.MaxInsns {
 				return 0, fmt.Errorf("dex_pc %d out of range", pc)
+			}
+			if n.IL[i].Inst == nil {
+				return 0, fmt.Errorf("dex_pc %d has no instruction", pc)
 			}
 		}
 		sub, err := indexSlots(n.Children)
@@ -513,7 +525,7 @@ func sameSym(s *Symbol, m *art.Method, in *bytecode.Inst) bool {
 func samePrefix(a, b *TreeNode, n int) bool {
 	for i := 0; i < n; i++ {
 		x, y := &a.IL[i], &b.IL[i]
-		if x.DexPC != y.DexPC || !x.Inst.Equal(&y.Inst) {
+		if x.DexPC != y.DexPC || !x.Inst.Equal(y.Inst) {
 			return false
 		}
 		if (x.Sym == nil) != (y.Sym == nil) || (x.Sym != nil && *x.Sym != *y.Sym) {
@@ -596,7 +608,7 @@ func (c *Collector) recycleTree(n *TreeNode) {
 
 // materialize turns a follow-mode frame into a building one: the followed
 // prefix is copied into a fresh node, which then grows on the usual path.
-// The entries share their symbols and operand slices with the known tree;
+// The entries share their instructions and symbols with the known tree;
 // published trees are never mutated, so the sharing is safe.
 func (c *Collector) materialize(ex *methodExec) {
 	root := c.newNode(nil, -1)
@@ -862,7 +874,7 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 		child := c.newNode(cur, pc)
 		cur.Children = append(cur.Children, child)
 		top.cur = child
-		child.Push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
+		child.Push(Entry{DexPC: pc, Inst: kept(m, pc, in), Sym: resolveSym(m, in)})
 		if c.span.Enabled() {
 			c.span.TreeFork(m.Key(), pc, layerDepth(child))
 		}
@@ -879,7 +891,23 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, in *bytec
 			return
 		}
 	}
-	cur.Push(Entry{DexPC: pc, Inst: *in, Sym: resolveSym(m, in)})
+	cur.Push(Entry{DexPC: pc, Inst: kept(m, pc, in), Sym: resolveSym(m, in)})
+}
+
+// kept returns the instruction an entry for in at pc points at: in itself
+// when it is the bound program's instruction at pc, an immutable snapshot,
+// and otherwise a heap copy, since the interpreter reuses its scratch for
+// the next live-decoded pc (predecode off, or a pc the program left
+// unmapped). The copy is shallow: Decode allocates the operand slices per
+// call, so the scratch never shares them with a later instruction.
+func kept(m *art.Method, pc int, in *bytecode.Inst) *bytecode.Inst {
+	if p := m.Program(); p != nil {
+		if d := p.Lookup(pc); d != nil && &d.Inst == in {
+			return in
+		}
+	}
+	cp := *in
+	return &cp
 }
 
 // codeWritten marks a method whose live unit array was written: its record

@@ -99,7 +99,7 @@ func TestNestedSelfModification(t *testing.T) {
 				t.Fatalf("mutation point %d is %v (%v)", pc, in.Op, err)
 			}
 			in.Lit = newLit
-			units, err := bytecode.Encode(in)
+			units, err := bytecode.Encode(&in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestIntraExecutionDivergenceLayers(t *testing.T) {
 					}
 					if in.Op == bytecode.OpAddIntLit8 && in.A == 2 && in.B == 2 {
 						in.Lit = iter + 2 // 1 -> 2 -> 3 across iterations
-						units, err := bytecode.Encode(in)
+						units, err := bytecode.Encode(&in)
 						if err != nil {
 							return nil
 						}

@@ -175,7 +175,7 @@ func TestShardFollowChecksSymbols(t *testing.T) {
 	callInt(t, two, nil, fresh, "Ls/S;", "name", 0)
 
 	pt, ft := parent.Result().Methods[key].Trees[0], fresh.Result().Methods[key].Trees[0]
-	if !pt.IL[0].Inst.Equal(&ft.IL[0].Inst) {
+	if !pt.IL[0].Inst.Equal(ft.IL[0].Inst) {
 		t.Fatal("the two files do not share the const-string index; the test proves nothing")
 	}
 	if got, want := fps(shard.Result(), key), fps(fresh.Result(), key); !slices.Equal(got, want) {
@@ -320,7 +320,7 @@ func TestShardForkedRunEqualsFresh(t *testing.T) {
 						}
 						if in.Op == bytecode.OpAddIntLit8 && in.A == 2 {
 							in.Lit = 5
-							units, err := bytecode.Encode(in)
+							units, err := bytecode.Encode(&in)
 							if err == nil {
 								copy(insns[pc:], units)
 							}

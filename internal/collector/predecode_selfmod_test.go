@@ -44,7 +44,7 @@ func selfModProgram() (*dexgen.Program, map[string]art.NativeFunc) {
 					}
 					if in.Op == bytecode.OpAddIntLit8 && in.A == 2 && in.B == 2 {
 						in.Lit = iter + 2
-						units, err := bytecode.Encode(in)
+						units, err := bytecode.Encode(&in)
 						if err != nil {
 							return nil
 						}

@@ -676,7 +676,7 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			}
 			in := p.Inst
 			in.Index = m[p.Index]
-			units, err := bytecode.Encode(in)
+			units, err := bytecode.Encode(&in)
 			if err != nil {
 				return fmt.Errorf("dex: remap re-encode: %w", err)
 			}

@@ -56,7 +56,7 @@ func compatible(a, b *collector.TreeNode) bool {
 		return false
 	}
 	for i := range b.IL {
-		if ai, ok := a.Index(b.IL[i].DexPC); ok && !a.IL[ai].Inst.Equal(&b.IL[i].Inst) {
+		if ai, ok := a.Index(b.IL[i].DexPC); ok && !a.IL[ai].Inst.Equal(b.IL[i].Inst) {
 			return false
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func entry(pc int, op bytecode.Opcode, lit int64) collector.Entry {
-	return collector.Entry{DexPC: pc, Inst: bytecode.Inst{Op: op, Lit: lit}}
+	return collector.Entry{DexPC: pc, Inst: &bytecode.Inst{Op: op, Lit: lit}}
 }
 
 func tree(entries ...collector.Entry) *collector.TreeNode {
@@ -105,7 +105,7 @@ func TestReassembleRejectsMissingSymbol(t *testing.T) {
 				RegistersSize: 2, InsSize: 0,
 				Trees: []*collector.TreeNode{tree(
 					// const-string without its resolved Symbol.
-					collector.Entry{DexPC: 0, Inst: bytecode.Inst{Op: bytecode.OpConstString, A: 0, Index: 3}},
+					collector.Entry{DexPC: 0, Inst: &bytecode.Inst{Op: bytecode.OpConstString, A: 0, Index: 3}},
 					entry(2, bytecode.OpReturnVoid, 0),
 				)},
 			},

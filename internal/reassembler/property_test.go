@@ -208,7 +208,7 @@ func TestRandomTamperRoundTrip(t *testing.T) {
 							}
 							if in.Op == bytecode.OpAddIntLit8 {
 								in.Op = alt
-								units, err := bytecode.Encode(in)
+								units, err := bytecode.Encode(&in)
 								if err != nil {
 									return nil
 								}
@@ -217,7 +217,7 @@ func TestRandomTamperRoundTrip(t *testing.T) {
 							}
 							if in.Op == alt {
 								in.Op = bytecode.OpAddIntLit8
-								units, err := bytecode.Encode(in)
+								units, err := bytecode.Encode(&in)
 								if err != nil {
 									return nil
 								}

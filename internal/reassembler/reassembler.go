@@ -618,8 +618,9 @@ func (fl *flattener) emitNode(n *collector.TreeNode) {
 
 func (fl *flattener) emitEntry(n *collector.TreeNode, e collector.Entry) {
 	// Value copy: every mutation below either reassigns a scalar field or
-	// replaces a slice header, so the tree's entry is never written through.
-	in := e.Inst
+	// replaces a slice header, so the shared instruction is never written
+	// through.
+	in := *e.Inst
 	sym := e.Sym
 
 	// Reflection-to-direct-call rewriting.
