@@ -1,5 +1,6 @@
 // Command dexdump inspects a DEX file (or the classes.dex of an APK):
-// header summary, class list, and smali-style disassembly.
+// header summary, class list, each method's table (direct_methods or
+// virtual_methods) and access flags, and smali-style disassembly.
 //
 // Usage:
 //
@@ -91,26 +92,26 @@ func run(args []string) error {
 			continue
 		}
 		fmt.Printf("\nclass %s extends %s\n", desc, f.TypeName(cd.Superclass))
-		for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for _, em := range list {
-				ref := f.MethodAt(em.Method)
-				if *methodFilter != "" && ref.Name != *methodFilter {
-					continue
-				}
-				if em.Code == nil {
-					fmt.Printf("  %s%s  (native/abstract)\n", ref.Name, ref.Signature)
-					continue
-				}
-				fmt.Printf("  %s%s  regs=%d ins=%d tries=%d\n", ref.Name, ref.Signature,
-					em.Code.RegistersSize, em.Code.InsSize, len(em.Code.Tries))
-				lines, err := bytecode.Disassemble(em.Code.Insns, resolver)
-				if err != nil {
-					fmt.Printf("    <undecodable: %v>\n", err)
-					continue
-				}
-				for _, l := range lines {
-					fmt.Printf("    %s\n", l)
-				}
+		for mi := range cd.NumMethods() {
+			em := cd.Method(mi)
+			ref := f.MethodAt(em.Method)
+			if *methodFilter != "" && ref.Name != *methodFilter {
+				continue
+			}
+			fmt.Printf("  %s%s  %s flags=%#x", ref.Name, ref.Signature, dex.MethodTable[mi < len(cd.DirectMeths)], em.AccessFlags)
+			if em.Code == nil {
+				fmt.Println()
+				continue
+			}
+			fmt.Printf(" regs=%d ins=%d tries=%d\n",
+				em.Code.RegistersSize, em.Code.InsSize, len(em.Code.Tries))
+			lines, err := bytecode.Disassemble(em.Code.Insns, resolver)
+			if err != nil {
+				fmt.Printf("    <undecodable: %v>\n", err)
+				continue
+			}
+			for _, l := range lines {
+				fmt.Printf("    %s\n", l)
 			}
 		}
 	}

@@ -39,19 +39,19 @@ func rep(p [5][2]int) coverage.Report {
 var forcedGoldens = map[string]forcedGolden{
 	"be.ppareit.swiftp": {rep([5][2]int{{33, 46}, {110, 153}, {2792, 4244}, {34, 54}, {5524, 8812}}), 20, 1,
 		"76481ba19e62d01424bfe4168b02cf92399da1847b6abf194f32d998302443af",
-		"ea5e37a7958ea96ed64a01d67748b5c45fbf67f2171e55f255383f2fc4dbbb9f"},
+		"22676d11f14b9096721fa838928a784b064542b5cc6058fc74d6331b4b60cf0c"},
 	"fr.gaulupeau.apps.InThePoche": {rep([5][2]int{{33, 46}, {110, 153}, {9600, 14280}, {34, 54}, {19132, 29231}}), 20, 1,
 		"76481ba19e62d01424bfe4168b02cf92399da1847b6abf194f32d998302443af",
-		"e2ebfad6e239f2828480d7c359529ec4a184af0c1c095b5e02648e9e876bd6a9"},
+		"684c8f0109611cfd3ce4ee5a92c39eb54de369424740cccb70635fbb86d4ac19"},
 	"org.gnucash.android": {rep([5][2]int{{33, 46}, {110, 153}, {18344, 27490}, {34, 54}, {36628, 56565}}), 20, 1,
 		"76481ba19e62d01424bfe4168b02cf92399da1847b6abf194f32d998302443af",
-		"687e1a45377d80f3f0a62cbd1e8351216d1ccf3bd992fe525752149772452554"},
+		"ec11dc7ba720ed0d84ca46101cc1bb74699aaf19b849e6f4ceb6522bea46e780"},
 	"org.liberty.android.fantastischmemopro": {rep([5][2]int{{33, 46}, {110, 153}, {18672, 27982}, {34, 54}, {37276, 57575}}), 20, 1,
 		"76481ba19e62d01424bfe4168b02cf92399da1847b6abf194f32d998302443af",
-		"498926057e5cee35fcad418c896b28d820315cecf949d4884299ed1abacee5f6"},
+		"4d8c2f3d73affe4da7331e059020f490b03508998e6ac9a4279f042660a61b2d"},
 	"com.fastaccess.github": {rep([5][2]int{{33, 46}, {110, 153}, {30336, 45554}, {34, 54}, {60604, 93913}}), 20, 1,
 		"76481ba19e62d01424bfe4168b02cf92399da1847b6abf194f32d998302443af",
-		"be7dffaf94dfed60480bf637ecef00e584b8912ee48470cf2a2bfc73df72e599"},
+		"38bca4649d1721f310048d13411d65c89dc64cf14e50726c92c376c44ec1ff15"},
 }
 
 // goldenWorkers returns the worker counts the forced goldens run at:

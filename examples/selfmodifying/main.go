@@ -77,7 +77,7 @@ func buildCode1() (*apk.APK, error) {
 	cls := p.Class(mainDesc, "Landroid/app/Activity;")
 	cls.StaticString("PHONE", "800-123-456")
 	cls.Ctor("Landroid/app/Activity;", nil)
-	cls.Native("bytecodeTamper", "V", "I")
+	cls.Bodyless("bytecodeTamper", "V", []string{"I"}, dex.AccPublic|dex.AccNative)
 	cls.Virtual("getSensitiveData", "Ljava/lang/String;", nil, func(a *dexgen.Asm) {
 		a.GetIMEI(0, 1)
 		a.ReturnObj(0)

@@ -8,6 +8,7 @@ import (
 	"dexlego/internal/apimodel"
 	"dexlego/internal/art"
 	"dexlego/internal/bytecode"
+	"dexlego/internal/dex"
 	"dexlego/internal/dexgen"
 )
 
@@ -184,7 +185,7 @@ func TestSelfModifyingCode(t *testing.T) {
 	p := dexgen.New()
 	main := p.Class("Lcom/test/Main;", "Landroid/app/Activity;")
 	main.Ctor("Landroid/app/Activity;", nil)
-	main.Native("bytecodeTamper", "V", "I")
+	main.Bodyless("bytecodeTamper", "V", []string{"I"}, dex.AccPublic|dex.AccNative)
 	main.Virtual("getSensitiveData", "Ljava/lang/String;", nil, func(a *dexgen.Asm) {
 		a.GetIMEI(0, 1)
 		a.ReturnObj(0)

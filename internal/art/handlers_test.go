@@ -43,7 +43,7 @@ func buildBadMethod(t *testing.T, insns []uint16, regs uint16) *dex.File {
 	t.Helper()
 	b := dex.NewBuilder()
 	cb := b.Class("Lbad/B;", dex.AccPublic, "Ljava/lang/Object;")
-	cb.DirectMethod("f", "V", nil, dex.AccPublic|dex.AccStatic, &dex.Code{
+	cb.Method("f", "V", nil, dex.AccPublic|dex.AccStatic, &dex.Code{
 		RegistersSize: regs,
 		Insns:         insns,
 	})

@@ -439,9 +439,9 @@ func (rt *Runtime) binop(op bytecode.Opcode, a, b Value) (Value, error) {
 
 // verifyError throws the VerifyError ART's verifier raises for bytecode it
 // rejects and the interpreter meets only at run time: a primitive register
-// used as an object, a static invoke of a framework instance method, or an
-// invoke whose argument words miss its target's prototype in count or in
-// kind.
+// used as an object, an invoke whose kind misses its target's (invoke-static
+// of an instance method, any other invoke of a static one), or an invoke
+// whose argument words miss its target's prototype in count or in kind.
 func (rt *Runtime) verifyError(format string, args ...any) error {
 	return rt.Throw("Ljava/lang/VerifyError;", fmt.Sprintf(format, args...))
 }
@@ -599,11 +599,8 @@ func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst) error {
 	if target == nil {
 		return rt.Throw("Ljava/lang/NoSuchMethodException;", ref.Key())
 	}
-	if !instance && !target.IsStatic() && target.Native != nil {
-		// Framework methods carry their real static flag, and their natives
-		// need the receiver a static invoke does not pass. (App natives
-		// declared without the flag are invoked statically by design.)
-		return rt.verifyError("%s of instance method %s in %s", in.Op, target.Key(), m.Key())
+	if target.IsStatic() == instance {
+		return rt.verifyError("%s of %s (static: %v) in %s", in.Op, target.Key(), target.IsStatic(), m.Key())
 	}
 	if len(args) != target.argWords {
 		return rt.verifyError("invoke %s passes %d argument words, its prototype takes %d, in %s",

@@ -197,7 +197,7 @@ func TestMalformedCodeErrors(t *testing.T) {
 	build := func(insns []uint16, regs uint16) (*dex.File, error) {
 		b := dex.NewBuilder()
 		cb := b.Class("Lbad/B;", dex.AccPublic, "Ljava/lang/Object;")
-		cb.DirectMethod("f", "V", nil, dex.AccPublic|dex.AccStatic, &dex.Code{
+		cb.Method("f", "V", nil, dex.AccPublic|dex.AccStatic, &dex.Code{
 			RegistersSize: regs,
 			Insns:         insns,
 		})
@@ -294,7 +294,7 @@ func TestInvokeSuper(t *testing.T) {
 func TestInterfaceDispatch(t *testing.T) {
 	p := dexgen.New()
 	iface := p.Class("Lid/Speaker;", "")
-	iface.AbstractM("speak", "I", nil)
+	iface.Bodyless("speak", "I", nil, dex.AccPublic|dex.AccAbstract)
 	impl := p.Class("Lid/Dog;", "", "Lid/Speaker;")
 	impl.Ctor("Ljava/lang/Object;", nil)
 	impl.Virtual("speak", "I", nil, func(a *dexgen.Asm) {
@@ -325,8 +325,9 @@ func TestInterfaceDispatch(t *testing.T) {
 }
 
 // TestVerifyErrorOnMalformedAccess: bytecode ART's verifier rejects — an
-// invoke whose argument words miss its target's prototype in count or in
-// kind, or a non-null
+// invoke whose kind misses its target's (static against instance, for app
+// and framework methods alike), an invoke whose argument words miss its
+// target's prototype in count or in kind, or a non-null
 // primitive used as an invoke receiver, as the object of iget/iput, as an
 // array, or as the operand of check-cast — throws Ljava/lang/VerifyError;
 // at run time instead of panicking the interpreter.
@@ -365,6 +366,31 @@ func TestVerifyErrorOnMalformedAccess(t *testing.T) {
 		{"static invoke of a framework instance method", func(a *dexgen.Asm) {
 			a.InvokeStatic("Ljava/lang/String;", "length", "()I")
 		}, "Ljava/lang/VerifyError;"},
+		{"static invoke of an app instance method", func(a *dexgen.Asm) {
+			a.Const(0, 1)
+			a.InvokeStatic("Lsem/V;", "inst", "(I)V", 0)
+		}, "Ljava/lang/VerifyError;"},
+		{"static invoke of an app instance native", func(a *dexgen.Asm) {
+			a.InvokeStatic("Lsem/V;", "nat", "()V")
+		}, "Ljava/lang/VerifyError;"},
+		{"virtual invoke of an app static method", func(a *dexgen.Asm) {
+			a.NewInstance(0, "Lsem/V;")
+			a.InvokeDirect("Lsem/V;", "<init>", "()V", 0)
+			a.Const(1, 1)
+			a.InvokeVirtual("Lsem/V;", "one", "(I)V", 0, 1)
+		}, "Ljava/lang/VerifyError;"},
+		{"direct invoke of an app static method", func(a *dexgen.Asm) {
+			a.NewInstance(0, "Lsem/V;")
+			a.InvokeDirect("Lsem/V;", "<init>", "()V", 0)
+			a.Const(1, 1)
+			a.InvokeDirect("Lsem/V;", "one", "(I)V", 0, 1)
+		}, "Ljava/lang/VerifyError;"},
+		{"virtual invoke of an app instance method", func(a *dexgen.Asm) {
+			a.NewInstance(0, "Lsem/V;")
+			a.InvokeDirect("Lsem/V;", "<init>", "()V", 0)
+			a.Const(1, 1)
+			a.InvokeVirtual("Lsem/V;", "inst", "(I)V", 0, 1)
+		}, ""},
 		{"primitive receiver", func(a *dexgen.Asm) {
 			a.Const(0, 7)
 			a.InvokeVirtual("Ljava/lang/String;", "length", "()I", 0)
@@ -403,6 +429,9 @@ func TestVerifyErrorOnMalformedAccess(t *testing.T) {
 			p := dexgen.New()
 			cls := p.Class("Lsem/V;", "Ljava/lang/Object;")
 			cls.Field("x", "I").Field("o", "Ljava/lang/Object;")
+			cls.Ctor("Ljava/lang/Object;", nil)
+			cls.Virtual("inst", "V", []string{"I"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+			cls.Bodyless("nat", "V", nil, dex.AccPublic|dex.AccNative)
 			cls.Static("one", "V", []string{"I"}, func(a *dexgen.Asm) { a.ReturnVoid() })
 			cls.Static("wide", "V", []string{"J"}, func(a *dexgen.Asm) { a.ReturnVoid() })
 			cls.Static("obj", "V", []string{"J", "Ljava/lang/Object;"}, func(a *dexgen.Asm) { a.ReturnVoid() })

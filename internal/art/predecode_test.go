@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dexlego/internal/art"
+	"dexlego/internal/dex"
 	"dexlego/internal/dexgen"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestSilentSwapFiresCodeWrittenInBothModes(t *testing.T) {
 	p := dexgen.New()
 	c := p.Class("Lswap/S;", "Ljava/lang/Object;")
-	c.Native("swapCaller", "V")
+	c.Bodyless("swapCaller", "V", nil, dex.AccPublic|dex.AccNative)
 	c.Virtual("hooked", "V", nil, func(a *dexgen.Asm) {
 		a.Const(0, 1)
 		a.ReturnVoid()

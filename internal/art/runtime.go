@@ -201,7 +201,7 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 	// Pass 2: link hierarchy and members.
 	nMethods := 0
 	for _, c := range created {
-		nMethods += len(c.Def.DirectMeths) + len(c.Def.VirtualMeths)
+		nMethods += c.Def.NumMethods()
 	}
 	rt.reserveMethods(nMethods)
 	for _, c := range created {
@@ -245,30 +245,28 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 				AccessFlags: ef.AccessFlags,
 			})
 		}
-		for li, list := range [][]dex.EncodedMethod{def.DirectMeths, def.VirtualMeths} {
-			for mi := range list {
-				em := &list[mi]
-				ref := f.MethodAt(em.Method)
-				si, err := parseSigCached(ref.Signature)
-				if err != nil {
-					return nil, fmt.Errorf("art: class %s method %s: %w",
-						c.Descriptor, ref.Name, err)
-				}
-				m := rt.newMethod()
-				*m = Method{
-					Class: c, Name: ref.Name, Signature: ref.Signature,
-					AccessFlags: em.AccessFlags, Virtual: li == 1,
-					ParamTypes: si.params, ReturnType: si.ret,
-					argWords: si.words, refArgs: si.refs,
-				}
-				if em.Code != nil {
-					m.Insns = append([]uint16(nil), em.Code.Insns...)
-					m.RegistersSize = int(em.Code.RegistersSize)
-					m.InsSize = int(em.Code.InsSize)
-					m.Tries = em.Code.Tries
-				}
-				c.Methods = append(c.Methods, m)
+		for mi := range def.NumMethods() {
+			em := def.Method(mi)
+			ref := f.MethodAt(em.Method)
+			si, err := parseSigCached(ref.Signature)
+			if err != nil {
+				return nil, fmt.Errorf("art: class %s method %s: %w",
+					c.Descriptor, ref.Name, err)
 			}
+			m := rt.newMethod()
+			*m = Method{
+				Class: c, Name: ref.Name, Signature: ref.Signature,
+				AccessFlags: em.AccessFlags, Virtual: mi >= len(def.DirectMeths),
+				ParamTypes: si.params, ReturnType: si.ret,
+				argWords: si.words, refArgs: si.refs,
+			}
+			if em.Code != nil {
+				m.Insns = append([]uint16(nil), em.Code.Insns...)
+				m.RegistersSize = int(em.Code.RegistersSize)
+				m.InsSize = int(em.Code.InsSize)
+				m.Tries = em.Code.Tries
+			}
+			c.Methods = append(c.Methods, m)
 		}
 	}
 	rt.loadedDexes = append(rt.loadedDexes, f)

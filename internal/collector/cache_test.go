@@ -148,6 +148,35 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedRecordDedups: a decoded record carries no dedup set until
+// something merges into it, and then builds it from its trees, so a copy of
+// one of its own trees stays out.
+func TestDecodedRecordDedups(t *testing.T) {
+	for _, rec := range codecRecords(t) {
+		data := encode(t, rec)
+		dec, err := collector.DecodeRecord(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", rec.Key(), err)
+		}
+		again, err := collector.DecodeRecord(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", rec.Key(), err)
+		}
+		for k := range again.Trees {
+			res := &collector.Result{Methods: map[string]*collector.MethodRecord{dec.Key(): dec}}
+			dup := &collector.MethodRecord{Class: dec.Class, Name: dec.Name, Signature: dec.Signature,
+				Trees: again.Trees[k : k+1]}
+			st := res.Merge(&collector.Result{Methods: map[string]*collector.MethodRecord{dec.Key(): dup}})
+			if st.TreesOffered != 1 || st.TreesKept != 0 {
+				t.Errorf("%s: merging a copy of tree %d: %+v, want 1 offered and 0 kept", rec.Key(), k, st)
+			}
+			if len(dec.Trees) != len(rec.Trees) {
+				t.Fatalf("%s: record holds %d trees after the merge, want %d", rec.Key(), len(dec.Trees), len(rec.Trees))
+			}
+		}
+	}
+}
+
 // pcRecord returns the encoding of a record whose one tree holds a single
 // entry at dex_pc pc. EncodeRecord refuses a pc outside the IIM budget, so
 // the record is encoded at pc 0 and the entry's one-byte dex_pc varint is

@@ -256,7 +256,7 @@ type MethodRecord struct {
 	// never admitted into the incremental method cache.
 	Written bool `json:"written,omitempty"`
 
-	seen map[string]bool
+	seen map[string]bool // tree fingerprints; built on first use by seenSet
 }
 
 // Key returns the canonical method key.
@@ -310,15 +310,25 @@ func indexSlots(trees []*TreeNode) (int, error) {
 }
 
 // reindex rebuilds what a record's serialized forms (the record codec and
-// the collection files) leave out: each tree node's parent link and IIM,
-// and the fingerprint dedup set. Callers first check indexSlots, which
-// rejects a dex_pc the IIM cannot index and counts what reindex allocates.
+// the collection files) leave out but reading needs: each tree node's parent
+// link and IIM. Callers first check indexSlots, which rejects a dex_pc the
+// IIM cannot index and counts what reindex allocates.
 func (r *MethodRecord) reindex() {
-	r.seen = make(map[string]bool, len(r.Trees))
 	for _, tr := range r.Trees {
 		tr.reindex(nil)
-		r.seen[tr.Fingerprint()] = true
 	}
+}
+
+// seenSet returns the record's fingerprint dedup set, building it from the
+// trees on the first dedup check: a decoded record only read never pays.
+func (r *MethodRecord) seenSet() map[string]bool {
+	if r.seen == nil {
+		r.seen = make(map[string]bool, len(r.Trees))
+		for _, tr := range r.Trees {
+			r.seen[tr.Fingerprint()] = true
+		}
+	}
+	return r.seen
 }
 
 func (n *TreeNode) reindex(parent *TreeNode) {
@@ -415,7 +425,6 @@ func (r *Result) method(m *art.Method) *MethodRecord {
 		Virtual:       m.Virtual,
 		RegistersSize: m.RegistersSize,
 		InsSize:       m.InsSize,
-		seen:          make(map[string]bool),
 	}
 	r.Methods[key] = rec
 	return rec
@@ -822,11 +831,12 @@ func (c *Collector) methodExited(m *art.Method) {
 	// without materializing a string: duplicate executions (the steady
 	// state of loops and repeated calls) then dedupe allocation-free.
 	c.fpBuf = root.fingerprint(c.fpBuf[:0])
-	if rec.seen[string(c.fpBuf)] {
+	seen := rec.seenSet()
+	if seen[string(c.fpBuf)] {
 		c.recycleTree(root)
 		return // keep only unique trees
 	}
-	rec.seen[string(c.fpBuf)] = true
+	seen[string(c.fpBuf)] = true
 	rec.Trees = append(rec.Trees, root)
 	if c.span.Enabled() {
 		c.span.MethodCollected(rec.Key(), root.Depth(), root.Size())

@@ -7,6 +7,7 @@ import (
 	"dexlego/internal/art"
 	"dexlego/internal/bytecode"
 	"dexlego/internal/collector"
+	"dexlego/internal/dex"
 	"dexlego/internal/dexgen"
 )
 
@@ -239,7 +240,7 @@ func TestIntraExecutionDivergenceLayers(t *testing.T) {
 func TestClassMetadataCollection(t *testing.T) {
 	p := dexgen.New()
 	iface := p.Class("Lc/I;", "")
-	iface.AbstractM("doIt", "V", nil)
+	iface.Bodyless("doIt", "V", nil, dex.AccPublic|dex.AccAbstract)
 	cls := p.Class("Lc/C;", "", "Lc/I;")
 	cls.Source("C.java")
 	cls.StaticString("NAME", "benchmark")

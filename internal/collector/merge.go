@@ -65,7 +65,6 @@ func (r *Result) Merge(other *Result) MergeStats {
 				Signature:   om.Signature,
 				AccessFlags: om.AccessFlags,
 				Virtual:     om.Virtual,
-				seen:        make(map[string]bool, len(om.Trees)),
 			}
 			r.Methods[key] = rm
 		}
@@ -79,12 +78,13 @@ func (r *Result) Merge(other *Result) MergeStats {
 			rm.Tries = om.Tries
 		}
 		st.TreesOffered += len(om.Trees)
+		seen := rm.seenSet()
 		for _, t := range om.Trees {
 			fp := t.Fingerprint()
-			if rm.seen[fp] {
+			if seen[fp] {
 				continue
 			}
-			rm.seen[fp] = true
+			seen[fp] = true
 			rm.Trees = append(rm.Trees, t)
 			st.TreesKept++
 		}

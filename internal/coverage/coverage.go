@@ -149,30 +149,28 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 				cid = len(classIDs)
 				classIDs[desc] = cid
 			}
-			for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-				for mi := range list {
-					em := &list[mi]
-					key := f.MethodAt(em.Method).Key()
-					id, ok := s.ids[key]
-					if !ok {
-						id = len(s.spans)
-						s.ids[key] = id
-						s.spans = append(s.spans, span{})
+			for mi := range cd.NumMethods() {
+				em := cd.Method(mi)
+				key := f.MethodAt(em.Method).Key()
+				id, ok := s.ids[key]
+				if !ok {
+					id = len(s.spans)
+					s.ids[key] = id
+					s.spans = append(s.spans, span{})
+				}
+				sp := &s.spans[id]
+				sp.class = cid // the last definition's class wins
+				if em.Code == nil {
+					continue
+				}
+				sp.units = max(sp.units, len(em.Code.Insns))
+				defs = append(defs, methodDef{key, em.Code})
+				for _, tr := range em.Code.Tries {
+					for _, h := range tr.Handlers {
+						sites[HandlerSite{Method: key, TryStart: int(tr.Start), HandlerPC: int(h.Addr), Type: f.TypeName(h.Type)}] = true
 					}
-					sp := &s.spans[id]
-					sp.class = cid // the last definition's class wins
-					if em.Code == nil {
-						continue
-					}
-					sp.units = max(sp.units, len(em.Code.Insns))
-					defs = append(defs, methodDef{key, em.Code})
-					for _, tr := range em.Code.Tries {
-						for _, h := range tr.Handlers {
-							sites[HandlerSite{Method: key, TryStart: int(tr.Start), HandlerPC: int(h.Addr), Type: f.TypeName(h.Type)}] = true
-						}
-						if tr.CatchAll >= 0 {
-							sites[HandlerSite{Method: key, TryStart: int(tr.Start), HandlerPC: int(tr.CatchAll), Type: "Ljava/lang/RuntimeException;"}] = true
-						}
+					if tr.CatchAll >= 0 {
+						sites[HandlerSite{Method: key, TryStart: int(tr.Start), HandlerPC: int(tr.CatchAll), Type: "Ljava/lang/RuntimeException;"}] = true
 					}
 				}
 			}

@@ -225,29 +225,17 @@ func (cb *ClassBuilder) InstanceField(name, typ string, flags uint32) *ClassBuil
 	return cb
 }
 
-// DirectMethod declares a direct (static, private or constructor) method.
-func (cb *ClassBuilder) DirectMethod(name, ret string, params []string, flags uint32, code *Code) *ClassBuilder {
+// Method declares a method; code is nil for a native or abstract one. The
+// method goes into direct_methods exactly when IsDirect(flags) holds, and
+// into virtual_methods otherwise.
+func (cb *ClassBuilder) Method(name, ret string, params []string, flags uint32, code *Code) *ClassBuilder {
 	d := cb.def()
-	idx := cb.b.Method(cb.Descriptor(), name, ret, params...)
-	d.DirectMeths = append(d.DirectMeths, EncodedMethod{Method: idx, AccessFlags: flags, Code: code})
-	return cb
-}
-
-// VirtualMethod declares a virtual method.
-func (cb *ClassBuilder) VirtualMethod(name, ret string, params []string, flags uint32, code *Code) *ClassBuilder {
-	d := cb.def()
-	idx := cb.b.Method(cb.Descriptor(), name, ret, params...)
-	d.VirtualMeths = append(d.VirtualMeths, EncodedMethod{Method: idx, AccessFlags: flags, Code: code})
-	return cb
-}
-
-// NativeMethod declares a native method (no code item).
-func (cb *ClassBuilder) NativeMethod(name, ret string, params []string, flags uint32) *ClassBuilder {
-	d := cb.def()
-	idx := cb.b.Method(cb.Descriptor(), name, ret, params...)
-	d.DirectMeths = append(d.DirectMeths, EncodedMethod{
-		Method: idx, AccessFlags: flags | AccNative,
-	})
+	em := EncodedMethod{Method: cb.b.Method(cb.Descriptor(), name, ret, params...), AccessFlags: flags, Code: code}
+	if IsDirect(flags) {
+		d.DirectMeths = append(d.DirectMeths, em)
+	} else {
+		d.VirtualMeths = append(d.VirtualMeths, em)
+	}
 	return cb
 }
 
@@ -381,10 +369,9 @@ func (b *Builder) Finish() (*File, error) {
 			return cd.InstFields[i].Field < cd.InstFields[j].Field
 		})
 		if methodMap != nil {
-			for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-				for i := range list {
-					list[i].Method = methodMap[list[i].Method]
-				}
+			for i := range cd.NumMethods() {
+				em := cd.Method(i)
+				em.Method = methodMap[em.Method]
 			}
 		}
 		sort.Slice(cd.DirectMeths, func(i, j int) bool {
@@ -591,11 +578,10 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 	var tasks []task
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
-		for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for mi := range list {
-				if list[mi].Code != nil {
-					tasks = append(tasks, task{code: list[mi].Code, method: list[mi].Method})
-				}
+		for mi := range cd.NumMethods() {
+			em := cd.Method(mi)
+			if em.Code != nil {
+				tasks = append(tasks, task{code: em.Code, method: em.Method})
 			}
 		}
 	}

@@ -41,10 +41,10 @@ func buildSampleFile(t *testing.T) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	main.VirtualMethod("advancedLeak", "V", nil, AccPublic, &Code{
+	main.Method("advancedLeak", "V", nil, AccPublic, &Code{
 		RegistersSize: 4, InsSize: 1, OutsSize: 2, Insns: insns,
 	})
-	main.NativeMethod("bytecodeTamper", "V", []string{"I"}, AccPublic)
+	main.Method("bytecodeTamper", "V", []string{"I"}, AccPublic|AccNative, nil)
 
 	var asm2 bytecode.Assembler
 	asm2.Const(0, 0)
@@ -62,7 +62,7 @@ func buildSampleFile(t *testing.T) *File {
 		t.Fatal(err)
 	}
 	helper := b.Class("Lcom/test/Helper;", AccPublic, "Ljava/lang/Object;")
-	helper.DirectMethod("lookup", "I", []string{"I"}, AccPublic|AccStatic, &Code{
+	helper.Method("lookup", "I", []string{"I"}, AccPublic|AccStatic, &Code{
 		RegistersSize: 2, InsSize: 1,
 		Insns: insns2,
 		Tries: []Try{{

@@ -29,6 +29,14 @@ const (
 	AccConstructor uint32 = 0x10000
 )
 
+// IsDirect reports whether a method with these access flags belongs in
+// direct_methods (static, private and constructor methods) rather than
+// virtual_methods. Only invoke-static may call a static method.
+func IsDirect(flags uint32) bool { return flags&(AccStatic|AccPrivate|AccConstructor) != 0 }
+
+// MethodTable names a class's method tables, keyed by directness.
+var MethodTable = map[bool]string{true: "direct_methods", false: "virtual_methods"}
+
 // File is an in-memory DEX file. Index fields reference the id tables,
 // mirroring the on-disk structure.
 type File struct {
@@ -76,6 +84,17 @@ type ClassDef struct {
 	DirectMeths  []EncodedMethod
 	VirtualMeths []EncodedMethod
 	StaticValues []Value
+}
+
+// NumMethods is the number of methods cd declares, direct and virtual.
+func (cd *ClassDef) NumMethods() int { return len(cd.DirectMeths) + len(cd.VirtualMeths) }
+
+// Method returns cd's i-th method, counting direct_methods first.
+func (cd *ClassDef) Method(i int) *EncodedMethod {
+	if i < len(cd.DirectMeths) {
+		return &cd.DirectMeths[i]
+	}
+	return &cd.VirtualMeths[i-len(cd.DirectMeths)]
 }
 
 // EncodedField is a field declaration inside a class_data_item.
@@ -295,12 +314,11 @@ func (f *File) FindMethod(descriptor, name, signature string) *EncodedMethod {
 	if cd == nil {
 		return nil
 	}
-	for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-		for i := range list {
-			ref := f.MethodAt(list[i].Method)
-			if ref.Name == name && (signature == "" || ref.Signature == signature) {
-				return &list[i]
-			}
+	for i := range cd.NumMethods() {
+		em := cd.Method(i)
+		ref := f.MethodAt(em.Method)
+		if ref.Name == name && (signature == "" || ref.Signature == signature) {
+			return em
 		}
 	}
 	return nil
@@ -313,13 +331,12 @@ func (f *File) InstructionCount() int {
 	total := 0
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
-		for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for _, m := range list {
-				if m.Code == nil {
-					continue
-				}
-				total += countInsns(m.Code.Insns)
+		for mi := range cd.NumMethods() {
+			m := cd.Method(mi)
+			if m.Code == nil {
+				continue
 			}
+			total += countInsns(m.Code.Insns)
 		}
 	}
 	return total
@@ -329,7 +346,7 @@ func (f *File) InstructionCount() int {
 func (f *File) MethodCount() int {
 	total := 0
 	for ci := range f.Classes {
-		total += len(f.Classes[ci].DirectMeths) + len(f.Classes[ci].VirtualMeths)
+		total += f.Classes[ci].NumMethods()
 	}
 	return total
 }

@@ -93,7 +93,7 @@ func TestBuilderSortedInputStable(t *testing.T) {
 			b.String(s)
 		}
 		cls := b.Class("La/A;", AccPublic, "Ljava/lang/Object;")
-		cls.NativeMethod("go", "V", nil, AccPublic|AccNative)
+		cls.Method("go", "V", nil, AccPublic|AccNative, nil)
 		f, err := b.Finish()
 		if err != nil {
 			t.Fatalf("Finish: %v", err)

@@ -93,7 +93,7 @@ func TestWriteStreamMultiWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls.DirectMethod("huge", "V", nil, AccPublic|AccStatic, &Code{
+	cls.Method("huge", "V", nil, AccPublic|AccStatic, &Code{
 		RegistersSize: 1, Insns: insns,
 	})
 	f, err := b.Finish()

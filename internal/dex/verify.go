@@ -21,7 +21,8 @@ func (e *VerifyError) Error() string {
 // and per-method bytecode sanity (decodability, register bounds, branch
 // and switch targets landing on instruction starts, sparse-switch keys in
 // strictly ascending order, try ranges and handler addresses within the
-// body). It returns every defect found.
+// body), and that each method sits in the table its access flags name
+// (IsDirect). It returns every defect found.
 func Verify(f *File) []error {
 	var errs []error
 	report := func(where, format string, args ...any) {
@@ -66,13 +67,14 @@ func Verify(f *File) []error {
 
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
-		for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for mi := range list {
-				em := &list[mi]
-				if em.Code == nil {
-					continue
-				}
-				where := f.MethodAt(em.Method).Key()
+		for mi := range cd.NumMethods() {
+			em := cd.Method(mi)
+			where := f.MethodAt(em.Method).Key()
+			if direct := mi < len(cd.DirectMeths); IsDirect(em.AccessFlags) != direct {
+				report(where, "access flags %#x place it in %s, not %s",
+					em.AccessFlags, MethodTable[!direct], MethodTable[direct])
+			}
+			if em.Code != nil {
 				verifyCode(f, where, em.Code, report)
 			}
 		}

@@ -31,7 +31,7 @@ func rawFile(t *testing.T, code *Code) *File {
 	t.Helper()
 	b := NewBuilder()
 	cb := b.Class("Lv/C;", AccPublic, "Ljava/lang/Object;")
-	cb.DirectMethod("f", "V", nil, AccPublic|AccStatic, code)
+	cb.Method("f", "V", nil, AccPublic|AccStatic, code)
 	f, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +188,36 @@ func TestVerifyFindsDefects(t *testing.T) {
 			}
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("defects:\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+
+	// Placement rows: a method whose access flags name the other table.
+	placement := []struct {
+		name    string
+		flags   uint32
+		virtual bool // move the method into virtual_methods
+		want    string
+	}{
+		{"direct method that is not static, private or a constructor", AccPublic, false,
+			m + "access flags 0x1 place it in virtual_methods, not direct_methods"},
+		{"virtual method that is static", AccPublic | AccStatic, true,
+			m + "access flags 0x9 place it in direct_methods, not virtual_methods"},
+	}
+	for _, tc := range placement {
+		t.Run(tc.name, func(t *testing.T) {
+			f := rawFile(t, &Code{RegistersSize: 1, Insns: []uint16{0x000e}})
+			cd := &f.Classes[0]
+			cd.DirectMeths[0].AccessFlags = tc.flags
+			if tc.virtual {
+				cd.DirectMeths, cd.VirtualMeths = nil, cd.DirectMeths
+			}
+			var got []string
+			for _, err := range Verify(f) {
+				got = append(got, err.Error())
+			}
+			if want := []string{tc.want}; !slices.Equal(got, want) {
+				t.Errorf("defects:\n got %q\nwant %q", got, want)
 			}
 		})
 	}

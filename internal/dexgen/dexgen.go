@@ -204,9 +204,16 @@ func (c *Class) Field(name, typ string) *Class {
 	return c
 }
 
-// Native declares a native method (direct unless virtual is set).
+// Native declares a public static native method, the kind invoke-static
+// calls. Declare an instance native with Bodyless.
 func (c *Class) Native(name, ret string, params ...string) *Class {
-	c.cb.NativeMethod(name, ret, params, dex.AccPublic)
+	return c.Bodyless(name, ret, params, dex.AccPublic|dex.AccStatic|dex.AccNative)
+}
+
+// Bodyless declares a method without a code item: a native or an abstract
+// method, as flags say. Flags also place it (dex.IsDirect).
+func (c *Class) Bodyless(name, ret string, params []string, flags uint32) *Class {
+	c.cb.Method(name, ret, params, flags, nil)
 	return c
 }
 
@@ -216,8 +223,7 @@ type MethodSpec struct {
 	Ret    string
 	Params []string
 	Static bool
-	Direct bool // constructors/private helpers; implied by Static
-	Locals int  // local registers below the parameter window (default 8)
+	Locals int // local registers below the parameter window (default 8)
 }
 
 // Method generates a method; gen emits its body into the Asm.
@@ -270,18 +276,13 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 	}
 	c.p.tasks = append(c.p.tasks, task)
 	flags := uint32(dex.AccPublic)
-	switch {
-	case spec.Static:
+	if spec.Static {
 		flags |= dex.AccStatic
-		c.cb.DirectMethod(spec.Name, spec.Ret, spec.Params, flags, code)
-	case spec.Direct || spec.Name == "<init>":
-		if spec.Name == "<init>" {
-			flags |= dex.AccConstructor
-		}
-		c.cb.DirectMethod(spec.Name, spec.Ret, spec.Params, flags, code)
-	default:
-		c.cb.VirtualMethod(spec.Name, spec.Ret, spec.Params, flags, code)
 	}
+	if spec.Name == "<init>" {
+		flags |= dex.AccConstructor
+	}
+	c.cb.Method(spec.Name, spec.Ret, spec.Params, flags, code)
 	return c
 }
 
@@ -298,7 +299,7 @@ func (c *Class) Static(name, ret string, params []string, gen func(a *Asm)) *Cla
 // Ctor generates a constructor that calls the superclass default
 // constructor and then runs gen (which may be nil).
 func (c *Class) Ctor(super string, gen func(a *Asm)) *Class {
-	return c.Method(MethodSpec{Name: "<init>", Ret: "V", Direct: true}, func(a *Asm) {
+	return c.Method(MethodSpec{Name: "<init>", Ret: "V"}, func(a *Asm) {
 		a.InvokeDirect(super, "<init>", "()V", a.This())
 		if gen != nil {
 			gen(a)
@@ -624,22 +625,6 @@ func (c *Class) FieldWithFlags(name, typ string, flags uint32) *Class {
 	return c
 }
 
-// NativeM declares a native method in the requested dispatch table.
-func (c *Class) NativeM(name, ret string, params []string, virtual bool) *Class {
-	if virtual {
-		c.cb.VirtualMethod(name, ret, params, dex.AccPublic|dex.AccNative, nil)
-		return c
-	}
-	c.cb.NativeMethod(name, ret, params, dex.AccPublic)
-	return c
-}
-
-// AbstractM declares an abstract (or interface) method.
-func (c *Class) AbstractM(name, ret string, params []string) *Class {
-	c.cb.VirtualMethod(name, ret, params, dex.AccPublic|dex.AccAbstract, nil)
-	return c
-}
-
 // NoteOuts raises the method's outgoing-argument size to at least n. Bodies
 // emitted through the raw assembler must report their invokes here.
 func (a *Asm) NoteOuts(n int) *Asm {
@@ -693,14 +678,7 @@ func (c *Class) RawMethod(name, ret string, params []string, flags uint32, rc Ra
 		}
 	}
 	c.p.tasks = append(c.p.tasks, task)
-	switch {
-	case flags&dex.AccStatic != 0:
-		c.cb.DirectMethod(name, ret, params, flags, code)
-	case name == "<init>" || name == "<clinit>" || flags&dex.AccPrivate != 0:
-		c.cb.DirectMethod(name, ret, params, flags, code)
-	default:
-		c.cb.VirtualMethod(name, ret, params, flags, code)
-	}
+	c.cb.Method(name, ret, params, flags, code)
 	return c
 }
 

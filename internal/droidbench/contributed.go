@@ -137,7 +137,7 @@ func advReflectionSamples() []*Sample {
 	name5 := "AdvReflection5"
 	s5 := contributed(leakySample(name5, "adv-reflection-hard", 1,
 		newActivityApp(name5, func(p *dexgen.Program, cls *dexgen.Class) {
-			cls.NativeM("nativeLeak", "Ljava/lang/Object;", nil, true)
+			cls.Bodyless("nativeLeak", "Ljava/lang/Object;", nil, dex.AccPublic|dex.AccNative)
 			cls.Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, func(a *dexgen.Asm) {
 				emitComputedString(a, dotted(name5), 0, 2, 3)
 				emitComputedString(a, "nativeLeak", 1, 2, 3)
@@ -226,7 +226,7 @@ func selfModifyingSamples() []*Sample {
 		desc := activityDesc(name)
 		s := contributed(leakySample(name, "self-modifying", 1,
 			newActivityApp(name, func(p *dexgen.Program, cls *dexgen.Class) {
-				cls.Native("bytecodeTamper", "V", "I")
+				cls.Bodyless("bytecodeTamper", "V", []string{"I"}, dex.AccPublic|dex.AccNative)
 				addSecretSource(cls, "imei")
 				cls.Virtual("normal", "V", []string{"Ljava/lang/String;"}, func(a *dexgen.Asm) {
 					a.ReturnVoid()
@@ -252,7 +252,7 @@ func selfModifyingSamples() []*Sample {
 					a.ReturnVoid()
 				})
 				if leakVia == "native" {
-					cls.NativeM("nativeSink", "V", []string{"Ljava/lang/String;"}, true)
+					cls.Bodyless("nativeSink", "V", []string{"Ljava/lang/String;"}, dex.AccPublic|dex.AccNative)
 				}
 				cls.Virtual("advancedLeak", "V", nil, func(a *dexgen.Asm) {
 					a.InvokeVirtual(desc, "secretSource", "()Ljava/lang/String;", a.This())

@@ -616,12 +616,11 @@ func buildCodeIndex(files []*dex.File) map[string]*dex.Code {
 	for _, f := range files {
 		for ci := range f.Classes {
 			cd := &f.Classes[ci]
-			for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-				for mi := range list {
-					key := f.MethodAt(list[mi].Method).Key()
-					if _, ok := idx[key]; !ok {
-						idx[key] = list[mi].Code
-					}
+			for mi := range cd.NumMethods() {
+				em := cd.Method(mi)
+				key := f.MethodAt(em.Method).Key()
+				if _, ok := idx[key]; !ok {
+					idx[key] = em.Code
 				}
 			}
 		}

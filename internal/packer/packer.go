@@ -171,21 +171,19 @@ func extractBodies(f *dex.File) map[string]codeRecord {
 	out := make(map[string]codeRecord)
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
-		for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for mi := range list {
-				em := &list[mi]
-				if em.Code == nil {
-					continue
-				}
-				ref := f.MethodAt(em.Method)
-				out[ref.Key()] = codeRecord{
-					Registers: int(em.Code.RegistersSize),
-					Ins:       int(em.Code.InsSize),
-					Insns:     append([]uint16(nil), em.Code.Insns...),
-					Tries:     em.Code.Tries,
-				}
-				em.Code = stubCode(em.Code, ref.Signature)
+		for mi := range cd.NumMethods() {
+			em := cd.Method(mi)
+			if em.Code == nil {
+				continue
 			}
+			ref := f.MethodAt(em.Method)
+			out[ref.Key()] = codeRecord{
+				Registers: int(em.Code.RegistersSize),
+				Ins:       int(em.Code.InsSize),
+				Insns:     append([]uint16(nil), em.Code.Insns...),
+				Tries:     em.Code.Tries,
+			}
+			em.Code = stubCode(em.Code, ref.Signature)
 		}
 	}
 	return out

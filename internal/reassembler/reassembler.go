@@ -221,10 +221,8 @@ func (ra *reassembler) emitClass(cr *collector.ClassRecord) error {
 		}
 		ra.stats.Methods++
 		switch {
-		case sh.Native:
-			cls.NativeM(sh.Name, ret, params, sh.Virtual)
-		case sh.AccessFlags&dex.AccAbstract != 0:
-			cls.AbstractM(sh.Name, ret, params)
+		case sh.Native || sh.AccessFlags&dex.AccAbstract != 0:
+			cls.Bodyless(sh.Name, ret, params, sh.AccessFlags)
 		case rec != nil && rec.Executed():
 			ra.stats.ExecutedMethods++
 			if err := ra.emitExecuted(cls, rec, sh, ret, params); err != nil {
@@ -625,24 +623,25 @@ func (fl *flattener) emitEntry(n *collector.TreeNode, e collector.Entry) {
 
 	// Reflection-to-direct-call rewriting.
 	if targets, ok := fl.rec.ReflTargets[e.DexPC]; ok && isMethodInvoke(e) && len(in.Args) == 3 {
-		bridge := fl.ra.bridgeFor(targets)
-		in = bytecode.Inst{
-			Op:    bytecode.OpInvokeStatic,
-			Args:  []int{in.Args[1], in.Args[2]}, // drop the Method receiver
-			A:     2,
-			Index: 0,
-		}
-		sym = &collector.Symbol{
-			Kind: bytecode.IndexMethod,
-			Method: dex.MethodRef{
-				Class:     BridgeClass,
-				Name:      bridge,
-				Signature: "(Ljava/lang/Object;[Ljava/lang/Object;)Ljava/lang/Object;",
-			},
-		}
-		fl.ra.stats.ReflectionRewrites++
-		if fl.ra.span.Enabled() {
-			fl.ra.span.ReflectionRewrite(fl.rec.Key(), e.DexPC, BridgeClass+"->"+bridge)
+		if bridge, ok := fl.ra.bridgeFor(targets); ok {
+			in = bytecode.Inst{
+				Op:    bytecode.OpInvokeStatic,
+				Args:  []int{in.Args[1], in.Args[2]}, // drop the Method receiver
+				A:     2,
+				Index: 0,
+			}
+			sym = &collector.Symbol{
+				Kind: bytecode.IndexMethod,
+				Method: dex.MethodRef{
+					Class:     BridgeClass,
+					Name:      bridge,
+					Signature: "(Ljava/lang/Object;[Ljava/lang/Object;)Ljava/lang/Object;",
+				},
+			}
+			fl.ra.stats.ReflectionRewrites++
+			if fl.ra.span.Enabled() {
+				fl.ra.span.ReflectionRewrite(fl.rec.Key(), e.DexPC, BridgeClass+"->"+bridge)
+			}
 		}
 	}
 
@@ -788,46 +787,62 @@ func isMethodInvoke(e collector.Entry) bool {
 		e.Sym.Method.Name == "invoke"
 }
 
-// bridgeFor returns (creating if needed) the bridge method that performs the
-// observed reflective targets as direct calls.
-func (ra *reassembler) bridgeFor(targets []collector.ReflTarget) string {
+// bridgeFor creates the bridge method that performs the observed reflective
+// targets as direct calls, and reports false when a target cannot be
+// bridged: the bridge unboxes each primitive argument and boxes a primitive
+// result through Integer, one register each, so a target with a J or D
+// parameter or return keeps its Method.invoke.
+func (ra *reassembler) bridgeFor(targets []collector.ReflTarget) (string, bool) {
+	args := 0 // the most argument words (receiver included) any target takes
+	for _, t := range targets {
+		params, ret, err := ra.parseSig(t.Signature)
+		if err != nil || strings.ContainsAny(dex.ShortyOf(ret, params), "JD") {
+			return "", false
+		}
+		n := len(params)
+		if !t.Static {
+			n++
+		}
+		args = max(args, n)
+	}
 	if ra.bridgeCls == nil {
 		ra.bridgeCls = ra.p.Class(BridgeClass, "")
 	}
 	name := "call_" + strconv.Itoa(ra.bridgeCounter)
 	ra.bridgeCounter++
-	ts := append([]collector.ReflTarget(nil), targets...)
 	ra.bridgeCls.Method(dexgen.MethodSpec{
 		Name:   name,
 		Ret:    "Ljava/lang/Object;",
 		Params: []string{"Ljava/lang/Object;", "[Ljava/lang/Object;"},
 		Static: true,
-		Locals: 10,
+		Locals: 2 + args,
 	}, func(a *dexgen.Asm) {
 		a.Const(0, 0) // result
-		for _, t := range ts {
-			emitBridgeCall(a, t)
+		for _, t := range targets {
+			params, ret, _ := ra.parseSig(t.Signature)
+			emitBridgeCall(a, t, params, ret)
 		}
 		a.ReturnObj(0)
 	})
-	return name
+	return name, true
 }
 
-func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget) {
-	params, ret, err := dex.ParseSignature(t.Signature)
-	if err != nil {
-		return
-	}
+// emitBridgeCall emits one target's call. v0 holds the result and v1 the
+// argument index; the receiver and the arguments sit contiguously from v2
+// up, below the bridge's own parameters, so a long list takes the range
+// form.
+func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget, params []string, ret string) {
+	r := int32(2)
 	var regs []int32
 	if !t.Static {
-		a.MoveObject(1, a.P(0))
-		a.CheckCast(1, t.Class)
-		regs = append(regs, 1)
+		a.MoveObject(r, a.P(0))
+		a.CheckCast(r, t.Class)
+		regs = append(regs, r)
+		r++
 	}
 	for i, pt := range params {
-		r := int32(3 + i)
-		a.Const(2, int64(i))
-		a.AGet(bytecode.OpAGetObject, r, a.P(1), 2)
+		a.Const(1, int64(i))
+		a.AGet(bytecode.OpAGetObject, r, a.P(1), 1)
 		switch pt[0] {
 		case 'L':
 			if pt != "Ljava/lang/Object;" {
@@ -841,6 +856,7 @@ func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget) {
 			a.MoveResult(r)
 		}
 		regs = append(regs, r)
+		r++
 	}
 	if t.Static {
 		a.InvokeStatic(t.Class, t.Name, t.Signature, regs...)
@@ -852,8 +868,8 @@ func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget) {
 	case ret[0] == 'L' || ret[0] == '[':
 		a.MoveResultObject(0)
 	default:
-		a.MoveResult(9)
-		a.InvokeStatic("Ljava/lang/Integer;", "valueOf", "(I)Ljava/lang/Integer;", 9)
+		a.MoveResult(1)
+		a.InvokeStatic("Ljava/lang/Integer;", "valueOf", "(I)Ljava/lang/Integer;", 1)
 		a.MoveResultObject(0)
 	}
 }

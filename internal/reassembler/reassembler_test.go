@@ -102,7 +102,7 @@ func buildSelfModAPK(t *testing.T) (*apk.APK, map[string]art.NativeFunc) {
 	p := dexgen.New()
 	main := p.Class("Lcom/test/Main;", "Landroid/app/Activity;")
 	main.Ctor("Landroid/app/Activity;", nil)
-	main.Native("bytecodeTamper", "V", "I")
+	main.Bodyless("bytecodeTamper", "V", []string{"I"}, dex.AccPublic|dex.AccNative)
 	main.Virtual("getSensitiveData", "Ljava/lang/String;", nil, func(a *dexgen.Asm) {
 		a.GetIMEI(0, 1)
 		a.ReturnObj(0)

@@ -51,34 +51,31 @@ func buildModel(files []*dex.File) (*model, error) {
 			for _, t := range cd.Interfaces {
 				mc.ifaces = append(mc.ifaces, f.TypeName(t))
 			}
-			for li, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-				for mi := range list {
-					em := &list[mi]
-					ref := f.MethodAt(em.Method)
-					params, ret, err := dex.ParseSignature(ref.Signature)
-					if err != nil {
-						return nil, fmt.Errorf("taint: %s: %w", ref.Key(), err)
-					}
-					mm := &mMethod{
-						cls:    mc,
-						name:   ref.Name,
-						sig:    ref.Signature,
-						static: em.AccessFlags&dex.AccStatic != 0,
-						ret:    ret,
-						params: params,
-						file:   f,
-					}
-					_ = li
-					if em.Code != nil {
-						// Undecodable (e.g. still-encrypted) bodies are
-						// opaque to static analysis, like real packed code.
-						if prog := bytecode.Read(em.Code.Insns); prog.Err() == nil {
-							mm.prog, mm.code = prog, prog.Insts()
-						}
-						mm.body = em.Code
-					}
-					mc.meths = append(mc.meths, mm)
+			for mi := range cd.NumMethods() {
+				em := cd.Method(mi)
+				ref := f.MethodAt(em.Method)
+				params, ret, err := dex.ParseSignature(ref.Signature)
+				if err != nil {
+					return nil, fmt.Errorf("taint: %s: %w", ref.Key(), err)
 				}
+				mm := &mMethod{
+					cls:    mc,
+					name:   ref.Name,
+					sig:    ref.Signature,
+					static: em.AccessFlags&dex.AccStatic != 0,
+					ret:    ret,
+					params: params,
+					file:   f,
+				}
+				if em.Code != nil {
+					// Undecodable (e.g. still-encrypted) bodies are
+					// opaque to static analysis, like real packed code.
+					if prog := bytecode.Read(em.Code.Insns); prog.Err() == nil {
+						mm.prog, mm.code = prog, prog.Insts()
+					}
+					mm.body = em.Code
+				}
+				mc.meths = append(mc.meths, mm)
 			}
 			md.classes[desc] = mc
 		}

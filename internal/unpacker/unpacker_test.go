@@ -97,7 +97,7 @@ func TestDumperMissesSelfModifyingFlow(t *testing.T) {
 	p := dexgen.New()
 	main := p.Class("Lsm/Main;", "Landroid/app/Activity;")
 	main.Ctor("Landroid/app/Activity;", nil)
-	main.Native("tamper", "V")
+	main.Bodyless("tamper", "V", nil, dex.AccPublic|dex.AccNative)
 	main.Virtual("mark", "V", nil, func(a *dexgen.Asm) { a.ReturnVoid() })
 	main.Virtual("evil", "V", nil, func(a *dexgen.Asm) { a.ReturnVoid() })
 	main.Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, func(a *dexgen.Asm) {

@@ -93,26 +93,24 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 	var work []pending
 	for ci := range f.Classes {
 		cls := &f.Classes[ci]
-		for _, list := range [][]dex.EncodedMethod{cls.DirectMeths, cls.VirtualMeths} {
-			for mi := range list {
-				em := &list[mi]
-				if em.Code == nil {
-					continue
-				}
-				ref := f.MethodAt(em.Method)
-				n := &fpNode{key: ref.Key()}
-				prog := bytecode.Read(em.Code.Insns)
-				n.local = localBodyHash(f, em, prog)
-				var insts []bytecode.DecodedInst
-				if prog.Err() == nil {
-					insts = prog.Insts()
-				}
-				g.byKey[n.key] = len(g.nodes)
-				byNameSig[ref.Name+ref.Signature] = append(byNameSig[ref.Name+ref.Signature], len(g.nodes))
-				byName[ref.Name] = append(byName[ref.Name], len(g.nodes))
-				g.nodes = append(g.nodes, n)
-				work = append(work, pending{node: len(g.nodes) - 1, em: em, insts: insts})
+		for mi := range cls.NumMethods() {
+			em := cls.Method(mi)
+			if em.Code == nil {
+				continue
 			}
+			ref := f.MethodAt(em.Method)
+			n := &fpNode{key: ref.Key()}
+			prog := bytecode.Read(em.Code.Insns)
+			n.local = localBodyHash(f, em, prog)
+			var insts []bytecode.DecodedInst
+			if prog.Err() == nil {
+				insts = prog.Insts()
+			}
+			g.byKey[n.key] = len(g.nodes)
+			byNameSig[ref.Name+ref.Signature] = append(byNameSig[ref.Name+ref.Signature], len(g.nodes))
+			byName[ref.Name] = append(byName[ref.Name], len(g.nodes))
+			g.nodes = append(g.nodes, n)
+			work = append(work, pending{node: len(g.nodes) - 1, em: em, insts: insts})
 		}
 	}
 	for _, p := range work {

@@ -24,11 +24,10 @@ func methodBodies(f *dex.File) []*dex.Code {
 	var bodies []*dex.Code
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
-		for _, list := range [][]dex.EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for mi := range list {
-				if code := list[mi].Code; code != nil && len(code.Insns) > 0 {
-					bodies = append(bodies, code)
-				}
+		for mi := range cd.NumMethods() {
+			em := cd.Method(mi)
+			if code := em.Code; code != nil && len(code.Insns) > 0 {
+				bodies = append(bodies, code)
 			}
 		}
 	}
