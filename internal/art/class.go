@@ -65,13 +65,11 @@ type Method struct {
 	// Native implementation for framework and JNI methods.
 	Native NativeFunc
 
-	ParamTypes []string
-	ReturnType string
-	// argWords is the register words ParamTypes take, J and D counting
-	// two; an invoke must pass exactly that many after any receiver, and a
-	// word whose bit is set in refArgs must hold an object or null.
-	argWords int
-	refArgs  uint64
+	// Sig is the parsed Signature, shared process-wide. An invoke must pass
+	// exactly Sig.Words argument words after any receiver, a word whose bit
+	// is set in Sig.Refs must hold an object or null, and a bytecode body
+	// must declare InsSize dex.InsSize(Sig.Words, AccessFlags).
+	Sig *dex.Signature
 
 	key string // Key() cache; class, name and signature are fixed after link
 

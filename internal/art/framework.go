@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dexlego/internal/apimodel"
 	"dexlego/internal/dex"
@@ -14,42 +13,6 @@ import (
 type fwClass struct {
 	rt *Runtime
 	c  *Class
-}
-
-// sigCache memoizes ParseSignature results across runtimes. Signatures
-// repeat heavily — every framework model rebuild re-declares the same
-// methods, and app DEX files share most of their signatures — so the parsed
-// form is computed once per distinct string. Cached ParamTypes slices are
-// shared and must never be mutated (readers only use them via indexed reads).
-var sigCache sync.Map // signature string -> *sigInfo
-
-type sigInfo struct {
-	params []string
-	ret    string
-	words  int    // register words the parameters take; J and D count two
-	refs   uint64 // bit w set when argument word w (below 64) is a reference
-}
-
-func parseSigCached(sig string) (*sigInfo, error) {
-	if v, ok := sigCache.Load(sig); ok {
-		return v.(*sigInfo), nil
-	}
-	params, ret, err := dex.ParseSignature(sig)
-	if err != nil {
-		return nil, err
-	}
-	si := &sigInfo{params: params, ret: ret}
-	for _, p := range params {
-		if (p[0] == 'L' || p[0] == '[') && si.words < 64 {
-			si.refs |= 1 << si.words
-		}
-		si.words++
-		if p == "J" || p == "D" {
-			si.words++
-		}
-	}
-	sigCache.Store(sig, si)
-	return si, nil
 }
 
 func (rt *Runtime) fw(desc, super string, ifaces ...string) *fwClass {
@@ -70,7 +33,7 @@ func (rt *Runtime) fw(desc, super string, ifaces ...string) *fwClass {
 }
 
 func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass {
-	si, err := parseSigCached(sig)
+	si, err := dex.ParseSignature(sig)
 	if err != nil {
 		panic(fmt.Sprintf("art: framework method %s->%s%s: %v", f.c.Descriptor, name, sig, err))
 	}
@@ -81,8 +44,7 @@ func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass 
 	m := f.rt.newMethod()
 	*m = Method{
 		Class: f.c, Name: name, Signature: sig, AccessFlags: flags,
-		Native: fn, ParamTypes: si.params, ReturnType: si.ret, Virtual: !static,
-		argWords: si.words, refArgs: si.refs,
+		Native: fn, Sig: si, Virtual: !static,
 	}
 	f.c.Methods = append(f.c.Methods, m)
 	return f
@@ -90,7 +52,7 @@ func (f *fwClass) method(name, sig string, static bool, fn NativeFunc) *fwClass 
 
 // abstract declares an interface/abstract method with no implementation.
 func (f *fwClass) abstract(name, sig string) *fwClass {
-	si, err := parseSigCached(sig)
+	si, err := dex.ParseSignature(sig)
 	if err != nil {
 		panic(fmt.Sprintf("art: framework abstract %s->%s%s: %v", f.c.Descriptor, name, sig, err))
 	}
@@ -98,8 +60,7 @@ func (f *fwClass) abstract(name, sig string) *fwClass {
 	*m = Method{
 		Class: f.c, Name: name, Signature: sig,
 		AccessFlags: dex.AccPublic | dex.AccAbstract,
-		ParamTypes:  si.params, ReturnType: si.ret, Virtual: true,
-		argWords: si.words, refArgs: si.refs,
+		Sig:         si, Virtual: true,
 	}
 	f.c.Methods = append(f.c.Methods, m)
 	return f
@@ -402,16 +363,16 @@ func (rt *Runtime) installFramework() {
 			}
 			// Natives index their arguments unchecked, so a call with the
 			// wrong count throws here, as Method.invoke does on a device.
-			if len(callArgs) != len(target.ParamTypes) {
+			if len(callArgs) != len(target.Sig.Params) {
 				return Value{}, env.Throw("Ljava/lang/IllegalArgumentException;",
-					fmt.Sprintf("wrong number of arguments; expected %d, got %d", len(target.ParamTypes), len(callArgs)))
+					fmt.Sprintf("wrong number of arguments; expected %d, got %d", len(target.Sig.Params), len(callArgs)))
 			}
 			env.FireReflectiveCall(target)
 			res, err := env.Call(target, callRecv, callArgs)
 			if err != nil {
 				return Value{}, err
 			}
-			return boxIfPrimitive(env, target.ReturnType, res), nil
+			return boxIfPrimitive(env, target.Sig.Return, res), nil
 		})
 
 	// --- android framework ------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dexlego/internal/bytecode"
+	"dexlego/internal/dex"
 )
 
 // execState carries the per-top-level-call interpreter state: the frame
@@ -106,13 +107,18 @@ func (rt *Runtime) invoke(st *execState, m *Method, recv *Object, args []Value) 
 		return Value{}, ErrStackOverfl
 	}
 
-	f := rt.getFrame(m)
-	// Parameters occupy the highest registers (ins).
+	// Parameters occupy the highest registers (ins), laid out by the
+	// prototype: a body that declares other ins fails verification.
+	if ins := dex.InsSize(m.Sig.Words, m.AccessFlags); m.InsSize != ins {
+		return Value{}, rt.verifyError("%s declares ins %d, its prototype takes %d",
+			m.Key(), m.InsSize, ins)
+	}
 	base := m.RegistersSize - m.InsSize
 	if base < 0 {
 		return Value{}, fmt.Errorf("art: %s: ins %d exceed registers %d",
 			m.Key(), m.InsSize, m.RegistersSize)
 	}
+	f := rt.getFrame(m)
 	idx := base
 	if !m.IsStatic() {
 		if idx < len(f.regs) {
@@ -602,11 +608,11 @@ func (rt *Runtime) doInvoke(st *execState, f *frame, in *bytecode.Inst) error {
 	if target.IsStatic() == instance {
 		return rt.verifyError("%s of %s (static: %v) in %s", in.Op, target.Key(), target.IsStatic(), m.Key())
 	}
-	if len(args) != target.argWords {
+	if len(args) != target.Sig.Words {
 		return rt.verifyError("invoke %s passes %d argument words, its prototype takes %d, in %s",
-			ref.Key(), len(args), target.argWords, m.Key())
+			ref.Key(), len(args), target.Sig.Words, m.Key())
 	}
-	for w, refs := 0, target.refArgs; refs != 0; w, refs = w+1, refs>>1 {
+	for w, refs := 0, target.Sig.Refs; refs != 0; w, refs = w+1, refs>>1 {
 		if refs&1 != 0 && args[w].Ref == nil && !args[w].IsNull() {
 			return rt.verifyError("invoke %s passes a primitive as reference argument word %d, in %s",
 				ref.Key(), w, m.Key())

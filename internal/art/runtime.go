@@ -248,7 +248,7 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 		for mi := range def.NumMethods() {
 			em := def.Method(mi)
 			ref := f.MethodAt(em.Method)
-			si, err := parseSigCached(ref.Signature)
+			si, err := dex.ParseSignature(ref.Signature)
 			if err != nil {
 				return nil, fmt.Errorf("art: class %s method %s: %w",
 					c.Descriptor, ref.Name, err)
@@ -257,8 +257,7 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 			*m = Method{
 				Class: c, Name: ref.Name, Signature: ref.Signature,
 				AccessFlags: em.AccessFlags, Virtual: mi >= len(def.DirectMeths),
-				ParamTypes: si.params, ReturnType: si.ret,
-				argWords: si.words, refArgs: si.refs,
+				Sig: si,
 			}
 			if em.Code != nil {
 				m.Insns = append([]uint16(nil), em.Code.Insns...)

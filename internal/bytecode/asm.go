@@ -22,6 +22,7 @@ type Assembler struct {
 	binds   []labelBind
 	nLabels int32
 	byName  map[string]LabelID // lazily allocated: only named labels pay
+	outs    int                // argument words of the widest invoke emitted
 	err     error
 }
 
@@ -108,9 +109,16 @@ func (a *Assembler) push(it asmItem) *Assembler {
 	if a.err != nil {
 		return a
 	}
+	if it.inst.Op.IsInvoke() {
+		a.outs = max(a.outs, len(it.inst.Args))
+	}
 	a.items = append(a.items, it)
 	return a
 }
+
+// Outs returns the argument words of the widest invoke emitted so far: the
+// outs_size of the method body.
+func (a *Assembler) Outs() int { return a.outs }
 
 // Grow reserves room for n more instructions, so an emitter that knows its
 // instruction count does not regrow the item list as it goes.

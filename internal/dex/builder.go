@@ -144,8 +144,7 @@ func (b *Builder) Method(class, name, ret string, params ...string) uint32 {
 //
 // The interned-method key Method builds is exactly class->name+sig, so a
 // warm call resolves against the method map directly without parsing the
-// signature (ParseSignature allocates a params slice); only first-sight
-// references pay for the parse.
+// signature; only first-sight references look the signature up.
 func (b *Builder) MethodSig(class, name, sig string) (uint32, error) {
 	buf := append(b.keyBuf[:0], class...)
 	buf = append(buf, "->"...)
@@ -155,11 +154,11 @@ func (b *Builder) MethodSig(class, name, sig string) (uint32, error) {
 	if idx, ok := b.methodIdx[string(buf)]; ok {
 		return idx, nil
 	}
-	params, ret, err := ParseSignature(sig)
+	s, err := ParseSignature(sig)
 	if err != nil {
 		return 0, err
 	}
-	return b.Method(class, name, ret, params...), nil
+	return b.Method(class, name, s.Return, s.Params...), nil
 }
 
 // ClassBuilder accumulates members of one class definition.

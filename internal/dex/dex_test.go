@@ -274,17 +274,20 @@ func TestSignatureParsing(t *testing.T) {
 		params []string
 		ret    string
 		ok     bool
+		words  int    // J and D take two argument words
+		refs   uint64 // the words that hold references
 	}{
-		{"()V", nil, "V", true},
-		{"(I)V", []string{"I"}, "V", true},
-		{"(Ljava/lang/String;I)Z", []string{"Ljava/lang/String;", "I"}, "Z", true},
-		{"([I[Ljava/lang/String;)[B", []string{"[I", "[Ljava/lang/String;"}, "[B", true},
-		{"", nil, "", false},
-		{"(IV", nil, "", false},
-		{"(Ljava/lang/String)V", nil, "", false},
+		{"()V", nil, "V", true, 0, 0},
+		{"(I)V", []string{"I"}, "V", true, 1, 0},
+		{"(Ljava/lang/String;I)Z", []string{"Ljava/lang/String;", "I"}, "Z", true, 2, 1},
+		{"([I[Ljava/lang/String;)[B", []string{"[I", "[Ljava/lang/String;"}, "[B", true, 2, 3},
+		{"(JLjava/lang/Object;D[IZ)V", []string{"J", "Ljava/lang/Object;", "D", "[I", "Z"}, "V", true, 7, 1<<2 | 1<<5},
+		{"", nil, "", false, 0, 0},
+		{"(IV", nil, "", false, 0, 0},
+		{"(Ljava/lang/String)V", nil, "", false, 0, 0},
 	}
 	for _, tt := range tests {
-		params, ret, err := ParseSignature(tt.sig)
+		sig, err := ParseSignature(tt.sig)
 		if tt.ok != (err == nil) {
 			t.Errorf("ParseSignature(%q) err = %v, want ok=%v", tt.sig, err, tt.ok)
 			continue
@@ -292,8 +295,14 @@ func TestSignatureParsing(t *testing.T) {
 		if !tt.ok {
 			continue
 		}
-		if !reflect.DeepEqual(params, tt.params) || ret != tt.ret {
-			t.Errorf("ParseSignature(%q) = %v, %q", tt.sig, params, ret)
+		if !reflect.DeepEqual(sig.Params, tt.params) || sig.Return != tt.ret || sig.Words != tt.words || sig.Refs != tt.refs {
+			t.Errorf("ParseSignature(%q) = %v, %q, words %d, refs %b", tt.sig, sig.Params, sig.Return, sig.Words, sig.Refs)
+		}
+		if again, _ := ParseSignature(tt.sig); again != sig {
+			t.Errorf("ParseSignature(%q) twice: not the memoized Signature", tt.sig)
+		}
+		if InsSize(sig.Words, AccStatic) != tt.words || InsSize(sig.Words, AccPublic) != tt.words+1 {
+			t.Errorf("%s: ins static %d, instance %d", tt.sig, InsSize(sig.Words, AccStatic), InsSize(sig.Words, AccPublic))
 		}
 	}
 }

@@ -374,35 +374,3 @@ func shortyChar(descriptor string) byte {
 		return c
 	}
 }
-
-// ParseSignature splits a (params)return signature into parameter and return
-// descriptors.
-func ParseSignature(sig string) (params []string, ret string, err error) {
-	if len(sig) < 3 || sig[0] != '(' {
-		return nil, "", fmt.Errorf("dex: malformed signature %q", sig)
-	}
-	i := 1
-	for i < len(sig) && sig[i] != ')' {
-		start := i
-		for i < len(sig) && sig[i] == '[' {
-			i++
-		}
-		if i >= len(sig) {
-			return nil, "", fmt.Errorf("dex: malformed signature %q", sig)
-		}
-		if sig[i] == 'L' {
-			for i < len(sig) && sig[i] != ';' {
-				i++
-			}
-			if i >= len(sig) {
-				return nil, "", fmt.Errorf("dex: malformed signature %q", sig)
-			}
-		}
-		i++
-		params = append(params, sig[start:i])
-	}
-	if i >= len(sig) || sig[i] != ')' {
-		return nil, "", fmt.Errorf("dex: malformed signature %q", sig)
-	}
-	return params, sig[i+1:], nil
-}

@@ -21,8 +21,10 @@ func (e *VerifyError) Error() string {
 // and per-method bytecode sanity (decodability, register bounds, branch
 // and switch targets landing on instruction starts, sparse-switch keys in
 // strictly ascending order, try ranges and handler addresses within the
-// body), and that each method sits in the table its access flags name
-// (IsDirect). It returns every defect found.
+// body), that each method sits in the table its access flags name
+// (IsDirect), and that each code item's ins_size is what its prototype
+// takes (InsSize) and its outs_size covers its widest invoke. It returns
+// every defect found.
 func Verify(f *File) []error {
 	var errs []error
 	report := func(where, format string, args ...any) {
@@ -69,14 +71,21 @@ func Verify(f *File) []error {
 		cd := &f.Classes[ci]
 		for mi := range cd.NumMethods() {
 			em := cd.Method(mi)
-			where := f.MethodAt(em.Method).Key()
+			ref := f.MethodAt(em.Method)
+			where := ref.Key()
 			if direct := mi < len(cd.DirectMeths); IsDirect(em.AccessFlags) != direct {
 				report(where, "access flags %#x place it in %s, not %s",
 					em.AccessFlags, MethodTable[!direct], MethodTable[direct])
 			}
-			if em.Code != nil {
-				verifyCode(f, where, em.Code, report)
+			if em.Code == nil {
+				continue
 			}
+			if sig, err := ParseSignature(ref.Signature); err != nil {
+				report(where, "%v", err)
+			} else if ins := InsSize(sig.Words, em.AccessFlags); int(em.Code.InsSize) != ins {
+				report(where, "ins %d, but its prototype takes %d", em.Code.InsSize, ins)
+			}
+			verifyCode(f, where, em.Code, report)
 		}
 	}
 	return errs
@@ -113,6 +122,7 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 		bytecode.IndexField:  len(f.Fields),
 		bytecode.IndexMethod: len(f.Methods),
 	}
+	outs := 0 // argument words of the widest invoke
 	for i := range insts {
 		d := &insts[i]
 		if d.MaxReg >= int32(code.RegistersSize) {
@@ -124,6 +134,9 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 				report(where, "pc %#x: %s targets %#x, not an instruction start",
 					d.PC, d.Op, target)
 			}
+		}
+		if d.Op.IsInvoke() {
+			outs = max(outs, len(d.Args))
 		}
 		if kind := d.Op.Index(); kind != bytecode.IndexNone && int(d.Index) >= limits[kind] {
 			report(where, "pc %#x: %s index %d out of range", d.PC, d.Op, d.Index)
@@ -137,6 +150,9 @@ func verifyCode(f *File, where string, code *Code, report func(where, format str
 				}
 			}
 		}
+	}
+	if outs > int(code.OutsSize) {
+		report(where, "outs %d, but its widest invoke passes %d words", code.OutsSize, outs)
 	}
 	for ti, tr := range code.Tries {
 		if int(tr.Start)+int(tr.Count) > len(code.Insns) {

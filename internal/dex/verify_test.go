@@ -177,6 +177,16 @@ func TestVerifyFindsDefects(t *testing.T) {
 			},
 			[]string{m + "try 0: handler type 999 out of range"},
 		},
+		{
+			"ins other than the prototype's",
+			&Code{RegistersSize: 1, InsSize: 1, Insns: []uint16{0x000e}},
+			[]string{m + "ins 1, but its prototype takes 0"},
+		},
+		{
+			"outs below the widest invoke",
+			&Code{RegistersSize: 1, Insns: []uint16{0x1071, 0, 0x0000, 0x000e}}, // invoke-static {v0}, method@0
+			[]string{m + "outs 0, but its widest invoke passes 1 words"},
+		},
 	}
 	for _, tc := range exact {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,17 +206,18 @@ func TestVerifyFindsDefects(t *testing.T) {
 	placement := []struct {
 		name    string
 		flags   uint32
-		virtual bool // move the method into virtual_methods
+		ins     uint16 // the receiver's word, for an instance method
+		virtual bool   // move the method into virtual_methods
 		want    string
 	}{
-		{"direct method that is not static, private or a constructor", AccPublic, false,
+		{"direct method that is not static, private or a constructor", AccPublic, 1, false,
 			m + "access flags 0x1 place it in virtual_methods, not direct_methods"},
-		{"virtual method that is static", AccPublic | AccStatic, true,
+		{"virtual method that is static", AccPublic | AccStatic, 0, true,
 			m + "access flags 0x9 place it in direct_methods, not virtual_methods"},
 	}
 	for _, tc := range placement {
 		t.Run(tc.name, func(t *testing.T) {
-			f := rawFile(t, &Code{RegistersSize: 1, Insns: []uint16{0x000e}})
+			f := rawFile(t, &Code{RegistersSize: 1, InsSize: tc.ins, Insns: []uint16{0x000e}})
 			cd := &f.Classes[0]
 			cd.DirectMeths[0].AccessFlags = tc.flags
 			if tc.virtual {

@@ -235,10 +235,14 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 	if locals == 0 {
 		locals = 8
 	}
-	ins := paramWords(spec.Params)
-	if !spec.Static {
-		ins++
+	flags := uint32(dex.AccPublic)
+	if spec.Static {
+		flags |= dex.AccStatic
 	}
+	if spec.Name == "<init>" {
+		flags |= dex.AccConstructor
+	}
+	ins := dex.InsSize(dex.ParamWords(spec.Params), flags)
 	a := c.p.newAsm()
 	a.locals = int32(locals)
 	a.static = spec.Static
@@ -249,7 +253,7 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 	code := c.p.newCode()
 	code.RegistersSize = uint16(locals + ins)
 	code.InsSize = uint16(ins)
-	code.OutsSize = uint16(a.outs)
+	code.OutsSize = uint16(a.asm.Outs())
 	task := asmTask{a: a, code: code, desc: c.desc, name: spec.Name}
 	if tries := a.tries; len(tries) > 0 {
 		desc, mname := c.desc, spec.Name
@@ -275,13 +279,6 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 		}
 	}
 	c.p.tasks = append(c.p.tasks, task)
-	flags := uint32(dex.AccPublic)
-	if spec.Static {
-		flags |= dex.AccStatic
-	}
-	if spec.Name == "<init>" {
-		flags |= dex.AccConstructor
-	}
 	c.cb.Method(spec.Name, spec.Ret, spec.Params, flags, code)
 	return c
 }
@@ -320,7 +317,6 @@ type Asm struct {
 	locals int32
 	static bool
 	params []string // declared parameter types, which lay out P's registers
-	outs   int
 	tries  []tryCatch
 }
 
@@ -334,19 +330,7 @@ func (a *Asm) P(i int) int32 {
 	if !a.static {
 		base++
 	}
-	return base + int32(paramWords(a.params[:i]))
-}
-
-// paramWords returns the register words that parameters of the given types
-// take: two for J and D, one for any other type.
-func paramWords(params []string) int {
-	n := len(params)
-	for _, p := range params {
-		if p == "J" || p == "D" {
-			n++
-		}
-	}
-	return n
+	return base + int32(dex.ParamWords(a.params[:i]))
 }
 
 // Raw gives access to the underlying assembler.
@@ -363,12 +347,6 @@ func (a *Asm) Label(name string) *Asm {
 func (a *Asm) Catch(start, end, catchType, handler string) *Asm {
 	a.tries = append(a.tries, tryCatch{start: start, end: end, handler: handler, catchType: catchType})
 	return a
-}
-
-func (a *Asm) trackOuts(n int) {
-	if n > a.outs {
-		a.outs = n
-	}
 }
 
 // --- constant-pool aware emitters ------------------------------------------
@@ -415,7 +393,6 @@ func (a *Asm) invoke(op bytecode.Opcode, cls, name, sig string, regs ...int32) *
 		a.p.fail("invoke %s->%s%s: %v", cls, name, sig, err)
 		return a
 	}
-	a.trackOuts(len(regs))
 	ints := make([]int, len(regs))
 	fits := true
 	for i, r := range regs {
@@ -625,46 +602,35 @@ func (c *Class) FieldWithFlags(name, typ string, flags uint32) *Class {
 	return c
 }
 
-// NoteOuts raises the method's outgoing-argument size to at least n. Bodies
-// emitted through the raw assembler must report their invokes here.
-func (a *Asm) NoteOuts(n int) *Asm {
-	a.trackOuts(n)
-	return a
-}
-
-// RawCode gives full control over the emitted method shape for callers that
-// bypass the locals/params convention (the reassembler).
+// RawCode is a method body for callers that bypass the locals/params
+// convention (the reassembler): they choose the register count and the
+// flags, and emit against raw registers. The prototype still sizes ins and
+// the body's widest invoke sizes outs, as for Method.
 type RawCode struct {
 	Registers int
-	Ins       int
-	Outs      int
 	Build     func(a *Asm)
-	Tries     []dex.Try
 	// TriesFn computes the try table after assembly from resolved label
-	// positions; it overrides Tries when set.
+	// positions.
 	TriesFn func(labels *bytecode.Labels) ([]dex.Try, error)
 }
 
-// RawMethod emits a method whose register layout is fully caller-controlled.
-// The Asm handed to rc.Build must not be retained past the Build call.
+// RawMethod emits a method of rc.Registers registers whose top ins (sized
+// from params and flags) hold the parameters. The Asm handed to rc.Build
+// must not be retained past the Build call.
 func (c *Class) RawMethod(name, ret string, params []string, flags uint32, rc RawCode) *Class {
 	if c.p.err != nil {
 		return c
 	}
+	ins := dex.InsSize(dex.ParamWords(params), flags)
 	a := c.p.newAsm()
-	a.locals = int32(rc.Registers - rc.Ins)
+	a.locals = int32(rc.Registers - ins)
 	a.static = flags&dex.AccStatic != 0
 	a.params = params
 	rc.Build(a)
-	outs := rc.Outs
-	if a.outs > outs {
-		outs = a.outs
-	}
 	code := c.p.newCode()
 	code.RegistersSize = uint16(rc.Registers)
-	code.InsSize = uint16(rc.Ins)
-	code.OutsSize = uint16(outs)
-	code.Tries = rc.Tries
+	code.InsSize = uint16(ins)
+	code.OutsSize = uint16(a.asm.Outs())
 	task := asmTask{a: a, code: code, desc: c.desc, name: name}
 	if triesFn := rc.TriesFn; triesFn != nil {
 		desc, mname := c.desc, name

@@ -104,6 +104,49 @@ func TestOutsSizeComputed(t *testing.T) {
 	}
 }
 
+// TestRawMethodDerivesInsAndOuts: a raw body's ins come from its
+// prototype and flags (J and D take two words, an instance method one more
+// for the receiver), and its outs from the widest invoke it emitted, raw
+// assembler calls included.
+func TestRawMethodDerivesInsAndOuts(t *testing.T) {
+	p := dexgen.New()
+	cls := p.Class("Lraw/D;", "")
+	idx, err := p.Builder().MethodSig("Lraw/D;", "never", "(JD)V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls.RawMethod("never", "V", []string{"J", "D"}, dex.AccPublic|dex.AccStatic, dexgen.RawCode{
+		Registers: 6,
+		Build: func(a *dexgen.Asm) {
+			a.Raw().InvokeRange(bytecode.OpInvokeStaticR, idx, 2, 4)
+			a.ReturnVoid()
+		},
+	})
+	cls.RawMethod("m", "V", []string{"J"}, dex.AccPublic, dexgen.RawCode{
+		Registers: 3,
+		Build:     func(a *dexgen.Asm) { a.ReturnVoid() },
+	})
+	f, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, sig string
+		ins, outs uint16
+	}{
+		{"never", "(JD)V", 4, 4},
+		{"m", "(J)V", 3, 0},
+	} {
+		code := f.FindMethod("Lraw/D;", tc.name, tc.sig).Code
+		if code.InsSize != tc.ins || code.OutsSize != tc.outs {
+			t.Errorf("%s%s: ins %d, outs %d; want %d, %d", tc.name, tc.sig, code.InsSize, code.OutsSize, tc.ins, tc.outs)
+		}
+	}
+	if errs := dex.Verify(f); len(errs) != 0 {
+		t.Errorf("verify: %v", errs)
+	}
+}
+
 func TestInvokeRangePromotion(t *testing.T) {
 	p := dexgen.New()
 	cls := p.Class("Lr/C;", "")
@@ -210,7 +253,7 @@ func TestRawMethodTriesFn(t *testing.T) {
 	p := dexgen.New()
 	p.Class("Lraw/C;", "").RawMethod("f", "V", nil, dex.AccPublic|dex.AccStatic,
 		dexgen.RawCode{
-			Registers: 1, Ins: 0,
+			Registers: 1,
 			Build: func(a *dexgen.Asm) {
 				a.Label("start")
 				a.Nop()

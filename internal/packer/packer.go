@@ -190,11 +190,11 @@ func extractBodies(f *dex.File) map[string]codeRecord {
 }
 
 func stubCode(orig *dex.Code, signature string) *dex.Code {
-	_, ret, err := dex.ParseSignature(signature)
+	sig, err := dex.ParseSignature(signature)
 	insns := []uint16{0x000e} // return-void
-	if err == nil && ret != "V" {
+	if err == nil && sig.Return != "V" {
 		op := uint16(0x0f) // return
-		if ret[0] == 'L' || ret[0] == '[' {
+		if ret := sig.Return[0]; ret == 'L' || ret == '[' {
 			op = 0x11 // return-object
 		}
 		insns = []uint16{0x0012, op} // const/4 v0, 0 ; return v0

@@ -67,3 +67,46 @@ func TestRevealKeepsBodylessFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRevealStubKeepsPrototypeIns: a never-executed method is emitted as a
+// stub whose ins_size its prototype sizes, J and D taking two words each,
+// so a static never(JD)V keeps ins 4 and an instance m(J)V keeps ins 3,
+// and the revealed DEX passes dex.Verify.
+func TestRevealStubKeepsPrototypeIns(t *testing.T) {
+	p := dexgen.New()
+	main := p.Class("Lstub/Main;", "Landroid/app/Activity;")
+	main.Ctor("Landroid/app/Activity;", nil)
+	main.Static("never", "V", []string{"J", "D"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+	main.Virtual("m", "V", []string{"J"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+	main.Virtual("onCreate", "V", []string{"Landroid/os/Bundle;"}, func(a *dexgen.Asm) { a.ReturnVoid() })
+	pkg, err := p.BuildAPK("stub", "1.0", "Lstub/Main;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := root.Reveal(pkg, root.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.RevealedDex
+	if errs := dex.Verify(f); len(errs) != 0 {
+		t.Fatalf("revealed DEX fails verify: %v", errs)
+	}
+	for _, tc := range []struct {
+		name, sig string
+		ins       uint16
+	}{
+		{"never", "(JD)V", 4},
+		{"m", "(J)V", 3},
+	} {
+		em := f.FindMethod("Lstub/Main;", tc.name, tc.sig)
+		if em == nil || em.Code == nil {
+			t.Fatalf("%s%s has no code in the revealed DEX", tc.name, tc.sig)
+		}
+		if em.Code.InsSize != tc.ins {
+			t.Errorf("%s%s: ins %d, want %d", tc.name, tc.sig, em.Code.InsSize, tc.ins)
+		}
+	}
+	if res.Stats.Stubs < 2 {
+		t.Errorf("stubs = %d, want never and m emitted as stubs", res.Stats.Stubs)
+	}
+}

@@ -130,18 +130,11 @@ type reassembler struct {
 	entryBuf  []collector.Entry
 	idBuf     []bytecode.LabelID
 	stubBuild map[string]func(a *dexgen.Asm)
-	sigCache  map[string]sigParts
-}
-
-type sigParts struct {
-	params []string
-	ret    string
 }
 
 func (ra *reassembler) run() error {
 	ra.fieldCounter = make(map[string]int)
 	ra.stubBuild = make(map[string]func(a *dexgen.Asm))
-	ra.sigCache = make(map[string]sigParts)
 	ra.flatBuild = func(a *dexgen.Asm) { ra.flat.emit(a) }
 	for ci := range ra.res.Classes {
 		if err := ra.emitClass(&ra.res.Classes[ci]); err != nil {
@@ -149,20 +142,6 @@ func (ra *reassembler) run() error {
 		}
 	}
 	return nil
-}
-
-// parseSig memoizes dex.ParseSignature: a few distinct signatures cover most
-// methods of an app, and the parse allocates a params slice per call.
-func (ra *reassembler) parseSig(sig string) ([]string, string, error) {
-	if sp, ok := ra.sigCache[sig]; ok {
-		return sp.params, sp.ret, nil
-	}
-	params, ret, err := dex.ParseSignature(sig)
-	if err != nil {
-		return nil, "", err
-	}
-	ra.sigCache[sig] = sigParts{params: params, ret: ret}
-	return params, ret, nil
 }
 
 func (ra *reassembler) instrumentField(rec *collector.MethodRecord) string {
@@ -215,17 +194,17 @@ func (ra *reassembler) emitClass(cr *collector.ClassRecord) error {
 				rec = fr
 			}
 		}
-		params, ret, err := ra.parseSig(sh.Signature)
+		sig, err := dex.ParseSignature(sh.Signature)
 		if err != nil {
 			return fmt.Errorf("reassembler: %s: %w", key, err)
 		}
 		ra.stats.Methods++
 		switch {
 		case sh.Native || sh.AccessFlags&dex.AccAbstract != 0:
-			cls.Bodyless(sh.Name, ret, params, sh.AccessFlags)
+			cls.Bodyless(sh.Name, sig.Return, sig.Params, sh.AccessFlags)
 		case rec != nil && rec.Executed():
 			ra.stats.ExecutedMethods++
-			if err := ra.emitExecuted(cls, rec, sh, ret, params); err != nil {
+			if err := ra.emitExecuted(cls, rec, sh, sig); err != nil {
 				return err
 			}
 		default:
@@ -233,7 +212,7 @@ func (ra *reassembler) emitClass(cr *collector.ClassRecord) error {
 			if ra.span.Enabled() {
 				ra.span.StubEmitted(key)
 			}
-			ra.emitStub(cls, sh.Name, ret, params, sh.AccessFlags)
+			ra.emitStub(cls, sh.Name, sig, sh.AccessFlags)
 		}
 	}
 	return nil
@@ -264,15 +243,10 @@ func (ra *reassembler) dexValue(f collector.FieldRecord) *dex.Value {
 	}
 }
 
-func (ra *reassembler) emitStub(cls *dexgen.Class, name, ret string, params []string, flags uint32) {
-	ins := len(params)
-	if flags&dex.AccStatic == 0 {
-		ins++
-	}
-	cls.RawMethod(name, ret, params, flags, dexgen.RawCode{
-		Registers: ins + 1,
-		Ins:       ins,
-		Build:     ra.stubBuilder(ret),
+func (ra *reassembler) emitStub(cls *dexgen.Class, name string, sig *dex.Signature, flags uint32) {
+	cls.RawMethod(name, sig.Return, sig.Params, flags, dexgen.RawCode{
+		Registers: dex.InsSize(sig.Words, flags) + 1,
+		Build:     ra.stubBuilder(sig.Return),
 	})
 }
 
@@ -301,13 +275,20 @@ func emitDefaultReturn(a *dexgen.Asm, ret string) {
 	}
 }
 
-func (ra *reassembler) emitExecuted(cls *dexgen.Class, rec *collector.MethodRecord, sh collector.MethodShell, ret string, params []string) error {
+func (ra *reassembler) emitExecuted(cls *dexgen.Class, rec *collector.MethodRecord, sh collector.MethodShell, sig *dex.Signature) error {
+	// The interpreter runs no body whose ins differ from its prototype's,
+	// so the recorded ins, which lay out the recorded registers, are the
+	// ones RawMethod derives.
+	if ins := dex.InsSize(sig.Words, sh.AccessFlags); rec.InsSize != ins {
+		return fmt.Errorf("reassembler: %s: recorded ins %d, but its prototype takes %d",
+			rec.Key(), rec.InsSize, ins)
+	}
 	trees := mergeCompatibleTrees(rec.Trees)
 	if len(rec.Trees) > 1 && ra.span.Enabled() {
 		ra.span.MergeVariant(rec.Key(), len(rec.Trees), len(trees))
 	}
 	if len(trees) == 1 {
-		return ra.emitTreeMethod(cls, rec, sh.Name, sh.AccessFlags, ret, params, trees[0], true)
+		return ra.emitTreeMethod(cls, rec, sh.Name, sh.AccessFlags, sig, trees[0], true)
 	}
 	// Multiple irreconcilable instruction arrays: emit variants plus a
 	// dispatcher.
@@ -319,18 +300,18 @@ func (ra *reassembler) emitExecuted(cls *dexgen.Class, rec *collector.MethodReco
 			vflags |= dex.AccPrivate // direct-dispatch variant for constructors
 		}
 		vflags &^= dex.AccConstructor
-		if err := ra.emitTreeMethod(cls, rec, vname, vflags, ret, params, tree, false); err != nil {
+		if err := ra.emitTreeMethod(cls, rec, vname, vflags, sig, tree, false); err != nil {
 			return err
 		}
 		ra.stats.Variants++
 	}
-	ra.emitDispatcher(cls, rec, sh, ret, params)
+	ra.emitDispatcher(cls, rec, sh, sig)
 	return nil
 }
 
 // emitDispatcher generates the original-name method that selects among the
 // variant bodies through instrument-class fields.
-func (ra *reassembler) emitDispatcher(cls *dexgen.Class, rec *collector.MethodRecord, sh collector.MethodShell, ret string, params []string) {
+func (ra *reassembler) emitDispatcher(cls *dexgen.Class, rec *collector.MethodRecord, sh collector.MethodShell, sig *dex.Signature) {
 	k := len(rec.Trees)
 	fields := make([]string, 0, k-1)
 	for i := 1; i < k; i++ {
@@ -345,19 +326,18 @@ func (ra *reassembler) emitDispatcher(cls *dexgen.Class, rec *collector.MethodRe
 	default:
 		op = bytecode.OpInvokeDirectR
 	}
-	cls.RawMethod(sh.Name, ret, params, sh.AccessFlags, dexgen.RawCode{
+	cls.RawMethod(sh.Name, sig.Return, sig.Params, sh.AccessFlags, dexgen.RawCode{
 		Registers: 2 + rec.InsSize,
-		Ins:       rec.InsSize,
 		Build: func(a *dexgen.Asm) {
 			for i := 1; i < k; i++ {
 				a.SGetBool(0, InstrumentClass, fields[i-1])
 				a.Raw().RawBranch(bytecode.Inst{Op: bytecode.OpIfNez, A: 0},
 					fmt.Sprintf("variant%d", i))
 			}
-			ra.emitVariantCall(a, rec, sh, op, ret, 0)
+			ra.emitVariantCall(a, rec, sh, op, sig.Return, 0)
 			for i := 1; i < k; i++ {
 				a.Label(fmt.Sprintf("variant%d", i))
-				ra.emitVariantCall(a, rec, sh, op, ret, i)
+				ra.emitVariantCall(a, rec, sh, op, sig.Return, i)
 			}
 		},
 	})
@@ -371,7 +351,6 @@ func (ra *reassembler) emitVariantCall(a *dexgen.Asm, rec *collector.MethodRecor
 		return
 	}
 	a.Raw().InvokeRange(op, idx, 2, rec.InsSize)
-	a.NoteOuts(rec.InsSize)
 	switch {
 	case ret == "V":
 		a.ReturnVoid()
@@ -388,7 +367,7 @@ func (ra *reassembler) emitVariantCall(a *dexgen.Asm, rec *collector.MethodRecor
 // withTries controls whether the original try/catch table is re-anchored
 // (only for the primary, single-tree case; variants drop handlers that no
 // longer apply).
-func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRecord, name string, flags uint32, ret string, params []string, tree *collector.TreeNode, withTries bool) error {
+func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRecord, name string, flags uint32, sig *dex.Signature, tree *collector.TreeNode, withTries bool) error {
 	withTries = withTries && len(rec.Tries) > 0
 	var fl *flattener
 	build := ra.flatBuild
@@ -404,7 +383,7 @@ func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRe
 		ra:        ra,
 		rec:       rec,
 		tree:      tree,
-		retType:   ret,
+		retType:   sig.Return,
 		grow:      len(tree.Children) > 0,
 		oldLocals: int32(rec.RegistersSize - rec.InsSize),
 		unexecID:  -1,
@@ -422,13 +401,12 @@ func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRe
 	}
 	rc := dexgen.RawCode{
 		Registers: regs,
-		Ins:       rec.InsSize,
 		Build:     build,
 	}
 	if withTries {
 		rc.TriesFn = fl.mapTries
 	}
-	cls.RawMethod(name, ret, params, flags, rc)
+	cls.RawMethod(name, sig.Return, sig.Params, flags, rc)
 	ra.stats.Divergences += countNodes(tree) - 1
 	return fl.err
 }
@@ -657,9 +635,6 @@ func (fl *flattener) emitEntry(n *collector.TreeNode, e collector.Entry) {
 		fl.fail(err)
 		return
 	}
-	if in.Op.IsInvoke() {
-		fl.a.NoteOuts(len(in.Args))
-	}
 
 	switch {
 	case in.Op.IsBranch() || in.Op.IsGoto():
@@ -795,15 +770,15 @@ func isMethodInvoke(e collector.Entry) bool {
 func (ra *reassembler) bridgeFor(targets []collector.ReflTarget) (string, bool) {
 	args := 0 // the most argument words (receiver included) any target takes
 	for _, t := range targets {
-		params, ret, err := ra.parseSig(t.Signature)
-		if err != nil || strings.ContainsAny(dex.ShortyOf(ret, params), "JD") {
-			return "", false
+		sig, err := dex.ParseSignature(t.Signature)
+		if err != nil || sig.Words != len(sig.Params) || dex.ParamWords([]string{sig.Return}) != 1 {
+			return "", false // unparsable, or a wide parameter or return
 		}
-		n := len(params)
-		if !t.Static {
-			n++
+		var flags uint32
+		if t.Static {
+			flags = dex.AccStatic
 		}
-		args = max(args, n)
+		args = max(args, dex.InsSize(sig.Words, flags))
 	}
 	if ra.bridgeCls == nil {
 		ra.bridgeCls = ra.p.Class(BridgeClass, "")
@@ -819,8 +794,8 @@ func (ra *reassembler) bridgeFor(targets []collector.ReflTarget) (string, bool) 
 	}, func(a *dexgen.Asm) {
 		a.Const(0, 0) // result
 		for _, t := range targets {
-			params, ret, _ := ra.parseSig(t.Signature)
-			emitBridgeCall(a, t, params, ret)
+			sig, _ := dex.ParseSignature(t.Signature)
+			emitBridgeCall(a, t, sig)
 		}
 		a.ReturnObj(0)
 	})
@@ -831,7 +806,7 @@ func (ra *reassembler) bridgeFor(targets []collector.ReflTarget) (string, bool) 
 // argument index; the receiver and the arguments sit contiguously from v2
 // up, below the bridge's own parameters, so a long list takes the range
 // form.
-func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget, params []string, ret string) {
+func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget, sig *dex.Signature) {
 	r := int32(2)
 	var regs []int32
 	if !t.Static {
@@ -840,7 +815,7 @@ func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget, params []string, ret 
 		regs = append(regs, r)
 		r++
 	}
-	for i, pt := range params {
+	for i, pt := range sig.Params {
 		a.Const(1, int64(i))
 		a.AGet(bytecode.OpAGetObject, r, a.P(1), 1)
 		switch pt[0] {
@@ -863,7 +838,7 @@ func emitBridgeCall(a *dexgen.Asm, t collector.ReflTarget, params []string, ret 
 	} else {
 		a.InvokeVirtual(t.Class, t.Name, t.Signature, regs...)
 	}
-	switch {
+	switch ret := sig.Return; {
 	case ret == "V":
 	case ret[0] == 'L' || ret[0] == '[':
 		a.MoveResultObject(0)

@@ -54,7 +54,7 @@ func buildModel(files []*dex.File) (*model, error) {
 			for mi := range cd.NumMethods() {
 				em := cd.Method(mi)
 				ref := f.MethodAt(em.Method)
-				params, ret, err := dex.ParseSignature(ref.Signature)
+				sig, err := dex.ParseSignature(ref.Signature)
 				if err != nil {
 					return nil, fmt.Errorf("taint: %s: %w", ref.Key(), err)
 				}
@@ -63,8 +63,8 @@ func buildModel(files []*dex.File) (*model, error) {
 					name:   ref.Name,
 					sig:    ref.Signature,
 					static: em.AccessFlags&dex.AccStatic != 0,
-					ret:    ret,
-					params: params,
+					ret:    sig.Return,
+					params: sig.Params,
 					file:   f,
 				}
 				if em.Code != nil {

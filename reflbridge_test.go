@@ -7,7 +7,6 @@ import (
 	"dexlego/internal/apk"
 	"dexlego/internal/bytecode"
 	"dexlego/internal/dexgen"
-	"dexlego/internal/droidbench"
 )
 
 // wideReflectionApp builds an activity whose onCreate makes two reflective
@@ -93,13 +92,12 @@ func wideReflectionApp(t *testing.T) *apk.APK {
 // what the input logs.
 func TestReflectionBridgeKeepsBehaviour(t *testing.T) {
 	pkg := wideReflectionApp(t)
-	s := &droidbench.Sample{Name: "WideReflection"}
-	want, ok := sinkTrace(pkg, s)
+	want, ok := sinkTrace(pkg, root.Options{})
 	if !ok || len(want) != 2 {
 		t.Fatalf("input sink trace (completed %v): %+v, want two log events", ok, want)
 	}
 	for _, force := range []bool{false, true} {
-		checkReveal(t, pkg, s, force, 1)
+		checkReveal(t, pkg, root.Options{ForceExecution: force, Workers: 1})
 	}
 	res, err := root.Reveal(pkg, root.Options{})
 	if err != nil {

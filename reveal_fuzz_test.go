@@ -2,6 +2,8 @@ package dexlego_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"regexp"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"dexlego/internal/art"
 	"dexlego/internal/dex"
 	"dexlego/internal/droidbench"
+	"dexlego/internal/workload"
 )
 
 // fuzzSamples are the DroidBench samples FuzzReveal mutates: the
@@ -100,16 +103,22 @@ const oracleSteps = 200_000
 // objectAddr matches the address Object.String prints for a plain object.
 var objectAddr = regexp.MustCompile(`@0x[0-9a-f]+`)
 
-// sinkTrace runs pkg under DefaultDriver with sample s's natives and a
-// bounded step budget, and returns its sink events with object addresses
-// in their arguments masked. Call sites are cleared too: the reassembler
-// lays each body out anew and routes reflective calls through bridge
-// methods, so a sink call may move within or between methods. It reports
-// false when pkg does not load or a call ran out of steps.
-func sinkTrace(pkg *apk.APK, s *droidbench.Sample) ([]art.SinkEvent, bool) {
+// sinkTrace runs pkg under DefaultDriver with the natives opts installs
+// (Natives and InstallNatives) and a bounded step budget, and returns its
+// sink events with object addresses in their arguments masked. Call sites
+// are cleared too: the reassembler lays each body out anew and routes
+// reflective calls through bridge methods, so a sink call may move within
+// or between methods. It reports false when pkg does not load or a call ran
+// out of steps.
+func sinkTrace(pkg *apk.APK, opts root.Options) ([]art.SinkEvent, bool) {
 	rt := art.NewRuntime(art.DefaultPhone())
 	rt.MaxSteps = oracleSteps
-	s.InstallNatives(rt)
+	for key, fn := range opts.Natives {
+		rt.RegisterNative(key, fn)
+	}
+	if opts.InstallNatives != nil {
+		opts.InstallNatives(rt)
+	}
 	if err := rt.LoadAPK(pkg); err != nil {
 		return nil, false
 	}
@@ -127,14 +136,16 @@ func sinkTrace(pkg *apk.APK, s *droidbench.Sample) ([]art.SinkEvent, bool) {
 	return trace, true
 }
 
-// checkReveal reveals pkg, with sample s's natives, force execution on or
-// off and the given pool size, and requires an error or a DEX that passes
-// dex.Verify and reads back. The revealed APK must also behave as pkg: run
-// under DefaultDriver, it must produce pkg's sink trace. An input whose own
-// run does not load or runs out of steps has no trace to compare.
-func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, workers int) {
+// checkReveal reveals pkg with opts (its natives, force execution on or
+// off, a pool size) and requires an error or a DEX that passes dex.Verify
+// and reads back. The revealed APK must also behave as pkg: run under
+// DefaultDriver with the same natives, it must produce pkg's sink trace. An
+// input whose own run does not load or runs out of steps has no trace to
+// compare.
+func checkReveal(t *testing.T, pkg *apk.APK, opts root.Options) {
 	t.Helper()
-	res, err := root.Reveal(pkg, root.Options{Natives: s.Natives(), ForceExecution: force, Workers: workers})
+	force, workers := opts.ForceExecution, opts.Workers
+	res, err := root.Reveal(pkg, opts)
 	if err != nil {
 		return
 	}
@@ -148,11 +159,11 @@ func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, w
 	if _, err := dex.Read(data); err != nil {
 		t.Fatalf("force=%v workers=%d: revealed DEX does not read back: %v", force, workers, err)
 	}
-	want, ok := sinkTrace(pkg, s)
+	want, ok := sinkTrace(pkg, opts)
 	if !ok {
 		return
 	}
-	if got, ok := sinkTrace(res.Revealed, s); !ok || !reflect.DeepEqual(got, want) {
+	if got, ok := sinkTrace(res.Revealed, opts); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("force=%v workers=%d: revealed APK's sink trace differs from the input's (completed %v):\n got %+v\nwant %+v",
 			force, workers, ok, got, want)
 	}
@@ -164,7 +175,56 @@ func checkReveal(t *testing.T, pkg *apk.APK, s *droidbench.Sample, force bool, w
 func TestForcedRevealSurvivesMalformedInvoke(t *testing.T) {
 	pkg, s := tabletMutant(t)
 	for _, workers := range []int{1, 2} {
-		checkReveal(t, pkg, s, true, workers)
+		checkReveal(t, pkg, root.Options{Natives: s.Natives(), ForceExecution: true, Workers: workers})
+	}
+}
+
+// TestRevealOracleOverGoldenInputs runs checkReveal's re-execution oracle
+// over every golden input: the DroidBench suite and the Table VII slice
+// with force execution off and on, and the packed market apps with their
+// packers' natives. It runs at worker count 1, or at each count
+// DEXLEGO_GOLDEN_WORKERS names.
+func TestRevealOracleOverGoldenInputs(t *testing.T) {
+	counts := []int{1}
+	if os.Getenv("DEXLEGO_GOLDEN_WORKERS") != "" {
+		counts = goldenWorkers(t)
+	}
+	type input struct {
+		name   string
+		pkg    *apk.APK
+		opts   root.Options
+		forced bool // also reveal it with force execution on
+	}
+	var inputs []input
+	for _, s := range droidbench.Suite() {
+		pkg, err := s.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		inputs = append(inputs, input{s.Name, pkg, root.Options{Natives: s.Natives()}, true})
+	}
+	market, err := workload.MarketApps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range market {
+		inputs = append(inputs, input{app.Package, app.Packed, root.Options{InstallNatives: app.Packer.InstallNatives}, false})
+	}
+	for _, app := range tableVIISlice(t) {
+		inputs = append(inputs, input{app.Package, app.APK, root.Options{Natives: app.Natives}, true})
+	}
+	for _, in := range inputs {
+		for _, workers := range counts {
+			for _, force := range []bool{false, true} {
+				if force && !in.forced {
+					continue
+				}
+				opts := in.opts
+				opts.ForceExecution, opts.Workers = force, workers
+				name := fmt.Sprintf("%s/force=%v/workers=%d", in.name, force, workers)
+				t.Run(name, func(t *testing.T) { checkReveal(t, in.pkg, opts) })
+			}
+		}
 	}
 }
 
@@ -198,7 +258,7 @@ func FuzzReveal(f *testing.F) {
 			return
 		}
 		for _, force := range []bool{false, true} {
-			checkReveal(t, pkg, samples[i], force, 1)
+			checkReveal(t, pkg, root.Options{Natives: samples[i].Natives(), ForceExecution: force, Workers: 1})
 		}
 	})
 }

@@ -3,8 +3,6 @@ package dexlego_test
 import (
 	"bytes"
 	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	root "dexlego"
@@ -62,15 +60,8 @@ func TestForcedRevealByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Skip("forced reveals are slow under -short")
 	}
 	counts := []int{1, 2, 4, 0}
-	if env := os.Getenv("DEXLEGO_GOLDEN_WORKERS"); env != "" {
-		counts = nil
-		for _, field := range strings.Split(env, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(field))
-			if err != nil {
-				t.Fatalf("DEXLEGO_GOLDEN_WORKERS %q: %v", env, err)
-			}
-			counts = append(counts, n)
-		}
+	if os.Getenv("DEXLEGO_GOLDEN_WORKERS") != "" {
+		counts = goldenWorkers(t)
 	}
 	for _, name := range droidbench.CorpusNames {
 		t.Run(name, func(t *testing.T) {
