@@ -96,7 +96,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "fuzzer seed")
 	batch := fs.Bool("batch", false, "batch mode: reveal every APK argument over a worker pool")
 	jobs := fs.Int("jobs", 0, "worker parallelism for -batch and -serve (default GOMAXPROCS)")
-	workers := fs.Int("workers", 0, "intra-reveal parallelism: reassembly fan-out and forced-run pool per APK (default GOMAXPROCS; output is byte-identical at any count)")
+	workers := fs.Int("workers", 0, "intra-reveal parallelism: forced-run pool size per APK; reassembly is serial (default GOMAXPROCS; output is byte-identical at any count)")
 	metricsOut := fs.String("metrics-out", "", "write the batch metrics report JSON to this file")
 	serve := fs.Bool("serve", false, "service mode: run the HTTP reveal job API until SIGTERM")
 	incremental := fs.Bool("incremental", false, "incremental reveal: cache per-method collection trees and splice them for unchanged methods (on by default in -serve; -incremental=false disables)")

@@ -50,7 +50,7 @@ func run(args []string) error {
 	benchOut := fs.String("bench-out", "BENCH_8.json", "benchmark report output path")
 	baseline := fs.String("baseline", "", "baseline report to gate against (fails on regression)")
 	benchTime := fs.Duration("bench-time", time.Second, "minimum measuring time per stage")
-	workers := fs.Int("workers", 0, "intra-reveal workers: reassembly fan-out and forced-run pool (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "intra-reveal workers: forced-run pool size; reassembly is serial (0 = GOMAXPROCS, 1 = serial)")
 	profileDir := fs.String("profile", "", "directory for cpu.pprof and heap.pprof of the bench run")
 	nsTol := fs.Float64("ns-tol", hotbench.DefaultNsTolerance, "ns/op regression tolerance (fraction)")
 	allocsTol := fs.Float64("allocs-tol", hotbench.DefaultAllocsTolerance, "allocs/op regression tolerance (fraction)")

@@ -63,10 +63,10 @@ type Options struct {
 	// CollectDir, when set, receives the five collection files.
 	CollectDir string
 
-	// Workers bounds the intra-reveal parallel fan-out: the reassembly
-	// stage (method assembly and index remapping) and, when ForceExecution
-	// is on, the per-iteration forced-run pool. 0 selects GOMAXPROCS, 1
-	// forces the serial path. Output is byte-identical at any worker count.
+	// Workers bounds the per-iteration forced-run pool when ForceExecution
+	// is on: 0 selects GOMAXPROCS, 1 runs the forced runs serially. Output
+	// is byte-identical at any worker count. Reassembly is always one
+	// serial pass, so an unforced reveal does not read Workers.
 	Workers int
 
 	// Tracer, when set, records hierarchical spans and domain events for
@@ -290,27 +290,30 @@ func Reveal(pkg *apk.APK, opts Options) (*Result, error) {
 
 	var revealed *apk.APK
 	var stats *reassembler.Stats
+	// Reassembly runs under panic isolation, so a defect in assembly or
+	// the index remap fails this reveal instead of unwinding its caller.
 	if err := stage(pipeline.StageReassembly, func(sp *obs.Span) error {
-		if opts.CollectDir != "" {
-			// The collection files need the full result; write them before
-			// any record is spilled.
-			if err := col.Result().WriteFiles(opts.CollectDir); err != nil {
-				return err
+		return pipeline.Isolate(func() error {
+			if opts.CollectDir != "" {
+				// The collection files need the full result; write them before
+				// any record is spilled.
+				if err := col.Result().WriteFiles(opts.CollectDir); err != nil {
+					return err
+				}
 			}
-		}
-		p.spill(col.Result(), sp)
-		f, st, err := reassembler.ReassembleCfg(col.Result(), sp,
-			reassembler.Config{Workers: opts.Workers, Fetch: p.fetch})
-		if err != nil {
-			return fmt.Errorf("dexlego: reassemble: %w", err)
-		}
-		data, err := p.encode(f)
-		if err != nil {
-			return fmt.Errorf("dexlego: reassemble: %w", err)
-		}
-		revealed, stats = pkg.Clone(), st
-		revealed.SetDex(data)
-		return nil
+			p.spill(col.Result(), sp)
+			f, st, err := reassembler.ReassembleCfg(col.Result(), sp, reassembler.Config{Fetch: p.fetch})
+			if err != nil {
+				return fmt.Errorf("dexlego: reassemble: %w", err)
+			}
+			data, err := p.encode(f)
+			if err != nil {
+				return fmt.Errorf("dexlego: reassemble: %w", err)
+			}
+			revealed, stats = pkg.Clone(), st
+			revealed.SetDex(data)
+			return nil
+		})
 	}); err != nil {
 		return nil, err
 	}

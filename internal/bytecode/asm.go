@@ -126,6 +126,15 @@ func (a *Assembler) Grow(n int) {
 	a.items = slices.Grow(a.items, n)
 }
 
+// Reset empties the assembler for a new body, keeping the capacity of its
+// item and bind lists. Nothing AssembleFull returned aliases what Reset
+// reuses: the result's code units, label positions and fixups are fresh,
+// and the label-name map it shares is dropped here, not cleared.
+func (a *Assembler) Reset() {
+	clear(a.items) // drop the old instructions' operand slices
+	*a = Assembler{items: a.items[:0], binds: a.binds[:0]}
+}
+
 // Raw emits a fully formed instruction with no label operands.
 func (a *Assembler) Raw(in Inst) *Assembler {
 	return a.push(asmItem{inst: in, branch: -1})

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dexlego/internal/bytecode"
-	"dexlego/internal/pipeline"
 )
 
 // Builder constructs a DEX file programmatically. Strings, types, protos,
@@ -22,14 +21,8 @@ type Builder struct {
 	methodIdx map[string]uint32
 	classIdx  map[string]int
 	finished  bool
-	workers   int
 	keyBuf    []byte // scratch for proto/field/method lookup keys
 }
-
-// SetWorkers bounds the parallel fan-out Finish uses for bytecode index
-// remapping: 0 selects GOMAXPROCS, 1 forces the serial path. Output is
-// identical at any worker count.
-func (b *Builder) SetWorkers(n int) { b.workers = n }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
@@ -395,7 +388,7 @@ func (b *Builder) Finish() (*File, error) {
 	// canonical order (cache-warm rebuilds) there is nothing to rewrite and
 	// the decode/re-encode pass over every method body is skipped entirely.
 	if stringMap != nil || typeMap != nil || fieldMap != nil || methodMap != nil {
-		if err := remapCode(f, b.workers, stringMap, typeMap, fieldMap, methodMap); err != nil {
+		if err := remapCode(f, stringMap, typeMap, fieldMap, methodMap); err != nil {
 			return nil, err
 		}
 	}
@@ -564,111 +557,91 @@ func sortFieldsWithValues(cd *ClassDef, fieldMap []uint32) {
 	}
 }
 
-// remapCode rewrites every index-bearing instruction of every method body.
-// Bodies are independent — each task touches only its own Code and reads
-// the shared permutations — so they fan out across a bounded worker set;
-// pipeline.ParallelDo returns the lowest-index error, keeping failures
-// deterministic across worker counts.
-func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []uint32) error {
-	type task struct {
-		code   *Code
-		method uint32
+// remapCode rewrites every index-bearing instruction of every method body,
+// in class and method order, and returns the first error.
+func remapCode(f *File, stringMap, typeMap, fieldMap, methodMap []uint32) error {
+	// By index kind; a nil permutation is the identity.
+	maps := [...][]uint32{
+		bytecode.IndexString: stringMap,
+		bytecode.IndexType:   typeMap,
+		bytecode.IndexField:  fieldMap,
+		bytecode.IndexMethod: methodMap,
 	}
-	var tasks []task
 	for ci := range f.Classes {
 		cd := &f.Classes[ci]
 		for mi := range cd.NumMethods() {
 			em := cd.Method(mi)
-			if em.Code != nil {
-				tasks = append(tasks, task{code: em.Code, method: em.Method})
+			if em.Code == nil {
+				continue
+			}
+			if err := remapBody(f, em.Code, em.Method, &maps); err != nil {
+				return err
 			}
 		}
 	}
-	return pipeline.ParallelDo(workers, len(tasks), func(i int) error {
-		code, method := tasks[i].code, tasks[i].method
-		if typeMap != nil {
-			for ti := range code.Tries {
-				for hi := range code.Tries[ti].Handlers {
-					h := &code.Tries[ti].Handlers[hi]
-					if int(h.Type) >= len(typeMap) {
-						return fmt.Errorf("dex: remap: catch type %d out of range", h.Type)
-					}
-					h.Type = typeMap[h.Type]
+	return nil
+}
+
+// remapBody rewrites the index operands and catch types of one body.
+func remapBody(f *File, code *Code, method uint32, maps *[bytecode.IndexMethod + 1][]uint32) error {
+	if typeMap := maps[bytecode.IndexType]; typeMap != nil {
+		for ti := range code.Tries {
+			for hi := range code.Tries[ti].Handlers {
+				h := &code.Tries[ti].Handlers[hi]
+				if int(h.Type) >= len(typeMap) {
+					return fmt.Errorf("dex: remap: catch type %d out of range", h.Type)
 				}
+				h.Type = typeMap[h.Type]
 			}
 		}
-		// Fast path: the assembler recorded where every index operand sits
-		// (always one 16-bit code unit past the opcode for the formats it
-		// emits), so patch those units in place with no decode/re-encode.
-		if code.IndexFixups != nil {
-			for _, fx := range code.IndexFixups {
-				var m []uint32
-				switch fx.Kind {
-				case bytecode.IndexString:
-					m = stringMap
-				case bytecode.IndexType:
-					m = typeMap
-				case bytecode.IndexField:
-					m = fieldMap
-				case bytecode.IndexMethod:
-					m = methodMap
-				default:
-					continue
-				}
-				if m == nil {
-					continue // identity permutation: operand already final
-				}
-				at := int(fx.PC) + 1
-				if at >= len(code.Insns) {
-					return fmt.Errorf("dex: remap: fixup pc %d out of range", fx.PC)
-				}
-				old := uint32(code.Insns[at])
-				if int(old) >= len(m) {
-					return fmt.Errorf("dex: remap: index %d out of range at pc %d", old, fx.PC)
-				}
-				idx := m[old]
-				if idx > 0xffff {
-					return fmt.Errorf("dex: remap: index %d exceeds 16 bits at pc %d", idx, fx.PC)
-				}
-				code.Insns[at] = uint16(idx)
-			}
-			return nil
-		}
-		prog := bytecode.Read(code.Insns)
-		if err := prog.Err(); err != nil {
-			return fmt.Errorf("dex: remap %s: %w", f.MethodAt(method).Key(), err)
-		}
-		for _, p := range prog.Insts() {
-			var m []uint32
-			switch p.Op.Index() {
-			case bytecode.IndexString:
-				m = stringMap
-			case bytecode.IndexType:
-				m = typeMap
-			case bytecode.IndexField:
-				m = fieldMap
-			case bytecode.IndexMethod:
-				m = methodMap
-			default:
-				continue
-			}
+	}
+	// Fast path: the assembler recorded where every index operand sits
+	// (always one 16-bit code unit past the opcode for the formats it
+	// emits), so patch those units in place with no decode/re-encode.
+	if code.IndexFixups != nil {
+		for _, fx := range code.IndexFixups {
+			m := maps[fx.Kind]
 			if m == nil {
 				continue // identity permutation: operand already final
 			}
-			if int(p.Index) >= len(m) {
-				return fmt.Errorf("dex: remap: index %d out of range at pc %d",
-					p.Index, p.PC)
+			at := int(fx.PC) + 1
+			if at >= len(code.Insns) {
+				return fmt.Errorf("dex: remap: fixup pc %d out of range", fx.PC)
 			}
-			in := p.Inst
-			in.Index = m[p.Index]
-			units, err := bytecode.Encode(&in)
-			if err != nil {
-				return fmt.Errorf("dex: remap re-encode: %w", err)
+			old := uint32(code.Insns[at])
+			if int(old) >= len(m) {
+				return fmt.Errorf("dex: remap: index %d out of range at pc %d", old, fx.PC)
 			}
-			copy(code.Insns[p.PC:], units)
+			idx := m[old]
+			if idx > 0xffff {
+				return fmt.Errorf("dex: remap: index %d exceeds 16 bits at pc %d", idx, fx.PC)
+			}
+			code.Insns[at] = uint16(idx)
 		}
 		return nil
-	})
+	}
+	prog := bytecode.Read(code.Insns)
+	if err := prog.Err(); err != nil {
+		return fmt.Errorf("dex: remap %s: %w", f.MethodAt(method).Key(), err)
+	}
+	for _, p := range prog.Insts() {
+		m := maps[p.Op.Index()]
+		if m == nil {
+			continue // no index operand, or an identity permutation
+		}
+		if int(p.Index) >= len(m) {
+			return fmt.Errorf("dex: remap: index %d out of range at pc %d",
+				p.Index, p.PC)
+		}
+		in := p.Inst
+		in.Index = m[p.Index]
+		units, err := bytecode.Encode(&in)
+		if err != nil {
+			return fmt.Errorf("dex: remap re-encode: %w", err)
+		}
+		copy(code.Insns[p.PC:], units)
+	}
+	return nil
 }
 
 // topoSortClasses orders class definitions so that superclasses and

@@ -12,42 +12,15 @@ import (
 	"dexlego/internal/apk"
 	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
-	"dexlego/internal/pipeline"
 )
-
-// asmTask is one method body whose assembly has been deferred to Finish.
-// Assembly is self-contained (it touches only the task's own Asm and Code)
-// and runs on a worker; tries may intern constants through the Builder and
-// therefore runs serially after every assemble completed.
-type asmTask struct {
-	a          *Asm
-	code       *dex.Code
-	desc, name string
-	labels     bytecode.Labels
-	tries      func(labels *bytecode.Labels) error
-}
-
-// assemble runs the deferred assembly for this task; safe to fan out.
-func (t *asmTask) assemble() error {
-	res, err := t.a.asm.AssembleFull()
-	if err != nil {
-		return fmt.Errorf("dexgen: %s->%s: %v", t.desc, t.name, err)
-	}
-	t.code.Insns = res.Insns
-	t.code.IndexFixups = res.Fixups
-	t.labels = res.Labels
-	return nil
-}
 
 // Program accumulates classes and produces a dex.File or an APK.
 type Program struct {
-	b       *dex.Builder
-	err     error
-	workers int
-	tasks   []asmTask
+	b   *dex.Builder
+	err error
 
 	codeArena []dex.Code // chunked allocator: pointers stay stable
-	asmArena  []Asm
+	free      []*Asm     // assemblers whose body is built, ready for reuse
 }
 
 // newCode returns a zeroed dex.Code from the chunk allocator. Codes are
@@ -62,28 +35,44 @@ func (p *Program) newCode() *dex.Code {
 	return c
 }
 
-// newAsm returns a zeroed Asm from the chunk allocator.
+// newAsm takes an Asm from the free list, or a new one if every Asm is in
+// use: a body that declares another method while it is built (the
+// reassembler's reflection bridges) holds its own.
 func (p *Program) newAsm() *Asm {
-	if len(p.asmArena) == 0 {
-		p.asmArena = make([]Asm, 64)
+	if n := len(p.free); n > 0 {
+		a := p.free[n-1]
+		p.free = p.free[:n-1]
+		return a
 	}
-	a := &p.asmArena[0]
-	p.asmArena = p.asmArena[1:]
-	a.p = p
-	return a
+	return &Asm{p: p}
+}
+
+// assemble assembles a's body into code, builds its try table from the
+// resolved labels when tries is set, and returns a to the free list. The try
+// table is built before the reset: a label it allocates (the reassembler's
+// never-executed handler) must stay unbound, not alias one the body bound.
+func (p *Program) assemble(a *Asm, code *dex.Code, desc, name string, tries func(*bytecode.Labels) ([]dex.Try, error)) {
+	res, err := a.asm.AssembleFull()
+	if err != nil {
+		p.fail("%s->%s: %v", desc, name, err)
+	} else {
+		code.Insns = res.Insns
+		code.IndexFixups = res.Fixups
+		if tries != nil {
+			labels := res.Labels // only a body with a try table pays its escape
+			if code.Tries, err = tries(&labels); err != nil {
+				p.fail("%s->%s: tries: %v", desc, name, err)
+			}
+		}
+	}
+	a.asm.Reset()
+	*a = Asm{p: p, asm: a.asm, tries: a.tries[:0]}
+	p.free = append(p.free, a)
 }
 
 // New returns an empty program.
 func New() *Program {
 	return &Program{b: dex.NewBuilder()}
-}
-
-// SetWorkers bounds the parallel fan-out Finish uses to assemble method
-// bodies and remap bytecode indices: 0 selects GOMAXPROCS, 1 forces the
-// serial path. Output is byte-identical at any worker count.
-func (p *Program) SetWorkers(n int) {
-	p.workers = n
-	p.b.SetWorkers(n)
 }
 
 func (p *Program) fail(format string, args ...any) {
@@ -105,34 +94,12 @@ func (p *Program) Class(descriptor, super string, interfaces ...string) *Class {
 	return &Class{p: p, cb: cb, desc: descriptor}
 }
 
-// Finish assembles every deferred method body — in parallel across the
-// worker set when SetWorkers allows it — then canonicalizes and returns the
-// DEX file model. Method ordering was fixed when the methods were declared
-// and instruction encoding is deterministic, so the result is byte-identical
-// at any worker count; pipeline.ParallelDo surfaces the lowest-index error,
-// matching what a serial run would report.
+// Finish canonicalizes and returns the DEX file model. Every method body
+// was assembled when it was declared, so only the first error or the
+// Builder's canonical sort is left.
 func (p *Program) Finish() (*dex.File, error) {
 	if p.err != nil {
 		return nil, p.err
-	}
-	tasks := p.tasks
-	p.tasks = nil
-	if err := pipeline.ParallelDo(p.workers, len(tasks), func(i int) error {
-		return tasks[i].assemble()
-	}); err != nil {
-		p.err = err
-		return nil, err
-	}
-	// Try tables resolve serially: they intern catch types in the Builder.
-	for i := range tasks {
-		t := &tasks[i]
-		if t.tries == nil {
-			continue
-		}
-		if err := t.tries(&t.labels); err != nil {
-			p.err = err
-			return nil, err
-		}
 	}
 	return p.b.Finish()
 }
@@ -228,9 +195,6 @@ type MethodSpec struct {
 
 // Method generates a method; gen emits its body into the Asm.
 func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
-	if c.p.err != nil {
-		return c
-	}
 	locals := spec.Locals
 	if locals == 0 {
 		locals = 8
@@ -243,44 +207,7 @@ func (c *Class) Method(spec MethodSpec, gen func(a *Asm)) *Class {
 		flags |= dex.AccConstructor
 	}
 	ins := dex.InsSize(dex.ParamWords(spec.Params), flags)
-	a := c.p.newAsm()
-	a.locals = int32(locals)
-	a.static = spec.Static
-	a.params = spec.Params
-	gen(a)
-	// The body was generated (interning every constant through the Builder);
-	// the pure assembly into code units is deferred so Finish can fan it out.
-	code := c.p.newCode()
-	code.RegistersSize = uint16(locals + ins)
-	code.InsSize = uint16(ins)
-	code.OutsSize = uint16(a.asm.Outs())
-	task := asmTask{a: a, code: code, desc: c.desc, name: spec.Name}
-	if tries := a.tries; len(tries) > 0 {
-		desc, mname := c.desc, spec.Name
-		task.tries = func(labels *bytecode.Labels) error {
-			for _, tc := range tries {
-				start, ok1 := labels.Name(tc.start)
-				end, ok2 := labels.Name(tc.end)
-				handler, ok3 := labels.Name(tc.handler)
-				if !ok1 || !ok2 || !ok3 || end < start {
-					return fmt.Errorf("dexgen: %s->%s: bad try/catch labels %+v", desc, mname, tc)
-				}
-				try := dex.Try{Start: uint32(start), Count: uint32(end - start), CatchAll: -1}
-				if tc.catchType == "" {
-					try.CatchAll = int32(handler)
-				} else {
-					try.Handlers = []dex.TypeAddr{{
-						Type: c.p.b.Type(tc.catchType), Addr: uint32(handler),
-					}}
-				}
-				code.Tries = append(code.Tries, try)
-			}
-			return nil
-		}
-	}
-	c.p.tasks = append(c.p.tasks, task)
-	c.cb.Method(spec.Name, spec.Ret, spec.Params, flags, code)
-	return c
+	return c.RawMethod(spec.Name, spec.Ret, spec.Params, flags, RawCode{Registers: locals + ins, Build: gen})
 }
 
 // Virtual is shorthand for a virtual method with default locals.
@@ -347,6 +274,27 @@ func (a *Asm) Label(name string) *Asm {
 func (a *Asm) Catch(start, end, catchType, handler string) *Asm {
 	a.tries = append(a.tries, tryCatch{start: start, end: end, handler: handler, catchType: catchType})
 	return a
+}
+
+// tryTable anchors the Catch ranges at their resolved labels.
+func (a *Asm) tryTable(labels *bytecode.Labels) ([]dex.Try, error) {
+	var out []dex.Try
+	for _, tc := range a.tries {
+		start, ok1 := labels.Name(tc.start)
+		end, ok2 := labels.Name(tc.end)
+		handler, ok3 := labels.Name(tc.handler)
+		if !ok1 || !ok2 || !ok3 || end < start {
+			return nil, fmt.Errorf("bad try/catch labels %+v", tc)
+		}
+		try := dex.Try{Start: uint32(start), Count: uint32(end - start), CatchAll: -1}
+		if tc.catchType == "" {
+			try.CatchAll = int32(handler)
+		} else {
+			try.Handlers = []dex.TypeAddr{{Type: a.p.b.Type(tc.catchType), Addr: uint32(handler)}}
+		}
+		out = append(out, try)
+	}
+	return out, nil
 }
 
 // --- constant-pool aware emitters ------------------------------------------
@@ -609,8 +557,9 @@ func (c *Class) FieldWithFlags(name, typ string, flags uint32) *Class {
 type RawCode struct {
 	Registers int
 	Build     func(a *Asm)
-	// TriesFn computes the try table after assembly from resolved label
-	// positions.
+	// TriesFn computes the try table from the resolved label positions,
+	// right after the body is assembled and before its Asm is reused. Nil
+	// anchors the ranges Build declared with Asm.Catch.
 	TriesFn func(labels *bytecode.Labels) ([]dex.Try, error)
 }
 
@@ -631,19 +580,11 @@ func (c *Class) RawMethod(name, ret string, params []string, flags uint32, rc Ra
 	code.RegistersSize = uint16(rc.Registers)
 	code.InsSize = uint16(ins)
 	code.OutsSize = uint16(a.asm.Outs())
-	task := asmTask{a: a, code: code, desc: c.desc, name: name}
-	if triesFn := rc.TriesFn; triesFn != nil {
-		desc, mname := c.desc, name
-		task.tries = func(labels *bytecode.Labels) error {
-			tries, err := triesFn(labels)
-			if err != nil {
-				return fmt.Errorf("dexgen: %s->%s: tries: %v", desc, mname, err)
-			}
-			code.Tries = tries
-			return nil
-		}
+	tries := rc.TriesFn
+	if tries == nil && len(a.tries) > 0 {
+		tries = a.tryTable
 	}
-	c.p.tasks = append(c.p.tasks, task)
+	c.p.assemble(a, code, c.desc, name, tries)
 	c.cb.Method(name, ret, params, flags, code)
 	return c
 }

@@ -86,8 +86,9 @@ type Config struct {
 	// MinIters is the minimum op count per stage regardless of BenchTime
 	// (default 3).
 	MinIters int
-	// Workers is the reassembly parallelism handed to the reassembler
-	// (0 = GOMAXPROCS, 1 = serial).
+	// Workers sizes the forced-run pool of the force-execution stages and
+	// of the version-chain reveal (0 = GOMAXPROCS, 1 = serial). Reassembly
+	// is serial at any setting.
 	Workers int
 	// Tracer, when set, receives one "stage.<name>" span per measured
 	// stage; its snapshot is embedded in the report.
@@ -109,7 +110,7 @@ func (c Config) minIters() int {
 }
 
 // loadCorpus builds the pinned corpus and precomputes every stage input.
-func loadCorpus(workers int) ([]*app, error) {
+func loadCorpus() ([]*app, error) {
 	apps := make([]*app, 0, len(droidbench.CorpusNames))
 	for _, name := range droidbench.CorpusNames {
 		s := droidbench.ByName(name)
@@ -128,8 +129,7 @@ func loadCorpus(workers int) ([]*app, error) {
 		if a.collected, err = collect(a); err != nil {
 			return nil, fmt.Errorf("hotbench: collect %s: %w", name, err)
 		}
-		f, _, err := reassembler.ReassembleCfg(a.collected, nil,
-			reassembler.Config{Workers: workers})
+		f, _, err := reassembler.Reassemble(a.collected)
 		if err != nil {
 			return nil, fmt.Errorf("hotbench: reassemble %s: %w", name, err)
 		}
@@ -279,7 +279,7 @@ func forceOp(pkg *apk.APK, files []*dex.File, workers int) func() error {
 
 // Run loads the pinned corpus and measures every stage of the hot path.
 func Run(cfg Config) (*Report, error) {
-	apps, err := loadCorpus(cfg.Workers)
+	apps, err := loadCorpus()
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +324,7 @@ func Run(cfg Config) (*Report, error) {
 		}},
 		{StageReassembly, func() error {
 			for _, a := range apps {
-				if _, _, err := reassembler.ReassembleCfg(a.collected, nil,
-					reassembler.Config{Workers: cfg.Workers}); err != nil {
+				if _, _, err := reassembler.Reassemble(a.collected); err != nil {
 					return err
 				}
 			}

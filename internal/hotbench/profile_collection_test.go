@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkCollectionStage is the collection stage body in isolation, for
 // profiling the interpreter hot path with the standard testing harness.
 func BenchmarkCollectionStage(b *testing.B) {
-	apps, err := loadCorpus(1)
+	apps, err := loadCorpus()
 	if err != nil {
 		b.Fatal(err)
 	}

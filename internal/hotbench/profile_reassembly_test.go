@@ -10,7 +10,7 @@ import (
 // profiling the flatten/dexgen/builder hot path with the standard testing
 // harness.
 func BenchmarkReassemblyStage(b *testing.B) {
-	apps, err := loadCorpus(1)
+	apps, err := loadCorpus()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -23,8 +23,7 @@ func BenchmarkReassemblyStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range apps {
-			if _, _, err := reassembler.ReassembleCfg(a.collected, nil,
-				reassembler.Config{Workers: 1}); err != nil {
+			if _, _, err := reassembler.Reassemble(a.collected); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -111,30 +111,6 @@ func Isolate(fn func() error) error {
 	return runJob(func(int) error { return fn() }, 0)
 }
 
-// ParallelDo runs fn(i) for every i in [0, n) across a bounded worker set
-// and returns the lowest-index error (a panicking job surfaces as a
-// *PanicError). workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 or
-// n == 1 runs serially on the calling goroutine with no allocations beyond
-// fn's own. It is the synchronous fan-out primitive shared by the DEX
-// builder's parallel bytecode remap and the reassembler's parallel method
-// assembly, where deterministic error selection keeps serial and parallel
-// runs observably identical.
-func ParallelDo(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	p := Pipeline{Workers: workers}
-	if p.WorkerCount(n) == 1 {
-		for i := 0; i < n; i++ {
-			if err := runJob(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return FirstError(p.Run(n, fn))
-}
-
 // Map runs fn over [0, n) and collects the results in job order. The
 // result slot of a failed job is the zero value of T; errs follows the
 // same contract as Run.

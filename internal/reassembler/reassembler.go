@@ -54,10 +54,8 @@ func Reassemble(res *collector.Result) (*dex.File, *Stats, error) {
 
 // Config parameterizes a reassembly run.
 type Config struct {
-	// Workers bounds the parallel method-assembly and index-remap fan-out
-	// of the generated program: 0 selects GOMAXPROCS, 1 forces the serial
-	// path. Serial and parallel reassembly produce byte-identical DEX
-	// output (pinned by TestSerialParallelByteIdentical).
+	// Workers is ignored: reassembly is one serial pass. The field stays
+	// only because the benchmark harness still sets it.
 	Workers int
 
 	// Fetch resolves a method record spilled out of the result mid-reveal
@@ -72,10 +70,8 @@ type Config struct {
 // merges, reflection rewrites) attributed to span — nil disables them —
 // and an explicit configuration.
 func ReassembleCfg(res *collector.Result, span *obs.Span, cfg Config) (*dex.File, *Stats, error) {
-	p := dexgen.New()
-	p.SetWorkers(cfg.Workers)
 	ra := &reassembler{
-		p:     p,
+		p:     dexgen.New(),
 		res:   res,
 		stats: &Stats{},
 		span:  span,
@@ -120,11 +116,10 @@ type reassembler struct {
 	fieldCounter  map[string]int
 
 	// Pooled hot-path scratch, reused across every method and class of the
-	// run. flat is the shared flattener for methods without try tables (their
-	// state is fully consumed inside the synchronous Build call); methods
-	// that re-anchor tries get a fresh flattener because mapTries runs later,
-	// at Program.Finish. entryBuf/idBuf are sort and switch-target scratch,
-	// safe to share because each is dead before any reuse point.
+	// run. flat is the shared flattener: RawMethod builds a body and its try
+	// table before it returns, so a flattener's state is spent by then.
+	// entryBuf/idBuf are sort and switch-target scratch, safe to share
+	// because each is dead before any reuse point.
 	flat      flattener
 	flatBuild func(a *dexgen.Asm)
 	entryBuf  []collector.Entry
@@ -369,16 +364,7 @@ func (ra *reassembler) emitVariantCall(a *dexgen.Asm, rec *collector.MethodRecor
 // longer apply).
 func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRecord, name string, flags uint32, sig *dex.Signature, tree *collector.TreeNode, withTries bool) error {
 	withTries = withTries && len(rec.Tries) > 0
-	var fl *flattener
-	build := ra.flatBuild
-	if withTries {
-		// mapTries runs at Program.Finish, long after this call returns, so
-		// the flattener's label bases and root spans must outlive the method.
-		fl = &flattener{}
-		build = func(a *dexgen.Asm) { fl.emit(a) }
-	} else {
-		fl = &ra.flat
-	}
+	fl := &ra.flat
 	*fl = flattener{
 		ra:        ra,
 		rec:       rec,
@@ -401,7 +387,7 @@ func (ra *reassembler) emitTreeMethod(cls *dexgen.Class, rec *collector.MethodRe
 	}
 	rc := dexgen.RawCode{
 		Registers: regs,
-		Build:     build,
+		Build:     ra.flatBuild,
 	}
 	if withTries {
 		rc.TriesFn = fl.mapTries
@@ -691,8 +677,10 @@ func (fl *flattener) setIndex(in *bytecode.Inst, sym *collector.Symbol) error {
 
 // mapTries re-anchors the original try table onto the flattened root-node
 // layout: each original range becomes one try per contiguous run of emitted
-// root instructions inside it. It runs at Program.Finish, after assembly
-// resolved every label position.
+// root instructions inside it. RawMethod calls it right after assembly
+// resolved every label position, while the body's assembler is still the
+// flattener's: a handler that never ran resolves to a fresh label, left
+// unbound, so its handler is dropped.
 func (fl *flattener) mapTries(labels *bytecode.Labels) ([]dex.Try, error) {
 	spans := fl.rootSpans
 	if !sort.SliceIsSorted(spans, func(i, j int) bool { return spans[i].origPC < spans[j].origPC }) {

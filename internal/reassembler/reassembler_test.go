@@ -411,7 +411,11 @@ func TestBranchUnionMerging(t *testing.T) {
 	}
 }
 
-func TestTryCatchSurvivesReassembly(t *testing.T) {
+// collectSafeDiv builds Ltc/T;->safe(I)I, which returns 100/x and -7 from
+// an ArithmeticException handler, calls it with each of args under
+// collection, and reassembles what ran.
+func collectSafeDiv(t *testing.T, args ...int64) *dex.File {
+	t.Helper()
 	p := dexgen.New()
 	cls := p.Class("Ltc/T;", "")
 	cls.Method(dexgen.MethodSpec{Name: "safe", Ret: "I", Params: []string{"I"}, Static: true}, func(a *dexgen.Asm) {
@@ -443,8 +447,7 @@ func TestTryCatchSurvivesReassembly(t *testing.T) {
 	if err := rt.LoadAPK(pkg); err != nil {
 		t.Fatal(err)
 	}
-	// Execute both the normal and the exceptional path.
-	for _, v := range []int64{4, 0} {
+	for _, v := range args {
 		if _, err := rt.Call("Ltc/T;", "safe", "(I)I", nil, []art.Value{art.IntVal(v)}); err != nil {
 			t.Fatal(err)
 		}
@@ -453,6 +456,12 @@ func TestTryCatchSurvivesReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func TestTryCatchSurvivesReassembly(t *testing.T) {
+	// Execute both the normal and the exceptional path.
+	f := collectSafeDiv(t, 4, 0)
 	em := f.FindMethod("Ltc/T;", "safe", "(I)I")
 	if em == nil || len(em.Code.Tries) == 0 {
 		t.Fatal("try table lost in reassembly")
@@ -466,6 +475,40 @@ func TestTryCatchSurvivesReassembly(t *testing.T) {
 		if err != nil || res.Int != want {
 			t.Errorf("revealed safe(%d) = %v, %v; want %d", in, res, err, want)
 		}
+	}
+}
+
+// TestNeverRunHandlerDropsTry pins the order in which a body's try table is
+// built: a handler that never ran resolves to a label allocated after
+// assembly, which must stay unbound so the try is dropped. Building the
+// table from a reused assembler would bind that label to the body's first
+// instruction and keep a try whose handler is the method entry.
+func TestNeverRunHandlerDropsTry(t *testing.T) {
+	f := collectSafeDiv(t, 4)
+	em := f.FindMethod("Ltc/T;", "safe", "(I)I")
+	if em == nil || em.Code == nil {
+		t.Fatal("safe lost in reassembly")
+	}
+	if len(em.Code.Tries) != 0 {
+		t.Errorf("tries = %+v, want none: the only handler never ran", em.Code.Tries)
+	}
+	data, err := f.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := dex.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := dex.Verify(parsed); len(errs) > 0 {
+		t.Errorf("revealed dex fails verification: %v", errs)
+	}
+	rt := art.NewRuntime(art.DefaultPhone())
+	if _, err := rt.LoadDex(parsed); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := rt.Call("Ltc/T;", "safe", "(I)I", nil, []art.Value{art.IntVal(4)}); err != nil || res.Int != 25 {
+		t.Errorf("revealed safe(4) = %v, %v; want 25", res, err)
 	}
 }
 

@@ -77,7 +77,7 @@ type Config struct {
 	// (<= 0 selects GOMAXPROCS).
 	Workers int
 	// RevealWorkers is the per-job worker budget handed to each reveal's
-	// intra-APK pools (reassembly fan-out, force-execution runs). Admission
+	// forced-run pool (reassembly is serial and takes none). Admission
 	// control clamps it so Workers × RevealWorkers never exceeds
 	// GOMAXPROCS — jobs-level and reveal-level parallelism multiply, and
 	// oversubscription would thrash rather than speed up. <= 0 grants each

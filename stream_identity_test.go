@@ -12,8 +12,7 @@ import (
 // TestStreamingDexByteIdentical is the streaming writer's corpus gate: for
 // every pinned golden-corpus sample, the section-streaming serializer
 // (File.WriteStream) must produce exactly the bytes of the buffered writer
-// (File.Write), at every reassembly worker count. Run under -race in CI,
-// this also exercises the parallel assembly fan-out feeding the writer.
+// (File.Write).
 func TestStreamingDexByteIdentical(t *testing.T) {
 	for _, name := range droidbench.CorpusNames {
 		s := droidbench.ByName(name)
@@ -33,25 +32,22 @@ func TestStreamingDexByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reveal: %v", err)
 			}
-			for _, workers := range []int{1, 4} {
-				f, _, err := reassembler.ReassembleCfg(res.Collection, nil,
-					reassembler.Config{Workers: workers})
-				if err != nil {
-					t.Fatalf("reassemble workers=%d: %v", workers, err)
-				}
-				buffered, err := f.Write()
-				if err != nil {
-					t.Fatalf("buffered write workers=%d: %v", workers, err)
-				}
-				var streamed bytes.Buffer
-				n, err := f.WriteStream(&streamed)
-				if err != nil {
-					t.Fatalf("stream write workers=%d: %v", workers, err)
-				}
-				if n != int64(len(buffered)) || !bytes.Equal(streamed.Bytes(), buffered) {
-					t.Errorf("workers=%d: streamed DEX differs from buffered (%d vs %d bytes)",
-						workers, streamed.Len(), len(buffered))
-				}
+			f, _, err := reassembler.Reassemble(res.Collection)
+			if err != nil {
+				t.Fatalf("reassemble: %v", err)
+			}
+			buffered, err := f.Write()
+			if err != nil {
+				t.Fatalf("buffered write: %v", err)
+			}
+			var streamed bytes.Buffer
+			n, err := f.WriteStream(&streamed)
+			if err != nil {
+				t.Fatalf("stream write: %v", err)
+			}
+			if n != int64(len(buffered)) || !bytes.Equal(streamed.Bytes(), buffered) {
+				t.Errorf("streamed DEX differs from buffered (%d vs %d bytes)",
+					streamed.Len(), len(buffered))
 			}
 		})
 	}

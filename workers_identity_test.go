@@ -9,47 +9,6 @@ import (
 	"dexlego/internal/droidbench"
 )
 
-// TestSerialParallelByteIdentical is the golden test for the parallel
-// reassembly path: for every corpus sample, revealing with Workers: 1
-// (forced serial), Workers: 4 and Workers: 0 (GOMAXPROCS) must produce
-// byte-identical DEX output. Run under -race in CI, this also exercises the
-// worker pool for data races on the shared Builder.
-func TestSerialParallelByteIdentical(t *testing.T) {
-	for _, name := range droidbench.CorpusNames {
-		t.Run(name, func(t *testing.T) {
-			s := droidbench.ByName(name)
-			if s == nil {
-				t.Fatalf("corpus sample %q does not exist", name)
-			}
-			reveal := func(workers int) []byte {
-				pkg, err := s.Build()
-				if err != nil {
-					t.Fatalf("build: %v", err)
-				}
-				res, err := root.Reveal(pkg, root.Options{
-					Natives: s.Natives(),
-					Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("reveal (workers=%d): %v", workers, err)
-				}
-				data, err := res.Revealed.Dex()
-				if err != nil {
-					t.Fatalf("dex (workers=%d): %v", workers, err)
-				}
-				return data
-			}
-			serial := reveal(1)
-			for _, workers := range []int{4, 0} {
-				if got := reveal(workers); !bytes.Equal(serial, got) {
-					t.Errorf("workers=%d output differs from serial: %d vs %d bytes",
-						workers, len(got), len(serial))
-				}
-			}
-		})
-	}
-}
-
 // TestForcedRevealByteIdenticalAcrossWorkers is the acceptance spine of
 // parallel intra-reveal collection: a force-execution reveal over the full
 // corpus must produce byte-identical DEX output at every worker count. The
