@@ -46,9 +46,14 @@ type Field struct {
 	Init        *dex.Value // declared initial value (static fields only)
 }
 
-// Method is a runtime method. Insns is the live, mutable instruction array:
-// self-modifying native code rewrites it in place, exactly like patching the
-// DEX in memory on a real device.
+// Method is a runtime method. Insns is the live instruction array the
+// interpreter runs. Self-modifying native code changes it through
+// Env.TamperMethod, like patching the DEX in memory on a real device; a
+// packer may replace the slice wholesale. Nothing writes into it in place:
+// LoadDex points it at the dex.File's own units, and every runtime cloned
+// from one AppTemplate shares that array, so TamperMethod writes only into
+// a private copy. Neither the input DEX nor a sibling runtime ever sees a
+// tamper.
 type Method struct {
 	Class       *Class
 	Name        string

@@ -2,6 +2,7 @@ package art
 
 import (
 	"fmt"
+	"slices"
 
 	"dexlego/internal/apimodel"
 	"dexlego/internal/dex"
@@ -44,8 +45,11 @@ func (e *Env) DefineDexFile(f *dex.File) ([]*Class, error) {
 
 // TamperMethod mutates the live instruction array of a loaded method — the
 // self-modifying-code primitive of the paper's Code 1. The mutation function
-// receives the live slice and may rewrite units in place or grow it by
-// returning a replacement.
+// receives a private copy of the live units and may rewrite them in place or
+// return a replacement; either becomes the method's live array. The live
+// array itself is never written: it may be the input DEX's units, shared
+// with every sibling runtime (see Method.Insns). A tamper is rare, so the
+// copy is made on every call rather than tracking who owns the array.
 func (e *Env) TamperMethod(classDesc, name string, mutate func(insns []uint16) []uint16) error {
 	c, err := e.rt.FindClass(classDesc)
 	if err != nil {
@@ -58,9 +62,11 @@ func (e *Env) TamperMethod(classDesc, name string, mutate func(insns []uint16) [
 	if m.Insns == nil {
 		return fmt.Errorf("art: tamper: method %s is not bytecode", m.Key())
 	}
-	if out := mutate(m.Insns); out != nil {
-		m.Insns = out
+	live := slices.Clone(m.Insns)
+	if out := mutate(live); out != nil {
+		live = out
 	}
+	m.Insns = live
 	pc := -1
 	if caller, callerPC := e.Caller(); caller != nil {
 		pc = callerPC

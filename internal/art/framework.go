@@ -224,11 +224,14 @@ func (rt *Runtime) installFramework() {
 		{"Ljava/lang/ArrayIndexOutOfBoundsException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/NumberFormatException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/IllegalArgumentException;", "Ljava/lang/RuntimeException;"},
+		{"Ljava/lang/NegativeArraySizeException;", "Ljava/lang/RuntimeException;"},
 		{"Ljava/lang/ClassNotFoundException;", "Ljava/lang/Exception;"},
 		{"Ljava/lang/NoSuchMethodException;", "Ljava/lang/Exception;"},
 		{"Ljava/lang/Error;", "Ljava/lang/Throwable;"},
 		{"Ljava/lang/LinkageError;", "Ljava/lang/Error;"},
 		{"Ljava/lang/VerifyError;", "Ljava/lang/LinkageError;"},
+		{"Ljava/lang/VirtualMachineError;", "Ljava/lang/Error;"},
+		{"Ljava/lang/OutOfMemoryError;", "Ljava/lang/VirtualMachineError;"},
 	} {
 		ex := rt.fw(pair[0], pair[1])
 		ex.method("<init>", "()V", false, exInit)

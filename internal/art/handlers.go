@@ -170,11 +170,7 @@ func hNewInstance(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width
 }
 
 func hNewArray(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
-	n := f.regs[in.B].Int
-	if n < 0 {
-		return Value{}, false, rt.Throw("Ljava/lang/RuntimeException;", "negative array size")
-	}
-	arr, err := rt.NewArray(f.method.Class.File.TypeName(in.Index), int(n))
+	arr, err := rt.NewArray(f.method.Class.File.TypeName(in.Index), int(f.regs[in.B].Int))
 	if err != nil {
 		return Value{}, false, err
 	}

@@ -3,6 +3,7 @@ package art
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"dexlego/internal/apk"
 	"dexlego/internal/dex"
@@ -14,6 +15,13 @@ const (
 	DefaultMaxSteps = 4_000_000
 	defaultMaxDepth = 256
 )
+
+// MaxArrayLength caps the element count of one array. NewArray checks it
+// before allocating and throws java.lang.OutOfMemoryError past it, as ART
+// does at its heap growth limit, so a hostile new-array cannot make the
+// process ask for gigabytes it can never recover from. A Value is 32 bytes,
+// so the largest array holds 32 MiB.
+const MaxArrayLength = 1 << 20
 
 // Sentinel runtime errors.
 var (
@@ -44,6 +52,8 @@ type Runtime struct {
 	fwTmpl       *fwTemplate      // device framework template (see fwtemplate.go)
 	fwSlab       []*Class         // lazily cloned framework classes, by template index
 	fwLookup     map[string]int32 // shared immutable descriptor -> template index
+	appTmpl      *AppTemplate     // the linked app this runtime clones, or nil (see apptemplate.go)
+	appSlab      []*Class         // lazily cloned app classes, by template index
 	natives      map[string]NativeFunc
 	hooks        []*Hooks
 	methodEnter  []func(*Method)
@@ -157,19 +167,22 @@ func (rt *Runtime) ExternalFileContents(path string) (string, bool) {
 }
 
 // LoadAPK parses and links the package's classes.dex. The parse is memoized
-// on the package, so loading the same APK into many runtimes (one per
-// collection pass and forced run) parses once; LoadDex never mutates the
-// shared File.
+// on the package, so loading the same APK into many runtimes parses once;
+// LoadDex never mutates the shared File. A force-execution campaign links
+// once instead (NewAppTemplate) and clones per run (LoadTemplate).
 func (rt *Runtime) LoadAPK(a *apk.APK) error {
+	_, err := rt.loadAPK(a)
+	return err
+}
+
+// loadAPK is LoadAPK returning the classes it linked.
+func (rt *Runtime) loadAPK(a *apk.APK) ([]*Class, error) {
 	f, err := a.DexFile()
 	if err != nil {
-		return fmt.Errorf("art: parse classes.dex: %w", err)
+		return nil, fmt.Errorf("art: parse classes.dex: %w", err)
 	}
 	rt.apk = a
-	if _, err := rt.LoadDex(f); err != nil {
-		return err
-	}
-	return nil
+	return rt.LoadDex(f)
 }
 
 // LoadDex links every class in the file into the runtime and returns them.
@@ -260,7 +273,12 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 				Sig: si,
 			}
 			if em.Code != nil {
-				m.Insns = append([]uint16(nil), em.Code.Insns...)
+				// The live array starts as the file's own units, capped
+				// so an append reallocates; TamperMethod copies before it
+				// writes (see Method.Insns).
+				if n := len(em.Code.Insns); n > 0 {
+					m.Insns = em.Code.Insns[:n:n]
+				}
 				m.RegistersSize = int(em.Code.RegistersSize)
 				m.InsSize = int(em.Code.InsSize)
 				m.Tries = em.Code.Tries
@@ -272,13 +290,21 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 	return created, nil
 }
 
-// lookupClass resolves a descriptor against the two class tiers: the
-// per-runtime table (app classes, array classes) and the framework clone
-// slab, which is addressed through the template's shared immutable index so
-// NewRuntime never refills a 100+-entry map. Returns nil when undefined.
+// lookupClass resolves a descriptor against the three class tiers: the
+// per-runtime table (classes this runtime linked, array classes), the app
+// template's clone slab, and the framework clone slab. The two slabs are
+// addressed through their templates' shared immutable indexes, so a runtime
+// never refills a map per class. The tiers never define one descriptor
+// twice: LoadDex skips any descriptor lookupClass already resolves. Returns
+// nil when undefined.
 func (rt *Runtime) lookupClass(descriptor string) *Class {
 	if c, ok := rt.classes[descriptor]; ok {
 		return c
+	}
+	if rt.appTmpl != nil {
+		if i, ok := rt.appTmpl.lookup[descriptor]; ok {
+			return rt.appClass(i)
+		}
 	}
 	if rt.fwLookup != nil {
 		if i, ok := rt.fwLookup[descriptor]; ok {
@@ -381,8 +407,17 @@ func (rt *Runtime) NewInstance(c *Class) *Object {
 	return &Object{Class: c, Fields: make(map[string]Value)}
 }
 
-// NewArray allocates an array object with n zeroed elements.
+// NewArray allocates an array object with n zeroed elements. A negative n
+// throws NegativeArraySizeException and one above MaxArrayLength throws
+// OutOfMemoryError, both before anything is allocated.
 func (rt *Runtime) NewArray(descriptor string, n int) (*Object, error) {
+	if n < 0 {
+		return nil, rt.Throw("Ljava/lang/NegativeArraySizeException;", strconv.Itoa(n))
+	}
+	if n > MaxArrayLength {
+		return nil, rt.Throw("Ljava/lang/OutOfMemoryError;",
+			fmt.Sprintf("array of %d elements exceeds the limit of %d", n, MaxArrayLength))
+	}
 	c, err := rt.FindClass(descriptor)
 	if err != nil {
 		return nil, err

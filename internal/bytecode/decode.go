@@ -4,27 +4,39 @@ package bytecode
 // returns it together with its width in units. Switch instructions have
 // their payload tables resolved and inlined into the returned Inst.
 func Decode(insns []uint16, pc int) (Inst, int, error) {
+	var in Inst
+	w, err := decodeInto(insns, pc, &in)
+	if err != nil {
+		return Inst{}, 0, err
+	}
+	return in, w, nil
+}
+
+// decodeInto is Decode writing the instruction into *in, so a scan that
+// reuses one Inst (walk) copies nothing per instruction. *in is undefined
+// after an error.
+func decodeInto(insns []uint16, pc int, in *Inst) (int, error) {
 	if pc < 0 || pc >= len(insns) {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "pc out of bounds"}
+		return 0, &DecodeError{PC: pc, Reason: "pc out of bounds"}
 	}
 	unit := insns[pc]
 	op := Opcode(unit & 0xff)
 	hi := int32(unit >> 8)
 	info, ok := op.info()
 	if !ok {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "unknown opcode " + op.String()}
+		return 0, &DecodeError{PC: pc, Reason: "unknown opcode " + op.String()}
 	}
 	w := info.format.Width()
 	if pc+w > len(insns) {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "truncated instruction"}
+		return 0, &DecodeError{PC: pc, Reason: "truncated instruction"}
 	}
-	in := Inst{Op: op}
+	*in = Inst{Op: op}
 	switch info.format {
 	case Fmt10x:
 		// Reject accidental decodes of payload data: payload idents share
 		// the nop low byte.
 		if op == OpNop && (unit == PackedSwitchPayloadIdent || unit == SparseSwitchPayloadIdent) {
-			return Inst{}, 0, &DecodeError{PC: pc, Reason: "pc points into switch payload"}
+			return 0, &DecodeError{PC: pc, Reason: "pc points into switch payload"}
 		}
 	case Fmt12x:
 		in.A = hi & 0xf
@@ -81,8 +93,8 @@ func Decode(insns []uint16, pc int) (Inst, int, error) {
 	case Fmt31t:
 		in.A = hi
 		in.Off = int32(uint32(insns[pc+1]) | uint32(insns[pc+2])<<16)
-		if err := decodeSwitchPayload(insns, pc, &in); err != nil {
-			return Inst{}, 0, err
+		if err := decodeSwitchPayload(insns, pc, in); err != nil {
+			return 0, err
 		}
 	case Fmt35c:
 		count := hi >> 4
@@ -94,7 +106,7 @@ func Decode(insns []uint16, pc int) (Inst, int, error) {
 			int(regs >> 8 & 0xf), int(regs >> 12 & 0xf), g,
 		}
 		if count > 5 {
-			return Inst{}, 0, &DecodeError{PC: pc, Reason: "invoke arg count > 5"}
+			return 0, &DecodeError{PC: pc, Reason: "invoke arg count > 5"}
 		}
 		in.Args = all[:count]
 		in.A = count
@@ -108,9 +120,9 @@ func Decode(insns []uint16, pc int) (Inst, int, error) {
 		}
 		in.A = int32(count)
 	default:
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "unhandled format"}
+		return 0, &DecodeError{PC: pc, Reason: "unhandled format"}
 	}
-	return in, w, nil
+	return w, nil
 }
 
 func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {

@@ -100,31 +100,72 @@ type Program struct {
 	err   error // decode error that stopped the scan, or nil
 }
 
-// Predecode lowers a unit array into a Program with one linear scan,
-// skipping switch payload regions. Decoding stops at the first malformed
-// instruction and records its error (see Err): the tail past it stays
-// unmapped, so an interpreter falling back to live Decode there surfaces
-// the identical decode error.
+// Walk calls fn for each instruction of insns in ascending pc order, with
+// its dex_pc and its width in units, skipping switch payload regions, and
+// returns the decode error that ended the scan early (nil when it reached
+// the end): fn then has seen exactly the instructions before the fault.
+// When execution has cached the body's program (Cached), Walk reads that
+// program's instructions; otherwise it decodes them one by one. Either way
+// it builds and caches no Program, so readers that only count or mark
+// instructions use it instead of Read. in is read-only and valid only
+// during the call.
+func Walk(insns []uint16, fn func(in *Inst, pc, width int)) error {
+	if p := programs.lookup(hashUnits(insns), insns); p != nil {
+		for i := range p.code {
+			d := &p.code[i]
+			fn(&d.Inst, int(d.PC), d.Width)
+		}
+		return p.err
+	}
+	return walk(insns, fn)
+}
+
+// Count returns how many instructions Walk reports for insns and the error
+// that ends them. A cached program answers with its length, without
+// visiting its instructions.
+func Count(insns []uint16) (int, error) {
+	if p := programs.lookup(hashUnits(insns), insns); p != nil {
+		return len(p.code), p.err
+	}
+	n := 0
+	err := walk(insns, func(*Inst, int, int) { n++ })
+	return n, err
+}
+
+// walk is the one linear decode of a unit array, behind Walk, Count and
+// Predecode. It decodes each instruction into one reused Inst and stops at
+// the first malformed one.
+func walk(insns []uint16, fn func(in *Inst, pc, width int)) error {
+	var in Inst
+	for pc := 0; pc < len(insns); {
+		if w, ok := PayloadAt(insns, pc); ok {
+			pc += w
+			continue
+		}
+		width, err := decodeInto(insns, pc, &in)
+		if err != nil {
+			return err
+		}
+		fn(&in, pc, width)
+		pc += width
+	}
+	return nil
+}
+
+// Predecode lowers a unit array into a Program with one walk. Decoding
+// stops at the first malformed instruction and records its error (see
+// Err): the tail past it stays unmapped, so an interpreter falling back to
+// live Decode there surfaces the identical decode error.
 func Predecode(insns []uint16) *Program {
 	p := &Program{
 		units: append([]uint16(nil), insns...),
 		idx:   make([]int32, len(insns)),
 	}
 	p.code = make([]DecodedInst, 0, len(insns)/2+1)
-	for pc := 0; pc < len(insns); {
-		if w, ok := PayloadAt(insns, pc); ok {
-			pc += w
-			continue
-		}
-		in, width, err := Decode(insns, pc)
-		if err != nil {
-			p.err = err
-			break
-		}
-		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in), PC: int32(pc)})
+	p.err = walk(insns, func(in *Inst, pc, width int) {
+		p.code = append(p.code, DecodedInst{Inst: *in, Width: width, MaxReg: MaxRegister(*in), PC: int32(pc)})
 		p.idx[pc] = int32(len(p.code))
-		pc += width
-	}
+	})
 	return p
 }
 
@@ -266,8 +307,9 @@ func Cached(insns []uint16) *Program { return programs.Get(insns) }
 
 // Read returns the process cache's program for the exact content of insns
 // when execution has cached one, and a fresh Predecode otherwise; it never
-// fills the cache. Every static reader of a method body decodes through it.
-// A program is an immutable snapshot of its units, so a reader gets the same
+// fills the cache. Every static reader that needs a Program (successors,
+// a pc index) decodes through it; one that only scans uses Walk. A program
+// is an immutable snapshot of its units, so a reader gets the same
 // instructions either way.
 func Read(insns []uint16) *Program { return programs.Read(insns) }
 

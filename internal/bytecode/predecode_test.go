@@ -112,6 +112,32 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 			t.Fatalf("pc %d: Lookup mapped=%v, decode walk covered=%v", pc, d != nil, covered[pc])
 		}
 	}
+	checkWalk(t, insns, p)
+}
+
+// checkWalk requires Walk to report p's instructions, widths and error.
+func checkWalk(t *testing.T, insns []uint16, p *Program) {
+	t.Helper()
+	var got []DecodedInst
+	err := Walk(insns, func(in *Inst, pc, width int) {
+		got = append(got, DecodedInst{Inst: *in, Width: width, MaxReg: MaxRegister(*in), PC: int32(pc)})
+	})
+	if len(got) != len(p.Insts()) {
+		t.Fatalf("Walk saw %d instructions, the program has %d", len(got), len(p.Insts()))
+	}
+	for i := range got {
+		d := &p.Insts()[i]
+		if got[i].PC != d.PC || got[i].Width != d.Width || !got[i].Inst.Equal(&d.Inst) {
+			t.Fatalf("Walk instruction %d = %+v at pc %d, program has %+v at pc %d",
+				i, got[i].Inst, got[i].PC, d.Inst, d.PC)
+		}
+	}
+	if !reflect.DeepEqual(err, p.Err()) {
+		t.Fatalf("Walk stopped with %v, Program.Err() = %v", err, p.Err())
+	}
+	if n, err := Count(insns); n != len(got) || !reflect.DeepEqual(err, p.Err()) {
+		t.Fatalf("Count = %d, %v; Walk saw %d, %v", n, err, len(got), p.Err())
+	}
 }
 
 // FuzzPredecode feeds arbitrary unit arrays — valid streams, malformed
@@ -244,6 +270,29 @@ func TestProcessCacheFilledOnlyByCached(t *testing.T) {
 	if Read(body) != p {
 		t.Fatal("Read after Cached did not return the cached program")
 	}
+}
+
+// TestWalkReadsThroughProgramCache checks that Walk and Count never fill
+// the process cache, and that once execution cached a body Walk hands out
+// that program's instructions, the same sequence a cold Walk decodes.
+func TestWalkReadsThroughProgramCache(t *testing.T) {
+	processNonce++
+	body := []uint16{0x0013, 0x6b28, 0x0013, processNonce, 0x0038, 0x0002, 0x000e, 0xffff}
+	before := CachedPrograms()
+	checkWalk(t, body, Predecode(body))
+	if got := CachedPrograms(); got != before {
+		t.Fatalf("process cache size %d after a cold Walk and Count, want %d", got, before)
+	}
+	p := Cached(body)
+	if p.Err() == nil {
+		t.Fatal("test body should stop decoding at its junk unit")
+	}
+	checkWalk(t, body, p)
+	_ = Walk(body, func(in *Inst, pc, _ int) {
+		if in != &p.Lookup(pc).Inst {
+			t.Fatalf("warm Walk at pc %d did not read the cached program", pc)
+		}
+	})
 }
 
 // BenchmarkProgramCacheHit measures a static reader's hit: hash the body and

@@ -74,6 +74,18 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
+// next returns the lowest set bit at or above i and below end, or end.
+func (b bitset) next(i, end int) int {
+	for i < end {
+		w := b[i>>6] >> (i & 63)
+		if w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
+}
+
 func (b bitset) or(o bitset) {
 	for i, w := range o {
 		b[i] |= w
@@ -187,16 +199,16 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 
 	for _, d := range defs {
 		sp := s.spans[s.ids[d.key]]
-		insts := bytecode.Read(d.code.Insns).Insts()
-		for i := range insts {
-			pc := int(insts[i].PC)
+		// The decode error only ends the scan: the instructions before it
+		// are the ones the interpreter can run.
+		_ = bytecode.Walk(d.code.Insns, func(in *bytecode.Inst, pc, _ int) {
 			s.insns.set(sp.base + pc)
 			s.lines.set(sp.line + pc/unitsPerLine)
-			if insts[i].Op.IsBranch() {
+			if in.Op.IsBranch() {
 				s.edges.set(2 * (sp.base + pc))
 				s.edges.set(2*(sp.base+pc) + 1)
 			}
-		}
+		})
 	}
 	s.total = Report{
 		Class:       Ratio{Total: len(classIDs)},
@@ -213,13 +225,10 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 	slices.Sort(keys)
 	for _, key := range keys {
 		sp := s.spans[s.ids[key]]
-		for pc := 0; pc < sp.units; pc++ {
-			for taken := 0; taken < 2; taken++ {
-				if bit := 2*(sp.base+pc) + taken; s.edges.has(bit) {
-					s.ucbs = append(s.ucbs, UCB{Method: key, PC: pc, Taken: taken == 1})
-					s.ucbBits = append(s.ucbBits, bit)
-				}
-			}
+		end := 2 * (sp.base + sp.units)
+		for bit := s.edges.next(2*sp.base, end); bit < end; bit = s.edges.next(bit+1, end) {
+			s.ucbs = append(s.ucbs, UCB{Method: key, PC: bit/2 - sp.base, Taken: bit%2 == 1})
+			s.ucbBits = append(s.ucbBits, bit)
 		}
 	}
 

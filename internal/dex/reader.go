@@ -49,13 +49,14 @@ var hostLittleEndian = func() bool {
 
 // insnsAt returns the code item's []uint16 instruction view. On a shared
 // little-endian read it aliases buf directly — the same ownership rule as
-// shared strings — saving the dominant per-method decode allocation. Every
-// later consumer that mutates instructions (the runtime's class linker, the
-// packer) copies out of the File first, so File-level instruction arrays
-// only see in-place writes from index remapping, which each File performs
-// on its own buffer. Two code items at the same offset must still never
-// share backing (a write through one method would leak into the other), so
-// only the first occurrence of an offset is aliased.
+// shared strings — saving the dominant per-method decode allocation. No
+// later consumer writes a File's instruction arrays: the runtime links
+// methods onto them and copies only when code is tampered
+// (Env.TamperMethod), and the packer copies out first, so File-level
+// instruction arrays only see in-place writes from index remapping, which
+// each File performs on its own buffer. Two code items at the same offset
+// must still never share backing (a write through one method would leak
+// into the other), so only the first occurrence of an offset is aliased.
 func (r *byteReader) insnsAt(start, n int) []uint16 {
 	if r.shared && hostLittleEndian && n > 0 &&
 		uintptr(unsafe.Pointer(&r.buf[start]))%2 == 0 {

@@ -173,9 +173,9 @@ func readEncodedValue(b []byte, off int) (Value, int, error) {
 // countInsns counts decodable instructions in a code array; payload regions
 // are skipped. Undecodable bodies count as zero.
 func countInsns(insns []uint16) int {
-	p := bytecode.Read(insns)
-	if p.Err() != nil {
+	n, err := bytecode.Count(insns)
+	if err != nil {
 		return 0
 	}
-	return len(p.Insts())
+	return n
 }

@@ -12,7 +12,9 @@
 // fresh runtime, a coverage shard, and (when a Collector is attached) a
 // collector shard; a barrier at the end of the iteration folds the shards
 // back in task order and recomputes the UCB worklist, preserving the
-// paper's iteration semantics exactly. Every runtime resolves predecoded
+// paper's iteration semantics exactly. The package is linked once per
+// campaign (art.AppTemplate), and each run's runtime clones the classes it
+// touches from that template. Every runtime resolves predecoded
 // method bodies through the process-wide program cache (bytecode.Cached),
 // so forced runs reuse what the collection stage (or an earlier reveal)
 // already lowered.
@@ -47,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"time"
 
 	"dexlego/internal/apk"
@@ -134,6 +137,11 @@ type Engine struct {
 	codeIdx map[string]*dex.Code
 	cfgs    map[string]*methodPaths
 
+	// app is the package linked once, by the campaign's first runtime (the
+	// baseline's, before the pool starts); every runtime clones it.
+	appOnce sync.Once
+	app     *art.AppTemplate
+	appErr  error
 	// baseline is the campaign's baseline run once Baseline returned.
 	baseline *task
 
@@ -173,12 +181,18 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector, extra ...*art.Hooks) (*art.Runtime, error) {
-	device := art.DefaultPhone()
+// device resolves the campaign's device.
+func (e *Engine) device() art.Device {
 	if e.Device != nil {
-		device = *e.Device
+		return *e.Device
 	}
-	rt := art.NewRuntime(device)
+	return art.DefaultPhone()
+}
+
+// newRuntime builds one run's runtime: the campaign's device and natives,
+// the hooks in order, and the app cloned from the campaign's template.
+func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector, extra ...*art.Hooks) (*art.Runtime, error) {
+	rt := art.NewRuntime(e.device())
 	if e.InstallNatives != nil {
 		e.InstallNatives(rt)
 	}
@@ -192,7 +206,11 @@ func (e *Engine) newRuntime(tracker *coverage.Tracker, col *collector.Collector,
 		rt.AddHooks(col.Hooks())
 	}
 	rt.AddHooks(tracker.Hooks())
-	if err := rt.LoadAPK(e.Pkg); err != nil {
+	e.appOnce.Do(func() { e.app, e.appErr = art.NewAppTemplate(e.device(), e.Pkg) })
+	if e.appErr != nil {
+		return nil, e.appErr
+	}
+	if err := rt.LoadTemplate(e.app); err != nil {
 		return nil, err
 	}
 	return rt, nil
