@@ -427,7 +427,7 @@ func TestBranchOverride(t *testing.T) {
 	}
 	// Force the branch.
 	rt.AddHooks(&art.Hooks{
-		Branch: func(m *art.Method, pc int, in bytecode.Inst, taken bool) (bool, bool) {
+		Branch: func(m *art.Method, pc int, taken bool) (bool, bool) {
 			return true, true
 		},
 	})

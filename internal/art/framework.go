@@ -75,6 +75,17 @@ func (f *fwClass) staticString(name, v string) *fwClass {
 	return f
 }
 
+// stringTooLong returns the OutOfMemoryError that building a string of n
+// chars throws, or nil when it fits. A Java string is a char array, so it
+// has the array bound, MaxArrayLength.
+func stringTooLong(env *Env, n int) error {
+	if n <= MaxArrayLength {
+		return nil
+	}
+	return env.Throw("Ljava/lang/OutOfMemoryError;",
+		fmt.Sprintf("string of %d chars exceeds the limit of %d", n, MaxArrayLength))
+}
+
 func nop(env *Env, recv *Object, args []Value) (Value, error) {
 	return Value{Kind: KindInt}, nil
 }
@@ -109,8 +120,8 @@ func (rt *Runtime) installFramework() {
 		})
 
 	str := rt.fw("Ljava/lang/String;", "Ljava/lang/Object;")
-	// NewString reads the singleton directly; bind it here so the template
-	// scratch runtime (which never runs cloneFramework) also has it.
+	// NewString reads the singleton directly; bind it here so the runtime
+	// that builds the framework template (fwTemplateFor) also has it.
 	rt.stringClass = str.c
 	str.method("length", "()I", false,
 		func(env *Env, recv *Object, args []Value) (Value, error) {
@@ -128,6 +139,9 @@ func (rt *Runtime) installFramework() {
 	str.method("concat", "(Ljava/lang/String;)Ljava/lang/String;", false,
 		func(env *Env, recv *Object, args []Value) (Value, error) {
 			s, _ := strOf(args[0])
+			if err := stringTooLong(env, len(recv.Str)+len(s)); err != nil {
+				return Value{}, err
+			}
 			out := env.NewString(recv.Str + s)
 			out.Taint = recv.Taint | args[0].EffectiveTaint()
 			return RefVal(out), nil
@@ -175,24 +189,27 @@ func (rt *Runtime) installFramework() {
 
 	sb := rt.fw("Ljava/lang/StringBuilder;", "Ljava/lang/Object;")
 	sb.method("<init>", "()V", false, nop)
-	appendStr := func(env *Env, recv *Object, args []Value) (Value, error) {
-		s, _ := strOf(args[0])
+	// appendTo appends s, tainted by taint, to the builder recv.
+	appendTo := func(env *Env, recv *Object, s string, taint Taint) (Value, error) {
+		if err := stringTooLong(env, len(recv.Str)+len(s)); err != nil {
+			return Value{}, err
+		}
 		recv.Str += s
-		recv.Taint |= args[0].EffectiveTaint()
+		recv.Taint |= taint
 		return RefVal(recv), nil
 	}
-	sb.method("append", "(Ljava/lang/String;)Ljava/lang/StringBuilder;", false, appendStr)
-	appendInt := func(env *Env, recv *Object, args []Value) (Value, error) {
-		recv.Str += strconv.FormatInt(args[0].Int, 10)
-		recv.Taint |= args[0].Taint
-		return RefVal(recv), nil
-	}
-	sb.method("append", "(I)Ljava/lang/StringBuilder;", false, appendInt)
+	sb.method("append", "(Ljava/lang/String;)Ljava/lang/StringBuilder;", false,
+		func(env *Env, recv *Object, args []Value) (Value, error) {
+			s, _ := strOf(args[0])
+			return appendTo(env, recv, s, args[0].EffectiveTaint())
+		})
+	sb.method("append", "(I)Ljava/lang/StringBuilder;", false,
+		func(env *Env, recv *Object, args []Value) (Value, error) {
+			return appendTo(env, recv, strconv.FormatInt(args[0].Int, 10), args[0].Taint)
+		})
 	sb.method("append", "(C)Ljava/lang/StringBuilder;", false,
 		func(env *Env, recv *Object, args []Value) (Value, error) {
-			recv.Str += string(rune(args[0].Int))
-			recv.Taint |= args[0].Taint
-			return RefVal(recv), nil
+			return appendTo(env, recv, string(rune(args[0].Int)), args[0].Taint)
 		})
 	sb.method("toString", "()Ljava/lang/String;", false,
 		func(env *Env, recv *Object, args []Value) (Value, error) {

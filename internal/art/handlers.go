@@ -206,7 +206,7 @@ func hSwitch(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int)
 
 func hIf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	taken := evalBranch(in.Op, f.regs[in.A], f.regs[in.B])
-	taken = rt.branchHook(f.method, f.pc, *in, taken)
+	taken = rt.branchHook(f.method, f.pc, taken)
 	if taken {
 		f.pc += int(in.Off)
 	} else {
@@ -218,7 +218,7 @@ func hIf(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Va
 func hIfZ(rt *Runtime, st *execState, f *frame, in *bytecode.Inst, width int) (Value, bool, error) {
 	// The z-form opcodes mirror the two-register forms shifted by 6.
 	taken := evalBranch(in.Op-6, f.regs[in.A], IntVal(0))
-	taken = rt.branchHook(f.method, f.pc, *in, taken)
+	taken = rt.branchHook(f.method, f.pc, taken)
 	if taken {
 		f.pc += int(in.Off)
 	} else {

@@ -34,7 +34,7 @@ type Hooks struct {
 	Instruction func(m *Method, pc int, insns []uint16, in *bytecode.Inst)
 	// Branch fires for each conditional branch with the evaluated outcome;
 	// returning override=true forces newTaken instead (force execution).
-	Branch func(m *Method, pc int, in bytecode.Inst, taken bool) (override, newTaken bool)
+	Branch func(m *Method, pc int, taken bool) (override, newTaken bool)
 	// ReflectiveCall fires when Method.invoke resolves its target, exposing
 	// the reflection target the paper rewrites into a direct call.
 	ReflectiveCall func(caller *Method, callerPC int, target *Method)

@@ -350,12 +350,12 @@ func lit8Base(op bytecode.Opcode) bytecode.Opcode {
 	}
 }
 
-func (rt *Runtime) branchHook(m *Method, pc int, in bytecode.Inst, taken bool) bool {
+func (rt *Runtime) branchHook(m *Method, pc int, taken bool) bool {
 	for _, h := range rt.hooks {
 		if h.Branch == nil {
 			continue
 		}
-		if override, forced := h.Branch(m, pc, in, taken); override {
+		if override, forced := h.Branch(m, pc, taken); override {
 			taken = forced
 		}
 	}

@@ -49,11 +49,8 @@ type Runtime struct {
 	MaxSteps int
 
 	classes      map[string]*Class
-	fwTmpl       *fwTemplate      // device framework template (see fwtemplate.go)
-	fwSlab       []*Class         // lazily cloned framework classes, by template index
-	fwLookup     map[string]int32 // shared immutable descriptor -> template index
-	appTmpl      *AppTemplate     // the linked app this runtime clones, or nil (see apptemplate.go)
-	appSlab      []*Class         // lazily cloned app classes, by template index
+	fwView       stamped // the device's framework (see template.go)
+	appView      stamped // the app template this runtime runs, if any (LoadTemplate)
 	natives      map[string]NativeFunc
 	hooks        []*Hooks
 	methodEnter  []func(*Method)
@@ -73,7 +70,7 @@ type Runtime struct {
 	predecode  bool
 	freeFrames []*frame // bounded frame pool for the invoke hot path
 
-	// Hot framework singletons, resolved once at clone time so the
+	// Hot framework singletons, resolved once in NewRuntime so the
 	// per-allocation paths (NewString, classObject) skip the class lookup.
 	stringClass *Class
 	classClass  *Class
@@ -112,8 +109,10 @@ func NewRuntime(device Device) *Runtime {
 		extFiles:     make(map[string]*Object),
 		classObjects: make(map[*Class]*Object),
 		predecode:    predecodeEnvDefault(),
+		fwView:       newStamped(fwTemplateFor(device)),
 	}
-	rt.cloneFramework()
+	rt.stringClass = rt.lookupClass("Ljava/lang/String;")
+	rt.classClass = rt.lookupClass("Ljava/lang/Class;")
 	return rt
 }
 
@@ -290,28 +289,19 @@ func (rt *Runtime) LoadDex(f *dex.File) ([]*Class, error) {
 	return created, nil
 }
 
-// lookupClass resolves a descriptor against the three class tiers: the
-// per-runtime table (classes this runtime linked, array classes), the app
-// template's clone slab, and the framework clone slab. The two slabs are
-// addressed through their templates' shared immutable indexes, so a runtime
-// never refills a map per class. The tiers never define one descriptor
+// lookupClass resolves a descriptor against the runtime's own map (classes
+// it linked with LoadDex, array classes), then its stamped view of the app
+// template, then that of the framework template. No descriptor is defined
 // twice: LoadDex skips any descriptor lookupClass already resolves. Returns
 // nil when undefined.
 func (rt *Runtime) lookupClass(descriptor string) *Class {
 	if c, ok := rt.classes[descriptor]; ok {
 		return c
 	}
-	if rt.appTmpl != nil {
-		if i, ok := rt.appTmpl.lookup[descriptor]; ok {
-			return rt.appClass(i)
-		}
+	if c := rt.stamp(&rt.appView, descriptor); c != nil {
+		return c
 	}
-	if rt.fwLookup != nil {
-		if i, ok := rt.fwLookup[descriptor]; ok {
-			return rt.fwClass(i)
-		}
-	}
-	return nil
+	return rt.stamp(&rt.fwView, descriptor)
 }
 
 // FindClass resolves a class by descriptor. Array classes are synthesized

@@ -314,7 +314,7 @@ func (t *Tracker) newHooks() *art.Hooks {
 				c.marked = true
 			}
 		},
-		Branch: func(m *art.Method, pc int, in bytecode.Inst, taken bool) (bool, bool) {
+		Branch: func(m *art.Method, pc int, taken bool) (bool, bool) {
 			if !c.resolve(m) || uint(pc) >= uint(c.sp.units) {
 				return false, false
 			}

@@ -235,8 +235,8 @@ func TestHooksAllocFree(t *testing.T) {
 	var in bytecode.Inst
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Instruction(m, 0, m.Insns, &in)
-		h.Branch(m, 0, in, true)
-		h.Branch(m, 0, in, false)
+		h.Branch(m, 0, true)
+		h.Branch(m, 0, false)
 	})
 	if allocs != 0 {
 		t.Errorf("hooks allocate %.1f times per step", allocs)

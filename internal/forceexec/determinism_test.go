@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dexlego/internal/art"
-	"dexlego/internal/bytecode"
 	"dexlego/internal/coverage"
 	"dexlego/internal/dex"
 	"dexlego/internal/workload"
@@ -117,7 +116,7 @@ func TestForcedRunsDeterministic(t *testing.T) {
 		t.Run(app.Package, func(t *testing.T) {
 			var reads []branchRead
 			e, tracker := sliceEngine(t, app, &art.Hooks{
-				Branch: func(m *art.Method, pc int, _ bytecode.Inst, taken bool) (bool, bool) {
+				Branch: func(m *art.Method, pc int, taken bool) (bool, bool) {
 					reads = append(reads, branchRead{m.Key(), pc, taken})
 					return false, false
 				},

@@ -246,7 +246,7 @@ type task struct {
 func (e *Engine) Baseline(tracker *coverage.Tracker) ([]art.SinkEvent, error) {
 	base := &task{reach: make(map[string]bool)}
 	rt, err := e.newRuntime(tracker, e.Collector, &art.Hooks{
-		Branch: func(m *art.Method, _ int, _ bytecode.Inst, _ bool) (bool, bool) {
+		Branch: func(m *art.Method, _ int, _ bool) (bool, bool) {
 			base.reach[m.Key()] = true
 			return false, false
 		},
@@ -501,7 +501,7 @@ func (e *Engine) forcingHooks(active map[string]map[int]bool, t *task, iter int,
 	path := t.path
 	var last *art.Method
 	return &art.Hooks{
-		Branch: func(m *art.Method, pc int, in bytecode.Inst, taken bool) (bool, bool) {
+		Branch: func(m *art.Method, pc int, taken bool) (bool, bool) {
 			if m != last {
 				last = m
 				t.reach[m.Key()] = true
