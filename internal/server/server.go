@@ -7,6 +7,12 @@
 // the same (APK, Options) pair are served from cache without re-running
 // the reveal.
 //
+// The store key is derived from the APK's content hash, which takes an
+// inflate and a manifest parse of the upload. The server remembers, for a
+// bounded number of uploads, which content hash a body's SHA-256 parsed
+// to, so a repeat upload reaches its store hit without parsing; a body is
+// parsed only when it is new or its artifact has left the store.
+//
 // API:
 //
 //	POST /v1/reveal              submit an APK (request body) or a named
@@ -31,6 +37,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -222,6 +229,8 @@ type Server struct {
 	// of burning a queue slot on a duplicate.
 	active   map[string]*job
 	draining atomic.Bool
+	// bodies keys a repeat upload from its body digest (see resolve).
+	bodies bodyIndex
 
 	submitted atomic.Int64
 	rejected  atomic.Int64
@@ -324,18 +333,9 @@ func (s *Server) Close() {
 	s.root.End()
 }
 
-// parseRequest builds the (APK, Options, name) of one submission.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*apk.APK, dexlego.Options, string, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, dexlego.Options{}, "", fmt.Errorf("read body: %v", err)
-	}
-	return ParseSubmission(r.URL.Query(), body)
-}
-
-// ParseSubmission builds the (APK, Options, name) of one reveal submission
-// from its query parameters and raw body.
-func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, string, error) {
+// ParseOptions builds the reveal Options of one submission from its query
+// parameters (?force=1&fuzz=1&seed=N).
+func ParseOptions(q url.Values) (dexlego.Options, error) {
 	opts := dexlego.Options{
 		InstallNatives: installAllPackers,
 		ForceExecution: q.Get("force") == "1",
@@ -344,9 +344,19 @@ func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, stri
 	if seed := q.Get("seed"); seed != "" {
 		n, err := strconv.ParseInt(seed, 10, 64)
 		if err != nil {
-			return nil, opts, "", fmt.Errorf("bad seed %q", seed)
+			return opts, fmt.Errorf("bad seed %q", seed)
 		}
 		opts.FuzzSeed = n
+	}
+	return opts, nil
+}
+
+// ParseSubmission builds the (APK, Options, name) of one reveal submission
+// from its query parameters and raw body.
+func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, string, error) {
+	opts, err := ParseOptions(q)
+	if err != nil {
+		return nil, opts, "", err
 	}
 	if sample := q.Get("sample"); sample != "" {
 		sm := droidbench.ByName(sample)
@@ -367,8 +377,81 @@ func ParseSubmission(q url.Values, body []byte) (*apk.APK, dexlego.Options, stri
 	if err != nil {
 		return nil, opts, "", fmt.Errorf("body is not an APK: %v", err)
 	}
-	h := pkg.ContentHash()
-	return pkg, opts, fmt.Sprintf("apk-%x", h[:6]), nil
+	return pkg, opts, nameFor(pkg.ContentHash()), nil
+}
+
+// nameFor names an uploaded APK's job by its content hash, the identity
+// the store key is derived from.
+func nameFor(contentHash [32]byte) string {
+	return fmt.Sprintf("apk-%x", contentHash[:6])
+}
+
+// submission is one request resolved to its store key. pkg is nil when the
+// body's digest resolved the key without parsing.
+type submission struct {
+	pkg  *apk.APK
+	opts dexlego.Options
+	name string
+	key  string
+}
+
+// resolve turns a request into its submission. An uploaded body the server
+// has parsed before is keyed from its digest alone: no inflate, no
+// manifest parse. Every other body is parsed, and a parsed upload's digest
+// is recorded for its next submission.
+func (s *Server) resolve(q url.Values, body []byte) (submission, error) {
+	upload := q.Get("sample") == ""
+	var digest [32]byte
+	if upload && len(body) > 0 {
+		digest = sha256.Sum256(body)
+		if ch, ok := s.bodies.get(digest); ok {
+			opts, err := ParseOptions(q)
+			if err != nil {
+				return submission{}, err
+			}
+			return submission{opts: opts, name: nameFor(ch), key: store.KeyFor(ch, opts.Fingerprint())}, nil
+		}
+	}
+	pkg, opts, name, err := ParseSubmission(q, body)
+	if err != nil {
+		return submission{}, err
+	}
+	ch := pkg.ContentHash()
+	if upload {
+		s.bodies.put(digest, ch)
+	}
+	return submission{pkg: pkg, opts: opts, name: name, key: store.KeyFor(ch, opts.Fingerprint())}, nil
+}
+
+// maxBodyDigests bounds the body-digest index; it is cleared when full.
+// An entry is two SHA-256 sums, about 64 bytes, so the index stays near
+// 256 KiB however many distinct bodies arrive.
+const maxBodyDigests = 4096
+
+// bodyIndex maps the SHA-256 of an uploaded body to the ContentHash that
+// apk.Read derived from it. The key stays the content hash: a re-encoded
+// zip of the same APK has another digest but the same content hash, so it
+// still hits, and stores shared with the CLI and the batch path stay
+// shared. A digest only skips re-deriving that hash from identical bytes.
+type bodyIndex struct {
+	mu sync.Mutex
+	m  map[[32]byte][32]byte
+}
+
+func (b *bodyIndex) get(digest [32]byte) ([32]byte, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ch, ok := b.m[digest]
+	return ch, ok
+}
+
+func (b *bodyIndex) put(digest, contentHash [32]byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.m == nil || len(b.m) >= maxBodyDigests {
+		b.m = make(map[[32]byte][32]byte)
+	}
+	b.m[digest] = contentHash
 }
 
 // retryAfterJitter returns a randomized Retry-After value — whole seconds
@@ -393,12 +476,18 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	pkg, opts, name, err := s.parseRequest(w, r)
+	q := r.URL.Query()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		return
+	}
+	sub, err := s.resolve(q, body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := store.KeyFor(pkg.ContentHash(), opts.Fingerprint())
+	key, name := sub.key, sub.name
 	s.submitted.Add(1)
 
 	// Fast path: the artifact already exists — answer without a job queue
@@ -415,6 +504,15 @@ func (s *Server) handleReveal(w http.ResponseWriter, r *http.Request) {
 		s.writeJob(w, http.StatusOK, j)
 		return
 	}
+	if sub.pkg == nil {
+		// The digest named a key whose artifact the store no longer holds:
+		// the reveal needs the parsed APK.
+		if sub.pkg, _, _, err = ParseSubmission(q, body); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
+	pkg, opts := sub.pkg, sub.opts
 
 	// Admission lease: a queued/running job for the same key absorbs this
 	// submission — no second queue slot, no second reveal. The lease bounds
@@ -522,9 +620,13 @@ func (s *Server) trimLocked() {
 	}
 	kept := s.order[:0]
 	excess := len(s.order) - maxFinishedJobs
-	for _, id := range s.order {
+	for i, id := range s.order {
+		if excess == 0 {
+			kept = append(kept, s.order[i:]...)
+			break
+		}
 		j := s.jobs[id]
-		if excess > 0 && j != nil && (j.state == StateDone || j.state == StateFailed) {
+		if j != nil && (j.state == StateDone || j.state == StateFailed) {
 			delete(s.jobs, id)
 			s.counts[j.state]--
 			excess--

@@ -595,3 +595,53 @@ func TestRevealWorkerBudgetClamp(t *testing.T) {
 		t.Errorf("reveal ran with Options.Workers = %d, want admitted budget 1", got)
 	}
 }
+
+// TestHistoryTrimKeepsBound fills the job history past maxFinishedJobs:
+// the history stays at the bound, the oldest finished jobs go first,
+// queued and running jobs are never dropped, and every kept job still
+// answers GET /v1/jobs/{id}.
+func TestHistoryTrimKeepsBound(t *testing.T) {
+	srv, hs := newTestServer(t, nil)
+	queued := srv.newJob("queued-key", "queued")
+	running := srv.newJob("running-key", "running")
+	srv.mu.Lock()
+	srv.counts[running.state]--
+	running.state = StateRunning
+	srv.counts[StateRunning]++
+	srv.mu.Unlock()
+	const extra = 50
+	finished := make([]*job, 0, maxFinishedJobs+extra)
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		j := srv.newJob("done-key", fmt.Sprintf("done%d", i))
+		srv.mu.Lock()
+		srv.finishLocked(j, &store.Artifact{}, true, nil, 0)
+		srv.mu.Unlock()
+		finished = append(finished, j)
+	}
+	dropped := 2 + extra // the history past the bound, all of it finished
+	srv.mu.Lock()
+	if len(srv.jobs) != maxFinishedJobs || len(srv.order) != maxFinishedJobs {
+		t.Errorf("history holds %d jobs in %d order slots, want %d", len(srv.jobs), len(srv.order), maxFinishedJobs)
+	}
+	want := []string{queued.id, running.id}
+	for _, j := range finished[dropped:] {
+		want = append(want, j.id)
+	}
+	if fmt.Sprint(srv.order) != fmt.Sprint(want) {
+		t.Error("the kept history is not the queued and running jobs plus the newest finished ones, in order")
+	}
+	if srv.counts[StateQueued] != 1 || srv.counts[StateRunning] != 1 || srv.counts[StateDone] != maxFinishedJobs-2 {
+		t.Errorf("counts = %v", srv.counts)
+	}
+	srv.mu.Unlock()
+	for _, j := range []*job{queued, running, finished[dropped], finished[len(finished)-1]} {
+		if code := getStatus(t, hs.URL+"/v1/jobs/"+j.id); code != http.StatusOK {
+			t.Errorf("kept job %s = %d, want 200", j.name, code)
+		}
+	}
+	for _, j := range []*job{finished[0], finished[dropped-1]} {
+		if code := getStatus(t, hs.URL+"/v1/jobs/"+j.id); code != http.StatusNotFound {
+			t.Errorf("trimmed job %s = %d, want 404", j.name, code)
+		}
+	}
+}

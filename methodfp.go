@@ -3,9 +3,8 @@ package dexlego
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dexlego/internal/bytecode"
 	"dexlego/internal/dex"
@@ -51,12 +50,20 @@ func MethodFingerprints(f *dex.File) map[string]string {
 		digest := g.componentDigest(comp)
 		for _, ni := range comp {
 			n := g.nodes[ni]
-			h := sha256.New()
-			fmt.Fprintf(h, "%s|method|%s|%s", methodFPVersion, n.local, digest)
-			fps[n.key] = hex.EncodeToString(h.Sum(nil))
+			b := append(g.buf[:0], methodFPVersion+"|method|"...)
+			b = append(b, n.local...)
+			b = append(b, '|')
+			g.buf = append(b, digest...)
+			fps[n.key] = hexDigest(g.buf)
 		}
 	}
 	return fps
+}
+
+// hexDigest returns the hex SHA-256 of b.
+func hexDigest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // fpNode is one bytecode method in the call graph.
@@ -76,14 +83,24 @@ type fpGraph struct {
 	byKey  map[string]int
 	sccs   [][]int  // condensation, emitted callees-first (reverse topological)
 	sccFPs []string // digest per SCC, parallel to sccs
+
+	// buf is the one scratch buffer every digest's text is appended into.
+	// The text is byte for byte what the methodfp/v1 encoding formats
+	// (%#x, %d, %q, %v of a slice, %04x per code unit), built with strconv
+	// instead of fmt.
+	buf []byte
 }
+
+// nameSig is a method's name and signature: the virtual/interface
+// over-approximation's key.
+type nameSig struct{ name, sig string }
 
 // buildMethodGraph hashes every method body and resolves the call edges.
 func buildMethodGraph(f *dex.File) *fpGraph {
 	g := &fpGraph{byKey: make(map[string]int)}
 	// byNameSig and byName power the virtual/interface and reflection
 	// over-approximations; they must only be built over app methods.
-	byNameSig := make(map[string][]int)
+	byNameSig := make(map[nameSig][]int)
 	byName := make(map[string][]int)
 	type pending struct {
 		node  int
@@ -101,13 +118,14 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 			ref := f.MethodAt(em.Method)
 			n := &fpNode{key: ref.Key()}
 			prog := bytecode.Read(em.Code.Insns)
-			n.local = localBodyHash(f, em, prog)
+			n.local = g.localBodyHash(f, em, prog)
 			var insts []bytecode.DecodedInst
 			if prog.Err() == nil {
 				insts = prog.Insts()
 			}
 			g.byKey[n.key] = len(g.nodes)
-			byNameSig[ref.Name+ref.Signature] = append(byNameSig[ref.Name+ref.Signature], len(g.nodes))
+			ns := nameSig{ref.Name, ref.Signature}
+			byNameSig[ns] = append(byNameSig[ns], len(g.nodes))
 			byName[ref.Name] = append(byName[ref.Name], len(g.nodes))
 			g.nodes = append(g.nodes, n)
 			work = append(work, pending{node: len(g.nodes) - 1, em: em, insts: insts})
@@ -130,7 +148,7 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 				switch in.Op {
 				case bytecode.OpInvokeVirtual, bytecode.OpInvokeInterface,
 					bytecode.OpInvokeVirtualR, bytecode.OpInvokeInterR:
-					for _, to := range byNameSig[ref.Name+ref.Signature] {
+					for _, to := range byNameSig[nameSig{ref.Name, ref.Signature}] {
 						addEdge(to)
 					}
 				default: // direct, static, super: the target is exact
@@ -154,51 +172,105 @@ func buildMethodGraph(f *dex.File) *fpGraph {
 // localBodyHash hashes one method's canonical code-item bytes: everything
 // about the body except constant-pool index values, which are replaced by
 // the symbols they resolve to.
-func localBodyHash(f *dex.File, em *dex.EncodedMethod, prog *bytecode.Program) string {
+func (g *fpGraph) localBodyHash(f *dex.File, em *dex.EncodedMethod, prog *bytecode.Program) string {
 	ref := f.MethodAt(em.Method)
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|body|%s|%#x|%d,%d,%d", methodFPVersion, ref.Key(),
-		em.AccessFlags, em.Code.RegistersSize, em.Code.InsSize, em.Code.OutsSize)
+	b := append(g.buf[:0], methodFPVersion+"|body|"...)
+	b = appendMethodKey(b, ref)
+	b = append(b, "|0x"...)
+	b = strconv.AppendUint(b, uint64(em.AccessFlags), 16)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(em.Code.RegistersSize), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(em.Code.InsSize), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(em.Code.OutsSize), 10)
 	for _, try := range em.Code.Tries {
-		fmt.Fprintf(h, "|try:%d+%d", try.Start, try.Count)
+		b = append(b, "|try:"...)
+		b = strconv.AppendUint(b, uint64(try.Start), 10)
+		b = append(b, '+')
+		b = strconv.AppendUint(b, uint64(try.Count), 10)
 		for _, ta := range try.Handlers {
-			fmt.Fprintf(h, ";%s@%d", f.TypeName(ta.Type), ta.Addr)
+			b = append(b, ';')
+			b = append(b, f.TypeName(ta.Type)...)
+			b = append(b, '@')
+			b = strconv.AppendUint(b, uint64(ta.Addr), 10)
 		}
-		fmt.Fprintf(h, ";all@%d", try.CatchAll)
+		b = append(b, ";all@"...)
+		b = strconv.AppendInt(b, int64(try.CatchAll), 10)
 	}
 	if decodeErr := prog.Err(); decodeErr != nil {
 		// An undecodable body (junk units awaiting runtime rewriting) falls
 		// back to the raw code units: still deterministic, never spliced
 		// wrongly, merely without index canonicalization.
-		fmt.Fprintf(h, "|raw:%v|", decodeErr)
+		b = append(b, "|raw:"...)
+		b = append(b, decodeErr.Error()...)
+		b = append(b, '|')
 		for _, u := range em.Code.Insns {
-			fmt.Fprintf(h, "%04x", u)
+			b = append(b, hexDigits[u>>12], hexDigits[u>>8&0xf], hexDigits[u>>4&0xf], hexDigits[u&0xf])
 		}
-		return hex.EncodeToString(h.Sum(nil))
+		g.buf = b
+		return hexDigest(b)
 	}
 	insts := prog.Insts()
 	for i := range insts {
 		in := &insts[i]
-		fmt.Fprintf(h, "|%d:%s:%d,%d,%d:%d:%d", in.PC, in.Op.String(), in.A, in.B, in.C, in.Lit, in.Off)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(in.PC), 10)
+		b = append(b, ':')
+		b = append(b, in.Op.String()...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(in.A), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(in.B), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(in.C), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, in.Lit, 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(in.Off), 10)
 		if len(in.Args) > 0 {
-			fmt.Fprintf(h, ":a%v", in.Args)
+			b = appendInts(append(b, ":a"...), in.Args)
 		}
 		if len(in.Keys) > 0 || len(in.Targets) > 0 {
-			fmt.Fprintf(h, ":k%v:t%v", in.Keys, in.Targets)
+			b = appendInts(append(b, ":k"...), in.Keys)
+			b = appendInts(append(b, ":t"...), in.Targets)
 		}
 		switch in.Op.Index() {
 		case bytecode.IndexString:
-			fmt.Fprintf(h, ":s%q", f.String(in.Index))
+			b = strconv.AppendQuote(append(b, ":s"...), f.String(in.Index))
 		case bytecode.IndexType:
-			fmt.Fprintf(h, ":y%s", f.TypeName(in.Index))
+			b = append(append(b, ":y"...), f.TypeName(in.Index)...)
 		case bytecode.IndexField:
 			fr := f.FieldAt(in.Index)
-			fmt.Fprintf(h, ":f%s->%s:%s", fr.Class, fr.Name, fr.Type)
+			b = append(append(b, ":f"...), fr.Class...)
+			b = append(append(b, "->"...), fr.Name...)
+			b = append(append(b, ':'), fr.Type...)
 		case bytecode.IndexMethod:
-			fmt.Fprintf(h, ":m%s", f.MethodAt(in.Index).Key())
+			b = appendMethodKey(append(b, ":m"...), f.MethodAt(in.Index))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	g.buf = b
+	return hexDigest(b)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendMethodKey appends ref.Key() without building it.
+func appendMethodKey(b []byte, ref dex.MethodRef) []byte {
+	b = append(append(b, ref.Class...), "->"...)
+	return append(append(b, ref.Name...), ref.Signature...)
+}
+
+// appendInts appends xs as %v formats it: [1 -2 3].
+func appendInts[T int | int32](b []byte, xs []T) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // condense runs Tarjan's algorithm. SCCs land in g.sccs in the order Tarjan
@@ -267,10 +339,22 @@ func (g *fpGraph) componentDigest(comp []int) string {
 		succs = append(succs, s)
 	}
 	sort.Strings(succs)
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|scc|%s|%s", methodFPVersion,
-		strings.Join(members, ","), strings.Join(succs, ","))
-	d := hex.EncodeToString(h.Sum(nil))
+	b := append(g.buf[:0], methodFPVersion+"|scc|"...)
+	b = appendJoined(b, members)
+	b = append(b, '|')
+	g.buf = appendJoined(b, succs)
+	d := hexDigest(g.buf)
 	g.sccFPs[self] = d
 	return d
+}
+
+// appendJoined appends strings.Join(xs, ",").
+func appendJoined(b []byte, xs []string) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, x...)
+	}
+	return b
 }
